@@ -7,7 +7,6 @@ package ibasim
 // printed by cmd/ibbench and recorded in EXPERIMENTS.md).
 
 import (
-	"fmt"
 	"io"
 	"testing"
 
@@ -49,8 +48,7 @@ func BenchmarkFigure3(b *testing.B) {
 
 // BenchmarkFigure3Unfused regenerates the same panel with hop fusion
 // off (-fuse=false): the per-hop event oracle. The delta against
-// BenchmarkFigure3 is the end-to-end win of the fused hot path;
-// scripts/bench.sh records both in BENCH_fusion.{txt,json}.
+// BenchmarkFigure3 is the end-to-end win of the fused hot path.
 func BenchmarkFigure3Unfused(b *testing.B) {
 	sc := benchScale()
 	sc.Unfused = true
@@ -69,8 +67,7 @@ func BenchmarkFigure3Unfused(b *testing.B) {
 // BenchmarkFigure3ArbScan regenerates the panel with the scanning
 // arbiter (-arb=scan): the full round-robin rescan oracle. The delta
 // against BenchmarkFigure3 is the end-to-end win of the wake-list
-// arbiter; scripts/bench.sh records both — plus hot-spot congested
-// variants — in BENCH_arb.{txt,json}.
+// arbiter; the hot-spot benchmarks below add congested variants.
 func BenchmarkFigure3ArbScan(b *testing.B) {
 	sc := benchScale()
 	sc.Arb = "scan"
@@ -84,42 +81,6 @@ func BenchmarkFigure3ArbScan(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkFigure3Shards regenerates the Figure 3 panel on a
-// 64-switch fabric under each engine: the sequential baseline, then
-// the conservative-parallel engine at 2/4/8 shards. Results are
-// bit-identical across sub-benchmarks (the shard differential suite
-// enforces it); only wall-clock time may differ. scripts/bench.sh
-// parses this sweep into BENCH_shard.{txt,json} with speedup and
-// parallel-efficiency columns — on a single-core host the sharded
-// engine takes its inline path and the sweep measures pure
-// coordination overhead instead of speedup.
-func BenchmarkFigure3Shards(b *testing.B) {
-	run := func(name string, shards int, lag int64) {
-		b.Run(name, func(b *testing.B) {
-			sc := benchScale()
-			sc.Shards = shards
-			sc.Lag = sim.Time(lag)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := experiments.Figure3(sc, 64)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := res.Write(io.Discard); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	run("seq", 0, 0)
-	for _, shards := range []int{2, 4, 8} {
-		run(fmt.Sprintf("shards=%d", shards), shards, 0)
-	}
-	// The relaxed-exactness mode at the validated operating lag (2× the
-	// cross-shard channel delay): fewer barriers on the same partition.
-	run("shards=4-lag=200", 4, 200)
 }
 
 // BenchmarkTable1Left regenerates Table 1's left side configuration

@@ -104,11 +104,6 @@ func main() {
 	pktSizes := flag.String("bytes", "", "override: packet sizes, e.g. 32,256")
 	patterns := flag.String("patterns", "", "table1 patterns: uniform,bit-reversal,hot-spot:0.1,...")
 	sched := flag.String("sched", "calendar", "event scheduler: calendar (O(1) wheel) or heap (binary-heap reference); results are bit-identical")
-	engine := flag.String("engine", "seq", "execution engine: seq (single event loop) or shard (conservative-parallel; bit-identical results)")
-	shards := flag.Int("shards", 0, "shard count for -engine shard (default 2; clamped to the switch count)")
-	partition := flag.String("partition", "", "shard partitioner: bfs (locality, default) or roundrobin")
-	lag := flag.Int64("lag", 0, "relaxed-exactness window slack in simulated ns for -engine shard (0 = bit-exact)")
-	verbose := flag.Bool("v", false, "with -engine shard: append the per-shard imbalance report (events, stalls, cross-shard mail)")
 	check := flag.Bool("check", false, "enable heavy invariant audits on every run (results are bit-identical)")
 	fuse := flag.Bool("fuse", true, "hop-fusion fast path; -fuse=false runs the per-hop event engine (results are bit-identical)")
 	arb := flag.String("arb", "wake", "crossbar arbiter: wake (event-driven wait lists) or scan (round-robin rescan oracle); results are bit-identical")
@@ -127,7 +122,7 @@ func main() {
 
 	// Reject unsupported flag combinations before any work starts; the
 	// FeatureSet table is the single source of truth for what composes.
-	if err := (ibasim.FeatureSet{Engine: *engine, Shards: *shards, LagNs: *lag, Check: *check, Arb: *arb, Topo: *topoFam}).Validate(); err != nil {
+	if err := (ibasim.FeatureSet{Check: *check, Arb: *arb, Topo: *topoFam}).Validate(); err != nil {
 		fail(err)
 	}
 	fam, err := experiments.ParseFamily(*topoFam)
@@ -191,14 +186,6 @@ func main() {
 		fail(err)
 	}
 	sc.EngineOpts = []sim.EngineOption{sim.WithScheduler(kind)}
-	if *engine == "shard" {
-		sc.Shards = *shards
-		if sc.Shards == 0 {
-			sc.Shards = 2
-		}
-		sc.Partition = *partition
-		sc.Lag = sim.Time(*lag)
-	}
 	sc.Check = *check
 	sc.Unfused = !*fuse
 	sc.Arb = *arb
@@ -241,10 +228,8 @@ func main() {
 			WarmupNs:          int64(sc.Warmup),
 			MeasureNs:         int64(sc.Measure),
 			DrainGraceNs:      int64(sc.DrainGrace),
-			LagNs:             *lag,
 			Exec: experiments.ExecSpec{
-				Engine: *engine, Shards: sc.Shards, Partition: sc.Partition,
-				Sched: *sched, Check: *check, Unfused: !*fuse, Arb: *arb,
+				Engine: "seq", Sched: *sched, Check: *check, Unfused: !*fuse, Arb: *arb,
 			},
 		}
 		if *exp == "faults" {
@@ -401,23 +386,4 @@ func main() {
 	default:
 		fail(fmt.Errorf("unknown experiment %q", *exp))
 	}
-
-	if *verbose && sc.Shards > 1 {
-		fmt.Printf("\n== shard imbalance (%d switches, %d shards, %s partition) ==\n",
-			*switches, sc.Shards, partitionName(*partition))
-		stats, err := experiments.ShardImbalanceReport(sc, *switches)
-		if err != nil {
-			fail(err)
-		}
-		if err := experiments.WriteShardStats(os.Stdout, stats); err != nil {
-			fail(err)
-		}
-	}
-}
-
-func partitionName(p string) string {
-	if p == "" {
-		return "bfs"
-	}
-	return p
 }

@@ -36,7 +36,7 @@ func usage(w io.Writer) {
 	fmt.Fprintln(w, "         [-backoff D] [-backoff-max D] [-hung-after D] [-degrade] [-q]")
 	fmt.Fprintln(w, "  expand -spec FILE")
 	fmt.Fprintln(w, "  verify -store DIR")
-	fmt.Fprintln(w, "  worker (internal; job JSON on stdin, IBCAMP_STORE set)")
+	fmt.Fprintln(w, "  worker (internal; job JSON on stdin, artifact on stdout)")
 }
 
 func fail(err error) {

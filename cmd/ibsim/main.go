@@ -42,10 +42,6 @@ func main() {
 	flag.Int64Var(&cfg.MeasureNs, "measure", cfg.MeasureNs, "measurement window, ns")
 	flag.Uint64Var(&cfg.Seed, "seed", cfg.Seed, "traffic/selection seed")
 	flag.StringVar(&cfg.Scheduler, "sched", "calendar", "event scheduler: calendar (O(1) wheel) or heap (binary-heap reference); results are bit-identical")
-	flag.StringVar(&cfg.Engine, "engine", "seq", "execution engine: seq (single event loop) or shard (conservative-parallel; bit-identical results)")
-	flag.IntVar(&cfg.Shards, "shards", 0, "shard count for -engine shard (default 2; clamped to the switch count)")
-	flag.StringVar(&cfg.Partition, "partition", "", "shard partitioner: bfs (locality, default) or roundrobin")
-	flag.Int64Var(&cfg.LagNs, "lag", 0, "relaxed-exactness window slack in simulated ns for -engine shard (0 = bit-exact; positive trades bounded metric error for fewer barriers)")
 	flag.StringVar(&cfg.Faults, "faults", "", "fault campaign: spec string (e.g. 'flap@60000:0-1:20000; autoreconfig:10000') or @file.json")
 	flag.Uint64Var(&cfg.FaultSeed, "fault-seed", 0, "seed for the campaign's randomized elements (rand: flaps)")
 	flag.BoolVar(&cfg.Check, "check", false, "enable heavy invariant audits (whole-fabric credit and escape-CDG scans; results are bit-identical)")
@@ -61,7 +57,7 @@ func main() {
 
 	// Reject unsupported flag combinations before any work starts; the
 	// FeatureSet table is the single source of truth for what composes.
-	features := ibasim.FeatureSet{Engine: cfg.Engine, Shards: cfg.Shards, LagNs: cfg.LagNs, PacketTrace: *traceN > 0, Check: cfg.Check, Arb: cfg.Arb, Topo: cfg.Topology}
+	features := ibasim.FeatureSet{PacketTrace: *traceN > 0, Check: cfg.Check, Arb: cfg.Arb, Topo: cfg.Topology}
 	if err := features.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "ibsim:", err)
 		os.Exit(1)

@@ -17,64 +17,45 @@ func TestFeatureSetTable(t *testing.T) {
 		err  string // "" = valid; otherwise required substring
 	}{
 		{"zero", FeatureSet{}, ""},
-		{"seq", FeatureSet{Engine: "seq"}, ""},
-		{"shard-default", FeatureSet{Engine: "shard"}, ""},
-		{"shard-counted", FeatureSet{Engine: "shard", Shards: 4}, ""},
-		{"trace-seq", FeatureSet{Engine: "seq", PacketTrace: true}, ""},
+		// The sequential engine's defaults spelled out: the only engine
+		// has no name to give, so its explicit knobs are the arbiter
+		// and the topology family.
+		{"seq", FeatureSet{Arb: "wake", Topo: "irregular"}, ""},
+		{"trace-seq", FeatureSet{PacketTrace: true, Arb: "wake", Topo: "irregular"}, ""},
 		{"trace-default-engine", FeatureSet{PacketTrace: true}, ""},
 
-		{"lag-shard", FeatureSet{Engine: "shard", Shards: 4, LagNs: 500}, ""},
-		{"lag-zero-seq", FeatureSet{Engine: "seq"}, ""},
-
-		{"check-seq", FeatureSet{Engine: "seq", Check: true}, ""},
-		{"check-shard", FeatureSet{Engine: "shard", Shards: 3, Check: true}, ""},
+		{"check-seq", FeatureSet{Check: true}, ""},
 		{"check-trace", FeatureSet{PacketTrace: true, Check: true}, ""},
 
-		{"unknown-engine", FeatureSet{Engine: "warp"}, `unknown engine "warp"`},
-		{"unknown-engine-wins", FeatureSet{Engine: "warp", Shards: 4}, `unknown engine "warp"`},
-		{"shards-on-seq", FeatureSet{Engine: "seq", Shards: 2}, `shards=2 requires engine "shard"`},
-		{"shards-on-default", FeatureSet{Shards: 3}, `shards=3 requires engine "shard"`},
-		{"lag-on-seq", FeatureSet{Engine: "seq", LagNs: 500}, `lag=500ns requires engine "shard"`},
-		{"lag-on-default", FeatureSet{LagNs: 200}, `lag=200ns requires engine "shard"`},
-		{"lag-negative", FeatureSet{Engine: "shard", Shards: 2, LagNs: -1}, "negative lag -1ns"},
-		{"lag-negative-wins-engine", FeatureSet{Engine: "seq", LagNs: -5}, "negative lag -5ns"},
-		{"trace-on-shard", FeatureSet{Engine: "shard", PacketTrace: true}, "packet tracing requires the sequential engine"},
-		{"trace-on-shard-with-check", FeatureSet{Engine: "shard", PacketTrace: true, Check: true}, "packet tracing requires the sequential engine"},
-
-		{"campaign-seq", FeatureSet{Engine: "seq", Campaign: true}, ""},
-		{"campaign-shard", FeatureSet{Engine: "shard", Shards: 4, Campaign: true}, ""},
+		{"campaign-seq", FeatureSet{Campaign: true}, ""},
 		{"campaign-check", FeatureSet{Campaign: true, Check: true}, ""},
 		{"trace-in-campaign", FeatureSet{Campaign: true, PacketTrace: true}, "packet tracing is unsupported inside campaign workers"},
-		{"trace-in-campaign-shard-wins", FeatureSet{Engine: "shard", Campaign: true, PacketTrace: true}, "packet tracing requires the sequential engine"},
 
-		// The arbiter composes with everything — engines, shards, lag,
-		// tracing, campaigns, Check — so its only conflict is an unknown
-		// name, and earlier rows win over it.
+		// The arbiter composes with everything — tracing, campaigns,
+		// Check — so its only conflict is an unknown name, and earlier
+		// rows win over it.
 		{"arb-wake", FeatureSet{Arb: "wake"}, ""},
 		{"arb-scan", FeatureSet{Arb: "scan"}, ""},
-		{"arb-scan-shard", FeatureSet{Engine: "shard", Shards: 4, Arb: "scan"}, ""},
-		{"arb-wake-lag-shard", FeatureSet{Engine: "shard", Shards: 2, LagNs: 500, Arb: "wake"}, ""},
 		{"arb-wake-trace", FeatureSet{PacketTrace: true, Arb: "wake"}, ""},
 		{"arb-scan-trace", FeatureSet{PacketTrace: true, Arb: "scan"}, ""},
 		{"arb-campaign-check", FeatureSet{Campaign: true, Check: true, Arb: "wake"}, ""},
 		{"arb-unknown", FeatureSet{Arb: "ticket"}, `unknown arbiter "ticket"`},
 		{"arb-unknown-with-check", FeatureSet{Arb: "ticket", Check: true}, `unknown arbiter "ticket"`},
-		{"arb-unknown-loses-to-engine", FeatureSet{Engine: "warp", Arb: "ticket"}, `unknown engine "warp"`},
-		{"arb-unknown-loses-to-trace", FeatureSet{Engine: "shard", PacketTrace: true, Arb: "ticket"}, "packet tracing requires the sequential engine"},
+		{"arb-unknown-loses-to-trace", FeatureSet{Campaign: true, PacketTrace: true, Arb: "ticket"}, "packet tracing is unsupported inside campaign workers"},
 
-		// Topology families compose with every engine and with Check;
-		// conflicts are a malformed grammar or the irregular-only
-		// source-multipath baseline on a structured family.
+		// Topology families compose with Check; conflicts are a
+		// malformed grammar or the irregular-only source-multipath
+		// baseline on a structured family.
 		{"topo-empty", FeatureSet{Topo: ""}, ""},
 		{"topo-irregular", FeatureSet{Topo: "irregular"}, ""},
 		{"topo-fattree", FeatureSet{Topo: "fattree:2,3"}, ""},
 		{"topo-torus", FeatureSet{Topo: "torus:4x4"}, ""},
-		{"topo-torus-3d-shard", FeatureSet{Engine: "shard", Shards: 4, Topo: "torus:2x3x4"}, ""},
+		{"topo-torus-3d", FeatureSet{Topo: "torus:2x3x4"}, ""},
 		{"topo-fattree-check", FeatureSet{Topo: "fattree:2,2", Check: true}, ""},
 		{"topo-unknown", FeatureSet{Topo: "hypercube:4"}, "unknown topology family"},
 		{"topo-bad-shape", FeatureSet{Topo: "fattree:2"}, "bad fat-tree shape"},
 		{"topo-degenerate", FeatureSet{Topo: "torus:1x4"}, "dimension 1 < 2"},
-		{"topo-unknown-loses-to-engine", FeatureSet{Engine: "warp", Topo: "hypercube:4"}, `unknown engine "warp"`},
+		{"topo-unknown-loses-to-arb", FeatureSet{Arb: "ticket", Topo: "hypercube:4"}, `unknown arbiter "ticket"`},
 		{"multipath-irregular", FeatureSet{Topo: "irregular", SourceMultipath: 2}, ""},
 		{"multipath-default-topo", FeatureSet{SourceMultipath: 3}, ""},
 		{"multipath-fattree", FeatureSet{Topo: "fattree:2,3", SourceMultipath: 2}, "source multipath requires the irregular family"},
@@ -100,13 +81,12 @@ func TestFeatureSetTable(t *testing.T) {
 // universally compatible: flipping Check on any feature combination
 // must never change the verdict.
 func TestCheckHasNoConflictRow(t *testing.T) {
-	engines := []string{"", "seq", "shard", "warp"}
-	for _, eng := range engines {
-		for _, shards := range []int{0, 1, 2} {
-			for _, lag := range []int64{-1, 0, 100} {
-				for _, tr := range []bool{false, true} {
-					for _, arb := range []string{"", "wake", "scan", "ticket"} {
-						base := FeatureSet{Engine: eng, Shards: shards, LagNs: lag, PacketTrace: tr, Arb: arb}
+	for _, tr := range []bool{false, true} {
+		for _, camp := range []bool{false, true} {
+			for _, arb := range []string{"", "wake", "scan", "ticket"} {
+				for _, topo := range []string{"", "torus:4x4", "hypercube:4"} {
+					for _, mp := range []int{0, 2} {
+						base := FeatureSet{PacketTrace: tr, Campaign: camp, Arb: arb, Topo: topo, SourceMultipath: mp}
 						withCheck := base
 						withCheck.Check = true
 						errBase, errCheck := base.Validate(), withCheck.Validate()
@@ -124,22 +104,22 @@ func TestCheckHasNoConflictRow(t *testing.T) {
 // combinations before building topologies or engines.
 func TestFeatureValidationUpFront(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Engine = "shard"
-	cfg.Shards = 2
+	cfg.Arb = "ticket"
 	if _, err := SimulateTraced(cfg, 8, io.Discard); err == nil ||
-		!strings.Contains(err.Error(), "packet tracing requires the sequential engine") {
-		t.Fatalf("SimulateTraced on shard engine: %v", err)
+		!strings.Contains(err.Error(), `unknown arbiter "ticket"`) {
+		t.Fatalf("SimulateTraced with unknown arbiter: %v", err)
 	}
 
 	cfg = DefaultConfig()
-	cfg.Shards = 4 // engine left "" (seq)
-	if _, err := Simulate(cfg); err == nil || !strings.Contains(err.Error(), `requires engine "shard"`) {
-		t.Fatalf("Simulate with orphan shards: %v", err)
+	cfg.Topology = "hypercube:4"
+	if _, err := Simulate(cfg); err == nil || !strings.Contains(err.Error(), "unknown topology family") {
+		t.Fatalf("Simulate with unknown family: %v", err)
 	}
 
 	cfg = DefaultConfig()
-	cfg.Engine = "warp"
-	if _, err := Simulate(cfg); err == nil || !strings.Contains(err.Error(), "unknown engine") {
-		t.Fatalf("Simulate with unknown engine: %v", err)
+	cfg.Topology = "fattree:2,3"
+	cfg.SourceMultipath = 2
+	if _, err := Simulate(cfg); err == nil || !strings.Contains(err.Error(), "source multipath requires the irregular family") {
+		t.Fatalf("Simulate with multipath on a fat-tree: %v", err)
 	}
 }

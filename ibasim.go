@@ -87,33 +87,10 @@ type Config struct {
 	// way.
 	Scheduler string
 
-	// Engine selects the execution engine: "seq" (the default single
-	// event loop) or "shard", the conservative-parallel engine that
-	// partitions the fabric into Shards shards advancing in windowed
-	// lockstep on worker goroutines. Results are bit-exact across
-	// engines and shard counts; only wall-clock time changes. Shards
-	// defaults to 2 when Engine is "shard"; Partition selects the
-	// switch partitioner ("bfs", the locality-preserving default, or
-	// "roundrobin").
-	Engine    string
-	Shards    int
-	Partition string
-
-	// LagNs opts a sharded run into relaxed exactness: each shard's
-	// conservative window is widened by this many simulated
-	// nanoseconds and late cross-shard arrivals are clamped to the
-	// receiving shard's clock. 0 (the default) keeps sharded runs
-	// bit-identical to the sequential engine; positive lag trades
-	// bounded, statistically validated metric error for fewer
-	// barriers. Runs stay deterministic for a fixed (Config, LagNs,
-	// Shards). Requires Engine "shard".
-	LagNs int64
-
 	// Check enables the invariant auditor's heavy periodic scans
 	// (whole-fabric credit audit, live-table escape-CDG acyclicity) on
 	// top of the always-on cheap checks. Results are bit-identical
-	// with or without it, on both engines; Result.Audit reports the
-	// verdict.
+	// with or without it; Result.Audit reports the verdict.
 	Check bool
 
 	// Fuse arms the hop-fusion fast path (on in DefaultConfig): the
@@ -206,26 +183,6 @@ type Result struct {
 
 	// Audit reports the invariant auditor's pass over the run.
 	Audit Audit
-
-	// ShardStats is the per-shard imbalance report of a sharded run
-	// (Engine "shard"): how evenly the partitioner spread the work and
-	// how often the conservative barrier stalled each shard. Nil for
-	// sequential runs. An execution artifact — it describes how the
-	// run was scheduled, not what the simulation observed.
-	ShardStats []ShardStat
-}
-
-// ShardStat is one shard's row of the imbalance report.
-type ShardStat struct {
-	Shard    int    // shard index
-	Switches int    // switches owned
-	Hosts    int    // hosts owned
-	Events   uint64 // events dispatched by this shard's engine
-	Windows  uint64 // windows the coordinator activated it for
-	Stalled  uint64 // barriers sat out with work pending
-	MailsOut uint64 // cross-shard events produced
-	MailsIn  uint64 // cross-shard events imported
-	Held     uint64 // windows cut short by the held-mail exactness rule
 }
 
 // Audit summarizes the invariant auditor: how many per-hop admission
@@ -356,17 +313,6 @@ func (c Config) spec() (experiments.RunSpec, error) {
 		}
 		spec.Fabric.EngineOpts = append(spec.Fabric.EngineOpts, sim.WithScheduler(kind))
 	}
-	// Engine compatibility was already settled by the FeatureSet table
-	// above; here only the shard geometry remains to apply.
-	if c.Engine == "shard" {
-		shards := c.Shards
-		if shards == 0 {
-			shards = 2
-		}
-		spec.Fabric.Shards = shards
-		spec.Fabric.Partition = c.Partition
-		spec.Fabric.Lag = simTime(c.LagNs)
-	}
 	spec.Check = c.Check
 	if c.Faults != "" {
 		camp, err := faults.Load(c.Faults)
@@ -386,22 +332,7 @@ func patternFor(c Config, numHosts int) (traffic.Pattern, error) {
 
 // resultFrom converts an internal run result to the public shape.
 func resultFrom(res experiments.RunResult) Result {
-	var stats []ShardStat
-	for _, s := range res.ShardStats {
-		stats = append(stats, ShardStat{
-			Shard:    s.Shard,
-			Switches: s.Switches,
-			Hosts:    s.Hosts,
-			Events:   s.Events,
-			Windows:  s.Windows,
-			Stalled:  s.Stalled,
-			MailsOut: s.MailsOut,
-			MailsIn:  s.MailsIn,
-			Held:     s.Held,
-		})
-	}
 	return Result{
-		ShardStats:         stats,
 		OfferedPerSwitch:   res.OfferedPerSwitch,
 		AcceptedPerSwitch:  res.AcceptedPerSwitch,
 		AvgLatencyNs:       res.AvgLatencyNs,

@@ -16,10 +16,10 @@ import (
 // in the store body.
 const ArtifactSchemaVersion = 1
 
-// Artifact is the store body a worker writes for a completed job: the
-// run's result stamped with the input address it answers for.
-// RunResult serializes with ShardStats already cleared (Execute
-// guarantees it), so the bytes are engine-invariant.
+// Artifact is the store body for a completed job: the run's result
+// stamped with the input address it answers for. A worker encodes it,
+// the coordinator verifies and stores it. The bytes are the same
+// whatever the job's Exec hints.
 type Artifact struct {
 	Schema int                   `json:"schema"`
 	Input  string                `json:"input"`
@@ -28,7 +28,6 @@ type Artifact struct {
 
 // EncodeArtifact builds the canonical store body for a result.
 func EncodeArtifact(hash string, res experiments.RunResult) ([]byte, error) {
-	res.ShardStats = nil
 	return json.Marshal(Artifact{Schema: ArtifactSchemaVersion, Input: hash, Result: res})
 }
 

@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -23,6 +25,8 @@ func TestMain(m *testing.M) {
 	switch os.Getenv("IBCAMP_TEST_WORKER") {
 	case "worker":
 		os.Exit(WorkerMain(os.Stdin, os.Stdout, os.Stderr))
+	case "held":
+		os.Exit(WorkerMain(os.Stdin, heldWriter{w: os.Stdout, release: os.Getenv("IBCAMP_TEST_RELEASE")}, os.Stderr))
 	case "fail":
 		fmt.Fprintln(os.Stderr, "ibcamp test worker: induced failure")
 		os.Exit(1)
@@ -53,6 +57,24 @@ func testOpts(t *testing.T, mode string) Options {
 		Env:         []string{"IBCAMP_TEST_WORKER=" + mode, "IBCAMP_HB_MS=10"},
 		Log:         &testLogWriter{t: t},
 	}
+}
+
+// heldWriter holds a worker's ok line until the release file exists,
+// so a test can kill a worker before any worker reports its result.
+type heldWriter struct {
+	w       io.Writer
+	release string
+}
+
+func (h heldWriter) Write(p []byte) (int, error) {
+	if bytes.HasPrefix(p, []byte("ok ")) {
+		for deadline := time.Now().Add(time.Minute); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if _, err := os.Stat(h.release); err == nil {
+				break
+			}
+		}
+	}
+	return h.w.Write(p)
 }
 
 type testLogWriter struct{ t *testing.T }
@@ -142,14 +164,20 @@ func TestWorkerSIGKILLMidJobRetriesCleanly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := testOpts(t, "worker")
+	// Workers hold their ok lines until the release file exists, and
+	// the first heartbeat kills its worker before creating it: the kill
+	// always lands mid-job, however fast the job runs.
+	release := filepath.Join(t.TempDir(), "release")
+	opts := testOpts(t, "held")
+	opts.Env = append(opts.Env, "IBCAMP_TEST_RELEASE="+release)
 	var killed atomic.Bool
-	// The worker heartbeats immediately on start and every 10ms during
-	// the simulation, so the first heartbeat is mid-job by protocol.
 	opts.hooks.onHeartbeat = func(hash string, attempt int, cmd *exec.Cmd) {
 		if killed.CompareAndSwap(false, true) {
 			if err := cmd.Process.Kill(); err != nil {
 				t.Errorf("kill: %v", err)
+			}
+			if err := os.WriteFile(release, nil, 0o644); err != nil {
+				t.Errorf("release: %v", err)
 			}
 		}
 	}
@@ -186,15 +214,15 @@ func TestWorkerSIGKILLMidJobRetriesCleanly(t *testing.T) {
 // from the store and the finished table still matches a clean run.
 func TestResumeSkipsPrepopulatedJobs(t *testing.T) {
 	plan := testPlan(t)
-	dir := t.TempDir()
-	st, err := Open(dir)
+	st, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Complete job 0 the way a worker would, then "crash" (do nothing
-	// else). WorkerMain is the real entry point, run in-process.
-	t.Setenv("IBCAMP_STORE", dir)
+	// Complete job 0 the way a coordinator would, then "crash" (do
+	// nothing else). WorkerMain is the real entry point, run
+	// in-process; its ok line carries the artifact the coordinator
+	// verifies and stores.
 	input, err := json.Marshal(plan.Jobs[0].Spec)
 	if err != nil {
 		t.Fatal(err)
@@ -203,8 +231,16 @@ func TestResumeSkipsPrepopulatedJobs(t *testing.T) {
 	if code := WorkerMain(bytes.NewReader(input), &out, &errb); code != 0 {
 		t.Fatalf("WorkerMain = %d, stderr: %s", code, errb.String())
 	}
-	if !strings.Contains(out.String(), "ok "+plan.Jobs[0].Hash) {
+	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+	body, ok := strings.CutPrefix(lines[len(lines)-1], "ok ")
+	if !ok {
 		t.Fatalf("worker protocol output missing ok line: %q", out.String())
+	}
+	if _, err := DecodeArtifact([]byte(body), plan.Jobs[0].Hash); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(plan.Jobs[0].Hash, []byte(body)); err != nil {
+		t.Fatal(err)
 	}
 
 	rep, err := Run(context.Background(), plan, st, testOpts(t, "worker"))
@@ -392,5 +428,45 @@ func TestBackoffDelayDeterministicAndBounded(t *testing.T) {
 	}
 	if backoffDelay(h1, 1, base, max) == backoffDelay(h2, 1, base, max) {
 		t.Fatal("different jobs share a jitter (suspicious; seeds should decorrelate)")
+	}
+}
+
+// parentArtifact is tinySpec's first job encoded by the simulator
+// before the sharded engine was removed. Stored artifacts carry the
+// "ShardStats":null key, so it must still decode under the strict
+// decoder, re-encode to the same bytes, and match a fresh run.
+const (
+	parentHash     = "584d03a83c10bb24acf3c53619f7f056115c9bb0a23545ef10a319f69bd51bf1"
+	parentArtifact = `{"schema":1,"input":"584d03a83c10bb24acf3c53619f7f056115c9bb0a23545ef10a319f69bd51bf1","result":{"OfferedPerSwitch":0.04,"AcceptedPerSwitch":0.036,"AvgLatencyNs":691.2441860465116,"P99LatencyNs":2048,"PacketsMeasured":86,"OutOfOrderFraction":0,"ReorderPeakHeld":0,"ReorderAvgDelayNs":0,"Retry":{"Retries":0,"Lost":0,"DroppedTimeout":0,"MaxAttempts":0,"BackoffCapNs":0},"Degraded":{"FaultsInjected":0,"Repairs":0,"Reconfigs":0,"DroppedUnroutable":0,"DroppedOnDeadPort":0,"DroppedTimeout":0,"Retries":0,"Lost":0,"RerouteDrops":0,"RecoveryLatencyNs":0,"WatchdogSamples":0,"WatchdogViolations":0,"FirstViolation":""},"Audit":{"HopChecks":266,"HeavyTicks":0,"Violations":0,"First":""},"ShardStats":null}}`
+)
+
+// TestParentArtifactDecodes: artifacts already in users' stores stay
+// valid — same content address, same decoded result, same bytes.
+func TestParentArtifactDecodes(t *testing.T) {
+	job := testPlan(t).Jobs[0]
+	if job.Hash != parentHash {
+		t.Fatalf("content address moved: %s, want %s", job.Hash, parentHash)
+	}
+	a, err := DecodeArtifact([]byte(parentArtifact), parentHash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := EncodeArtifact(parentHash, a.Result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(again) != parentArtifact {
+		t.Fatalf("re-encoded artifact differs:\n%s\nvs\n%s", again, parentArtifact)
+	}
+	res, err := job.Spec.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := EncodeArtifact(parentHash, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(fresh) != parentArtifact {
+		t.Fatalf("fresh run's artifact differs:\n%s\nvs\n%s", fresh, parentArtifact)
 	}
 }

@@ -51,8 +51,7 @@ type Options struct {
 	// with the single argument "worker"). Tests point it at the test
 	// binary's re-exec shim.
 	WorkerCmd []string
-	// Env appends extra environment entries to spawned workers
-	// (IBCAMP_STORE is always set from the store).
+	// Env appends extra environment entries to spawned workers.
 	Env []string
 	// Log receives human-readable progress; default discard. Never
 	// write the table here — stdout must stay byte-stable.
@@ -289,12 +288,17 @@ func (o Options) runJob(ctx context.Context, st *Store, job Job) Outcome {
 	return oc
 }
 
+// maxArtifactLine bounds the worker's ok line. Artifacts are about a
+// kilobyte; the bound only keeps a runaway worker from exhausting the
+// coordinator's memory.
+const maxArtifactLine = 16 << 20
+
 // runAttempt spawns one worker process for the job and supervises it.
-// Success is defined by the store, not the exit status: the attempt
-// succeeded iff a verified entry for the job's hash exists afterwards.
-// That makes every crash mode safe — a worker killed after its atomic
-// Put counts as success; one killed before it counts as a clean
-// failure with no torn artifact either way.
+// The attempt succeeds iff the worker's ok line carries an artifact
+// that decodes against the job's hash; the coordinator then stores it
+// with an atomic Put. Workers never write the store, so every crash
+// mode is safe: a worker killed before its ok line is a clean failure,
+// one killed after it still succeeds, and neither leaves a file behind.
 func (o Options) runAttempt(ctx context.Context, st *Store, job Job, input []byte, attempt int) error {
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -303,8 +307,7 @@ func (o Options) runAttempt(ctx context.Context, st *Store, job Job, input []byt
 	defer tmo.Stop()
 
 	cmd := exec.CommandContext(actx, o.WorkerCmd[0], o.WorkerCmd[1:]...)
-	cmd.Env = append(os.Environ(), "IBCAMP_STORE="+st.Dir())
-	cmd.Env = append(cmd.Env, o.Env...)
+	cmd.Env = append(os.Environ(), o.Env...)
 	cmd.Stdin = bytes.NewReader(input)
 	cmd.Stderr = o.Log
 	out, err := cmd.StdoutPipe()
@@ -322,24 +325,28 @@ func (o Options) runAttempt(ctx context.Context, st *Store, job Job, input []byt
 		o.hooks.onSpawn(job.Hash, attempt, cmd)
 	}
 
-	sawOK := false
+	var body []byte
 	sc := bufio.NewScanner(out)
+	sc.Buffer(nil, maxArtifactLine)
 	for sc.Scan() {
-		line := sc.Text()
+		line := sc.Bytes()
 		switch {
-		case line == "hb":
+		case string(line) == "hb":
 			hang.Reset(o.HungAfter)
 			if o.hooks.onHeartbeat != nil {
 				o.hooks.onHeartbeat(job.Hash, attempt, cmd)
 			}
-		case strings.HasPrefix(line, "ok "):
-			sawOK = true
+		case bytes.HasPrefix(line, []byte("ok ")):
+			body = append([]byte(nil), line[len("ok "):]...)
 		}
 	}
 	werr := cmd.Wait()
 
-	if _, gerr := st.Get(job.Hash); gerr == nil {
-		return nil
+	if body != nil {
+		if _, err := DecodeArtifact(body, job.Hash); err != nil {
+			return fmt.Errorf("worker reported an unusable artifact: %v", err)
+		}
+		return st.Put(job.Hash, body)
 	}
 	switch {
 	case hung.Load():
@@ -348,10 +355,10 @@ func (o Options) runAttempt(ctx context.Context, st *Store, job Job, input []byt
 		return fmt.Errorf("worker exceeded the %v attempt timeout", o.Timeout)
 	case werr != nil:
 		return fmt.Errorf("worker: %v", werr)
-	case sawOK:
-		return fmt.Errorf("worker reported ok but stored no verifiable result")
+	case sc.Err() != nil:
+		return fmt.Errorf("reading worker output: %v", sc.Err())
 	default:
-		return fmt.Errorf("worker exited without storing a result")
+		return fmt.Errorf("worker exited without reporting a result")
 	}
 }
 

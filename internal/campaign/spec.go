@@ -52,9 +52,6 @@ type Spec struct {
 	MeasureNs    int64 `json:"measureNs,omitempty"`
 	DrainGraceNs int64 `json:"drainGraceNs,omitempty"`
 
-	// LagNs opts sharded execution into relaxed exactness (hashed).
-	LagNs int64 `json:"lagNs,omitempty"`
-
 	// Faults is a compact fault-campaign spec applied to every run.
 	Faults    string `json:"faults,omitempty"`
 	FaultSeed uint64 `json:"faultSeed,omitempty"`
@@ -144,6 +141,9 @@ func (s *Spec) validate() error {
 			return fmt.Errorf("campaign: %v", err)
 		}
 	}
+	if err := s.Exec.Validate(); err != nil {
+		return fmt.Errorf("campaign: %v", err)
+	}
 	return nil
 }
 
@@ -202,21 +202,20 @@ func (s *Spec) Expand() (*Plan, error) {
 						for i := 0; i < s.Seeds; i++ {
 							seed := s.FirstSeed + uint64(i)
 							js := experiments.JobSpec{
-								Switches:       size,
-								HostsPerSwitch: s.HostsPerSwitch,
-								Links:          s.Links,
-								TopoSeed:       seed,
-								MR:             s.MR,
-								Enhanced:       !s.Deterministic,
-								Pattern:        pat,
-								PacketSize:     pkt,
+								Switches:         size,
+								HostsPerSwitch:   s.HostsPerSwitch,
+								Links:            s.Links,
+								TopoSeed:         seed,
+								MR:               s.MR,
+								Enhanced:         !s.Deterministic,
+								Pattern:          pat,
+								PacketSize:       pkt,
 								AdaptiveFraction: frac,
 								Load:             load,
 								Seed:             seed,
 								WarmupNs:         s.WarmupNs,
 								MeasureNs:        s.MeasureNs,
 								DrainGraceNs:     s.DrainGraceNs,
-								LagNs:            s.LagNs,
 								Faults:           s.Faults,
 								FaultSeed:        s.FaultSeed,
 								Exec:             s.Exec,

@@ -32,6 +32,12 @@ func TestParseSpecStrict(t *testing.T) {
 		{"load-hi-below-lo", `{"name":"x","sizes":[8],"links":4,"mr":2,"packetSizes":[32],"loadLo":0.1,"loadHi":0.01,"loadPoints":3}`, "loadHi"},
 		{"bad-pattern", `{"name":"x","sizes":[8],"links":4,"mr":2,"packetSizes":[32],"loadLo":0.01,"patterns":["zipf"]}`, "unknown pattern"},
 		{"wrong-schema", `{"schema":9,"name":"x","sizes":[8],"links":4,"mr":2,"packetSizes":[32],"loadLo":0.01}`, "spec schema 9"},
+		// The sharded engine and its relaxed mode are gone; specs that
+		// ask for them must fail loudly, never run sequentially.
+		{"exec-engine-shard", `{"name":"x","sizes":[8],"links":4,"mr":2,"packetSizes":[32],"loadLo":0.01,"exec":{"engine":"shard"}}`, `exec field "engine" is "shard"`},
+		{"exec-shards", `{"name":"x","sizes":[8],"links":4,"mr":2,"packetSizes":[32],"loadLo":0.01,"exec":{"shards":4}}`, `unknown field "shards"`},
+		{"exec-partition", `{"name":"x","sizes":[8],"links":4,"mr":2,"packetSizes":[32],"loadLo":0.01,"exec":{"partition":"bfs"}}`, `unknown field "partition"`},
+		{"lag-ns", `{"name":"x","sizes":[8],"links":4,"mr":2,"packetSizes":[32],"loadLo":0.01,"lagNs":500}`, `unknown field "lagNs"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -118,32 +124,38 @@ func TestExpandDedupsIdenticalCells(t *testing.T) {
 
 // TestExpandExecDoesNotMoveHashes: the same sweep planned with
 // different execution hints must address the same artifacts, so a
-// store populated by a sequential campaign satisfies a sharded rerun.
+// store populated with the defaults satisfies a rerun on the reference
+// implementations. The first variant is the exec block the benchmark's
+// campaign spec carries.
 func TestExpandExecDoesNotMoveHashes(t *testing.T) {
-	seq, err := ParseSpec([]byte(tinySpec))
+	base, err := ParseSpec([]byte(tinySpec))
 	if err != nil {
 		t.Fatal(err)
 	}
-	shardJSON := strings.Replace(tinySpec, `"name": "tiny",`,
-		`"name": "tiny", "exec": {"engine": "shard", "shards": 4},`, 1)
-	shard, err := ParseSpec([]byte(shardJSON))
+	p1, err := base.Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1, err := seq.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := shard.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p1.Jobs) != len(p2.Jobs) {
-		t.Fatalf("job counts differ: %d vs %d", len(p1.Jobs), len(p2.Jobs))
-	}
-	for i := range p1.Jobs {
-		if p1.Jobs[i].Hash != p2.Jobs[i].Hash {
-			t.Fatalf("job %d: exec hints moved the hash: %s vs %s", i, p1.Jobs[i].Hash, p2.Jobs[i].Hash)
+	for _, exec := range []string{
+		`{"engine": "seq", "sched": "calendar", "arb": "wake"}`,
+		`{"sched": "heap", "arb": "scan", "unfused": true, "check": true}`,
+	} {
+		spec, err := ParseSpec([]byte(strings.Replace(tinySpec, `"name": "tiny",`,
+			`"name": "tiny", "exec": `+exec+`,`, 1)))
+		if err != nil {
+			t.Fatalf("exec %s: %v", exec, err)
+		}
+		p2, err := spec.Expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(p1.Jobs) != len(p2.Jobs) {
+			t.Fatalf("exec %s: job counts differ: %d vs %d", exec, len(p1.Jobs), len(p2.Jobs))
+		}
+		for i := range p1.Jobs {
+			if p1.Jobs[i].Hash != p2.Jobs[i].Hash {
+				t.Fatalf("exec %s: job %d: exec hints moved the hash: %s vs %s", exec, i, p1.Jobs[i].Hash, p2.Jobs[i].Hash)
+			}
 		}
 	}
 }

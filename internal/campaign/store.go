@@ -40,7 +40,8 @@ import (
 // directory, fsyncs it, renames it into place and fsyncs the
 // directory. A writer killed at any instant therefore leaves either no
 // entry (plus an ignored .tmp- file SweepTorn collects) or the
-// complete, verified entry — never a torn artifact.
+// complete, verified entry — never a torn artifact. The campaign
+// coordinator is the only writer; workers hand it their artifacts.
 type Store struct {
 	dir string
 }
@@ -186,10 +187,10 @@ func (s *Store) Remove(hash string) error {
 	return nil
 }
 
-// SweepTorn removes leftover temp files from writers that died
-// mid-Put. Safe to run at campaign start: a live writer's temp file is
-// only ever renamed by that writer, and the coordinator sweeps before
-// spawning any. Returns the removed paths.
+// SweepTorn removes leftover temp files from a coordinator that died
+// mid-Put. Safe to run at campaign start, before this coordinator's
+// first Put, as long as no other coordinator is writing the same
+// store. Returns the removed paths.
 func (s *Store) SweepTorn() ([]string, error) {
 	var removed []string
 	err := filepath.WalkDir(filepath.Join(s.dir, "objects"), func(path string, d fs.DirEntry, err error) error {

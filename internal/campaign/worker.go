@@ -15,18 +15,20 @@ import (
 )
 
 // Worker protocol. The coordinator re-execs this binary as
-// `ibcamp worker` with the JobSpec JSON on stdin and two environment
-// knobs:
+// `ibcamp worker` with the JobSpec JSON on stdin and one environment
+// knob:
 //
-//	IBCAMP_STORE   result store directory (required)
 //	IBCAMP_HB_MS   heartbeat interval in ms (default 500)
 //
 // The worker emits "hb\n" on stdout immediately and then every
-// interval while the simulation runs, writes the artifact to the
-// store, prints "ok <hash>\n" and exits 0. Everything human-readable
-// goes to stderr. Because the job runs in its own process, a panic,
-// OOM kill or SIGKILL costs exactly one attempt of one job — the
-// coordinator's watchdog sees the heartbeats stop and retries.
+// interval while the simulation runs, prints "ok <artifact>\n" — the
+// job's encoded artifact (EncodeArtifact, one line of JSON) — and
+// exits 0. Everything human-readable goes to stderr. The worker never
+// opens the result store: the coordinator verifies the artifact
+// against the job's hash and is the store's only writer, so a panic,
+// OOM kill or SIGKILL costs exactly one attempt of one job and leaves
+// no file behind — the coordinator's watchdog sees the heartbeats stop
+// and retries.
 
 // DefaultHeartbeat is the worker heartbeat interval when IBCAMP_HB_MS
 // is unset.
@@ -37,11 +39,6 @@ const DefaultHeartbeat = 500 * time.Millisecond
 // principle, though the coordinator treats every nonzero exit the
 // same: retry up to the budget).
 func WorkerMain(stdin io.Reader, stdout, stderr io.Writer) int {
-	storeDir := os.Getenv("IBCAMP_STORE")
-	if storeDir == "" {
-		fmt.Fprintln(stderr, "ibcamp worker: IBCAMP_STORE not set")
-		return 2
-	}
 	hb := DefaultHeartbeat
 	if ms := os.Getenv("IBCAMP_HB_MS"); ms != "" {
 		v, err := strconv.Atoi(ms)
@@ -50,11 +47,6 @@ func WorkerMain(stdin io.Reader, stdout, stderr io.Writer) int {
 			return 2
 		}
 		hb = time.Duration(v) * time.Millisecond
-	}
-	st, err := Open(storeDir)
-	if err != nil {
-		fmt.Fprintln(stderr, "ibcamp worker:", err)
-		return 2
 	}
 	data, err := io.ReadAll(stdin)
 	if err != nil {
@@ -76,10 +68,7 @@ func WorkerMain(stdin io.Reader, stdout, stderr io.Writer) int {
 	// The campaign layer owns FeatureSet validation of the execution
 	// hints (the experiments package can't import the root package
 	// without a cycle).
-	fs := ibasim.FeatureSet{
-		Engine: job.Exec.Engine, Shards: job.Exec.Shards,
-		LagNs: job.LagNs, Check: job.Exec.Check, Campaign: true,
-	}
+	fs := ibasim.FeatureSet{Check: job.Exec.Check, Arb: job.Exec.Arb, Campaign: true}
 	if err := fs.Validate(); err != nil {
 		fmt.Fprintln(stderr, "ibcamp worker:", err)
 		return 2
@@ -93,13 +82,6 @@ func WorkerMain(stdin io.Reader, stdout, stderr io.Writer) int {
 		mu.Lock()
 		fmt.Fprintln(stdout, line)
 		mu.Unlock()
-	}
-
-	// Worker-level dedup: a previous attempt (or a concurrent
-	// campaign sharing the store) may already have landed this entry.
-	if _, err := st.Get(hash); err == nil {
-		emit("ok " + hash)
-		return 0
 	}
 
 	emit("hb")
@@ -132,10 +114,6 @@ func WorkerMain(stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "ibcamp worker: encoding artifact:", err)
 		return 1
 	}
-	if err := st.Put(hash, body); err != nil {
-		fmt.Fprintln(stderr, "ibcamp worker:", err)
-		return 1
-	}
-	emit("ok " + hash)
+	emit("ok " + string(body))
 	return 0
 }

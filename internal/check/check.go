@@ -5,16 +5,13 @@
 // mutation smoke suite — that proves the auditor would notice if an
 // optimization bent the model.
 //
-// The auditor hooks the same observer seams the metrics collector
-// uses: Network-level callbacks sequentially, one single-threaded
-// child per shard (fabric.ChainShardHooks) under the sharded engine,
-// folded exactly at Finalize. Cheap per-event checks are always on;
+// The auditor hooks the same Network-level observer callbacks the
+// metrics collector uses. Cheap per-event checks are always on;
 // whole-fabric scans (credit audit, live-table escape-CDG acyclicity)
-// run on a periodic control-engine tick only when Config.Heavy is set
-// (the -check flag of ibsim/ibbench). Heavy ticks execute during the
-// single-threaded merged phases of a sharded run and only read state,
-// so enabling them never perturbs simulation results — the Figure 3
-// golden hash holds with -check on, on both engines.
+// run on a periodic engine tick only when Config.Heavy is set (the
+// -check flag of ibsim/ibbench). Heavy ticks only read state, so
+// enabling them never perturbs simulation results — the Figure 3
+// golden hash holds with -check on.
 package check
 
 import (
@@ -74,13 +71,13 @@ const (
 // cheap always-on checks.
 type Config struct {
 	// Heavy enables the periodic whole-fabric scans (credit audit,
-	// live-table escape-CDG acyclicity) on a control-engine tick.
+	// live-table escape-CDG acyclicity) on an engine tick.
 	Heavy bool
 	// Every is the heavy tick period (default 5_000 ns, matching the
 	// fault watchdog's sampling cadence).
 	Every sim.Time
-	// MaxViolations caps recorded violations per context so a systemic
-	// breach doesn't balloon memory (default 64); counting continues.
+	// MaxViolations caps recorded violations so a systemic breach
+	// doesn't balloon memory (default 64); counting continues.
 	MaxViolations int
 }
 
@@ -117,9 +114,9 @@ type Report struct {
 	HopChecks uint64
 	// HeavyTicks counts whole-fabric scan ticks (0 unless Config.Heavy).
 	HeavyTicks uint64
-	// Violations lists recorded breaches, per-shard children first in
-	// shard order, then control-engine (heavy/finalize) findings.
-	// ViolationCount keeps counting past the MaxViolations cap.
+	// Violations lists recorded breaches: per-event (hook) findings
+	// first, then heavy-tick and finalize findings. ViolationCount
+	// keeps counting past the MaxViolations cap.
 	Violations     []Violation
 	ViolationCount uint64
 }
@@ -146,20 +143,17 @@ func (r Report) Has(invariant string) bool {
 // flowKey identifies one (source, destination) packet flow.
 type flowKey struct{ src, dst int }
 
-// child is the per-execution-context auditor state. Sequentially there
-// is one; under the shard engine one per shard, each driven only by
-// its own shard's single-threaded event loop, merged at Finalize.
-// Deliveries of a flow all execute at the destination host's shard, so
-// each child observes complete flows and the in-order check needs no
-// cross-child state.
-type child struct {
-	a          *Auditor
-	created    uint64
-	delivered  uint64
-	hopChecks  uint64
-	violations []Violation
-	count      uint64
-	lastDetSeq map[flowKey]uint64
+// findings is one capped violation list plus its uncapped count.
+type findings struct {
+	list  []Violation
+	count uint64
+}
+
+func (f *findings) add(v Violation, max int) {
+	f.count++
+	if len(f.list) < max {
+		f.list = append(f.list, v)
+	}
 }
 
 // Auditor re-verifies model invariants from the fabric's observer
@@ -168,12 +162,18 @@ type Auditor struct {
 	net *fabric.Network
 	cfg Config
 
-	children []*child
-	ticker   *sim.Ticker
+	ticker *sim.Ticker
 
-	// Control-context findings (heavy ticks, finalize checks).
-	violations []Violation
-	count      uint64
+	// Per-event hook state: totals, the in-order check's per-flow
+	// high-water marks, and the hook findings.
+	created    uint64
+	delivered  uint64
+	hopChecks  uint64
+	lastDetSeq map[flowKey]uint64
+	hook       findings
+
+	// Heavy-tick and finalize findings.
+	control findings
 
 	final     Report
 	finalized bool
@@ -185,49 +185,36 @@ type Auditor struct {
 	orderExempt bool
 }
 
-// Attach hooks an auditor onto net. Sequentially it chains the
-// Network-level callbacks (after whatever collector/tracer is already
-// there); under the shard engine it registers one child per shard via
-// ChainShardHooks, exactly like the metrics collector. With cfg.Heavy
-// it also starts the whole-fabric scan ticker on the control engine.
+// Attach hooks an auditor onto net, chaining the Network-level
+// callbacks after whatever collector/tracer is already there. With
+// cfg.Heavy it also starts the whole-fabric scan ticker on the engine.
 // Attach must come after other observers so their callbacks keep
 // running even when an audit panics under test harnesses.
 func Attach(net *fabric.Network, cfg Config) *Auditor {
 	a := &Auditor{
 		net:         net,
 		cfg:         cfg.withDefaults(),
+		lastDetSeq:  make(map[flowKey]uint64),
 		orderExempt: net.Cfg.SourceMultipath > 1 || net.Cfg.Retry.Enabled(),
 	}
-	if sc := net.ShardCount(); sc > 1 {
-		for i := 0; i < sc; i++ {
-			ch := a.newChild()
-			net.ChainShardHooks(i, fabric.ShardHooks{
-				OnCreated:   ch.onCreated,
-				OnDelivered: ch.onDelivered,
-				OnHop:       ch.onHop,
-			})
+	prevCreated, prevDelivered, prevHop := net.OnCreated, net.OnDelivered, net.OnHop
+	net.OnCreated = func(p *ib.Packet) {
+		if prevCreated != nil {
+			prevCreated(p)
 		}
-	} else {
-		ch := a.newChild()
-		prevCreated, prevDelivered, prevHop := net.OnCreated, net.OnDelivered, net.OnHop
-		net.OnCreated = func(p *ib.Packet) {
-			if prevCreated != nil {
-				prevCreated(p)
-			}
-			ch.onCreated(p)
+		a.created++
+	}
+	net.OnDelivered = func(p *ib.Packet) {
+		if prevDelivered != nil {
+			prevDelivered(p)
 		}
-		net.OnDelivered = func(p *ib.Packet) {
-			if prevDelivered != nil {
-				prevDelivered(p)
-			}
-			ch.onDelivered(p)
+		a.onDelivered(p)
+	}
+	net.OnHop = func(p *ib.Packet, sw int, out ib.PortID, adaptive bool) {
+		if prevHop != nil {
+			prevHop(p, sw, out, adaptive)
 		}
-		net.OnHop = func(p *ib.Packet, sw int, out ib.PortID, adaptive bool) {
-			if prevHop != nil {
-				prevHop(p, sw, out, adaptive)
-			}
-			ch.onHop(p, sw, out, adaptive)
-		}
+		a.onHop(p, sw, out, adaptive)
 	}
 	if a.cfg.Heavy {
 		a.ticker = sim.NewTicker(net.Engine, a.cfg.Every, a.heavyTick)
@@ -236,49 +223,27 @@ func Attach(net *fabric.Network, cfg Config) *Auditor {
 	return a
 }
 
-func (a *Auditor) newChild() *child {
-	ch := &child{a: a, lastDetSeq: make(map[flowKey]uint64)}
-	a.children = append(a.children, ch)
-	return ch
-}
-
-func (c *child) report(v Violation) {
-	c.count++
-	if len(c.violations) < c.a.cfg.MaxViolations {
-		c.violations = append(c.violations, v)
-	}
-}
-
-func (a *Auditor) report(v Violation) {
-	a.count++
-	if len(a.violations) < a.cfg.MaxViolations {
-		a.violations = append(a.violations, v)
-	}
-}
-
-func (c *child) onCreated(p *ib.Packet) { c.created++ }
-
 // onDelivered counts the delivery and enforces InvDeterministicOrder:
 // within a flow, the subsequence of deterministic-service deliveries
 // must carry nondecreasing sequence numbers. Adaptive packets may
 // legitimately overtake (§1 names that the price of adaptivity).
-func (c *child) onDelivered(p *ib.Packet) {
-	c.delivered++
-	if c.a.orderExempt || p.Adaptive {
+func (a *Auditor) onDelivered(p *ib.Packet) {
+	a.delivered++
+	if a.orderExempt || p.Adaptive {
 		return
 	}
 	k := flowKey{src: p.Src, dst: p.Dst}
-	last, seen := c.lastDetSeq[k]
+	last, seen := a.lastDetSeq[k]
 	if seen && p.SeqNo < last {
-		c.report(Violation{
+		a.hook.add(Violation{
 			At:        p.DeliveredAt,
 			Invariant: InvDeterministicOrder,
 			Detail: fmt.Sprintf("flow %d->%d: deterministic packet seq %d delivered after seq %d",
 				p.Src, p.Dst, p.SeqNo, last),
-		})
+		}, a.cfg.MaxViolations)
 		return
 	}
-	c.lastDetSeq[k] = p.SeqNo
+	a.lastDetSeq[k] = p.SeqNo
 }
 
 // onHop re-checks the §4.4 admission rule for every forwarding
@@ -286,38 +251,38 @@ func (c *child) onDelivered(p *ib.Packet) {
 // no intervening event, so AuditHopView's post-decrement credits plus
 // the packet's own credits reconstruct exactly the availability the
 // selector saw.
-func (c *child) onHop(p *ib.Packet, sw int, out ib.PortID, adaptive bool) {
-	c.hopChecks++
-	now, credits, hostFacing, ok := c.a.net.Switches[sw].AuditHopView(out, p.SL)
+func (a *Auditor) onHop(p *ib.Packet, sw int, out ib.PortID, adaptive bool) {
+	a.hopChecks++
+	now, credits, hostFacing, ok := a.net.Switches[sw].AuditHopView(out, p.SL)
 	if !ok {
 		return
 	}
 	pre := credits + p.Credits()
-	split := c.a.net.Cfg.Split
+	split := a.net.Cfg.Split
 	if adaptive && !hostFacing {
 		if !split.CanUseAdaptive(pre, p.Credits()) {
-			c.report(Violation{
+			a.hook.add(Violation{
 				At:        now,
 				Invariant: InvAdaptiveAdmission,
 				Detail: fmt.Sprintf("switch %d port %d: packet %d (%d credits) admitted adaptively with C_XY=%d, C_XYA=%d (C_0=%d)",
 					sw, out, p.ID, p.Credits(), pre, split.Adaptive(pre), split.CEscape),
-			})
+			}, a.cfg.MaxViolations)
 		}
 		return
 	}
 	if !split.CanUseEscape(pre, p.Credits()) {
-		c.report(Violation{
+		a.hook.add(Violation{
 			At:        now,
 			Invariant: InvEscapeAdmission,
 			Detail: fmt.Sprintf("switch %d port %d: packet %d (%d credits) sent with only %d credits available",
 				sw, out, p.ID, p.Credits(), pre),
-		})
+		}, a.cfg.MaxViolations)
 	}
 }
 
-// heavyTick runs the whole-fabric scans. It executes on the control
-// engine — single-threaded merged phases under the shard engine, so
-// scanning every shard's state is safe — and follows the watchdog's
+func (a *Auditor) report(v Violation) { a.control.add(v, a.cfg.MaxViolations) }
+
+// heavyTick runs the whole-fabric scans. It follows the watchdog's
 // self-stop protocol: once nothing else is pending, the auditor is the
 // only thing left alive and stops rescheduling (reporting a deadlock
 // if packets are still buffered).
@@ -326,7 +291,7 @@ func (a *Auditor) heavyTick(now sim.Time) (stop bool) {
 		a.report(Violation{At: now, Invariant: class, Detail: detail})
 	})
 	a.checkEscapeCDG(now)
-	if a.net.PendingEvents() == 0 {
+	if a.net.Engine.Pending() == 0 {
 		if inFlight := a.net.InFlight(); inFlight > 0 {
 			a.report(Violation{
 				At:        now,
@@ -339,14 +304,9 @@ func (a *Auditor) heavyTick(now sim.Time) (stop bool) {
 	return false
 }
 
-// Finalize stops the heavy ticker, folds the per-shard children and
-// runs the end-of-run checks, returning the combined report. The fold
-// is exact for the same reason the metrics collector's is: the
-// children's counters sum disjoint event sets, so totals are
-// bit-identical to a sequential accumulation; violation lists
-// concatenate in shard order (each list is internally ordered by its
-// shard's event stream). Calling Finalize twice returns the same
-// report.
+// Finalize stops the heavy ticker and runs the end-of-run checks,
+// returning the combined report. Calling Finalize twice returns the
+// same report.
 //
 // The strict end-state checks (deadlock, packet conservation, credit
 // restoration) need a decided end state: they run only when no event
@@ -362,15 +322,14 @@ func (a *Auditor) Finalize() Report {
 	if a.ticker != nil {
 		a.ticker.Stop()
 	}
-	r := Report{}
-	for _, ch := range a.children {
-		r.Created += ch.created
-		r.Delivered += ch.delivered
-		r.HopChecks += ch.hopChecks
-		r.ViolationCount += ch.count
-		r.Violations = append(r.Violations, ch.violations...)
+	r := Report{
+		Created:        a.created,
+		Delivered:      a.delivered,
+		HopChecks:      a.hopChecks,
+		ViolationCount: a.hook.count,
+		Violations:     a.hook.list,
 	}
-	a.children = nil
+	a.hook.list = nil
 
 	now := a.net.Engine.Now()
 	split := a.net.Cfg.Split
@@ -382,7 +341,7 @@ func (a *Auditor) Finalize() Report {
 				split.CMax, split.CEscape, a.net.Cfg.BufferCredits),
 		})
 	}
-	pending := a.net.PendingEvents()
+	pending := a.net.Engine.Pending()
 	if a.ticker != nil && a.ticker.Scheduled() {
 		pending--
 	}
@@ -413,14 +372,14 @@ func (a *Auditor) Finalize() Report {
 	if a.ticker != nil {
 		r.HeavyTicks = a.ticker.Ticks()
 	}
-	r.ViolationCount += a.count
+	r.ViolationCount += a.control.count
 	if room := a.cfg.MaxViolations - len(r.Violations); room > 0 {
-		if len(a.violations) > room {
-			a.violations = a.violations[:room]
+		if len(a.control.list) > room {
+			a.control.list = a.control.list[:room]
 		}
-		r.Violations = append(r.Violations, a.violations...)
+		r.Violations = append(r.Violations, a.control.list...)
 	}
-	a.violations = nil
+	a.control.list = nil
 	a.final = r
 	return r
 }

@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"reflect"
 	"testing"
 
@@ -11,33 +8,17 @@ import (
 )
 
 // TestFigure3GoldenChecked pins the invariant auditor's heavy scans to
-// the committed golden hash on BOTH engines: -check re-verifies the
-// model while the run executes but only ever reads state, so enabling
-// it must not perturb a single event. A drift here means an audit
-// mutated the simulation (or scheduled into its event order) — exactly
-// the bug class this test exists to block.
+// the committed golden hash: -check re-verifies the model while the
+// run executes but only ever reads state, so enabling it must not
+// perturb a single event. A drift here means an audit mutated the
+// simulation (or scheduled into its event order) — exactly the bug
+// class this test exists to block.
 func TestFigure3GoldenChecked(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs two QuickScale sweeps")
+		t.Skip("runs a QuickScale sweep")
 	}
-	for _, shards := range []int{0, 3} {
-		sc := QuickScale()
-		sc.Sizes = []int{8}
-		sc.Topologies = 1
-		sc.Shards = shards
-		sc.Check = true
-		res, err := Figure3(sc, 8)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		var buf bytes.Buffer
-		if err := res.Write(&buf); err != nil {
-			t.Fatal(err)
-		}
-		sum := sha256.Sum256(buf.Bytes())
-		if got := hex.EncodeToString(sum[:]); got != figure3Golden {
-			t.Fatalf("shards=%d checked artifact hash %s, want golden %s (auditor perturbed the simulation)", shards, got, figure3Golden)
-		}
+	if got := figure3Hash(t, func(sc *Scale) { sc.Check = true }); got != figure3Golden {
+		t.Fatalf("checked artifact hash %s, want golden %s (auditor perturbed the simulation)", got, figure3Golden)
 	}
 }
 
@@ -77,9 +58,8 @@ func TestAuditStatsPopulated(t *testing.T) {
 	}
 
 	// The observables must be bit-identical; only the audit bookkeeping
-	// and execution artifacts may differ.
+	// may differ.
 	plain.Audit, checked.Audit = AuditStats{}, AuditStats{}
-	plain.ShardStats, checked.ShardStats = nil, nil
 	if !reflect.DeepEqual(plain, checked) {
 		t.Fatalf("heavy audits changed results:\nplain:   %+v\nchecked: %+v", plain, checked)
 	}

@@ -15,16 +15,16 @@ import (
 // never to make a refactor pass.
 const figure3Golden = "a175e89e1385594e72cfa8e4d2a8aa9e9ac24a5d9f0b9a84713c5e72d560219f"
 
-func figure3Artifact(t *testing.T) []byte { return figure3ArtifactSharded(t, 0) }
-
-// figure3ArtifactSharded builds the golden panel on the sharded engine
-// (shards = 0 selects the sequential default).
-func figure3ArtifactSharded(t *testing.T, shards int) []byte {
+// figure3Artifact builds the golden panel; mutate, when non-nil,
+// adjusts the scale's execution hints first.
+func figure3Artifact(t *testing.T, mutate func(*Scale)) []byte {
 	t.Helper()
 	sc := QuickScale()
 	sc.Sizes = []int{8}
 	sc.Topologies = 1
-	sc.Shards = shards
+	if mutate != nil {
+		mutate(&sc)
+	}
 	res, err := Figure3(sc, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -36,6 +36,11 @@ func figure3ArtifactSharded(t *testing.T, shards int) []byte {
 	return buf.Bytes()
 }
 
+func figure3Hash(t *testing.T, mutate func(*Scale)) string {
+	sum := sha256.Sum256(figure3Artifact(t, mutate))
+	return hex.EncodeToString(sum[:])
+}
+
 // TestFigure3Deterministic guards the determinism contract: the same
 // seed must yield byte-identical experiment artifacts run-to-run,
 // through the parallel harness, and across hot-path refactors (via the
@@ -44,15 +49,15 @@ func TestFigure3Deterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs four QuickScale sweeps")
 	}
-	first := figure3Artifact(t)
-	second := figure3Artifact(t)
+	first := figure3Artifact(t, nil)
+	second := figure3Artifact(t, nil)
 	if !bytes.Equal(first, second) {
 		t.Fatal("two sequential runs with the same seed differ")
 	}
 	// Concurrent execution must not change results either: the worker
 	// pool only reorders wall-clock execution, never simulated events.
 	parallel, err := runParallel(2, func(i int) ([]byte, error) {
-		return figure3Artifact(t), nil
+		return figure3Artifact(t, nil), nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -68,22 +73,6 @@ func TestFigure3Deterministic(t *testing.T) {
 	}
 }
 
-// TestFigure3GoldenSharded pins the sharded engine to the same golden
-// hash: the conservative-parallel engine must reproduce the committed
-// artifact byte-for-byte, not merely match the sequential engine of
-// the same build.
-func TestFigure3GoldenSharded(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs two QuickScale sweeps")
-	}
-	for _, shards := range []int{3, 8} {
-		sum := sha256.Sum256(figure3ArtifactSharded(t, shards))
-		if got := hex.EncodeToString(sum[:]); got != figure3Golden {
-			t.Fatalf("shards=%d artifact hash %s, want golden %s", shards, got, figure3Golden)
-		}
-	}
-}
-
 // TestFigure3GoldenUnfused pins the -fuse=false oracle engine to the
 // same golden hash: hop fusion is a scheduling optimization, so fused
 // (the default artifact test above) and unfused builds must both
@@ -92,20 +81,7 @@ func TestFigure3GoldenUnfused(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a QuickScale sweep")
 	}
-	sc := QuickScale()
-	sc.Sizes = []int{8}
-	sc.Topologies = 1
-	sc.Unfused = true
-	res, err := Figure3(sc, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := res.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	sum := sha256.Sum256(buf.Bytes())
-	if got := hex.EncodeToString(sum[:]); got != figure3Golden {
+	if got := figure3Hash(t, func(sc *Scale) { sc.Unfused = true }); got != figure3Golden {
 		t.Fatalf("unfused artifact hash %s, want golden %s (fusion changed results)", got, figure3Golden)
 	}
 }
@@ -119,20 +95,7 @@ func TestFigure3GoldenScanArb(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a QuickScale sweep")
 	}
-	sc := QuickScale()
-	sc.Sizes = []int{8}
-	sc.Topologies = 1
-	sc.Arb = "scan"
-	res, err := Figure3(sc, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := res.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	sum := sha256.Sum256(buf.Bytes())
-	if got := hex.EncodeToString(sum[:]); got != figure3Golden {
+	if got := figure3Hash(t, func(sc *Scale) { sc.Arb = "scan" }); got != figure3Golden {
 		t.Fatalf("scan-arbiter artifact hash %s, want golden %s (arbiter changed results)", got, figure3Golden)
 	}
 }

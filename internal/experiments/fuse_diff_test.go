@@ -5,48 +5,38 @@ import (
 	"testing"
 
 	"ibasim/internal/fabric"
-	"ibasim/internal/faults"
 	"ibasim/internal/sim"
 	"ibasim/internal/trace"
-	"ibasim/internal/traffic"
 )
 
-// Hop fusion's whole value rests on the same claim the shard engine
-// makes: the fused fast path is an optimization of the event schedule,
-// not of the results. These tests enforce it with the unfused engine
-// (-fuse=false) as the differential oracle, comparing complete
-// RunResults — floats included — across queue geometries, schedulers,
-// shard counts, the invariant auditor, fault campaigns and a
-// contention storm that forces constant de-fused fallbacks.
+// Hop fusion's whole value rests on one claim: the fused fast path is
+// an optimization of the event schedule, not of the results. These
+// tests enforce it with the unfused engine (-fuse=false) as the
+// differential oracle, comparing complete RunResults — floats
+// included — across queue geometries, schedulers, the invariant
+// auditor, fault campaigns and a contention storm that forces constant
+// de-fused fallbacks.
 
-func fuseVariant(t *testing.T, spec RunSpec, fuse bool, shards int) RunResult {
+func fuseVariant(t *testing.T, spec RunSpec, fuse bool) RunResult {
 	t.Helper()
 	s := spec
 	s.Fabric.Fuse = fuse
-	if shards > 0 {
-		s.Fabric.Shards = shards
-		s.Fabric.Partition = fabric.PartitionBFS
-	}
 	res, err := Run(s)
 	if err != nil {
-		t.Fatalf("fuse=%v shards=%d: %v", fuse, shards, err)
+		t.Fatalf("fuse=%v: %v", fuse, err)
 	}
-	// ShardStats is an execution artifact, not a simulation observable;
-	// the differential compares results with it cleared.
-	res.ShardStats = nil
 	return res
 }
 
 // TestFusionBitExact sweeps the calendar geometries of the scheduler
 // differential (tiny wheels wrap and overflow constantly, so fused
 // dispatches land in every structural regime) plus the heap scheduler,
-// comparing fused runs — sequential and sharded — against the unfused
-// sequential oracle.
+// comparing fused runs against the unfused oracle.
 func TestFusionBitExact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs many full simulations")
 	}
-	topo := shardDiffTopo(t)
+	topo := diffTopo(t)
 	variants := []struct {
 		name string
 		opts []sim.EngineOption
@@ -59,15 +49,10 @@ func TestFusionBitExact(t *testing.T) {
 		{"heap", []sim.EngineOption{sim.WithScheduler(sim.SchedulerHeap)}},
 	}
 	for _, v := range variants {
-		spec := shardDiffSpec(topo, v.opts...)
-		want := fuseVariant(t, spec, false, 0)
-		if got := fuseVariant(t, spec, true, 0); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: fused sequential diverged from unfused:\n got %+v\nwant %+v", v.name, got, want)
-		}
-		for _, shards := range []int{1, 2, 4} {
-			if got := fuseVariant(t, spec, true, shards); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s: fused shards=%d diverged from unfused:\n got %+v\nwant %+v", v.name, shards, got, want)
-			}
+		spec := diffSpec(topo, v.opts...)
+		want := fuseVariant(t, spec, false)
+		if got := fuseVariant(t, spec, true); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: fused diverged from unfused:\n got %+v\nwant %+v", v.name, got, want)
 		}
 	}
 }
@@ -80,55 +65,35 @@ func TestFusionBitExactChecked(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full simulations")
 	}
-	spec := shardDiffSpec(shardDiffTopo(t))
+	spec := diffSpec(diffTopo(t))
 	spec.Check = true
-	want := fuseVariant(t, spec, false, 0)
+	want := fuseVariant(t, spec, false)
 	if want.Audit.HopChecks == 0 || want.Audit.HeavyTicks == 0 {
 		t.Fatalf("auditor did not run: %+v", want.Audit)
 	}
 	if want.Audit.Violations != 0 {
 		t.Fatalf("unfused oracle run is not clean: %+v", want.Audit)
 	}
-	for _, shards := range []int{0, 2} {
-		if got := fuseVariant(t, spec, true, shards); !reflect.DeepEqual(got, want) {
-			t.Errorf("checked fused shards=%d diverged:\n got %+v\nwant %+v", shards, got, want)
-		}
+	if got := fuseVariant(t, spec, true); !reflect.DeepEqual(got, want) {
+		t.Errorf("checked fused diverged:\n got %+v\nwant %+v", got, want)
 	}
 }
 
-// TestFusionBitExactFaults runs the shard differential's fault
-// campaign fused and unfused: kick events around dead ports, staged
+// TestFusionBitExactFaults runs the shared fault campaign fused and
+// unfused: kick events around dead ports, staged
 // recoveries and retry re-injections all cross the fusion quiescence
 // test, and every degraded-mode observable must still match.
 func TestFusionBitExactFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full fault campaigns")
 	}
-	topo := shardDiffTopo(t)
-	l0, l1 := topo.Links[0], topo.Links[1]
-	camp := &faults.Campaign{
-		Events: []faults.Event{
-			{At: 40_000, Kind: faults.LinkDown, A: l0.A, B: l0.B},
-			{At: 70_000, Kind: faults.LinkUp, A: l0.A, B: l0.B},
-			{At: 80_000, Kind: faults.LinkDown, A: l1.A, B: l1.B},
-			{At: 130_000, Kind: faults.LinkUp, A: l1.A, B: l1.B},
-		},
-		AutoReconfig: 5_000,
-		Watchdog:     faults.WatchdogConfig{SampleEvery: 5_000, Horizon: 120_000},
-	}
-	spec := shardDiffSpec(topo)
-	spec.Measure = 150_000
-	spec.DrainGrace = 80_000
-	spec.Faults = camp
-	spec.FaultSeed = 3
-	want := fuseVariant(t, spec, false, 0)
+	spec := diffFaultSpec(diffTopo(t))
+	want := fuseVariant(t, spec, false)
 	if want.Degraded.FaultsInjected == 0 || want.Degraded.Reconfigs == 0 {
 		t.Fatalf("campaign did not exercise faults: %+v", want.Degraded)
 	}
-	for _, shards := range []int{0, 2} {
-		if got := fuseVariant(t, spec, true, shards); !reflect.DeepEqual(got, want) {
-			t.Errorf("faults fused shards=%d diverged:\n got %+v\nwant %+v", shards, got, want)
-		}
+	if got := fuseVariant(t, spec, true); !reflect.DeepEqual(got, want) {
+		t.Errorf("faults fused diverged:\n got %+v\nwant %+v", got, want)
 	}
 }
 
@@ -141,16 +106,9 @@ func TestFusionBitExactContentionStorm(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs saturated simulations")
 	}
-	topo := shardDiffTopo(t)
-	hot, err := traffic.NewHotSpot(topo.NumHosts(), 0.4, sim.NewRNG(99))
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := shardDiffSpec(topo)
-	spec.Traffic.Pattern = hot
-	spec.Traffic.LoadBytesPerNsPerHost = 0.25 // deep saturation
-	want := fuseVariant(t, spec, false, 0)
-	got := fuseVariant(t, spec, true, 0)
+	spec := diffStormSpec(t, diffTopo(t))
+	want := fuseVariant(t, spec, false)
+	got := fuseVariant(t, spec, true)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("contention storm fused diverged:\n got %+v\nwant %+v", got, want)
 	}
@@ -161,7 +119,7 @@ func TestFusionBitExactContentionStorm(t *testing.T) {
 // Cfg.Fuse on), and the recorded per-hop event sequence is identical
 // with fusion configured on or off.
 func TestFusionTraceIdentical(t *testing.T) {
-	spec := shardDiffSpec(shardDiffTopo(t))
+	spec := diffSpec(diffTopo(t))
 	runTraced := func(fuse bool) (*trace.Recorder, uint64) {
 		s := spec
 		s.Fabric.Fuse = fuse
@@ -208,7 +166,7 @@ func TestFusionTraceIdentical(t *testing.T) {
 // other side: a plain fused run (no tracer) on the same spec must
 // actually exercise the fast path.
 func TestFusionKicksEngageInRealRuns(t *testing.T) {
-	spec := shardDiffSpec(shardDiffTopo(t))
+	spec := diffSpec(diffTopo(t))
 	spec.Fabric.Fuse = true
 	var netRef *fabric.Network
 	if _, err := RunObserved(spec, func(n *fabric.Network) { netRef = n }); err != nil {

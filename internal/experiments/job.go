@@ -14,14 +14,14 @@ package experiments
 //  1. The hash covers exactly the fields of canonicalInput, marshaled
 //     with encoding/json in declaration order, every field present
 //     (no omitempty), after Normalize filled defaults in.
-//  2. Execution hints that cannot change the result — engine choice,
-//     shard count, partitioner, scheduler, heavy checks, fusion, the
-//     arbiter —
-//     live in ExecSpec and are EXCLUDED: a run executed sharded
-//     dedups against the same run executed sequentially, which is
-//     sound because the shard engine is bit-exact (DESIGN.md §13).
-//  3. LagNs > 0 relaxes exactness and so does change results; it is
-//     part of the hash.
+//  2. Execution hints that cannot change the result — scheduler,
+//     heavy checks, fusion, the arbiter — live in ExecSpec and are
+//     EXCLUDED: a run executed with the reference implementations
+//     dedups against the same run executed with the defaults, which is
+//     sound because every pairing is bit-exact.
+//  3. The canonical input keeps a "lagNs" field that is always 0, so
+//     every content address computed before the sharded engine's
+//     relaxed mode was removed stays valid.
 //  4. Schema is bumped whenever run semantics change, orphaning every
 //     previously cached artifact at once.
 
@@ -58,16 +58,24 @@ const JobSchemaVersion = 1
 
 // ExecSpec carries the execution hints of a job: knobs that select how
 // the run executes but provably cannot change what it computes. They
-// are excluded from the canonical input hash (see the package comment)
-// and validated against the FeatureSet table by the campaign layer.
+// are excluded from the canonical input hash (see the package comment).
 type ExecSpec struct {
-	Engine    string `json:"engine,omitempty"`    // "", "seq" or "shard"
-	Shards    int    `json:"shards,omitempty"`    // shard count for Engine "shard"
-	Partition string `json:"partition,omitempty"` // "", "bfs" or "roundrobin"
-	Sched     string `json:"sched,omitempty"`     // "", "calendar" or "heap"
-	Check     bool   `json:"check,omitempty"`     // heavy invariant scans
-	Unfused   bool   `json:"unfused,omitempty"`   // disable hop fusion
-	Arb       string `json:"arb,omitempty"`       // "", "wake" or "scan" arbiter
+	Engine  string `json:"engine,omitempty"`  // "" or "seq", the only engine
+	Sched   string `json:"sched,omitempty"`   // "", "calendar" or "heap"
+	Check   bool   `json:"check,omitempty"`   // heavy invariant scans
+	Unfused bool   `json:"unfused,omitempty"` // disable hop fusion
+	Arb     string `json:"arb,omitempty"`     // "", "wake" or "scan" arbiter
+}
+
+// Validate rejects engine names other than the sequential engine's.
+// Specs written for the removed sharded engine ("engine":"shard") fail
+// here instead of silently running sequentially.
+func (e ExecSpec) Validate() error {
+	switch e.Engine {
+	case "", "seq":
+		return nil
+	}
+	return fmt.Errorf(`experiments: exec field "engine" is %q; the sequential engine "seq" is the only one`, e.Engine)
 }
 
 // JobSpec describes one run completely. The zero value is invalid;
@@ -100,10 +108,6 @@ type JobSpec struct {
 	MeasureNs    int64 `json:"measureNs"`
 	DrainGraceNs int64 `json:"drainGraceNs"`
 
-	// LagNs opts sharded execution into the relaxed-exactness mode;
-	// it changes results and is therefore hashed (rule 3).
-	LagNs int64 `json:"lagNs"`
-
 	// Faults is a compact fault-campaign spec string (faults.Parse
 	// grammar; "" = fault-free). File references are deliberately not
 	// allowed here: a job must be self-contained to hash soundly.
@@ -134,7 +138,7 @@ type canonicalInput struct {
 	WarmupNs         int64   `json:"warmupNs"`
 	MeasureNs        int64   `json:"measureNs"`
 	DrainGraceNs     int64   `json:"drainGraceNs"`
-	LagNs            int64   `json:"lagNs"`
+	LagNs            int64   `json:"lagNs"` // always 0 (rule 3)
 	Faults           string  `json:"faults"`
 	FaultSeed        uint64  `json:"faultSeed"`
 }
@@ -176,7 +180,6 @@ func (j JobSpec) CanonicalInput() []byte {
 		WarmupNs:         j.WarmupNs,
 		MeasureNs:        j.MeasureNs,
 		DrainGraceNs:     j.DrainGraceNs,
-		LagNs:            j.LagNs,
 		Faults:           j.Faults,
 		FaultSeed:        j.FaultSeed,
 	})
@@ -194,10 +197,9 @@ func (j JobSpec) Hash() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// Validate checks the result-determining fields structurally. It does
-// not consult the FeatureSet compatibility table (that would cycle the
-// import graph); the campaign layer validates Exec against it before
-// dispatch.
+// Validate checks the result-determining fields structurally, plus the
+// engine name in Exec. It does not consult the FeatureSet compatibility
+// table (that would cycle the import graph).
 func (j JobSpec) Validate() error {
 	k := j // normalized view
 	k.Normalize()
@@ -235,21 +237,17 @@ func (j JobSpec) Validate() error {
 	if k.WarmupNs < 0 || k.DrainGraceNs < 0 {
 		return fmt.Errorf("experiments: job warmup %dns / drain grace %dns must be non-negative", k.WarmupNs, k.DrainGraceNs)
 	}
-	if k.LagNs < 0 {
-		return fmt.Errorf("experiments: job lag %dns must be non-negative", k.LagNs)
-	}
 	if k.Faults != "" {
 		if _, err := faults.Parse(k.Faults); err != nil {
 			return fmt.Errorf("experiments: job fault spec: %w", err)
 		}
 	}
-	return nil
+	return k.Exec.Validate()
 }
 
-// Execute runs the job and returns its result with execution artifacts
-// (ShardStats) cleared, so the result serializes identically no matter
-// which engine produced it — the property that makes the Exec-excluded
-// content address sound.
+// Execute runs the job and returns its result. The result serializes
+// identically whatever the Exec hints — the property that makes the
+// Exec-excluded content address sound.
 func (j JobSpec) Execute() (RunResult, error) {
 	j.Normalize()
 	if err := j.Validate(); err != nil {
@@ -271,14 +269,6 @@ func (j JobSpec) Execute() (RunResult, error) {
 			return RunResult{}, err
 		}
 		fcfg.EngineOpts = []sim.EngineOption{sim.WithScheduler(kind)}
-	}
-	if j.Exec.Engine == "shard" {
-		fcfg.Shards = j.Exec.Shards
-		if fcfg.Shards < 2 {
-			fcfg.Shards = 2
-		}
-		fcfg.Partition = j.Exec.Partition
-		fcfg.Lag = sim.Time(j.LagNs)
 	}
 	fcfg.Fuse = !j.Exec.Unfused
 	fcfg.Arb = j.Exec.Arb
@@ -306,6 +296,5 @@ func (j JobSpec) Execute() (RunResult, error) {
 	if err != nil {
 		return RunResult{}, err
 	}
-	res.ShardStats = nil
 	return res, nil
 }

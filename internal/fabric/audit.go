@@ -131,7 +131,7 @@ func (sw *Switch) AuditHopView(out ib.PortID, sl int) (now sim.Time, credits int
 	if err != nil {
 		return 0, 0, false, false
 	}
-	return sw.ctx.eng.Now(), o.credits[vl], o.peerHost != nil, true
+	return sw.net.Engine.Now(), o.credits[vl], o.peerHost != nil, true
 }
 
 // NeighborAt resolves an inter-switch output port of switch s to the

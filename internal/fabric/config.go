@@ -70,8 +70,7 @@ type Config struct {
 	// (implementation, wheel geometry, storage arena). NewNetwork
 	// prepends a span hint derived from the link timing so the default
 	// calendar geometry covers the per-hop event horizon; options set
-	// here are applied afterwards and win. Sharded networks build every
-	// shard engine with the same resolved options (arena included).
+	// here are applied afterwards and win.
 	EngineOpts []sim.EngineOption
 
 	// PacketArena, when set, recycles packet slab blocks from finished
@@ -79,30 +78,6 @@ type Config struct {
 	// allocation. Sweeps set one arena for all their load points; see
 	// the PacketArena safety contract.
 	PacketArena *PacketArena
-
-	// Shards selects the conservative-parallel execution mode: 0 or 1
-	// runs the classic sequential engine; >= 2 partitions switches and
-	// hosts into that many shards (clamped to the switch count), each
-	// with its own event queue, advanced in lockstep lookahead windows
-	// (see shard.go). Results are bit-identical to the sequential
-	// engine. Requires status-aware selection and no source multipath —
-	// the RNG-free forwarding paths.
-	Shards int
-
-	// Partition picks the switch partitioner for sharded mode:
-	// PartitionBFS (default, "" means BFS) or PartitionRoundRobin.
-	Partition string
-
-	// Lag opts a sharded run into relaxed exactness: every shard's
-	// conservative window bound is widened by this many simulated
-	// nanoseconds, and cross-shard events arriving behind a shard's
-	// local clock are clamped to it. 0 (the default) keeps sharded
-	// execution bit-identical to the sequential engine. Positive lag
-	// trades bounded, statistically validated metric error for fewer
-	// barriers on tightly coupled partitions; runs stay deterministic
-	// for a fixed (config, lag, shard count) and data-race-free, and
-	// the invariant auditor still applies. Requires Shards > 1.
-	Lag sim.Time
 
 	// Fuse arms the hop-fusion fast path (on in DefaultConfig): a kick
 	// event dispatched while its engine is quiescent at that timestamp
@@ -247,21 +222,10 @@ func (c Config) Validate() error {
 	if c.SourceMultipath > 1 && c.AdaptiveSwitches {
 		return fmt.Errorf("fabric: source multipath is a plain-switch baseline; disable AdaptiveSwitches")
 	}
-	if c.Shards < 0 {
-		return fmt.Errorf("fabric: negative shard count %d", c.Shards)
-	}
-	switch c.Partition {
-	case "", PartitionBFS, PartitionRoundRobin:
-	default:
-		return fmt.Errorf("fabric: unknown partition strategy %q", c.Partition)
-	}
 	switch c.Arb {
 	case "", ArbWake, ArbScan:
 	default:
 		return fmt.Errorf("fabric: unknown arbiter %q (want %q or %q)", c.Arb, ArbWake, ArbScan)
-	}
-	if err := validateShardMode(c); err != nil {
-		return err
 	}
 	return nil
 }

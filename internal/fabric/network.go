@@ -24,22 +24,26 @@ type Network struct {
 
 	rng *sim.RNG
 
-	// ctl is the control (and, when Cfg.Shards <= 1, the only)
-	// execution context; its engine is the exported Engine. The rest
-	// exists only in sharded mode (see shard.go): the partition map,
-	// the global-min lookahead summary, the per-channel delay-bound
-	// matrix chanDist[src][dst], the padded barrier time board, the
-	// relaxed-exactness lag, the recycled outbox backing arrays and
-	// the mail-observer test seam.
-	ctl       *execCtx
-	shards    []*execCtx
-	partition []int
-	lookahead sim.Time
-	chanDist  [][]sim.Time
-	board     *sim.TimeBoard
-	lag       sim.Time
-	boxFree   [][]mail
-	onMail    func(src, dst int, at, schedAt sim.Time)
+	// Hot-path state every switch and host shares: the pooled event
+	// freelist (see pool.go) and the struct-of-arrays store for
+	// buffered-packet state (see vlbuffer.go). The engine dispatches
+	// sequentially, so neither needs locking.
+	evFree []*fabricEvent
+	slab   entrySlab
+
+	// pktSlab is the tail of the current packet allocation block;
+	// NewPacket carves packets from it (see getPacket). pktBlocks
+	// remembers every block consumed so Recycle can hand them back to
+	// the sweep's PacketArena.
+	pktSlab   []ib.Packet
+	pktBlocks [][]ib.Packet
+
+	// fusedKicks counts kick events whose delay-0 pass ran inline (hop
+	// fusion), moved counts packet movements, and nextID numbers the
+	// packets NewPacket creates.
+	fusedKicks uint64
+	moved      uint64
+	nextID     uint64
 
 	// OnCreated fires when a packet enters a source queue; OnDelivered
 	// when it reaches its destination CA; OnHop when a switch starts
@@ -57,9 +61,8 @@ type Network struct {
 	// per drop, not once per loss.
 	OnDropped func(p *ib.Packet, reason DropReason)
 
-	// Faults accumulates the degraded-mode counters of the sequential
-	// and control contexts. All zero on a fault-free run. Sharded runs
-	// keep per-shard counters too; FaultTotals sums everything.
+	// Faults accumulates the degraded-mode counters. All zero on a
+	// fault-free run.
 	Faults FaultStats
 
 	// tamper holds the mutation-suite fault model (see tamper.go). Zero
@@ -69,13 +72,9 @@ type Network struct {
 
 	// fuse is the hop-fusion runtime switch the kick dispatch reads:
 	// Cfg.Fuse, forced off while an observer demands per-hop events
-	// (defused) or a tamper model is installed. inMerged marks the
-	// sharded coordinator's merged control phase, where same-timestamp
-	// events on other engines make the single-queue quiescence test
-	// unsound (see pool.go and runMergedAt).
-	fuse     bool
-	defused  bool
-	inMerged bool
+	// (defused) or a tamper model is installed (see pool.go).
+	fuse    bool
+	defused bool
 
 	// wake is the arbiter runtime switch: Cfg.Arb resolves to the
 	// wake-list arbiter, forced to the scan oracle while a tamper
@@ -141,17 +140,10 @@ func (n *Network) Defuse() {
 // Fused reports whether the hop-fusion fast path is currently armed.
 func (n *Network) Fused() bool { return n.fuse }
 
-// FusedKicks sums, over every execution context, the kick events whose
-// delay-0 allocation/injection pass ran inline instead of being
-// scheduled. Tests use it to prove the fast path engaged (or was
-// forced off).
-func (n *Network) FusedKicks() uint64 {
-	k := n.ctl.fusedKicks
-	for _, s := range n.shards {
-		k += s.fusedKicks
-	}
-	return k
-}
+// FusedKicks counts the kick events whose delay-0 allocation/injection
+// pass ran inline instead of being scheduled. Tests use it to prove the
+// fast path engaged (or was forced off).
+func (n *Network) FusedKicks() uint64 { return n.fusedKicks }
 
 // DropReason classifies why the fabric discarded a packet.
 type DropReason uint8
@@ -205,46 +197,42 @@ func (f FaultStats) Dropped() uint64 {
 	return f.DroppedUnroutable + f.DroppedOnDeadPort + f.DroppedTimeout
 }
 
+// FaultTotals returns the degraded-mode counters; the same values as
+// the exported Faults field.
+func (n *Network) FaultTotals() FaultStats { return n.Faults }
+
 // Moved returns the total number of packet movements (injections,
 // hops, deliveries, drops) so far — a monotone progress clock for
-// deadlock detection. Sums every execution context.
-func (n *Network) Moved() uint64 {
-	m := n.ctl.moved
-	for _, s := range n.shards {
-		m += s.moved
-	}
-	return m
-}
+// deadlock detection.
+func (n *Network) Moved() uint64 { return n.moved }
 
 // dropPacket accounts one discarded packet and, when the retry policy
 // allows, schedules its re-injection at the source with exponential
 // backoff.
-func (c *execCtx) dropPacket(pkt *ib.Packet, reason DropReason) {
+func (n *Network) dropPacket(pkt *ib.Packet, reason DropReason) {
 	switch reason {
 	case DropUnroutable:
-		c.faults.DroppedUnroutable++
+		n.Faults.DroppedUnroutable++
 	case DropDeadPort:
-		c.faults.DroppedOnDeadPort++
+		n.Faults.DroppedOnDeadPort++
 	case DropTimeout:
-		c.faults.DroppedTimeout++
+		n.Faults.DroppedTimeout++
 	}
-	c.moved++
-	if c.onDropped != nil {
-		c.onDropped(pkt, reason)
-	} else if c.net.OnDropped != nil {
-		c.net.OnDropped(pkt, reason)
+	n.moved++
+	if n.OnDropped != nil {
+		n.OnDropped(pkt, reason)
 	}
-	rp := c.net.Cfg.Retry
+	rp := n.Cfg.Retry
 	if rp.MaxRetries > 0 && pkt.Attempts < rp.MaxRetries {
 		pkt.Attempts++
-		c.faults.Retries++
-		if pkt.Attempts > c.faults.MaxAttempts {
-			c.faults.MaxAttempts = pkt.Attempts
+		n.Faults.Retries++
+		if pkt.Attempts > n.Faults.MaxAttempts {
+			n.Faults.MaxAttempts = pkt.Attempts
 		}
-		c.scheduleRequeue(rp.backoff(pkt.Attempts), c.net.Hosts[pkt.Src], pkt)
+		n.scheduleRequeue(rp.backoff(pkt.Attempts), n.Hosts[pkt.Src], pkt)
 		return
 	}
-	c.faults.Lost++
+	n.Faults.Lost++
 }
 
 // NewNetwork wires a subnet over the topology. The LMC is chosen by
@@ -280,7 +268,6 @@ func NewNetwork(topo *topology.Topology, plan *ib.AddressPlan, cfg Config, seed 
 		Cfg:    cfg,
 		rng:    sim.NewRNG(seed ^ 0x4641425249435F), // package tag
 	}
-	net.ctl = &execCtx{net: net, id: -1, eng: net.Engine, faults: &net.Faults}
 	net.applyFuse()
 	net.applyArb()
 
@@ -303,7 +290,6 @@ func NewNetwork(topo *topology.Topology, plan *ib.AddressPlan, cfg Config, seed 
 		}
 		net.Switches = append(net.Switches, &Switch{
 			net:      net,
-			ctx:      net.ctl,
 			id:       s,
 			enhanced: cfg.AdaptiveSwitches && !detOnly[s],
 			table:    table,
@@ -313,7 +299,7 @@ func NewNetwork(topo *topology.Topology, plan *ib.AddressPlan, cfg Config, seed 
 		})
 	}
 	for h := 0; h < topo.NumHosts(); h++ {
-		net.Hosts = append(net.Hosts, &Host{net: net, ctx: net.ctl, id: h, nextSeq: make([]uint64, topo.NumHosts())})
+		net.Hosts = append(net.Hosts, &Host{net: net, id: h, nextSeq: make([]uint64, topo.NumHosts())})
 	}
 
 	// Wire host links: host h occupies its switch's host-port slot
@@ -324,6 +310,7 @@ func NewNetwork(topo *topology.Topology, plan *ib.AddressPlan, cfg Config, seed 
 		port := ib.PortID(topo.HostPortIndex(h))
 		host.out = &outPort{
 			owner:      host,
+			net:        net,
 			id:         0,
 			peerSwitch: sw,
 			peerPort:   port,
@@ -336,6 +323,7 @@ func NewNetwork(topo *topology.Topology, plan *ib.AddressPlan, cfg Config, seed 
 		}
 		sw.out[port] = &outPort{
 			owner:    sw,
+			net:      net,
 			ownerSw:  sw,
 			id:       port,
 			peerHost: host,
@@ -369,22 +357,6 @@ func NewNetwork(topo *topology.Topology, plan *ib.AddressPlan, cfg Config, seed 
 		net.wire(a, pa, b, pb)
 		net.wire(b, pb, a, pa)
 	}
-	// Partition into shards (no-op for Cfg.Shards <= 1), then stamp
-	// every output port with its owner's execution context so credit
-	// returns route to the right engine.
-	if err := net.buildShards(engineOpts); err != nil {
-		return nil, err
-	}
-	for _, sw := range net.Switches {
-		for _, o := range sw.out {
-			if o != nil {
-				o.ctx = sw.ctx
-			}
-		}
-	}
-	for _, h := range net.Hosts {
-		h.out.ctx = h.ctx
-	}
 	// Wiring is final: freeze the per-node hot-path state (cached
 	// service points, bound event closures).
 	for _, sw := range net.Switches {
@@ -401,6 +373,7 @@ func NewNetwork(topo *topology.Topology, plan *ib.AddressPlan, cfg Config, seed 
 func (n *Network) wire(a *Switch, pa ib.PortID, b *Switch, pb ib.PortID) {
 	o := &outPort{
 		owner:      a,
+		net:        n,
 		ownerSw:    a,
 		id:         pa,
 		peerSwitch: b,
@@ -441,31 +414,22 @@ func (n *Network) newVLBuffers(enhanced bool) []*vlBuffer {
 // of the alternative deterministic paths uniformly at random — the
 // source-node path selection of the paper's introduction.
 func (n *Network) NewPacket(src, dst, size int, adaptive bool) *ib.Packet {
-	// Packet creation runs on the source host's context (the traffic
-	// generator schedules injections on the host's engine). IDs are
-	// strided by shard count so they stay globally unique; with one
-	// context the numbering reduces to the sequential 1, 2, 3, ...
-	c := n.Hosts[src].ctx
-	c.nextID++
-	id := c.nextID
-	if stride := len(n.shards); stride > 1 {
-		id = id*uint64(stride) + uint64(c.id)
-	}
+	n.nextID++
 	dlid := n.Plan.DLIDFor(dst, adaptive)
 	if k := n.Cfg.SourceMultipath; k > 1 {
 		adaptive = false
 		dlid = n.Plan.BaseLID(dst) + ib.LID(n.rng.Intn(k))
 	}
-	pkt := c.getPacket()
+	pkt := n.getPacket()
 	*pkt = ib.Packet{
-		ID:        id,
+		ID:        n.nextID,
 		Src:       src,
 		Dst:       dst,
 		SLID:      n.Plan.BaseLID(src),
 		DLID:      dlid,
 		Size:      size,
 		Adaptive:  adaptive && n.Plan.LMC > 0,
-		CreatedAt: c.eng.Now(),
+		CreatedAt: n.Engine.Now(),
 	}
 	return pkt
 }
@@ -529,6 +493,25 @@ func (n *Network) CreditsIntact() error {
 		}
 	}
 	return nil
+}
+
+// Run advances the simulation to the horizon (see sim.Engine.Run).
+func (n *Network) Run(horizon sim.Time) { n.Engine.Run(horizon) }
+
+// Processed returns the number of events dispatched so far.
+func (n *Network) Processed() uint64 { return n.Engine.Processed() }
+
+// Recycle returns the engine's queue storage to the arena the network
+// was built with (sim.WithArena), so a sweep's next network reuses it;
+// packet slab blocks go back to Cfg.PacketArena the same way. The
+// caller asserts the run is over and nothing retains a *ib.Packet from
+// it. Without arenas it is a no-op; calling it twice is safe.
+func (n *Network) Recycle() {
+	n.Engine.Recycle()
+	if a := n.Cfg.PacketArena; a != nil {
+		a.put(n.pktBlocks)
+		n.pktBlocks, n.pktSlab = nil, nil
+	}
 }
 
 // Drain runs the simulation until every event has fired, then

@@ -12,14 +12,11 @@ import (
 // events (peer receive, credit return, delivery, follow-up kicks) and
 // buffers one slab entry; allocating those on the heap per hop
 // dominated the simulator's allocation profile. The event pool is a
-// plain freelist on the execution context rather than a sync.Pool:
-// each context's engine dispatches sequentially, so no locking is
-// needed, and freelist reuse is deterministic — it cannot perturb
-// event ordering across runs. When an event crosses a shard boundary
-// its storage migrates with it: ev.ctx is retargeted at dispatch, so
-// the release always happens on the goroutine that owns the freelist
-// it lands in. Buffered-packet state lives in the context's
-// struct-of-arrays entrySlab (see vlbuffer.go).
+// plain freelist on the Network rather than a sync.Pool: the engine
+// dispatches sequentially, so no locking is needed, and freelist reuse
+// is deterministic — it cannot perturb event ordering across runs.
+// Buffered-packet state lives in the network's struct-of-arrays
+// entrySlab (see vlbuffer.go).
 
 // Event kinds dispatched by fabricEvent.Do.
 const (
@@ -33,11 +30,10 @@ const (
 
 // fabricEvent is a pooled sim.Action carrying the payload of one
 // hot-path event. The same struct type serves all kinds; unused fields
-// stay nil/zero. It releases itself back to its context's pool before
+// stay nil/zero. It releases itself back to its network's pool before
 // running the payload, so a hop's event storage is recycled by the
 // very events it schedules.
 type fabricEvent struct {
-	ctx  *execCtx // context the event executes (and is released) on
 	kind uint8
 
 	sw   *Switch    // evReceive / evSwitchKick target
@@ -64,13 +60,12 @@ type fabricEvent struct {
 // Quiescence also proves the pending flag is clear (a pending delay-0
 // pass would itself be an event at Now). The fast path is fenced off
 // whenever exact per-hop event sequences are observable: fusion
-// disabled (-fuse=off), a packet tracer attached (Network.Defuse), a
-// tamper model installed, or the sharded coordinator's merged control
-// phase, where same-timestamp events on *other* engines may interleave
-// between the kick and its delay-0 pass.
+// disabled (-fuse=off), a packet tracer attached (Network.Defuse), or a
+// tamper model installed.
 func (ev *fabricEvent) Do() {
-	c, kind, sw, host, out, port, vl, n, pkt := ev.ctx, ev.kind, ev.sw, ev.host, ev.out, ev.port, ev.vl, ev.n, ev.pkt
-	c.putEvent(ev)
+	kind, sw, host, out, port, vl, n, pkt := ev.kind, ev.sw, ev.host, ev.out, ev.port, ev.vl, ev.n, ev.pkt
+	net := ev.network()
+	net.putEvent(ev)
 	switch kind {
 	case evReceive:
 		if prof.HotPhasesEnabled() {
@@ -83,15 +78,13 @@ func (ev *fabricEvent) Do() {
 	case evCreditReturn:
 		// Same fusion argument as the kick kinds: returnCredits' only
 		// follow-up is the owner's coalesced delay-0 pass, so when this
-		// event is alone at Now the pass runs inline. (evCreditReturn
-		// executes on the port owner's context, so c.eng is the engine
-		// whose quiescence matters.)
+		// event is alone at Now the pass runs inline.
 		out.credits[vl] += n
-		if c.net.wake && out.ownerSw != nil {
+		if net.wake && out.ownerSw != nil {
 			out.ownerSw.wakeCredits(out.id, vl)
 		}
-		if c.net.fuse && !c.net.inMerged && c.eng.Quiescent() {
-			c.fusedKicks++
+		if net.fuse && net.Engine.Quiescent() {
+			net.fusedKicks++
 			if prof.HotPhasesEnabled() {
 				prof.Phase(prof.PhaseFused, out.owner.inlinePass)
 				return
@@ -103,8 +96,8 @@ func (ev *fabricEvent) Do() {
 	case evRequeue:
 		host.requeue(pkt)
 	case evSwitchKick:
-		if sw.net.fuse && !sw.net.inMerged && c.eng.Quiescent() {
-			c.fusedKicks++
+		if net.fuse && net.Engine.Quiescent() {
+			net.fusedKicks++
 			if prof.HotPhasesEnabled() {
 				prof.Phase(prof.PhaseFused, sw.arbitrate)
 				return
@@ -114,8 +107,8 @@ func (ev *fabricEvent) Do() {
 		}
 		sw.kick()
 	case evHostKick:
-		if host.net.fuse && !host.net.inMerged && c.eng.Quiescent() {
-			c.fusedKicks++
+		if net.fuse && net.Engine.Quiescent() {
+			net.fusedKicks++
 			if prof.HotPhasesEnabled() {
 				prof.Phase(prof.PhaseFused, host.tryInject)
 				return
@@ -127,68 +120,78 @@ func (ev *fabricEvent) Do() {
 	}
 }
 
-func (c *execCtx) getEvent() *fabricEvent {
-	if last := len(c.evFree) - 1; last >= 0 {
-		ev := c.evFree[last]
-		c.evFree = c.evFree[:last]
+// network returns the network that owns the event's target, whose
+// freelist the event came from.
+func (ev *fabricEvent) network() *Network {
+	switch {
+	case ev.sw != nil:
+		return ev.sw.net
+	case ev.host != nil:
+		return ev.host.net
+	}
+	return ev.out.net
+}
+
+func (n *Network) getEvent() *fabricEvent {
+	if last := len(n.evFree) - 1; last >= 0 {
+		ev := n.evFree[last]
+		n.evFree = n.evFree[:last]
 		return ev
 	}
 	return &fabricEvent{}
 }
 
-func (c *execCtx) putEvent(ev *fabricEvent) {
+func (n *Network) putEvent(ev *fabricEvent) {
 	*ev = fabricEvent{} // drop packet/port references for GC
-	c.evFree = append(c.evFree, ev)
+	n.evFree = append(n.evFree, ev)
 }
 
 // scheduleReceive schedules a packet head arrival at (sw, port, vl)
 // after delay, without allocating once the pool is warm.
-func (c *execCtx) scheduleReceive(delay sim.Time, sw *Switch, port ib.PortID, vl int, pkt *ib.Packet) {
-	ev := c.getEvent()
+func (n *Network) scheduleReceive(delay sim.Time, sw *Switch, port ib.PortID, vl int, pkt *ib.Packet) {
+	ev := n.getEvent()
 	ev.kind, ev.sw, ev.port, ev.vl, ev.pkt = evReceive, sw, port, vl, pkt
-	c.dispatch(delay, sw.ctx, ev)
+	n.Engine.ScheduleAction(delay, ev)
 }
 
 // scheduleDeliver schedules a packet delivery at the destination CA.
-func (c *execCtx) scheduleDeliver(delay sim.Time, h *Host, pkt *ib.Packet) {
-	ev := c.getEvent()
+func (n *Network) scheduleDeliver(delay sim.Time, h *Host, pkt *ib.Packet) {
+	ev := n.getEvent()
 	ev.kind, ev.host, ev.pkt = evDeliver, h, pkt
-	c.dispatch(delay, h.ctx, ev)
+	n.Engine.ScheduleAction(delay, ev)
 }
 
 // scheduleCreditReturn schedules a flow-control update of credits
-// credits on (o, vl); it executes on the port owner's context.
-func (c *execCtx) scheduleCreditReturn(delay sim.Time, o *outPort, vl, credits int) {
-	ev := c.getEvent()
+// credits on (o, vl).
+func (n *Network) scheduleCreditReturn(delay sim.Time, o *outPort, vl, credits int) {
+	ev := n.getEvent()
 	ev.kind, ev.out, ev.vl, ev.n = evCreditReturn, o, vl, credits
-	c.dispatch(delay, o.ctx, ev)
+	n.Engine.ScheduleAction(delay, ev)
 }
 
 // scheduleRequeue schedules the retry re-injection of a dropped packet
 // at its source host.
-func (c *execCtx) scheduleRequeue(delay sim.Time, h *Host, pkt *ib.Packet) {
-	ev := c.getEvent()
+func (n *Network) scheduleRequeue(delay sim.Time, h *Host, pkt *ib.Packet) {
+	ev := n.getEvent()
 	ev.kind, ev.host, ev.pkt = evRequeue, h, pkt
-	c.dispatch(delay, h.ctx, ev)
+	n.Engine.ScheduleAction(delay, ev)
 }
 
 // scheduleSwitchKick schedules a pooled allocation-pass kick for sw
-// after delay. Kicks are always context-local (a node only kicks
-// itself on a delay), so this bypasses dispatch's shard routing. The
-// pooled action occupies the exact queue position the old bound-method
-// closure did — same push site, same sequence number — so replacing
-// the closure cannot perturb dispatch order.
-func (c *execCtx) scheduleSwitchKick(delay sim.Time, sw *Switch) {
-	ev := c.getEvent()
-	ev.kind, ev.sw, ev.ctx = evSwitchKick, sw, c
-	c.eng.ScheduleAction(delay, ev)
+// after delay. The pooled action occupies the exact queue position the
+// old bound-method closure did — same push site, same sequence number
+// — so replacing the closure cannot perturb dispatch order.
+func (n *Network) scheduleSwitchKick(delay sim.Time, sw *Switch) {
+	ev := n.getEvent()
+	ev.kind, ev.sw = evSwitchKick, sw
+	n.Engine.ScheduleAction(delay, ev)
 }
 
 // scheduleHostKick schedules a pooled injection kick for h after delay.
-func (c *execCtx) scheduleHostKick(delay sim.Time, h *Host) {
-	ev := c.getEvent()
-	ev.kind, ev.host, ev.ctx = evHostKick, h, c
-	c.eng.ScheduleAction(delay, ev)
+func (n *Network) scheduleHostKick(delay sim.Time, h *Host) {
+	ev := n.getEvent()
+	ev.kind, ev.host = evHostKick, h
+	n.Engine.ScheduleAction(delay, ev)
 }
 
 // pktSlabSize is how many packets one allocation block holds. Packets
@@ -200,17 +203,15 @@ func (c *execCtx) scheduleHostKick(delay sim.Time, h *Host) {
 // a whole when the run's last reference to it drops.
 const pktSlabSize = 512
 
-// getPacket carves the next packet from the context's slab. Only the
-// context's own goroutine calls this (packet creation runs on the
-// source host's engine), so no locking is needed, and the carve order
-// is deterministic.
-func (c *execCtx) getPacket() *ib.Packet {
-	if len(c.pktSlab) == 0 {
-		c.pktSlab = c.net.pktBlock()
-		c.pktBlocks = append(c.pktBlocks, c.pktSlab)
+// getPacket carves the next packet from the network's slab. The carve
+// order is deterministic.
+func (n *Network) getPacket() *ib.Packet {
+	if len(n.pktSlab) == 0 {
+		n.pktSlab = n.pktBlock()
+		n.pktBlocks = append(n.pktBlocks, n.pktSlab)
 	}
-	pkt := &c.pktSlab[0]
-	c.pktSlab = c.pktSlab[1:]
+	pkt := &n.pktSlab[0]
+	n.pktSlab = n.pktSlab[1:]
 	return pkt
 }
 

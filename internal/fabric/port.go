@@ -21,7 +21,7 @@ type node interface {
 // per VL (IBA's credit-based flow control is per-VL, §5.1).
 type outPort struct {
 	owner node
-	ctx   *execCtx // the owner's execution context: credit returns run here
+	net   *Network // the owner's network: credit-return events are pooled there
 	id    ib.PortID
 
 	// ownerSw is the owning switch when the port belongs to one (nil

@@ -111,7 +111,7 @@ func (n *Network) SetSwitchDown(s int) error {
 	}
 	// Drain: every buffered packet is lost; the upstream transmitters
 	// get their credits back so conservation audits stay exact.
-	slab := &sw.ctx.slab
+	slab := &sw.net.slab
 	for _, in := range sw.in {
 		if in == nil {
 			continue
@@ -121,8 +121,8 @@ func (n *Network) SetSwitchDown(s int) error {
 				id := buf.removeAt(0)
 				sw.occupancy--
 				pkt := slab.pkt[id]
-				sw.ctx.scheduleCreditReturn(ib.PropagationDelay, in.upstream, vl, pkt.Credits())
-				sw.ctx.dropPacket(pkt, DropDeadPort)
+				sw.net.scheduleCreditReturn(ib.PropagationDelay, in.upstream, vl, pkt.Credits())
+				sw.net.dropPacket(pkt, DropDeadPort)
 				slab.release(id)
 			}
 		}
@@ -188,7 +188,7 @@ func (n *Network) switchByID(s int) (*Switch, error) {
 // mid-reconfiguration transients) are dropped and counted instead of
 // panicking; Reroute returns how many packets it discarded.
 func (sw *Switch) Reroute() (dropped int) {
-	slab := &sw.ctx.slab
+	slab := &sw.net.slab
 	for _, in := range sw.in {
 		if in == nil {
 			continue
@@ -234,11 +234,11 @@ func (sw *Switch) Reroute() (dropped int) {
 // dropBuffered discards the buffered entry at index i as unroutable,
 // returning its credits upstream.
 func (sw *Switch) dropBuffered(buf *vlBuffer, i int, in *inPort, vl int) {
-	slab := &sw.ctx.slab
+	slab := &sw.net.slab
 	id := buf.removeAt(i)
 	sw.occupancy--
 	pkt := slab.pkt[id]
-	sw.ctx.scheduleCreditReturn(ib.PropagationDelay, in.upstream, vl, pkt.Credits())
-	sw.ctx.dropPacket(pkt, DropUnroutable)
+	sw.net.scheduleCreditReturn(ib.PropagationDelay, in.upstream, vl, pkt.Credits())
+	sw.net.dropPacket(pkt, DropUnroutable)
 	slab.release(id)
 }

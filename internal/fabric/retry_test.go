@@ -57,11 +57,18 @@ func TestBackoffZeroBaseClampsToOne(t *testing.T) {
 }
 
 func TestRetryFloorUsesEffectiveCap(t *testing.T) {
-	// A base above the default cap floors at the cap, not the base:
-	// the shard lookahead must not assume a delay the capped backoff
-	// can no longer guarantee.
+	// The floor of the retry schedule is the first re-injection delay.
+	// A base above the ceiling floors at the ceiling, not the base: the
+	// cap applies from the first attempt, not only once doubling
+	// overtakes it.
 	r := RetryConfig{MaxRetries: 2, BackoffBase: 2 * DefaultBackoffCap}
-	if got := retryFloor(r); got != DefaultBackoffCap {
-		t.Errorf("retryFloor = %d, want %d", got, DefaultBackoffCap)
+	for attempt := 1; attempt <= 3; attempt++ {
+		if got := r.backoff(attempt); got != DefaultBackoffCap {
+			t.Errorf("backoff(%d) = %d, want DefaultBackoffCap %d", attempt, got, DefaultBackoffCap)
+		}
+	}
+	r = RetryConfig{MaxRetries: 2, BackoffBase: 5_000, BackoffMax: 3_000}
+	if got := r.backoff(1); got != 3_000 {
+		t.Errorf("backoff(1) = %d, want explicit BackoffMax 3000", got)
 	}
 }

@@ -16,7 +16,6 @@ import (
 // allocation pass (arbitrate) that honours the credit rules of §4.4.
 type Switch struct {
 	net *Network
-	ctx *execCtx // execution context (shard) owning this switch
 	id  int
 
 	// enhanced marks a switch with the paper's extensions; stock
@@ -147,7 +146,7 @@ func (sw *Switch) QueuedPackets() int { return sw.queuedPackets() }
 // port-major order. The forward-progress watchdog samples these to
 // detect service points whose head packet stopped moving.
 func (sw *Switch) ScanBuffers(fn func(port ib.PortID, vl int, depth int, headID uint64)) {
-	slab := &sw.ctx.slab
+	slab := &sw.net.slab
 	for p, in := range sw.in {
 		if in == nil {
 			continue
@@ -169,7 +168,7 @@ func (sw *Switch) kick() {
 		return
 	}
 	sw.arbPending = true
-	sw.ctx.eng.Schedule(0, sw.arbFn)
+	sw.net.Engine.Schedule(0, sw.arbFn)
 }
 
 // inlinePass runs the allocation pass synchronously — the hop-fusion
@@ -179,9 +178,8 @@ func (sw *Switch) inlinePass() { sw.arbitrate() }
 
 // finishWiring precomputes the per-switch hot-path state once the
 // port wiring is final: the service-point scan order, the recurring
-// delay-0 event closure, and each input buffer's pointer to the owning
-// context's entry slab (context ownership is fixed by then — sharding
-// has already stamped sw.ctx).
+// delay-0 event closure, and each input buffer's pointer to the
+// network's entry slab.
 func (sw *Switch) finishWiring() {
 	sw.points = sw.buildServicePoints()
 	sw.vlOf = make([]int8, len(sw.out)*ib.MaxVLs)
@@ -207,7 +205,7 @@ func (sw *Switch) finishWiring() {
 			continue
 		}
 		for _, buf := range in.vls {
-			buf.slab = &sw.ctx.slab
+			buf.slab = &sw.net.slab
 		}
 	}
 }
@@ -221,12 +219,12 @@ func (sw *Switch) receive(port ib.PortID, vl int, pkt *ib.Packet) {
 		// The switch failed while the packet was on the wire: it is
 		// discarded at the dead input, and the freed buffer space is
 		// reported upstream so credit conservation holds.
-		sw.ctx.scheduleCreditReturn(ib.PropagationDelay, sw.in[port].upstream, vl, pkt.Credits())
-		sw.ctx.dropPacket(pkt, DropDeadPort)
+		sw.net.scheduleCreditReturn(ib.PropagationDelay, sw.in[port].upstream, vl, pkt.Credits())
+		sw.net.dropPacket(pkt, DropDeadPort)
 		return
 	}
-	now := sw.ctx.eng.Now()
-	slab := &sw.ctx.slab
+	now := sw.net.Engine.Now()
+	slab := &sw.net.slab
 	id := slab.alloc()
 	slab.pkt[id] = pkt
 	slab.readyAt[id] = now + ib.RoutingDelay
@@ -274,15 +272,15 @@ func (sw *Switch) receive(port ib.PortID, vl int, pkt *ib.Packet) {
 	if sw.net.wake {
 		sw.wakeArrival(port, vl)
 	}
-	sw.ctx.scheduleSwitchKick(ib.RoutingDelay, sw)
+	sw.net.scheduleSwitchKick(ib.RoutingDelay, sw)
 }
 
 // dropUnroutable discards a packet whose DLID has no programmed port
 // (a mid-reconfiguration transient) and returns its buffer space to
 // the upstream transmitter.
 func (sw *Switch) dropUnroutable(port ib.PortID, vl int, pkt *ib.Packet) {
-	sw.ctx.scheduleCreditReturn(ib.PropagationDelay, sw.in[port].upstream, vl, pkt.Credits())
-	sw.ctx.dropPacket(pkt, DropUnroutable)
+	sw.net.scheduleCreditReturn(ib.PropagationDelay, sw.in[port].upstream, vl, pkt.Credits())
+	sw.net.dropPacket(pkt, DropUnroutable)
 }
 
 // selectImmediate fixes the output port right after the table access
@@ -290,14 +288,14 @@ func (sw *Switch) dropUnroutable(port ib.PortID, vl int, pkt *ib.Packet) {
 // the credit/link status at this moment; static selection picks
 // uniformly among all returned options.
 func (sw *Switch) selectImmediate(id int32) {
-	slab := &sw.ctx.slab
+	slab := &sw.net.slab
 	adaptive := slab.adaptive[id]
 	if slab.flags[id]&entryPktAdaptive == 0 || len(adaptive) == 0 || sw.escapeOnly {
 		slab.chosen[id] = slab.escape[id]
 		slab.flags[id] &^= entryChosenAdaptive
 		return
 	}
-	now := sw.ctx.eng.Now()
+	now := sw.net.Engine.Now()
 	if sw.net.Cfg.Selection.StatusAware {
 		cands := sw.adaptiveCandidates(id, now)
 		if i := core.PickAdaptive(sw.net.Cfg.Selection, cands, sw.net.rng); i >= 0 {
@@ -325,7 +323,7 @@ func (sw *Switch) selectImmediate(id int32) {
 // adaptive queue can hold the whole packet. The returned slice aliases
 // the switch's scratch buffer and is only valid until the next call.
 func (sw *Switch) adaptiveCandidates(id int32, now sim.Time) []core.Candidate {
-	slab := &sw.ctx.slab
+	slab := &sw.net.slab
 	adaptive := slab.adaptive[id]
 	if cap(sw.candScratch) < len(adaptive) {
 		sw.candScratch = make([]core.Candidate, len(adaptive))
@@ -362,7 +360,7 @@ func (sw *Switch) adaptiveCandidates(id int32, now sim.Time) []core.Candidate {
 // winner, no candidate slice materialized, and (like the slow path for
 // this policy) no RNG consumption.
 func (sw *Switch) bestAdaptive(id int32, now sim.Time) (ib.PortID, bool) {
-	slab := &sw.ctx.slab
+	slab := &sw.net.slab
 	pktCredits := int(slab.credits[id])
 	sl := int(slab.sl[id])
 	best, bestCredits := ib.InvalidPort, -1
@@ -404,7 +402,7 @@ func (sw *Switch) adaptiveRoom(avail, pktCredits int) bool {
 // escape VL was resolved once at arrival (slab.escVL), so the probe
 // skips the SLtoVL multiply-and-index.
 func (sw *Switch) escapeUsable(id int32, now sim.Time) bool {
-	slab := &sw.ctx.slab
+	slab := &sw.net.slab
 	o := sw.out[slab.escape[id]]
 	if o == nil || !o.free(now) {
 		return false
@@ -461,7 +459,7 @@ func (sw *Switch) arbitrateScan() {
 		}
 		return
 	}
-	now := sw.ctx.eng.Now()
+	now := sw.net.Engine.Now()
 	for progress := true; progress && sw.occupancy > 0; {
 		// The occupancy guard cuts the scan short the moment the last
 		// buffered packet departs: the remaining points are all empty,
@@ -520,7 +518,7 @@ func (sw *Switch) tryServe(buf *vlBuffer, sp servicePoint, now sim.Time) bool {
 // configured selection policy, returning ok=false when nothing can
 // fire now.
 func (sw *Switch) chooseOutput(id int32, now sim.Time) (out ib.PortID, asAdaptive bool, ok bool) {
-	slab := &sw.ctx.slab
+	slab := &sw.net.slab
 	if chosen := slab.chosen[id]; chosen != ib.InvalidPort {
 		// Immediate selection: the decision is fixed; wait until that
 		// specific option can fire.
@@ -586,8 +584,8 @@ func (sw *Switch) startTx(buf *vlBuffer, idx int, sp servicePoint, out ib.PortID
 // this switch's own input buffer travels back after the tail leaves,
 // and the head arrives at the peer after the propagation delay.
 func (sw *Switch) transmit(buf *vlBuffer, idx int, sp servicePoint, out ib.PortID, asAdaptive bool) {
-	now := sw.ctx.eng.Now()
-	slab := &sw.ctx.slab
+	now := sw.net.Engine.Now()
+	slab := &sw.net.slab
 	id := buf.removeAt(idx)
 	sw.occupancy--
 	pkt := slab.pkt[id]
@@ -604,28 +602,26 @@ func (sw *Switch) transmit(buf *vlBuffer, idx int, sp servicePoint, out ib.PortI
 	o.busyAccum += ser
 	o.txPackets++
 	pkt.Hops++
-	sw.ctx.moved++
-	if sw.ctx.onHop != nil {
-		sw.ctx.onHop(pkt, sw.id, out, asAdaptive)
-	} else if sw.net.OnHop != nil {
+	sw.net.moved++
+	if sw.net.OnHop != nil {
 		sw.net.OnHop(pkt, sw.id, out, asAdaptive)
 	}
 
 	// Credit update to our upstream once the tail has left this
 	// buffer (ser) and flown back (prop).
-	sw.ctx.scheduleCreditReturn(ser+ib.PropagationDelay, sw.in[sp.port].upstream, sp.vl, credits)
+	sw.net.scheduleCreditReturn(ser+ib.PropagationDelay, sw.in[sp.port].upstream, sp.vl, credits)
 
 	if o.peerHost != nil {
-		sw.ctx.scheduleDeliver(ser+ib.PropagationDelay, o.peerHost, pkt)
+		sw.net.scheduleDeliver(ser+ib.PropagationDelay, o.peerHost, pkt)
 		// The CA drains at line rate: its buffer frees as the tail
 		// arrives, and the credit update flies back one propagation
 		// delay later.
-		sw.ctx.scheduleCreditReturn(ser+2*ib.PropagationDelay, o, vl, credits)
+		sw.net.scheduleCreditReturn(ser+2*ib.PropagationDelay, o, vl, credits)
 	} else {
-		sw.ctx.scheduleReceive(ib.PropagationDelay, o.peerSwitch, o.peerPort, vl, pkt)
+		sw.net.scheduleReceive(ib.PropagationDelay, o.peerSwitch, o.peerPort, vl, pkt)
 	}
 	// The link frees at ser; look for more work then.
-	sw.ctx.scheduleSwitchKick(ser, sw)
+	sw.net.scheduleSwitchKick(ser, sw)
 	// The entry's journey through this switch is over; recycle it.
 	slab.release(id)
 }

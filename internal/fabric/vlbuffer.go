@@ -9,7 +9,7 @@ import (
 )
 
 // Buffered-packet state lives in a struct-of-arrays slab, one per
-// execution context, indexed by dense int32 entry IDs. The arbitration
+// network, indexed by dense int32 entry IDs. The arbitration
 // scan, the escape-service walk and the credit-occupancy audit touch
 // one or two fields of many entries; with the old array-of-structs
 // freelist every touch dragged a whole cache line of unrelated fields
@@ -34,9 +34,9 @@ const (
 // arrays never move.
 const entrySlabChunk = 256
 
-// entrySlab is the struct-of-arrays store for one execution context's
-// buffered packets. Single-threaded per context (each context's engine
-// dispatches sequentially), so no locking; free-list reuse is
+// entrySlab is the struct-of-arrays store for one network's buffered
+// packets. Single-threaded (the engine dispatches sequentially), so no
+// locking; free-list reuse is
 // deterministic and cannot perturb event ordering across runs.
 type entrySlab struct {
 	pkt     []*ib.Packet
@@ -129,9 +129,8 @@ func (s *entrySlab) release(id int32) {
 // escape→adaptive queue transition §4.4 describes (and §3 proves
 // harmless for deadlock freedom).
 //
-// ids holds slab entry IDs in FIFO order; slab points at the owning
-// switch's context slab (stamped by finishWiring, after sharding has
-// fixed context ownership).
+// ids holds slab entry IDs in FIFO order; slab points at the network's
+// slab (stamped by finishWiring).
 type vlBuffer struct {
 	slab     *entrySlab
 	split    core.CreditSplit

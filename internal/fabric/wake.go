@@ -290,7 +290,7 @@ func (sw *Switch) arbitrateWake() {
 		}
 		return
 	}
-	now := sw.ctx.eng.Now()
+	now := sw.net.Engine.Now()
 	if len(sw.waitPorts) != 0 || len(sw.timeParked) != 0 {
 		sw.sweepWaiters(now)
 	}
@@ -402,7 +402,7 @@ func (sw *Switch) tryServeWake(buf *vlBuffer, j int, now sim.Time) bool {
 // wholesale. Tamper-specific chooseOutput branches need no mirror:
 // the wake arbiter only runs with a zero tamper model.
 func (sw *Switch) parkBlocked(j int, id int32, now sim.Time) {
-	slab := &sw.ctx.slab
+	slab := &sw.net.slab
 	nvl := sw.net.Cfg.NumVLs
 	if chosen := slab.chosen[id]; chosen != ib.InvalidPort {
 		// Immediate selection: the decision is fixed; only the chosen

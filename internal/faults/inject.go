@@ -42,11 +42,6 @@ type Injector struct {
 	// discard as unroutable.
 	RerouteDrops int
 
-	// shardFirst[i] is the earliest qualifying DeliveredAt observed by
-	// shard i's delivery hook (-1 until seen); nil in sequential mode.
-	// Finalize folds the latches into RecoveryLatency.
-	shardFirst []sim.Time
-
 	errs []error
 }
 
@@ -94,23 +89,6 @@ func Apply(net *fabric.Network, c *Campaign, seed uint64, ropts subnet.Options) 
 	for _, e := range events {
 		e := e
 		net.Engine.At(e.At, func() { inj.execute(e) })
-	}
-	if shards := net.ShardCount(); shards > 1 {
-		// Per-shard delivery latches: each shard records its earliest
-		// qualifying delivery single-threadedly; Finalize takes the
-		// minimum, which equals the sequential first-qualifying
-		// delivery time (execution order is timestamp order, and the
-		// qualification state only changes in control phases that are
-		// barrier-ordered against the shard windows).
-		inj.shardFirst = make([]sim.Time, shards)
-		for i := range inj.shardFirst {
-			inj.shardFirst[i] = -1
-			i := i
-			net.ChainShardHooks(i, fabric.ShardHooks{
-				OnDelivered: func(p *ib.Packet) { inj.observeShardDelivery(i, p) },
-			})
-		}
-		return inj, nil
 	}
 	prevDelivered := net.OnDelivered
 	net.OnDelivered = func(p *ib.Packet) {
@@ -186,26 +164,10 @@ func (inj *Injector) observeDelivery(p *ib.Packet) {
 	}
 }
 
-// observeShardDelivery is the sharded counterpart of observeDelivery:
-// it latches the shard's earliest qualifying delivery time.
-func (inj *Injector) observeShardDelivery(shard int, p *ib.Packet) {
-	if inj.shardFirst[shard] >= 0 || inj.LastReconfigDoneAt < 0 || inj.FirstFaultAt < 0 {
-		return
-	}
-	if p.DeliveredAt >= inj.LastReconfigDoneAt {
-		inj.shardFirst[shard] = p.DeliveredAt
-	}
-}
-
-// Finalize folds the per-shard delivery latches into RecoveryLatency
-// (no-op in sequential mode). Call once, after the run completes.
-func (inj *Injector) Finalize() {
-	for _, t := range inj.shardFirst {
-		if t >= 0 && (inj.RecoveryLatency < 0 || t-inj.FirstFaultAt < inj.RecoveryLatency) {
-			inj.RecoveryLatency = t - inj.FirstFaultAt
-		}
-	}
-}
+// Finalize closes the injector's accounting after the run. Recovery
+// latency is latched as deliveries happen, so nothing is left to fold;
+// the call remains for callers that close every observer.
+func (inj *Injector) Finalize() {}
 
 // Err returns the first campaign-execution error (a reconfiguration
 // that could not route the surviving topology, for example), or nil.
@@ -216,6 +178,5 @@ func (inj *Injector) Err() error {
 	return inj.errs[0]
 }
 
-// Stats reads the network's fault counters (drops, retries, losses),
-// summed over all execution contexts in sharded mode.
+// Stats reads the network's fault counters (drops, retries, losses).
 func (inj *Injector) Stats() fabric.FaultStats { return inj.net.FaultTotals() }

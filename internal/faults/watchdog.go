@@ -122,13 +122,12 @@ func (w *Watchdog) tick(now sim.Time) (stop bool) {
 	}
 	w.checkProgress(now)
 
-	// The tick just popped; if every queue is now empty (the control
-	// engine's plus, in sharded mode, the shard queues and mailboxes)
-	// the watchdog is the only thing left alive. Stop rescheduling —
+	// The tick just popped; if the event queue is now empty the
+	// watchdog is the only thing left alive. Stop rescheduling —
 	// and if packets are still in flight, nothing can ever move them:
 	// that is a deadlock, reported immediately rather than discovered
 	// at the horizon.
-	if w.net.PendingEvents() == 0 {
+	if w.net.Engine.Pending() == 0 {
 		if inFlight := w.net.InFlight(); inFlight > 0 {
 			w.report(Violation{
 				At:     now,

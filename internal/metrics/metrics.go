@@ -37,26 +37,6 @@ func (s *LatencyStats) Add(l sim.Time) {
 	s.SumSq += f * f
 }
 
-// Merge folds another accumulator into s. Latencies are integer
-// nanoseconds, so Sum is a sum of exactly representable float64s far
-// below 2^53 — addition is exact and the merge order does not matter;
-// Sum/Count/Min/Max merge bit-identically to sequential accumulation.
-// SumSq can round (it only feeds Std, which no result struct exports).
-func (s *LatencyStats) Merge(o *LatencyStats) {
-	if o.Count == 0 {
-		return
-	}
-	if s.Count == 0 || o.Min < s.Min {
-		s.Min = o.Min
-	}
-	if o.Max > s.Max {
-		s.Max = o.Max
-	}
-	s.Count += o.Count
-	s.Sum += o.Sum
-	s.SumSq += o.SumSq
-}
-
 // Avg returns the mean latency in nanoseconds (0 with no samples).
 func (s *LatencyStats) Avg() float64 {
 	if s.Count == 0 {
@@ -127,11 +107,6 @@ type Collector struct {
 	// degraded-mode view a fault campaign reports. All zero on a
 	// healthy run.
 	Dropped [fabric.NumDropReasons]uint64
-
-	// children are the per-shard sub-collectors of a sharded run (each
-	// touched only by its shard's worker); nil in sequential mode.
-	// Finalize folds them into the parent.
-	children []*Collector
 }
 
 // DroppedTotal sums the per-reason drop counters.
@@ -151,81 +126,17 @@ func (c *Collector) Attach(net *fabric.Network) {
 	c.engine = net.Engine
 	c.numHosts = net.Topo.NumHosts()
 	c.highestSeqDense = make([]uint64, c.numHosts*c.numHosts)
-	if p := net.ShardCount(); p > 1 {
-		c.attachSharded(net, p)
-		return
-	}
 	net.OnCreated = c.onCreated
 	net.OnDelivered = c.onDelivered
 	net.OnDropped = c.onDropped
 }
 
-// attachSharded registers one child collector per shard. Flows
-// partition by the shard owning the packet's endpoint (creation and
-// delivery happen at the source/destination host's shard), so the
-// children count disjoint event sets and Finalize can fold them into
-// the parent exactly.
-func (c *Collector) attachSharded(net *fabric.Network, shards int) {
-	c.children = make([]*Collector, shards)
-	for i := range c.children {
-		ch := &Collector{
-			WarmupEnd:       c.WarmupEnd,
-			MeasureEnd:      c.MeasureEnd,
-			numSwitches:     c.numSwitches,
-			numHosts:        c.numHosts,
-			highestSeqDense: make([]uint64, c.numHosts*c.numHosts),
-		}
-		if c.Reorder != nil {
-			ch.Reorder = reorder.NewBufferForHosts(c.numHosts)
-			ch.Reorder.TrackSteps = true
-		}
-		c.children[i] = ch
-		net.ChainShardHooks(i, fabric.ShardHooks{
-			OnCreated:   ch.onCreated,
-			OnDelivered: ch.onDelivered,
-			OnDropped:   ch.onDropped,
-		})
-	}
-}
-
-// Finalize folds per-shard children into the parent (no-op beyond
-// reorder-peak closing in sequential mode). Call once, after the run
-// completes and before reading results. Every merged field is either
-// an integer sum over disjoint per-shard event sets or an
-// exactly-representable float64 sum (see LatencyStats.Merge), so the
-// folded totals are bit-identical to a sequential run's.
+// Finalize closes the reorder buffer's peak-occupancy accounting.
+// Call once, after the run completes and before reading results.
 func (c *Collector) Finalize() {
-	for _, ch := range c.children {
-		c.Latency.Merge(&ch.Latency)
-		c.LatencyAdaptive.Merge(&ch.LatencyAdaptive)
-		c.LatencyDeterministic.Merge(&ch.LatencyDeterministic)
-		c.Hist.Merge(&ch.Hist)
-		c.DeliveredBytes += ch.DeliveredBytes
-		c.DeliveredCount += ch.DeliveredCount
-		c.CreatedCount += ch.CreatedCount
-		c.OutOfOrder += ch.OutOfOrder
-		c.OrderedDelivery += ch.OrderedDelivery
-		for r, v := range ch.Dropped {
-			c.Dropped[r] += v
-		}
-	}
 	if c.Reorder != nil {
-		if len(c.children) > 0 {
-			bufs := make([]*reorder.Buffer, len(c.children))
-			for i, ch := range c.children {
-				ch.Reorder.Finalize()
-				bufs[i] = ch.Reorder
-				c.Reorder.Parked += ch.Reorder.Parked
-				c.Reorder.PassedThru += ch.Reorder.PassedThru
-				c.Reorder.ReorderDelay += ch.Reorder.ReorderDelay
-				c.Reorder.CurrentHeld += ch.Reorder.CurrentHeld
-			}
-			c.Reorder.PeakHeld = reorder.MergePeak(bufs)
-		} else {
-			c.Reorder.Finalize()
-		}
+		c.Reorder.Finalize()
 	}
-	c.children = nil
 }
 
 func (c *Collector) onCreated(p *ib.Packet) {

@@ -99,48 +99,6 @@ func TestPeakIsEndOfTimestampSample(t *testing.T) {
 	}
 }
 
-// TestMergePeakMatchesCombinedBuffer: splitting disjoint flows across
-// step-tracked buffers and merging reproduces the peak a single buffer
-// seeing the union would report.
-func TestMergePeakMatchesCombinedBuffer(t *testing.T) {
-	type d struct {
-		id  uint64
-		src int
-		seq uint64
-		at  sim.Time
-	}
-	// Flow A = (0,1), flow B = (2,1). Interleaved timestamps with
-	// overlapping occupancy: A holds {10..30}, B holds {20..40}.
-	deliveries := []d{
-		{1, 0, 2, 10}, {2, 0, 1, 10}, // A parks two at t=10
-		{3, 2, 1, 20}, // B parks one at t=20
-		{4, 2, 2, 25}, // B parks another at t=25
-		{5, 0, 0, 30}, // A releases all three at t=30
-		{6, 2, 0, 40}, // B releases all three at t=40
-	}
-	combined := NewBuffer()
-	bufA, bufB := NewBuffer(), NewBuffer()
-	bufA.TrackSteps, bufB.TrackSteps = true, true
-	for _, x := range deliveries {
-		p := pkt(x.id, x.src, 1, x.seq)
-		combined.Deliver(p, x.at)
-		if x.src == 0 {
-			bufA.Deliver(pkt(x.id, x.src, 1, x.seq), x.at)
-		} else {
-			bufB.Deliver(pkt(x.id, x.src, 1, x.seq), x.at)
-		}
-	}
-	combined.Finalize()
-	bufA.Finalize()
-	bufB.Finalize()
-	if got := MergePeak([]*Buffer{bufA, bufB}); got != combined.PeakHeld {
-		t.Fatalf("MergePeak = %d, combined PeakHeld = %d", got, combined.PeakHeld)
-	}
-	if combined.PeakHeld != 4 {
-		t.Fatalf("combined PeakHeld = %d, want 4 (A's 2 + B's 2 overlap at t=25)", combined.PeakHeld)
-	}
-}
-
 func TestFlowsAreIndependent(t *testing.T) {
 	b := NewBuffer()
 	if out := b.Deliver(pkt(1, 0, 1, 1), 0); out != nil {

@@ -47,8 +47,8 @@ func (a *QueueArena) put(q *calendarQueue) {
 }
 
 // Pooled reports how many recycled queues the arena currently holds
-// (shard tests verify a sharded network returns every engine's
-// storage, not just the control engine's).
+// (the fabric's recycle test verifies a finished network returns its
+// engine's storage).
 func (a *QueueArena) Pooled() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -306,9 +306,8 @@ func (q *calendarQueue) appendSlot(i int, e event) {
 // insertCurrent places e at its sorted position within the undrained
 // remainder of the cursor bucket. A locally scheduled event carries
 // the largest (schedAt, seq) issued so far, so among equal timestamps
-// it lands after every incumbent; imported events (Engine.PushAt) may
-// carry an older schedAt and land earlier — the binary search on the
-// full (at, schedAt, seq) order covers both.
+// it lands after every incumbent; the binary search on the full
+// (at, schedAt, seq) order places it exactly either way.
 func (q *calendarQueue) insertCurrent(e event) {
 	s := q.slots[q.cur]
 	lo, hi := q.head, len(s)

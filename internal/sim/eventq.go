@@ -24,12 +24,11 @@ func (f funcAction) Do() { f() }
 // event is a scheduled callback. The logical dispatch order is
 // (at, schedAt, seq) lexicographic: earlier timestamps first, equal
 // timestamps in schedule-time order, FIFO among events scheduled at
-// the same instant. schedAt exists for the sharded engine — when
-// events from several shard queues merge, (at, schedAt) is a causally
-// meaningful cross-shard key where per-queue seq values are not
-// comparable. Within a single engine schedAt is nondecreasing in seq
-// (the clock never runs backwards), so for sequential runs the order
-// coincides with the historical (at, seq) order.
+// the same instant. Within one engine schedAt is nondecreasing in seq
+// (the clock never runs backwards), so the order coincides with the
+// (at, seq) order; the schedule distance in the key is what lets the
+// engine's immediate FIFO (delay-0 events, distance 0) merge with
+// queued events by one key comparison.
 //
 // The (schedAt, seq) tiebreak is packed into one word (see eventKey)
 // so the struct stays at 32 bytes and the comparator at two integer
@@ -51,23 +50,15 @@ type event struct {
 // The distance saturates at MaxUint32 ns (~4.3 s of simulated time).
 // Saturation preserves the exact dispatch order: within one engine
 // schedAt is nondecreasing in seq, so ties created by the clamp fall
-// back to seq, which already equals schedule order; across engines
-// the shard coordinator only merges events scheduled within one
-// lookahead window of their timestamp, far below the clamp. Nothing
-// in the model schedules seconds ahead — the clamp is a safety rail,
-// not a working regime.
+// back to seq, which already equals schedule order. Nothing in the
+// model schedules seconds ahead — the clamp is a safety rail, not a
+// working regime.
 func eventKey(at, schedAt Time, seq uint64) uint64 {
 	delta := uint64(at - schedAt)
 	if delta > math.MaxUint32 {
 		delta = math.MaxUint32
 	}
 	return uint64(^uint32(delta))<<32 | seq
-}
-
-// keySchedAt recovers the schedule time encoded in an event's key
-// (saturated distances decode to at - MaxUint32).
-func keySchedAt(at Time, key uint64) Time {
-	return at - Time(^uint32(key>>32))
 }
 
 // eventLess is the engine's total dispatch order: (at, schedAt, seq)

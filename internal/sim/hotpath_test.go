@@ -140,9 +140,8 @@ func BenchmarkEnginePushPopDepth(b *testing.B) {
 // BenchmarkEventQueueDepth sweeps the standing queue depth for both
 // scheduler implementations on a hop-like delay distribution (0..4095
 // ns ahead, the fabric's routing+propagation+serialization horizon).
-// scripts/bench.sh records the grid as BENCH_eventq.json; the
-// calendar's flat curve against the heap's log-n climb is the
-// tentpole win of the scheduler PR.
+// The calendar's flat curve against the heap's log-n climb is why the
+// calendar queue is the default scheduler.
 func BenchmarkEventQueueDepth(b *testing.B) {
 	impls := []struct {
 		name string

@@ -60,21 +60,15 @@ func (c Config) OfferedPerSwitchAvg(avgHosts float64) float64 {
 // Generator drives packet creation on every host of a network until a
 // stop time.
 type Generator struct {
-	cfg     Config
-	net     *fabric.Network
-	stop    sim.Time
-	streams []hostStream
+	cfg       Config
+	net       *fabric.Network
+	stop      sim.Time
+	streams   []hostStream
+	generated uint64
 }
 
-// Generated returns the number of packets handed to source queues
-// (summed over the per-host streams; call after the run completes).
-func (g *Generator) Generated() uint64 {
-	var n uint64
-	for i := range g.streams {
-		n += g.streams[i].generated
-	}
-	return n
-}
+// Generated returns the number of packets handed to source queues.
+func (g *Generator) Generated() uint64 { return g.generated }
 
 // NewGenerator validates the config and binds it to a network.
 func NewGenerator(net *fabric.Network, cfg Config) (*Generator, error) {
@@ -97,10 +91,6 @@ type hostStream struct {
 	rng  sim.RNG // split per host, held by value to keep streams one block
 	mean float64
 	fire func()
-
-	// generated is per-stream so sharded runs never share a counter
-	// across shard goroutines.
-	generated uint64
 }
 
 // Start schedules generation on every host from the current simulated
@@ -117,9 +107,7 @@ func (g *Generator) Start(stopAt sim.Time) {
 		hs := &g.streams[i]
 		hs.g, hs.host, hs.rng, hs.mean = g, h, *root.Split(uint64(h.ID()) + 1), mean
 		hs.fire = hs.generate
-		// Random initial phase avoids all hosts firing in lockstep. The
-		// stream's events live on the host's engine — the owning shard's
-		// queue in sharded mode — so generation is shard-local work.
+		// Random initial phase avoids all hosts firing in lockstep.
 		h.Engine().Schedule(hs.rng.ExpTime(mean), hs.fire)
 	}
 }
@@ -134,7 +122,7 @@ func (hs *hostStream) generate() {
 		adaptive := hs.rng.Bool(g.cfg.AdaptiveFraction)
 		pkt := g.net.NewPacket(hs.host.ID(), dst, g.cfg.PacketSize, adaptive)
 		hs.host.Inject(pkt)
-		hs.generated++
+		g.generated++
 	}
 	eng.Schedule(hs.rng.ExpTime(hs.mean), hs.fire)
 }

@@ -23,8 +23,8 @@ echo "==> alloc-regression gates (hot path must not allocate)"
 # also proves they keep the steady-state injection path allocation-free.
 go test -run 'ZeroAllocs' -v ./internal/core/ ./internal/sim/ ./internal/fabric/ ./internal/check/
 
-echo "==> determinism golden (sequential and sharded engines)"
-go test -run 'TestFigure3Deterministic|TestFigure3GoldenSharded' -v ./internal/experiments/
+echo "==> determinism golden"
+go test -run 'TestFigure3Deterministic' -v ./internal/experiments/
 
 echo "==> determinism golden under -check (auditor must not perturb results)"
 go test -count=1 -run 'TestFigure3GoldenChecked' -v ./internal/experiments/
@@ -34,8 +34,8 @@ go test -count=1 -run 'TestFigure3GoldenUnfused' -v ./internal/experiments/
 
 echo "==> hop-fusion differential (fused vs unfused bit-exact; trace/tamper de-fusion)"
 # The experiments matrix covers wheel geometries, both schedulers,
-# shard counts, -check, a fault campaign and a contention storm; the
-# fabric tests pin the runtime arm/disarm transitions. The ZeroAllocs
+# -check, a fault campaign and a contention storm; the fabric tests pin
+# the runtime arm/disarm transitions. The ZeroAllocs
 # gate above already holds the unfused oracle to the same 0 allocs/op
 # bar (TestSwitchHopZeroAllocsUnfused matches its pattern).
 go test -count=1 -run 'TestFusion|TestTamperDefuses|TestDefuseIsSticky' -v ./internal/fabric/
@@ -46,14 +46,14 @@ go test -count=1 -run 'TestFigure3GoldenScanArb' -v ./internal/experiments/
 
 echo "==> wake-arbiter differential (wake vs scan bit-exact; tamper forces scan)"
 # The experiments matrix covers wheel geometries, both schedulers,
-# shard counts, fused/unfused engines, -check, a fault campaign and a
-# hot-spot contention storm; the fabric tests pin the runtime
+# fused/unfused engines, -check, a fault campaign and a hot-spot
+# contention storm; the fabric tests pin the runtime
 # arm/disarm transitions and the lockstep rr-parity property. The
 # ZeroAllocs gate above already holds both arbiters to 0 allocs/op
 # (TestSwitchHopZeroAllocsScanArb and the congested wake-path burst
 # TestArbWakeZeroAllocsCongested match its pattern).
 go test -count=1 -run 'TestArb' -v ./internal/fabric/
-GOMAXPROCS=4 go test -race -count=1 -run 'TestArb' -v ./internal/experiments/
+go test -race -count=1 -run 'TestArb' -v ./internal/experiments/
 
 echo "==> mutation smoke (every seeded model break trips its named invariant)"
 go test -count=1 -run 'TestMutation' -v ./internal/check/
@@ -65,12 +65,11 @@ echo "==> cross-family fuzz smoke (fat-tree and torus escape CDGs stay acyclic)"
 go test -run '^$' -fuzz 'FuzzFatTreeTopology' -fuzztime 5s ./internal/topology/
 go test -run '^$' -fuzz 'FuzzTorusTopology' -fuzztime 5s ./internal/topology/
 
-echo "==> cross-family differential (fat-tree + torus goldens: sequential vs shard vs -check vs unfused)"
+echo "==> cross-family differential (fat-tree + torus goldens: plain vs -check vs unfused)"
 # Engine conformance pins each family's routing contract; the sweep
-# goldens pin the simulations bit-exactly across execution strategies,
-# with the shard arm forced onto real worker goroutines.
+# goldens pin the simulations bit-exactly across execution strategies.
 go test -count=1 -run 'TestEngineConformance|TestTorusEscapeAvoidsWraps|TestStructuredBuildersDegradeToUpDown' -v ./internal/routing/
-GOMAXPROCS=4 go test -race -count=1 \
+go test -race -count=1 \
   -run 'TestFamilySweepsDeterministic|TestFamilySweepsEngineInvariant' -v ./internal/experiments/
 go test -count=1 -run 'TestMetamorphicLMCInvarianceFamilies' -v ./internal/check/
 go test -count=1 -run 'TestFamilyReportGolden|TestFamilyDotOutput' -v ./cmd/ibtopo/
@@ -84,26 +83,11 @@ go test -run '^$' -fuzz 'FuzzEventQueueOrdering' -fuzztime 10s ./internal/sim/
 echo "==> fault-campaign smoke (seeded flaps, staged recovery, watchdog)"
 go test -race -run 'TestCampaignSmokeCI' -v ./internal/faults/
 
-echo "==> sharded-engine differential (bit-exact vs sequential, worker goroutines forced)"
-# GOMAXPROCS=4 forces the shard coordinator onto its worker-goroutine
-# path even on single-core runners (at GOMAXPROCS=1 it runs shards
-# inline); -count=1 defeats the test cache, which ignores env changes.
-# The matrix covers the channel-aware windows, outbox batching and the
-# time board: wheel geometries × shard counts × both partitioners,
-# plus the fault campaign and -check goldens.
-GOMAXPROCS=4 go test -race -count=1 \
-  -run 'TestShardEngineBitExact|TestShardModeValidation' -v ./internal/experiments/
-GOMAXPROCS=4 go test -race -count=1 -run 'TestShard|TestPartition|TestLookahead|TestChannelDelayMatrix' ./internal/fabric/
-GOMAXPROCS=4 go test -race -count=1 -run 'TestTimeBoard' ./internal/sim/
-
-echo "==> channel-bound soundness (live cross-shard mail vs the delay matrix)"
-GOMAXPROCS=4 go test -race -count=1 -run 'TestChannelBounds' -v ./internal/experiments/
-
-echo "==> relaxed-exactness smoke (-lag: deterministic, auditor-clean, statistically close to the exact oracle)"
-GOMAXPROCS=4 go test -race -count=1 -run 'TestRelaxed' -v ./internal/experiments/
-
 echo "==> crash-tolerance suite (SIGKILL mid-job, torn-store audit, byte-identical resume)"
-GOMAXPROCS=4 go test -race -count=1 -run 'TestWorkerSIGKILL|TestCampaign|TestResume|TestCorrupt|TestHungWorker|TestStore' -v ./internal/campaign/
+go test -race -count=1 -run 'TestWorkerSIGKILL|TestCampaign|TestResume|TestCorrupt|TestHungWorker|TestStore|TestParentArtifact' -v ./internal/campaign/
+
+echo "==> crash loop (the coordinator is the store's only writer: no torn files under any kill timing)"
+go test -count=50 -run 'TestWorkerSIGKILL|TestHungWorker|TestInterruptedRun' ./internal/campaign/
 
 echo "==> campaign smoke (SIGTERM the coordinator mid-run, resume, diff vs clean + in-process oracle, zero torn files)"
 CAMPDIR=$(mktemp -d)
@@ -133,5 +117,8 @@ cmp "$CAMPDIR/agg-clean.txt" "$CAMPDIR/agg-resumed.txt"
 "$CAMPDIR/ibcamp" verify -store "$CAMPDIR/store-resume"
 rm -rf "$CAMPDIR"
 trap - EXIT
+
+echo "==> benchmark self-test (perfbench compiles against the library and checks its metrics)"
+(cd perfbench && go vet ./... && go test ./...)
 
 echo "CI OK"
