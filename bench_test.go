@@ -46,28 +46,11 @@ func BenchmarkFigure3(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure3Unfused regenerates the same panel with hop fusion
-// off (-fuse=false): the per-hop event oracle. The delta against
-// BenchmarkFigure3 is the end-to-end win of the fused hot path.
-func BenchmarkFigure3Unfused(b *testing.B) {
-	sc := benchScale()
-	sc.Unfused = true
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Figure3(sc, 8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := res.Write(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkFigure3ArbScan regenerates the panel with the scanning
-// arbiter (-arb=scan): the full round-robin rescan oracle. The delta
-// against BenchmarkFigure3 is the end-to-end win of the wake-list
-// arbiter; the hot-spot benchmarks below add congested variants.
+// arbiter (Scale.Arb "scan"): the full round-robin rescan reference.
+// The delta against BenchmarkFigure3 is the end-to-end win of the
+// wake-list arbiter; the hot-spot benchmarks below add congested
+// variants.
 func BenchmarkFigure3ArbScan(b *testing.B) {
 	sc := benchScale()
 	sc.Arb = "scan"

@@ -22,9 +22,9 @@ import (
 	"strconv"
 	"strings"
 
-	"ibasim"
 	"ibasim/internal/campaign"
 	"ibasim/internal/experiments"
+	"ibasim/internal/fabric"
 	"ibasim/internal/faults"
 	"ibasim/internal/prof"
 	"ibasim/internal/sim"
@@ -103,10 +103,7 @@ func main() {
 	loadHi := flag.Float64("load-hi", 0, "override: highest per-host load (bytes/ns)")
 	pktSizes := flag.String("bytes", "", "override: packet sizes, e.g. 32,256")
 	patterns := flag.String("patterns", "", "table1 patterns: uniform,bit-reversal,hot-spot:0.1,...")
-	sched := flag.String("sched", "calendar", "event scheduler: calendar (O(1) wheel) or heap (binary-heap reference); results are bit-identical")
 	check := flag.Bool("check", false, "enable heavy invariant audits on every run (results are bit-identical)")
-	fuse := flag.Bool("fuse", true, "hop-fusion fast path; -fuse=false runs the per-hop event engine (results are bit-identical)")
-	arb := flag.String("arb", "wake", "crossbar arbiter: wake (event-driven wait lists) or scan (round-robin rescan oracle); results are bit-identical")
 	faultSpec := flag.String("faults", "rand:4:15000@50000-150000; autoreconfig:10000", "faults: campaign spec string or @file.json")
 	faultSeed := flag.Uint64("fault-seed", 1, "faults: seed for the campaign's randomized elements")
 	emitCampaign := flag.String("emit-campaign", "", "write an ibcamp campaign spec built from the current flags to FILE and exit")
@@ -120,11 +117,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	// Reject unsupported flag combinations before any work starts; the
-	// FeatureSet table is the single source of truth for what composes.
-	if err := (ibasim.FeatureSet{Check: *check, Arb: *arb, Topo: *topoFam}).Validate(); err != nil {
-		fail(err)
-	}
 	fam, err := experiments.ParseFamily(*topoFam)
 	if err != nil {
 		fail(err)
@@ -181,14 +173,7 @@ func main() {
 		}
 		sc.PacketSizes = v
 	}
-	kind, err := sim.ParseScheduler(*sched)
-	if err != nil {
-		fail(err)
-	}
-	sc.EngineOpts = []sim.EngineOption{sim.WithScheduler(kind)}
 	sc.Check = *check
-	sc.Unfused = !*fuse
-	sc.Arb = *arb
 	pats := []experiments.PatternSpec{{Kind: "uniform"}}
 	if *scaleName == "full" {
 		pats = experiments.Table1Patterns
@@ -228,8 +213,10 @@ func main() {
 			WarmupNs:          int64(sc.Warmup),
 			MeasureNs:         int64(sc.Measure),
 			DrainGraceNs:      int64(sc.DrainGrace),
+			// The defaults are written out so the emitted exec block
+			// stays byte-identical to the specs already stored.
 			Exec: experiments.ExecSpec{
-				Engine: "seq", Sched: *sched, Check: *check, Unfused: !*fuse, Arb: *arb,
+				Engine: "seq", Sched: sim.SchedulerCalendar.String(), Check: *check, Arb: fabric.ArbWake,
 			},
 		}
 		if *exp == "faults" {

@@ -21,6 +21,7 @@ import (
 	"os"
 
 	"ibasim"
+	"ibasim/internal/experiments"
 	"ibasim/internal/prof"
 )
 
@@ -41,12 +42,9 @@ func main() {
 	flag.Int64Var(&cfg.WarmupNs, "warmup", cfg.WarmupNs, "warm-up time, ns")
 	flag.Int64Var(&cfg.MeasureNs, "measure", cfg.MeasureNs, "measurement window, ns")
 	flag.Uint64Var(&cfg.Seed, "seed", cfg.Seed, "traffic/selection seed")
-	flag.StringVar(&cfg.Scheduler, "sched", "calendar", "event scheduler: calendar (O(1) wheel) or heap (binary-heap reference); results are bit-identical")
 	flag.StringVar(&cfg.Faults, "faults", "", "fault campaign: spec string (e.g. 'flap@60000:0-1:20000; autoreconfig:10000') or @file.json")
 	flag.Uint64Var(&cfg.FaultSeed, "fault-seed", 0, "seed for the campaign's randomized elements (rand: flaps)")
 	flag.BoolVar(&cfg.Check, "check", false, "enable heavy invariant audits (whole-fabric credit and escape-CDG scans; results are bit-identical)")
-	flag.BoolVar(&cfg.Fuse, "fuse", cfg.Fuse, "hop-fusion fast path; -fuse=false runs the per-hop event engine (results are bit-identical)")
-	flag.StringVar(&cfg.Arb, "arb", "wake", "crossbar arbiter: wake (event-driven wait lists) or scan (round-robin rescan oracle); results are bit-identical")
 	traceN := flag.Int("packet-trace", 0, "record and print the last N packet lifecycle events")
 	sweep := flag.Bool("sweep", false, "sweep offered load and print the full curve")
 	loadLo := flag.Float64("load-lo", 0.002, "sweep: lowest per-host load")
@@ -55,10 +53,9 @@ func main() {
 	pcfg := prof.Flags()
 	flag.Parse()
 
-	// Reject unsupported flag combinations before any work starts; the
-	// FeatureSet table is the single source of truth for what composes.
-	features := ibasim.FeatureSet{PacketTrace: *traceN > 0, Check: cfg.Check, Arb: cfg.Arb, Topo: cfg.Topology}
-	if err := features.Validate(); err != nil {
+	// A malformed -topo fails before profiling starts; the library
+	// checks everything else when the run is built.
+	if _, err := experiments.ParseFamily(cfg.Topology); err != nil {
 		fmt.Fprintln(os.Stderr, "ibsim:", err)
 		os.Exit(1)
 	}

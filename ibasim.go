@@ -80,33 +80,11 @@ type Config struct {
 
 	Seed uint64
 
-	// Scheduler selects the engine's event-queue implementation:
-	// "calendar" (the default two-level calendar queue, O(1)
-	// amortized) or "heap" (the binary-heap reference). Both dispatch
-	// in the identical (at, seq) order; results are bit-exact either
-	// way.
-	Scheduler string
-
 	// Check enables the invariant auditor's heavy periodic scans
 	// (whole-fabric credit audit, live-table escape-CDG acyclicity) on
 	// top of the always-on cheap checks. Results are bit-identical
 	// with or without it; Result.Audit reports the verdict.
 	Check bool
-
-	// Fuse arms the hop-fusion fast path (on in DefaultConfig): the
-	// uncongested arrival→route→arbitrate→depart chain of a hop runs
-	// as one fused dispatch instead of a string of delay-0 events.
-	// Results are bit-identical either way; turning it off (the
-	// -fuse=false CLI flag) keeps the per-hop event engine as the
-	// differential oracle. Fusion disarms itself at runtime whenever a
-	// packet tracer or tamper model needs to observe individual hops.
-	Fuse bool
-
-	// Arb selects the crossbar arbiter: "wake" ("" defaults to it)
-	// drains event-driven wait lists, "scan" (the -arb=scan CLI flag)
-	// is the full round-robin rescan kept as the differential oracle.
-	// Results are bit-identical either way.
-	Arb string
 
 	// Ablation knobs (§4.3 and §4.4 design axes). Zero values give
 	// the paper's evaluation setup.
@@ -151,7 +129,6 @@ func DefaultConfig() Config {
 		MeasureNs:        250_000,
 		DrainNs:          50_000,
 		Seed:             1,
-		Fuse:             true,
 	}
 }
 
@@ -255,14 +232,19 @@ type Point struct {
 	AvgLatency float64
 }
 
-// spec translates the public Config into an internal RunSpec.
+// spec translates the public Config into an internal RunSpec. It
+// rejects an unsupported combination before building anything, so the
+// error names the flag rather than whichever layer would notice first.
 func (c Config) spec() (experiments.RunSpec, error) {
-	if err := c.features(false).Validate(); err != nil {
-		return experiments.RunSpec{}, err
-	}
 	fam, err := experiments.ParseFamily(c.Topology)
 	if err != nil {
 		return experiments.RunSpec{}, err
+	}
+	// Source multipath programs k up*/down* tie-break variants of one
+	// link orientation; the structured families' escape routings have
+	// no such variant notion, so the baseline is irregular-only.
+	if c.SourceMultipath > 1 && !fam.Irregular() {
+		return experiments.RunSpec{}, fmt.Errorf("ibasim: source multipath requires the irregular family, not -topo %s", c.Topology)
 	}
 	if fam.Irregular() && (c.Switches < 2 || c.HostsPerSwitch < 1 || c.LinksPerSwitch < 1) {
 		return experiments.RunSpec{}, fmt.Errorf("ibasim: invalid topology shape %d/%d/%d",
@@ -285,8 +267,6 @@ func (c Config) spec() (experiments.RunSpec, error) {
 	sc.Warmup = simTime(c.WarmupNs)
 	sc.Measure = simTime(c.MeasureNs)
 	sc.DrainGrace = simTime(c.DrainNs)
-	sc.Unfused = !c.Fuse
-	sc.Arb = c.Arb
 	mr := c.RoutingOptions
 	if c.SourceMultipath > mr {
 		mr = c.SourceMultipath // the LID block must hold every path
@@ -305,13 +285,6 @@ func (c Config) spec() (experiments.RunSpec, error) {
 			return experiments.RunSpec{}, err
 		}
 		spec.Fabric.Split = split
-	}
-	if c.Scheduler != "" {
-		kind, err := sim.ParseScheduler(c.Scheduler)
-		if err != nil {
-			return experiments.RunSpec{}, err
-		}
-		spec.Fabric.EngineOpts = append(spec.Fabric.EngineOpts, sim.WithScheduler(kind))
 	}
 	spec.Check = c.Check
 	if c.Faults != "" {
@@ -382,9 +355,6 @@ type TraceResult struct {
 // writing the last `capacity` lifecycle events to w (pass nil to only
 // collect aggregates).
 func SimulateTraced(c Config, capacity int, w io.Writer) (TraceResult, error) {
-	if err := c.features(true).Validate(); err != nil {
-		return TraceResult{}, err
-	}
 	spec, err := c.spec()
 	if err != nil {
 		return TraceResult{}, err

@@ -38,6 +38,11 @@ func TestParseSpecStrict(t *testing.T) {
 		{"exec-shards", `{"name":"x","sizes":[8],"links":4,"mr":2,"packetSizes":[32],"loadLo":0.01,"exec":{"shards":4}}`, `unknown field "shards"`},
 		{"exec-partition", `{"name":"x","sizes":[8],"links":4,"mr":2,"packetSizes":[32],"loadLo":0.01,"exec":{"partition":"bfs"}}`, `unknown field "partition"`},
 		{"lag-ns", `{"name":"x","sizes":[8],"links":4,"mr":2,"packetSizes":[32],"loadLo":0.01,"lagNs":500}`, `unknown field "lagNs"`},
+		// A bad execution hint fails at parse time, before planning,
+		// instead of failing every job's worker until the retry budget
+		// runs out.
+		{"exec-sched-unknown", `{"name":"x","sizes":[8],"links":4,"mr":2,"packetSizes":[32],"loadLo":0.01,"exec":{"sched":"bogus"}}`, `exec field "sched": sim: unknown scheduler "bogus"`},
+		{"exec-arb-unknown", `{"name":"x","sizes":[8],"links":4,"mr":2,"packetSizes":[32],"loadLo":0.01,"exec":{"arb":"ticket"}}`, `exec field "arb" is "ticket"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

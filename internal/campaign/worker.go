@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"ibasim"
 	"ibasim/internal/experiments"
 )
 
@@ -62,14 +61,6 @@ func WorkerMain(stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 	job.Normalize()
 	if err := job.Validate(); err != nil {
-		fmt.Fprintln(stderr, "ibcamp worker:", err)
-		return 2
-	}
-	// The campaign layer owns FeatureSet validation of the execution
-	// hints (the experiments package can't import the root package
-	// without a cycle).
-	fs := ibasim.FeatureSet{Check: job.Exec.Check, Arb: job.Exec.Arb, Campaign: true}
-	if err := fs.Validate(); err != nil {
 		fmt.Fprintln(stderr, "ibcamp worker:", err)
 		return 2
 	}

@@ -9,23 +9,21 @@ import (
 	"ibasim/internal/trace"
 )
 
-// The wake-list arbiter makes the same claim hop fusion makes: it
-// optimizes how arbitration work is found, not what arbitration
-// decides. These tests enforce it with the scanning arbiter (-arb=scan)
-// as the differential oracle, comparing complete RunResults — floats
-// included — across queue geometries, schedulers, fused and unfused
-// engines, the invariant auditor, fault campaigns and a hot-spot
+// The wake-list arbiter optimizes how arbitration work is found, not
+// what arbitration decides. These tests enforce it with the scanning
+// arbiter (fabric.ArbScan) as the differential oracle, comparing
+// complete RunResults — floats included — across queue geometries,
+// schedulers, the invariant auditor, fault campaigns and a hot-spot
 // contention storm that keeps most service points parked on the wait
 // lists.
 
-func arbVariant(t *testing.T, spec RunSpec, arb string, unfused bool) RunResult {
+func arbVariant(t *testing.T, spec RunSpec, arb string) RunResult {
 	t.Helper()
 	s := spec
 	s.Fabric.Arb = arb
-	s.Fabric.Fuse = !unfused
 	res, err := Run(s)
 	if err != nil {
-		t.Fatalf("arb=%s unfused=%v: %v", arb, unfused, err)
+		t.Fatalf("arb=%s: %v", arb, err)
 	}
 	return res
 }
@@ -33,8 +31,8 @@ func arbVariant(t *testing.T, spec RunSpec, arb string, unfused bool) RunResult 
 // TestArbBitExact sweeps the calendar geometries of the scheduler
 // differential (tiny wheels wrap and overflow constantly, so kicks and
 // credit returns land in every structural regime) plus the heap
-// scheduler, comparing wake-arbiter runs — fused and unfused — against
-// the scan-arbiter oracle.
+// scheduler, comparing wake-arbiter runs against the scan-arbiter
+// oracle.
 func TestArbBitExact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs many full simulations")
@@ -53,12 +51,9 @@ func TestArbBitExact(t *testing.T) {
 	}
 	for _, v := range variants {
 		spec := diffSpec(topo, v.opts...)
-		want := arbVariant(t, spec, fabric.ArbScan, false)
-		if got := arbVariant(t, spec, fabric.ArbWake, false); !reflect.DeepEqual(got, want) {
+		want := arbVariant(t, spec, fabric.ArbScan)
+		if got := arbVariant(t, spec, fabric.ArbWake); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: wake diverged from scan:\n got %+v\nwant %+v", v.name, got, want)
-		}
-		if got := arbVariant(t, spec, fabric.ArbWake, true); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: wake unfused diverged from scan:\n got %+v\nwant %+v", v.name, got, want)
 		}
 	}
 }
@@ -73,14 +68,14 @@ func TestArbBitExactChecked(t *testing.T) {
 	}
 	spec := diffSpec(diffTopo(t))
 	spec.Check = true
-	want := arbVariant(t, spec, fabric.ArbScan, false)
+	want := arbVariant(t, spec, fabric.ArbScan)
 	if want.Audit.HopChecks == 0 || want.Audit.HeavyTicks == 0 {
 		t.Fatalf("auditor did not run: %+v", want.Audit)
 	}
 	if want.Audit.Violations != 0 {
 		t.Fatalf("scan oracle run is not clean: %+v", want.Audit)
 	}
-	if got := arbVariant(t, spec, fabric.ArbWake, false); !reflect.DeepEqual(got, want) {
+	if got := arbVariant(t, spec, fabric.ArbWake); !reflect.DeepEqual(got, want) {
 		t.Errorf("checked wake diverged:\n got %+v\nwant %+v", got, want)
 	}
 }
@@ -94,11 +89,11 @@ func TestArbBitExactFaults(t *testing.T) {
 		t.Skip("runs full fault campaigns")
 	}
 	spec := diffFaultSpec(diffTopo(t))
-	want := arbVariant(t, spec, fabric.ArbScan, false)
+	want := arbVariant(t, spec, fabric.ArbScan)
 	if want.Degraded.FaultsInjected == 0 || want.Degraded.Reconfigs == 0 {
 		t.Fatalf("campaign did not exercise faults: %+v", want.Degraded)
 	}
-	if got := arbVariant(t, spec, fabric.ArbWake, false); !reflect.DeepEqual(got, want) {
+	if got := arbVariant(t, spec, fabric.ArbWake); !reflect.DeepEqual(got, want) {
 		t.Errorf("faults wake diverged:\n got %+v\nwant %+v", got, want)
 	}
 }
@@ -112,8 +107,8 @@ func TestArbBitExactContentionStorm(t *testing.T) {
 		t.Skip("runs saturated simulations")
 	}
 	spec := diffStormSpec(t, diffTopo(t))
-	want := arbVariant(t, spec, fabric.ArbScan, false)
-	got := arbVariant(t, spec, fabric.ArbWake, false)
+	want := arbVariant(t, spec, fabric.ArbScan)
+	got := arbVariant(t, spec, fabric.ArbWake)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("contention storm wake diverged:\n got %+v\nwant %+v", got, want)
 	}
@@ -121,10 +116,10 @@ func TestArbBitExactContentionStorm(t *testing.T) {
 
 // TestArbTraceIdentical pins the strongest equivalence: the recorded
 // per-hop event sequence — every receive, adaptive/escape selection
-// and delivery, in order — is identical under both arbiters. Unlike
-// fusion, attaching the tracer does NOT force the scan arbiter: the
-// wake arbiter serves the same entries at the same times, so traced
-// runs keep the fast path.
+// and delivery, in order — is identical under both arbiters. Attaching
+// the tracer does not force the scan arbiter: the wake arbiter serves
+// the same entries at the same times, so traced runs keep the fast
+// path.
 func TestArbTraceIdentical(t *testing.T) {
 	spec := diffSpec(diffTopo(t))
 	runTraced := func(arb string) (*trace.Recorder, bool) {

@@ -73,20 +73,7 @@ func TestFigure3Deterministic(t *testing.T) {
 	}
 }
 
-// TestFigure3GoldenUnfused pins the -fuse=false oracle engine to the
-// same golden hash: hop fusion is a scheduling optimization, so fused
-// (the default artifact test above) and unfused builds must both
-// reproduce the committed bytes exactly.
-func TestFigure3GoldenUnfused(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a QuickScale sweep")
-	}
-	if got := figure3Hash(t, func(sc *Scale) { sc.Unfused = true }); got != figure3Golden {
-		t.Fatalf("unfused artifact hash %s, want golden %s (fusion changed results)", got, figure3Golden)
-	}
-}
-
-// TestFigure3GoldenScanArb pins the -arb=scan oracle to the same
+// TestFigure3GoldenScanArb pins the scan-arbiter reference to the same
 // golden hash: the wake-list arbiter (the default, covered by the
 // artifact tests above) and the full round-robin rescan must both
 // reproduce the committed bytes exactly — arbitration strategy is a

@@ -10,10 +10,10 @@ import (
 	"ibasim/internal/traffic"
 )
 
-// Shared fixtures of the differential matrices (fusion, arbiter). Each
-// matrix runs full simulations (warmup + measured window + drain) on
-// one irregular topology and compares complete RunResults — floats
-// included — against a reference implementation kept as the oracle.
+// Shared fixtures of the arbiter differential matrix and the
+// observation test. Each runs full simulations (warmup + measured
+// window + drain) on one irregular topology and compares complete
+// RunResults — floats included — against a reference run.
 
 func diffTopo(t testing.TB) *topology.Topology {
 	t.Helper()

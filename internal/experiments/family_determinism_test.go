@@ -5,6 +5,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"testing"
+
+	"ibasim/internal/fabric"
 )
 
 // Per-family golden hashes: the SHA-256 of the serialized Figure-3
@@ -86,9 +88,9 @@ func TestFamilySweepsDeterministic(t *testing.T) {
 }
 
 // TestFamilySweepsEngineInvariant pins the structured-family sweeps to
-// the same golden under the heavy invariant auditor and on the unfused
-// engine: auditing and execution strategy must never perturb results,
-// on any topology family.
+// the same golden under the heavy invariant auditor and on the
+// scan-arbiter reference: auditing and execution strategy must never
+// perturb results, on any topology family.
 func TestFamilySweepsEngineInvariant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs four structured-family sweeps")
@@ -98,7 +100,7 @@ func TestFamilySweepsEngineInvariant(t *testing.T) {
 		mutate func(*Scale)
 	}{
 		{"check", func(sc *Scale) { sc.Check = true }},
-		{"unfused", func(sc *Scale) { sc.Unfused = true }},
+		{"scan-arb", func(sc *Scale) { sc.Arb = fabric.ArbScan }},
 	}
 	for _, tc := range []struct{ topo, golden string }{
 		{"fattree:2,3", fatTreeGolden},

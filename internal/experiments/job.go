@@ -15,7 +15,7 @@ package experiments
 //     with encoding/json in declaration order, every field present
 //     (no omitempty), after Normalize filled defaults in.
 //  2. Execution hints that cannot change the result — scheduler,
-//     heavy checks, fusion, the arbiter — live in ExecSpec and are
+//     heavy checks, the arbiter — live in ExecSpec and are
 //     EXCLUDED: a run executed with the reference implementations
 //     dedups against the same run executed with the defaults, which is
 //     sound because every pairing is bit-exact.
@@ -60,22 +60,37 @@ const JobSchemaVersion = 1
 // the run executes but provably cannot change what it computes. They
 // are excluded from the canonical input hash (see the package comment).
 type ExecSpec struct {
-	Engine  string `json:"engine,omitempty"`  // "" or "seq", the only engine
-	Sched   string `json:"sched,omitempty"`   // "", "calendar" or "heap"
-	Check   bool   `json:"check,omitempty"`   // heavy invariant scans
-	Unfused bool   `json:"unfused,omitempty"` // disable hop fusion
-	Arb     string `json:"arb,omitempty"`     // "", "wake" or "scan" arbiter
+	Engine string `json:"engine,omitempty"` // "" or "seq", the only engine
+	Sched  string `json:"sched,omitempty"`  // "", "calendar" or "heap"
+	Check  bool   `json:"check,omitempty"`  // heavy invariant scans
+
+	// Unfused is decoded and ignored. It switched off hop fusion, which
+	// was removed; specs stored with "unfused":true still load.
+	Unfused bool `json:"unfused,omitempty"`
+
+	Arb string `json:"arb,omitempty"` // "", "wake" or "scan" arbiter
 }
 
-// Validate rejects engine names other than the sequential engine's.
-// Specs written for the removed sharded engine ("engine":"shard") fail
-// here instead of silently running sequentially.
+// Validate checks every hint by name, so a spec asking for something
+// this build cannot run fails when it is parsed rather than in each
+// job's worker. Specs written for the removed sharded engine
+// ("engine":"shard") fail here instead of silently running
+// sequentially.
 func (e ExecSpec) Validate() error {
 	switch e.Engine {
 	case "", "seq":
-		return nil
+	default:
+		return fmt.Errorf(`experiments: exec field "engine" is %q; the sequential engine "seq" is the only one`, e.Engine)
 	}
-	return fmt.Errorf(`experiments: exec field "engine" is %q; the sequential engine "seq" is the only one`, e.Engine)
+	if _, err := sim.ParseScheduler(e.Sched); err != nil {
+		return fmt.Errorf(`experiments: exec field "sched": %v`, err)
+	}
+	switch e.Arb {
+	case "", fabric.ArbWake, fabric.ArbScan:
+	default:
+		return fmt.Errorf(`experiments: exec field "arb" is %q (want %q or %q)`, e.Arb, fabric.ArbWake, fabric.ArbScan)
+	}
+	return nil
 }
 
 // JobSpec describes one run completely. The zero value is invalid;
@@ -198,8 +213,7 @@ func (j JobSpec) Hash() string {
 }
 
 // Validate checks the result-determining fields structurally, plus the
-// engine name in Exec. It does not consult the FeatureSet compatibility
-// table (that would cycle the import graph).
+// execution hints in Exec (ExecSpec.Validate).
 func (j JobSpec) Validate() error {
 	k := j // normalized view
 	k.Normalize()
@@ -264,13 +278,9 @@ func (j JobSpec) Execute() (RunResult, error) {
 	fcfg := fabric.DefaultConfig()
 	fcfg.AdaptiveSwitches = j.Enhanced
 	if j.Exec.Sched != "" {
-		kind, err := sim.ParseScheduler(j.Exec.Sched)
-		if err != nil {
-			return RunResult{}, err
-		}
+		kind, _ := sim.ParseScheduler(j.Exec.Sched) // Validate checked it
 		fcfg.EngineOpts = []sim.EngineOption{sim.WithScheduler(kind)}
 	}
-	fcfg.Fuse = !j.Exec.Unfused
 	fcfg.Arb = j.Exec.Arb
 	spec := RunSpec{
 		Topo:       topo,

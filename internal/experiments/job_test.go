@@ -110,6 +110,8 @@ func TestJobValidate(t *testing.T) {
 		{"hot-spot-no-fraction", func(j *JobSpec) { j.Pattern = PatternSpec{Kind: "hot-spot"} }, "hot-spot fraction"},
 		{"nan-load", func(j *JobSpec) { j.Load = nan() }, "load"},
 		{"removed-engine", func(j *JobSpec) { j.Exec.Engine = "shard" }, `exec field "engine" is "shard"`},
+		{"unknown-sched", func(j *JobSpec) { j.Exec.Sched = "bogus" }, `exec field "sched": sim: unknown scheduler "bogus"`},
+		{"unknown-arb", func(j *JobSpec) { j.Exec.Arb = "ticket" }, `exec field "arb" is "ticket"`},
 		{"bad-faults", func(j *JobSpec) { j.Faults = "florp:1" }, "fault spec"},
 		{"zero-measure", func(j *JobSpec) { j.MeasureNs = 0 }, "measurement window"},
 	}
@@ -205,8 +207,9 @@ func TestJobExecuteDeterministic(t *testing.T) {
 }
 
 // TestJobExecuteEngineInvariant: rule 2's soundness — the reference
-// implementations (heap scheduler, scan arbiter, unfused engine) must
-// produce the byte-identical artifact for the same address.
+// implementations (heap scheduler, scan arbiter) must produce the
+// byte-identical artifact for the same address, and a stored
+// "unfused" hint is ignored.
 func TestJobExecuteEngineInvariant(t *testing.T) {
 	def := testJob()
 	ref := testJob()

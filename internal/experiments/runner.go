@@ -397,25 +397,24 @@ type Scale struct {
 	LoadHi      float64
 	PacketSizes []int
 
-	// EngineOpts flows into every run's fabric config — the harness
-	// hook for scheduler selection (sim.WithScheduler) and geometry
-	// overrides. Empty means the engine defaults (calendar queue).
+	// EngineOpts flows into every run's fabric config — the hook for
+	// the reference scheduler (sim.WithScheduler) and geometry
+	// overrides the differential tests use. Empty means the engine
+	// defaults (calendar queue).
 	EngineOpts []sim.EngineOption
 
 	// Check enables the invariant auditor's heavy scans on every run
 	// (the -check CLI flag); results stay bit-identical.
 	Check bool
 
-	// Unfused disables the hop-fusion fast path (the -fuse=false CLI
-	// flag), keeping every coalesced pass as a scheduled delay-0 event.
-	// Results stay bit-identical either way; the unfused engine is the
-	// differential oracle the fusion conformance tests compare against.
+	// Unfused is ignored. It switched off hop fusion, which was
+	// removed; the field stays because the benchmark program sets it.
 	Unfused bool
 
-	// Arb selects the crossbar arbiter (the -arb CLI flag):
-	// fabric.ArbWake ("" defaults to it) or fabric.ArbScan, the
-	// rescanning oracle the arbiter conformance tests compare against.
-	// Results stay bit-identical either way.
+	// Arb selects the crossbar arbiter: fabric.ArbWake ("" defaults to
+	// it) or fabric.ArbScan, the rescanning reference the arbiter
+	// differential tests compare against. Results stay bit-identical
+	// either way.
 	Arb string
 }
 
@@ -478,7 +477,6 @@ func (sc Scale) Spec(topo *topology.Topology, mr, pktSize int, adaptiveFrac floa
 	fcfg := fabric.DefaultConfig()
 	fcfg.AdaptiveSwitches = enhanced
 	fcfg.EngineOpts = sc.EngineOpts
-	fcfg.Fuse = !sc.Unfused
 	fcfg.Arb = sc.Arb
 	return RunSpec{
 		Topo:    topo,

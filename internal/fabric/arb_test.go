@@ -2,7 +2,7 @@ package fabric
 
 // In-package tests for the wake-list arbiter runtime switch: wake mode
 // must engage by default and actually park blocked service points, the
-// -arb=scan oracle must never park, tamper models must force the scan
+// ArbScan oracle must never park, tamper models must force the scan
 // arbiter (stickily for the raw mutation hooks), and the two arbiters
 // must hold identical micro-state — rr cursor, buffer contents,
 // credits, link busy times — through arbitrary congested traffic.
@@ -44,7 +44,7 @@ func TestArbDefaultEngages(t *testing.T) {
 	}
 }
 
-// TestArbConfigScan pins the -arb=scan escape hatch: the scanning
+// TestArbConfigScan pins the Config.Arb ArbScan reference: the scanning
 // oracle never touches the wait lists, whatever the traffic.
 func TestArbConfigScan(t *testing.T) {
 	cfg := DefaultConfig()

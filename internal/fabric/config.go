@@ -79,24 +79,14 @@ type Config struct {
 	// the PacketArena safety contract.
 	PacketArena *PacketArena
 
-	// Fuse arms the hop-fusion fast path (on in DefaultConfig): a kick
-	// event dispatched while its engine is quiescent at that timestamp
-	// runs the allocation/injection pass inline instead of scheduling
-	// the delay-0 event, eliding two queue round-trips per uncongested
-	// hop. Results are bit-identical either way — the unfused engine
-	// (Fuse false, the -fuse=off CLI flag) is kept as the differential
-	// oracle. Fusion disarms itself at runtime when a packet tracer
-	// attaches (Network.Defuse) or a tamper model is installed.
-	Fuse bool
-
 	// Arb selects the crossbar arbiter: ArbWake (the default; "" means
 	// wake) drains an event-driven wait-list pending set, ArbScan is
-	// the full round-robin rescan kept as the differential oracle (the
-	// -arb=scan CLI flag). Results are bit-identical either way — see
-	// wake.go for the equivalence argument. The wake arbiter disarms
-	// itself at runtime while a tamper model (or a Tamper* mutation
-	// hook) is active, since those mutate forwarding state without
-	// firing the corresponding wakes.
+	// the full round-robin rescan kept as the reference the
+	// differential tests compare against. Results are bit-identical
+	// either way — see wake.go for the equivalence argument. The wake
+	// arbiter disarms itself at runtime while a tamper model (or a
+	// Tamper* mutation hook) is active, since those mutate forwarding
+	// state without firing the corresponding wakes.
 	Arb string
 
 	// RoutingDelay, PropagationDelay and link rate come from
@@ -193,7 +183,6 @@ func DefaultConfig() Config {
 		Split:            core.SplitHalf(credits),
 		Selection:        core.DefaultSelection(),
 		AdaptiveSwitches: true,
-		Fuse:             true,
 		Arb:              ArbWake,
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ibasim/internal/ib"
-	"ibasim/internal/prof"
 	"ibasim/internal/sim"
 )
 
@@ -116,20 +115,6 @@ func (h *Host) Inject(pkt *ib.Packet) {
 		h.net.OnCreated(pkt)
 	}
 	h.armSendTimeout()
-	// The injection analog of the hop-fusion fast path: Inject runs
-	// inside some dispatched event (a traffic-generator firing), and
-	// when that event is alone on its timestamp the delay-0 injection
-	// pass kick would schedule is popped immediately next — so it runs
-	// inline instead. Quiescence also implies injPending is false.
-	if h.net.fuse && h.net.Engine.Quiescent() {
-		h.net.fusedKicks++
-		if prof.HotPhasesEnabled() {
-			prof.Phase(prof.PhaseFused, h.tryInject)
-			return
-		}
-		h.tryInject()
-		return
-	}
 	h.kick()
 }
 
@@ -151,10 +136,6 @@ func (h *Host) kick() {
 	h.injPending = true
 	h.net.Engine.Schedule(0, h.injectFn)
 }
-
-// inlinePass runs the injection attempt synchronously — the hop-fusion
-// analog of Switch.inlinePass (see pool.go).
-func (h *Host) inlinePass() { h.tryInject() }
 
 // finishWiring binds the host's recurring event closures once the
 // link to its switch exists.

@@ -21,8 +21,8 @@ import (
 func hotpathNet(tb testing.TB) *Network { return hotpathNetCfg(tb, DefaultConfig()) }
 
 // hotpathNetCfg is hotpathNet with a caller-supplied fabric config —
-// the unfused-variant tests flip Cfg.Fuse off to pin the per-hop event
-// oracle to the same zero-alloc bar.
+// the scan-arbiter tests set Cfg.Arb to hold the reference arbiter to
+// the same zero-alloc bar.
 func hotpathNetCfg(tb testing.TB, cfg Config) *Network {
 	tb.Helper()
 	topo, err := topology.Line(2, 4)
@@ -62,8 +62,9 @@ func hotpathNetCfg(tb testing.TB, cfg Config) *Network {
 // TestSwitchHopZeroAllocsSteadyState is the alloc regression gate for
 // the forwarding path: once table caches, object pools and slice
 // capacities are warm, forwarding a packet across both switches to its
-// destination CA — including the arbitration passes, credit returns
-// and the delivery event — must perform zero heap allocations.
+// destination CA — including every kick, the delay-0 arbitration
+// passes they schedule, credit returns and the delivery event — must
+// perform zero heap allocations.
 func TestSwitchHopZeroAllocsSteadyState(t *testing.T) {
 	net := hotpathNet(t)
 	sw := net.Switches[0]
@@ -77,6 +78,42 @@ func TestSwitchHopZeroAllocsSteadyState(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, hop); allocs != 0 {
 		t.Fatalf("steady-state forwarding allocates %v objects per traversal, want 0", allocs)
+	}
+}
+
+// TestSwitchHopZeroAllocsUnfused holds the per-hop event chain — every
+// kick, arbitration pass, credit return and delivery dispatched as its
+// own engine event, with nothing run inline — to the zero-alloc bar,
+// and checks that the chain has a fixed length: every warm traversal
+// dispatches the same number of events, so no kick is elided or
+// scheduled twice. "Unfused" names that chain; it is the only dispatch
+// path, and the oracle every golden is pinned to.
+func TestSwitchHopZeroAllocsUnfused(t *testing.T) {
+	net := hotpathNet(t)
+	sw := net.Switches[0]
+	pkt := net.NewPacket(0, 7, 32, true)
+	hop := func() {
+		sw.receive(0, 0, pkt)
+		net.Engine.RunUntilIdle()
+	}
+	for i := 0; i < 100; i++ {
+		hop()
+	}
+	before := net.Engine.Processed()
+	hop()
+	perHop := net.Engine.Processed() - before
+	if perHop == 0 {
+		t.Fatal("a traversal dispatched no events")
+	}
+	for i := 0; i < 50; i++ {
+		before = net.Engine.Processed()
+		hop()
+		if got := net.Engine.Processed() - before; got != perHop {
+			t.Fatalf("traversal %d dispatched %d events, want %d like the first warm traversal", i, got, perHop)
+		}
+	}
+	if allocs := testing.AllocsPerRun(200, hop); allocs != 0 {
+		t.Fatalf("per-hop event chain allocates %v objects per traversal, want 0", allocs)
 	}
 }
 

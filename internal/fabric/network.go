@@ -38,12 +38,10 @@ type Network struct {
 	pktSlab   []ib.Packet
 	pktBlocks [][]ib.Packet
 
-	// fusedKicks counts kick events whose delay-0 pass ran inline (hop
-	// fusion), moved counts packet movements, and nextID numbers the
-	// packets NewPacket creates.
-	fusedKicks uint64
-	moved      uint64
-	nextID     uint64
+	// moved counts packet movements and nextID numbers the packets
+	// NewPacket creates.
+	moved  uint64
+	nextID uint64
 
 	// OnCreated fires when a packet enters a source queue; OnDelivered
 	// when it reaches its destination CA; OnHop when a switch starts
@@ -70,12 +68,6 @@ type Network struct {
 	// tests so honest runs pay nothing.
 	tamper Tamper
 
-	// fuse is the hop-fusion runtime switch the kick dispatch reads:
-	// Cfg.Fuse, forced off while an observer demands per-hop events
-	// (defused) or a tamper model is installed (see pool.go).
-	fuse    bool
-	defused bool
-
 	// wake is the arbiter runtime switch: Cfg.Arb resolves to the
 	// wake-list arbiter, forced to the scan oracle while a tamper
 	// model is installed or a Tamper* mutation hook has fired
@@ -83,11 +75,6 @@ type Network struct {
 	// wait lists' back.
 	wake    bool
 	mutated bool
-}
-
-// applyFuse recomputes the runtime fusion switch from its inputs.
-func (n *Network) applyFuse() {
-	n.fuse = n.Cfg.Fuse && !n.defused && n.tamper == (Tamper{})
 }
 
 // applyArb recomputes the arbiter runtime switch. Re-arming the wake
@@ -108,7 +95,7 @@ func (n *Network) applyArb() {
 
 // forceScanArb permanently falls back to the scan arbiter: a Tamper*
 // mutation hook changed credits/occupancy/tables without firing the
-// wakes the wait lists rely on. Sticky, like Defuse.
+// wakes the wait lists rely on. Sticky for the network's lifetime.
 func (n *Network) forceScanArb() {
 	n.mutated = true
 	n.wake = false
@@ -128,22 +115,10 @@ func (n *Network) ArbParks() uint64 {
 	return p
 }
 
-// Defuse permanently disables hop fusion on this network, restoring
-// the one-event-per-phase hot path. Observers that assert on the exact
-// per-hop event sequence (the packet tracer) call it when they attach;
-// it is sticky for the network's lifetime.
-func (n *Network) Defuse() {
-	n.defused = true
-	n.fuse = false
-}
-
-// Fused reports whether the hop-fusion fast path is currently armed.
-func (n *Network) Fused() bool { return n.fuse }
-
-// FusedKicks counts the kick events whose delay-0 allocation/injection
-// pass ran inline instead of being scheduled. Tests use it to prove the
-// fast path engaged (or was forced off).
-func (n *Network) FusedKicks() uint64 { return n.fusedKicks }
+// FusedKicks always returns 0. Hop fusion, which ran some delay-0
+// passes inline and counted them here, was removed; the method stays
+// because the benchmark program reads it.
+func (n *Network) FusedKicks() uint64 { return 0 }
 
 // DropReason classifies why the fabric discarded a packet.
 type DropReason uint8
@@ -268,7 +243,6 @@ func NewNetwork(topo *topology.Topology, plan *ib.AddressPlan, cfg Config, seed 
 		Cfg:    cfg,
 		rng:    sim.NewRNG(seed ^ 0x4641425249435F), // package tag
 	}
-	net.applyFuse()
 	net.applyArb()
 
 	detOnly := make(map[int]bool, len(cfg.DeterministicOnly))

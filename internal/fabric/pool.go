@@ -47,21 +47,10 @@ type fabricEvent struct {
 
 // Do dispatches the event. Payload fields are copied to locals and the
 // struct is returned to the pool first, so work scheduled by the
-// payload can reuse it immediately.
-//
-// The two kick kinds carry the hop-fusion fast path. A kick's only
-// legacy job is to schedule the delay-0 allocation/injection pass
-// (coalesced through arbPending/injPending). When the engine is
-// quiescent at this timestamp — the kick is the last event at Now —
-// that delay-0 event would be popped immediately next with no
-// intervening dispatch, so the pass runs inline instead and the
-// delay-0 event is elided: same state reads, same pushes in the same
-// relative order, two fewer queue round-trips per uncongested hop.
-// Quiescence also proves the pending flag is clear (a pending delay-0
-// pass would itself be an event at Now). The fast path is fenced off
-// whenever exact per-hop event sequences are observable: fusion
-// disabled (-fuse=off), a packet tracer attached (Network.Defuse), or a
-// tamper model installed.
+// payload can reuse it immediately. The two kick kinds and a credit
+// return each schedule their owner's coalesced delay-0 pass (through
+// arbPending/injPending); the engine's immediates FIFO makes that a
+// slice append and read (see sim.Engine.imm).
 func (ev *fabricEvent) Do() {
 	kind, sw, host, out, port, vl, n, pkt := ev.kind, ev.sw, ev.host, ev.out, ev.port, ev.vl, ev.n, ev.pkt
 	net := ev.network()
@@ -76,46 +65,16 @@ func (ev *fabricEvent) Do() {
 	case evDeliver:
 		host.deliver(pkt)
 	case evCreditReturn:
-		// Same fusion argument as the kick kinds: returnCredits' only
-		// follow-up is the owner's coalesced delay-0 pass, so when this
-		// event is alone at Now the pass runs inline.
 		out.credits[vl] += n
 		if net.wake && out.ownerSw != nil {
 			out.ownerSw.wakeCredits(out.id, vl)
-		}
-		if net.fuse && net.Engine.Quiescent() {
-			net.fusedKicks++
-			if prof.HotPhasesEnabled() {
-				prof.Phase(prof.PhaseFused, out.owner.inlinePass)
-				return
-			}
-			out.owner.inlinePass()
-			return
 		}
 		out.owner.kick()
 	case evRequeue:
 		host.requeue(pkt)
 	case evSwitchKick:
-		if net.fuse && net.Engine.Quiescent() {
-			net.fusedKicks++
-			if prof.HotPhasesEnabled() {
-				prof.Phase(prof.PhaseFused, sw.arbitrate)
-				return
-			}
-			sw.arbitrate()
-			return
-		}
 		sw.kick()
 	case evHostKick:
-		if net.fuse && net.Engine.Quiescent() {
-			net.fusedKicks++
-			if prof.HotPhasesEnabled() {
-				prof.Phase(prof.PhaseFused, host.tryInject)
-				return
-			}
-			host.tryInject()
-			return
-		}
 		host.kick()
 	}
 }

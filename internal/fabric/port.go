@@ -7,13 +7,9 @@ import (
 
 // node is anything that owns output ports and must be re-examined when
 // one of them frees up or receives credits back. kick schedules the
-// re-examination as a coalesced delay-0 event; inlinePass runs it
-// synchronously — the hop-fusion dispatch picks inlinePass when engine
-// quiescence proves the delay-0 event would run immediately next
-// anyway (see pool.go).
+// re-examination as a coalesced delay-0 event.
 type node interface {
 	kick()
-	inlinePass()
 }
 
 // outPort is the transmitting side of one directed channel: it tracks

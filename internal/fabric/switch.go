@@ -171,11 +171,6 @@ func (sw *Switch) kick() {
 	sw.net.Engine.Schedule(0, sw.arbFn)
 }
 
-// inlinePass runs the allocation pass synchronously — the hop-fusion
-// dispatch substitutes it for kick when engine quiescence proves the
-// delay-0 event would execute immediately next anyway (see pool.go).
-func (sw *Switch) inlinePass() { sw.arbitrate() }
-
 // finishWiring precomputes the per-switch hot-path state once the
 // port wiring is final: the service-point scan order, the recurring
 // delay-0 event closure, and each input buffer's pointer to the
@@ -352,8 +347,8 @@ func (sw *Switch) adaptiveCandidates(id int32, now sim.Time) []core.Candidate {
 	return cands
 }
 
-// bestAdaptive is the fused fast path for the default selection policy
-// (arbitration-time, status-aware): it computes each option's
+// bestAdaptive is the single-pass fast path for the default selection
+// policy (arbitration-time, status-aware): it computes each option's
 // eligibility and adaptive credit count exactly as adaptiveCandidates
 // does and tracks the first maximum inline, matching
 // core.PickAdaptive's strict-greater scan over the same order — same
@@ -427,7 +422,7 @@ type servicePoint struct {
 
 // arbitrate is the crossbar allocation pass, dispatching to the
 // configured arbiter: the wake-list drain (default) or the full
-// round-robin scan (-arb=scan, the differential oracle — also forced
+// round-robin scan (ArbScan, the differential oracle — also forced
 // whenever a tamper model is installed). Both produce byte-identical
 // results; see wake.go for the equivalence argument.
 func (sw *Switch) arbitrate() {

@@ -34,17 +34,12 @@ type Tamper struct {
 }
 
 // SetTamper installs a fault model for the mutation suite. Passing the
-// zero Tamper restores honest forwarding. A non-zero tamper forces
-// per-hop de-fusion: the mutation suite asserts on exact degraded
-// event sequences, and the fusion fast path's exactness argument only
-// covers honest forwarding. The zero Tamper re-arms fusion (unless
-// the config or a tracer disabled it).
+// zero Tamper restores honest forwarding. A tamper model forces the
+// scan arbiter: the wake arbiter's exactness argument (wake.go) only
+// covers honest forwarding. The zero Tamper re-arms it (with a
+// wholesale wake).
 func (n *Network) SetTamper(t Tamper) {
 	n.tamper = t
-	n.applyFuse()
-	// A tamper model also forces the scan arbiter: the wake arbiter's
-	// exactness argument (wake.go) only covers honest forwarding. The
-	// zero Tamper re-arms it (with a wholesale wake).
 	n.applyArb()
 }
 

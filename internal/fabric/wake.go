@@ -58,8 +58,7 @@ import (
 //
 // Tampered runs force the scan arbiter (applyArb): the mutation hooks
 // mutate credits/occupancy behind the fabric's back without waking
-// anyone, and the exactness argument only covers honest forwarding —
-// mirroring how tamper models defuse hop fusion.
+// anyone, and the exactness argument only covers honest forwarding.
 
 // pointMask is a bitmask over a switch's service points. Switches can
 // have more than 64 points (ports x VLs), so it is multi-word; all

@@ -304,13 +304,13 @@ type jsonCampaign struct {
 	} `json:"watchdog"`
 }
 
-// jsonRule is one row of the campaign-JSON validation table, in the
-// FeatureSet style: an ordered list of (predicate, error) pairs
-// checked first-match-wins, so every rejection carries one canonical
-// message naming the offending JSON path. The decoder layer above the
-// table already rejects malformed syntax, NaN/Infinity (not JSON),
-// fractional or overflowing times, and unknown fields — each with the
-// line:column where decoding stopped.
+// jsonRule is one row of the campaign-JSON validation table: an
+// ordered list of (predicate, error) pairs checked first-match-wins,
+// so every rejection carries one canonical message naming the
+// offending JSON path. The decoder layer above the table already
+// rejects malformed syntax, NaN/Infinity (not JSON), fractional or
+// overflowing times, and unknown fields — each with the line:column
+// where decoding stopped.
 type jsonRule struct {
 	name    string
 	applies func(*jsonCampaign) bool
@@ -363,7 +363,7 @@ var jsonRules = []jsonRule{
 		},
 	},
 	{
-		name:    "random-flaps-window-sane",
+		name: "random-flaps-window-sane",
 		applies: func(jc *jsonCampaign) bool {
 			return jc.RandomFlaps != nil && (jc.RandomFlaps.FromNs < 0 || jc.RandomFlaps.ToNs <= jc.RandomFlaps.FromNs)
 		},

@@ -130,7 +130,7 @@ func TestParseJSON(t *testing.T) {
 // TestParseJSONStrict pins the hardened loader: unknown fields,
 // non-JSON numbers, fractional times and out-of-range values are
 // rejected with positional messages instead of being silently zeroed
-// or truncated, in the ordered-rules style of the FeatureSet table.
+// or truncated, by an ordered first-match-wins rule table.
 func TestParseJSONStrict(t *testing.T) {
 	cases := []struct {
 		name string

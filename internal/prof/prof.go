@@ -19,14 +19,18 @@ import (
 
 // Hot-path phase labels. The fabric wraps its forwarding phases in
 // Phase(...) so CPU profiles and execution traces attribute samples to
-// the route/arbitrate/depart stages — and, separately, to the fused
-// fast path — instead of one undifferentiated switch body.
+// the route/arbitrate/depart stages instead of one undifferentiated
+// switch body.
 const (
 	PhaseRoute     = "route"     // switch.receive: table access + buffer insert
-	PhaseArbitrate = "arbitrate" // legacy delay-0 allocation pass
+	PhaseArbitrate = "arbitrate" // delay-0 allocation pass
 	PhaseDepart    = "depart"    // startTx: credit reserve + event fan-out
-	PhaseFused     = "fused"     // fused kick: inline allocation/injection pass
 )
+
+// PhaseFused labels nothing: it named the inline pass of hop fusion,
+// which was removed. The benchmark program still reads its share (now
+// always 0), so the name stays.
+const PhaseFused = "fused"
 
 // hotPhases gates the Phase wrappers. Labeling costs a goroutine-label
 // swap per call, far too hot for the default run, so the fabric checks
@@ -48,7 +52,6 @@ var phaseCtxs = map[string]context.Context{
 	PhaseRoute:     phaseCtx(PhaseRoute),
 	PhaseArbitrate: phaseCtx(PhaseArbitrate),
 	PhaseDepart:    phaseCtx(PhaseDepart),
-	PhaseFused:     phaseCtx(PhaseFused),
 }
 
 // phaseCtx builds the labeled context carrying phase=name.

@@ -109,7 +109,7 @@ func (q *calendarQueue) pop() event {
 }
 
 // popAtMost pops the earliest event if due at or before horizon, in
-// one cursor walk — the dispatch loop's fused peekTime+pop.
+// one cursor walk — the dispatch loop's peekTime and pop combined.
 func (q *calendarQueue) popAtMost(horizon Time) (event, bool) {
 	if !q.nextWheel() {
 		if q.overflow.len() == 0 || q.overflow.peekTime() > horizon {
@@ -175,22 +175,6 @@ func (q *calendarQueue) dropHead(s []event) {
 	q.count--
 }
 
-// peek returns the earliest event without removing it, under the same
-// full (at, schedAt, seq) order as pop. It must not be called on an
-// empty queue.
-func (q *calendarQueue) peek() event {
-	if !q.nextWheel() {
-		q.migrate()
-	}
-	e := q.slots[q.cur][q.head]
-	if q.overflow.len() > 0 {
-		if o := q.overflow.peek(); eventLess(o, e) {
-			return o
-		}
-	}
-	return e
-}
-
 func (q *calendarQueue) peekTime() Time {
 	if !q.nextWheel() {
 		if q.overflow.len() == 0 {
@@ -208,9 +192,9 @@ func (q *calendarQueue) peekTime() Time {
 }
 
 // hasEventAt reports whether any pending event is scheduled at or
-// before t, WITHOUT advancing the cursor — the hop-fusion quiescence
-// probe runs once per fused hop, and paying nextWheel's empty-bucket
-// walk there doubled the scan work per event. Under the interface
+// before t, WITHOUT advancing the cursor — the dispatch loop probes it
+// once per immediate event, and paying nextWheel's empty-bucket walk
+// there would double the scan work per event. Under the interface
 // precondition (no pending event predates t), an event at <= t can
 // only be the overflow minimum or live in the one wheel bucket whose
 // window contains t: buckets behind the cursor were drained before the

@@ -157,19 +157,6 @@ func (e *Engine) nextSeq() uint64 {
 	return s
 }
 
-// Quiescent reports whether no pending event shares the current
-// timestamp — the event being dispatched right now is the last one at
-// Now on this engine. This is the fabric's hop-fusion precondition:
-// when the dispatching event is alone on its timestamp, a delay-0
-// follow-up it would schedule must be popped immediately next with no
-// intervening dispatch, so running that follow-up inline is
-// observationally identical to scheduling it. The probe never moves
-// the calendar cursor (see calendarQueue.hasEventAt), so running it
-// once per fused hop costs a bucket inspection, not a wheel walk.
-func (e *Engine) Quiescent() bool {
-	return e.immHead >= len(e.imm) && !e.queue.hasEventAt(e.now)
-}
-
 // Run dispatches events until the queue is empty or the next event is
 // later than horizon. The clock finishes at the time of the last
 // dispatched event (or at horizon if the queue drained earlier events

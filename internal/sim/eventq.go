@@ -90,7 +90,7 @@ type eventQueue interface {
 	pop() event
 	// popAtMost pops and returns the earliest event if its timestamp is
 	// at or before horizon; otherwise it leaves the queue untouched and
-	// reports false. It fuses the peekTime+pop pair the dispatch loop
+	// reports false. It combines the peekTime+pop pair the dispatch loop
 	// would otherwise issue — for the calendar that is one cursor walk
 	// instead of two per dispatched event.
 	popAtMost(horizon Time) (event, bool)

@@ -70,20 +70,6 @@ func WithSpanHint(d Time) EngineOption {
 	}
 }
 
-// WithBucketWidth pins the calendar bucket width to w nanoseconds,
-// rounded up to a power of two. Narrow buckets cut per-bucket sorting;
-// wide buckets extend the wheel's reach. Most callers should prefer
-// WithSpanHint and let the engine derive the width.
-func WithBucketWidth(w Time) EngineOption {
-	return func(c *engineConfig) {
-		bits := uint(0)
-		for Time(1)<<bits < w {
-			bits++
-		}
-		c.widthBits = bits
-	}
-}
-
 // WithWheelGeometry pins the calendar wheel to 1<<slotBits buckets of
 // 1<<widthBits ns each, clearing any span hint accumulated so far.
 // Tiny wheels wrap and overflow constantly — exactly what the

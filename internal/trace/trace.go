@@ -90,12 +90,9 @@ func NewRecorder(capacity int) *Recorder {
 
 // Attach hooks the recorder onto a network, chaining callbacks already
 // installed (a metrics collector, for instance) so both observers see
-// every event. Attaching forces per-hop de-fusion (Network.Defuse):
-// a tracer's contract is the exact per-hop event sequence, so the
-// hop-fusion fast path must stand down rather than silently eliding
-// events — the recorded sequence is identical with -fuse on or off.
+// every event. Attaching only adds callbacks: the network dispatches
+// exactly the events it would dispatch unobserved.
 func (r *Recorder) Attach(net *fabric.Network) {
-	net.Defuse()
 	prevCreated := net.OnCreated
 	prevDelivered := net.OnDelivered
 	prevHop := net.OnHop

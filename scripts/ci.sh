@@ -29,24 +29,15 @@ go test -run 'TestFigure3Deterministic' -v ./internal/experiments/
 echo "==> determinism golden under -check (auditor must not perturb results)"
 go test -count=1 -run 'TestFigure3GoldenChecked' -v ./internal/experiments/
 
-echo "==> determinism golden with fusion off (per-hop oracle reproduces the artifact)"
-go test -count=1 -run 'TestFigure3GoldenUnfused' -v ./internal/experiments/
-
-echo "==> hop-fusion differential (fused vs unfused bit-exact; trace/tamper de-fusion)"
-# The experiments matrix covers wheel geometries, both schedulers,
-# -check, a fault campaign and a contention storm; the fabric tests pin
-# the runtime arm/disarm transitions. The ZeroAllocs
-# gate above already holds the unfused oracle to the same 0 allocs/op
-# bar (TestSwitchHopZeroAllocsUnfused matches its pattern).
-go test -count=1 -run 'TestFusion|TestTamperDefuses|TestDefuseIsSticky' -v ./internal/fabric/
-go test -count=1 -run 'TestFusion' -v ./internal/experiments/
+echo "==> observing does not perturb execution (a traced run dispatches exactly the untraced run's events)"
+go test -count=1 -run 'TestTracingDoesNotPerturbExecution' -v ./internal/experiments/
 
 echo "==> determinism golden with the scan arbiter (rescan oracle reproduces the artifact)"
 go test -count=1 -run 'TestFigure3GoldenScanArb' -v ./internal/experiments/
 
 echo "==> wake-arbiter differential (wake vs scan bit-exact; tamper forces scan)"
 # The experiments matrix covers wheel geometries, both schedulers,
-# fused/unfused engines, -check, a fault campaign and a hot-spot
+# -check, a fault campaign and a hot-spot
 # contention storm; the fabric tests pin the runtime
 # arm/disarm transitions and the lockstep rr-parity property. The
 # ZeroAllocs gate above already holds both arbiters to 0 allocs/op
@@ -65,7 +56,7 @@ echo "==> cross-family fuzz smoke (fat-tree and torus escape CDGs stay acyclic)"
 go test -run '^$' -fuzz 'FuzzFatTreeTopology' -fuzztime 5s ./internal/topology/
 go test -run '^$' -fuzz 'FuzzTorusTopology' -fuzztime 5s ./internal/topology/
 
-echo "==> cross-family differential (fat-tree + torus goldens: plain vs -check vs unfused)"
+echo "==> cross-family differential (fat-tree + torus goldens: plain vs -check vs scan arbiter)"
 # Engine conformance pins each family's routing contract; the sweep
 # goldens pin the simulations bit-exactly across execution strategies.
 go test -count=1 -run 'TestEngineConformance|TestTorusEscapeAvoidsWraps|TestStructuredBuildersDegradeToUpDown' -v ./internal/routing/
