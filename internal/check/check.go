@@ -232,7 +232,7 @@ func (a *Auditor) onDelivered(p *ib.Packet) {
 	if a.orderExempt || p.Adaptive {
 		return
 	}
-	k := flowKey{src: p.Src, dst: p.Dst}
+	k := flowKey{src: int(p.Src), dst: int(p.Dst)}
 	last, seen := a.lastDetSeq[k]
 	if seen && p.SeqNo < last {
 		a.hook.add(Violation{
@@ -253,7 +253,7 @@ func (a *Auditor) onDelivered(p *ib.Packet) {
 // selector saw.
 func (a *Auditor) onHop(p *ib.Packet, sw int, out ib.PortID, adaptive bool) {
 	a.hopChecks++
-	now, credits, hostFacing, ok := a.net.Switches[sw].AuditHopView(out, p.SL)
+	now, credits, hostFacing, ok := a.net.Switches[sw].AuditHopView(out, int(p.SL))
 	if !ok {
 		return
 	}

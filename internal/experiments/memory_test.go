@@ -1,0 +1,73 @@
+package experiments
+
+import (
+	"runtime"
+	"testing"
+
+	"ibasim/internal/fabric"
+	"ibasim/internal/ib"
+	"ibasim/internal/sim"
+	"ibasim/internal/topology"
+	"ibasim/internal/traffic"
+)
+
+// maxBytesPerGeneratedPacket bounds what a saturated run allocates per
+// packet it generates. A run past saturation keeps nearly every packet
+// alive until it ends (source queues are unbounded), so this is the
+// slope of its peak memory: a 64-byte packet, an 8-byte source-queue
+// slot while it waits, and the run's share of everything else, about
+// 82 bytes in all on this workload. A 112-byte packet in a slice-backed
+// queue that grows by doubling costs about 151 here; the bound sits
+// between the two, with room for the run's other allocations to move.
+const maxBytesPerGeneratedPacket = 96
+
+// TestHotSpotBytesPerGeneratedPacket gates heap allocation per
+// generated packet on the benchmark's saturated hot-spot workload: 16
+// switches, 30 % of traffic to one host, 0.15 B/ns/host of 32-byte
+// all-adaptive packets, here with a 0.5 ms measurement window.
+// TotalAlloc counts every byte the run allocated, freed or not, so the
+// figure does not depend on when the collector ran.
+func TestHotSpotBytesPerGeneratedPacket(t *testing.T) {
+	topo, err := topology.GenerateIrregular(topology.IrregularSpec{NumSwitches: 16, HostsPerSwitch: 4, InterSwitch: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hot, err := traffic.NewHotSpot(topo.NumHosts(), 0.3, sim.NewRNG(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := QuickScale()
+	sc.Warmup, sc.Measure, sc.DrainGrace = 20_000, 500_000, 20_000
+	spec := sc.Spec(topo, 2, 32, 1, hot, 1, true)
+	spec.Traffic.LoadBytesPerNsPerHost = 0.15
+
+	var generated uint64
+	countCreated := func(net *fabric.Network) {
+		prev := net.OnCreated
+		net.OnCreated = func(p *ib.Packet) {
+			if prev != nil {
+				prev(p)
+			}
+			generated++
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if _, err := RunObserved(spec, countCreated); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+
+	// The workload is deterministic; a different count means the gate
+	// no longer measures the run it documents.
+	const wantGenerated = 156_377
+	if generated != wantGenerated {
+		t.Fatalf("run generated %d packets, want %d", generated, wantGenerated)
+	}
+	perPacket := float64(after.TotalAlloc-before.TotalAlloc) / float64(generated)
+	t.Logf("%.1f bytes allocated per generated packet (%d packets)", perPacket, generated)
+	if perPacket > maxBytesPerGeneratedPacket {
+		t.Fatalf("%.1f bytes allocated per generated packet, want at most %d", perPacket, maxBytesPerGeneratedPacket)
+	}
+}

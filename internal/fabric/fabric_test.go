@@ -164,7 +164,7 @@ func TestDeterministicInOrderDelivery(t *testing.T) {
 		if p.Adaptive {
 			return
 		}
-		key := [2]int{p.Src, p.Dst}
+		key := [2]int{int(p.Src), int(p.Dst)}
 		if last, ok := lastSeq[key]; ok && p.SeqNo <= last {
 			violations++
 		}
@@ -258,8 +258,8 @@ func TestHopsBoundedByDiameterPlusTables(t *testing.T) {
 	net := irregularNet(t, 16, 4, 41, fabric.DefaultConfig(), 2, 1)
 	maxHops := 0
 	net.OnDelivered = func(p *ib.Packet) {
-		if p.Hops > maxHops {
-			maxHops = p.Hops
+		if int(p.Hops) > maxHops {
+			maxHops = int(p.Hops)
 		}
 	}
 	rng := sim.NewRNG(43)
@@ -288,7 +288,7 @@ func TestLatencyNeverBelowAnalyticMinimum(t *testing.T) {
 	var bad int
 	net.OnDelivered = func(p *ib.Packet) {
 		minLat := sim.Time(p.Hops)*(ib.RoutingDelay+ib.PropagationDelay) +
-			ib.PropagationDelay + ib.SerializationTime(p.Size)
+			ib.PropagationDelay + ib.SerializationTime(int(p.Size))
 		if p.Latency() < minLat {
 			bad++
 		}
@@ -377,7 +377,7 @@ func TestMultiVLConfiguration(t *testing.T) {
 			dst = (dst + 1) % hosts
 		}
 		pkt := net.NewPacket(src, dst, 32, true)
-		pkt.SL = i % 2 // spread across both VLs
+		pkt.SL = uint8(i % 2) // spread across both VLs
 		net.Hosts[src].Inject(pkt)
 	}
 	if err := net.Drain(); err != nil {

@@ -164,3 +164,89 @@ func TestUnroutableLookupDropsInsteadOfPanic(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSendTimeoutDrainsMultiChunkBacklogInOrder: a backlog of several
+// source-queue chunks (255 packets each) waits behind a dead switch.
+// The send timeout drops the heads in FIFO order, each exactly one
+// timeout after it was queued, and retried packets re-enter at the
+// tail, behind packets queued while they were backing off.
+func TestSendTimeoutDrainsMultiChunkBacklogInOrder(t *testing.T) {
+	const (
+		timeout = 1_000
+		backoff = 400
+		nA      = 3*255 + 7 // first batch, queued at t=0
+		nB      = 2*255 + 3 // second batch, queued at t=1200
+		atB     = 1_200
+	)
+	cfg := fabric.DefaultConfig()
+	cfg.Retry = fabric.RetryConfig{MaxRetries: 1, BackoffBase: backoff, BackoffMax: backoff, SendTimeout: timeout}
+	net := lineNet(t, 2, cfg)
+	if err := net.SetSwitchDown(0); err != nil {
+		t.Fatal(err)
+	}
+	h := net.Hosts[0]
+	type drop struct {
+		id       uint64
+		attempts int32
+	}
+	var drops []drop
+	net.OnDropped = func(p *ib.Packet, reason fabric.DropReason) {
+		if reason != fabric.DropTimeout {
+			t.Fatalf("%v dropped for %v, want %v", p, reason, fabric.DropTimeout)
+		}
+		if now := net.Engine.Now(); now != p.QueuedAt+timeout {
+			t.Fatalf("%v dropped at %d, want one timeout after it was queued (%d)", p, now, p.QueuedAt+timeout)
+		}
+		drops = append(drops, drop{p.ID, p.Attempts})
+	}
+	inject := func(n int) (first uint64) {
+		for i := 0; i < n; i++ {
+			p := net.NewPacket(0, 4, 32, true)
+			if i == 0 {
+				first = p.ID
+			}
+			h.Inject(p)
+		}
+		return first
+	}
+	firstA := inject(nA)
+	var firstB uint64
+	net.Engine.At(atB, func() { firstB = inject(nB) })
+	// The retries of batch A re-enter at t = timeout + backoff; batch B
+	// must still be at the head, with A queued behind it.
+	net.Engine.At(timeout+backoff+1, func() {
+		if got := h.HeadID(); got != firstB {
+			t.Errorf("head after the retries = pkt#%d, want batch B's first pkt#%d", got, firstB)
+		}
+		if got := h.QueueLen(); got != nA+nB {
+			t.Errorf("queue length after the retries = %d, want %d", got, nA+nB)
+		}
+	})
+	net.Engine.RunUntilIdle()
+
+	var want []drop
+	for _, b := range []struct {
+		first    uint64
+		n        int
+		attempts int32
+	}{{firstA, nA, 0}, {firstB, nB, 0}, {firstA, nA, 1}, {firstB, nB, 1}} {
+		for i := 0; i < b.n; i++ {
+			want = append(want, drop{b.first + uint64(i), b.attempts})
+		}
+	}
+	if len(drops) != len(want) {
+		t.Fatalf("%d drops, want %d", len(drops), len(want))
+	}
+	for i := range want {
+		if drops[i] != want[i] {
+			t.Fatalf("drop %d = pkt#%d (attempt %d), want pkt#%d (attempt %d)",
+				i, drops[i].id, drops[i].attempts, want[i].id, want[i].attempts)
+		}
+	}
+	if fs := net.Faults; fs.Retries != nA+nB || fs.Lost != nA+nB {
+		t.Fatalf("retries %d, lost %d; want %d each", fs.Retries, fs.Lost, nA+nB)
+	}
+	if net.InFlight() != 0 {
+		t.Fatalf("%d packets still queued", net.InFlight())
+	}
+}

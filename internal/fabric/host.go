@@ -18,15 +18,8 @@ type Host struct {
 
 	out *outPort // link toward the attached switch
 
-	// queue[qhead:] is the live source queue. Popping advances qhead
-	// instead of re-slicing so the backing array survives the
-	// empty↔shallow oscillation of an unsaturated host (re-slicing
-	// walks the base pointer forward and forces append to reallocate
-	// roughly once per packet); pushes compact the consumed prefix
-	// away once it dominates, keeping the array bounded by the peak
-	// standing depth.
-	queue      []*ib.Packet
-	qhead      int
+	// queue is the source queue, a chunked FIFO (see srcqueue.go).
+	queue      pktFIFO
 	injPending bool
 
 	// injectFn is the host's recurring delay-0 event closure, bound
@@ -61,42 +54,15 @@ func (h *Host) ID() int { return h.id }
 func (h *Host) Engine() *sim.Engine { return h.net.Engine }
 
 // QueueLen returns the number of packets waiting in the source queue.
-func (h *Host) QueueLen() int { return len(h.queue) - h.qhead }
+func (h *Host) QueueLen() int { return h.queue.len() }
 
 // HeadID returns the ID of the packet at the source-queue head, or 0
 // when the queue is empty (watchdog progress probe).
 func (h *Host) HeadID() uint64 {
-	if h.QueueLen() == 0 {
+	if h.queue.len() == 0 {
 		return 0
 	}
-	return h.queue[h.qhead].ID
-}
-
-// qPush appends to the source queue, compacting the consumed prefix
-// first when it has grown past half the backing array.
-func (h *Host) qPush(pkt *ib.Packet) {
-	if h.qhead > 32 && h.qhead*2 >= len(h.queue) {
-		n := copy(h.queue, h.queue[h.qhead:])
-		for i := n; i < len(h.queue); i++ {
-			h.queue[i] = nil
-		}
-		h.queue = h.queue[:n]
-		h.qhead = 0
-	}
-	h.queue = append(h.queue, pkt)
-}
-
-// qPop removes and returns the queue head; the caller must have
-// checked QueueLen() > 0.
-func (h *Host) qPop() *ib.Packet {
-	pkt := h.queue[h.qhead]
-	h.queue[h.qhead] = nil // release the reference for GC
-	h.qhead++
-	if h.qhead == len(h.queue) {
-		h.queue = h.queue[:0]
-		h.qhead = 0
-	}
-	return pkt
+	return h.queue.peek().ID
 }
 
 // Inject hands a generated packet to the CA. The packet's Src must be
@@ -104,13 +70,13 @@ func (h *Host) qPop() *ib.Packet {
 // address plan (traffic generators use Network.NewPacket, which
 // guarantees this).
 func (h *Host) Inject(pkt *ib.Packet) {
-	if pkt.Src != h.id {
+	if int(pkt.Src) != h.id {
 		panic(fmt.Sprintf("fabric: packet %v injected at host %d", pkt, h.id))
 	}
 	pkt.SeqNo = h.nextSeq[pkt.Dst]
 	h.nextSeq[pkt.Dst]++
 	pkt.QueuedAt = h.net.Engine.Now()
-	h.qPush(pkt)
+	h.queue.push(pkt)
 	if h.net.OnCreated != nil {
 		h.net.OnCreated(pkt)
 	}
@@ -123,7 +89,7 @@ func (h *Host) Inject(pkt *ib.Packet) {
 func (h *Host) requeue(pkt *ib.Packet) {
 	pkt.Hops = 0
 	pkt.QueuedAt = h.net.Engine.Now()
-	h.qPush(pkt)
+	h.queue.push(pkt)
 	h.armSendTimeout()
 	h.kick()
 }
@@ -156,10 +122,10 @@ func (h *Host) finishWiring() {
 // already covers an earlier-or-equal deadline.
 func (h *Host) armSendTimeout() {
 	to := h.net.Cfg.Retry.SendTimeout
-	if to <= 0 || h.QueueLen() == 0 {
+	if to <= 0 || h.queue.len() == 0 {
 		return
 	}
-	deadline := h.queue[h.qhead].QueuedAt + to
+	deadline := h.queue.peek().QueuedAt + to
 	if h.timeoutArmed != 0 && h.timeoutArmed <= deadline {
 		return
 	}
@@ -180,8 +146,8 @@ func (h *Host) expireHead() {
 		return
 	}
 	now := h.net.Engine.Now()
-	for h.QueueLen() > 0 && now-h.queue[h.qhead].QueuedAt >= to {
-		h.net.dropPacket(h.qPop(), DropTimeout)
+	for h.queue.len() > 0 && now-h.queue.peek().QueuedAt >= to {
+		h.net.dropPacket(h.queue.pop(), DropTimeout)
 	}
 }
 
@@ -189,22 +155,21 @@ func (h *Host) expireHead() {
 // and the switch's input buffer has room for the whole packet.
 func (h *Host) tryInject() {
 	now := h.net.Engine.Now()
-	for h.QueueLen() > 0 {
-		pkt := h.queue[h.qhead]
+	for h.queue.len() > 0 {
+		pkt := h.queue.peek()
 		if !h.out.free(now) {
 			return
 		}
-		vl := pkt.SL % h.net.Cfg.NumVLs
+		vl := int(pkt.SL) % h.net.Cfg.NumVLs
 		if !h.net.Cfg.Split.CanUseEscape(h.out.credits[vl], pkt.Credits()) {
 			return
 		}
-		h.qPop()
+		h.queue.pop()
 		h.out.credits[vl] -= pkt.Credits()
-		ser := ib.SerializationTime(pkt.Size)
+		ser := ib.SerializationTime(int(pkt.Size))
 		h.out.busyUntil = now + ser
 		h.out.busyAccum += ser
 		h.out.txPackets++
-		pkt.InjectedAt = now
 		h.Injected++
 		h.net.moved++
 
@@ -216,7 +181,7 @@ func (h *Host) tryInject() {
 
 // deliver sinks a packet arriving at this host.
 func (h *Host) deliver(pkt *ib.Packet) {
-	if pkt.Dst != h.id {
+	if int(pkt.Dst) != h.id {
 		panic(fmt.Sprintf("fabric: packet %v delivered to host %d", pkt, h.id))
 	}
 	pkt.DeliveredAt = h.net.Engine.Now()

@@ -139,8 +139,8 @@ func TestSwitchHopZeroAllocsDeterministic(t *testing.T) {
 // TestInjectZeroAllocsSteadyState extends the gate to the injection
 // path: creating a packet, queueing it at the source CA and running it
 // through to delivery. Packet storage comes from the context's slab
-// (one allocation per pktSlabSize packets) and the source queue reuses
-// its backing array, so the amortized per-packet figure must be the
+// (one allocation per pktSlabSize packets) and the source queue keeps
+// its one chunk when it empties, so the amortized per-packet figure must be the
 // slab refill alone — well under 0.01 objects.
 func TestInjectZeroAllocsSteadyState(t *testing.T) {
 	net := hotpathNet(t)
@@ -154,6 +154,46 @@ func TestInjectZeroAllocsSteadyState(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(2*pktSlabSize, inject); allocs > 2.5/pktSlabSize {
 		t.Fatalf("steady-state injection allocates %v objects per packet, want at most the amortized slab refill (%v)", allocs, 2.5/pktSlabSize)
+	}
+}
+
+// TestSourceQueueBacklogZeroAllocs extends the gate to a source queue
+// that crosses chunk boundaries: each round queues a backlog of more
+// than three chunks at one host, then runs the engine until it has
+// drained through the fabric. Drained chunks go to the network's
+// chunk pool and the next round's growth takes them back, so once
+// warm a round allocates nothing. (TestInjectZeroAllocsSteadyState
+// only moves between zero and one queued packet, which never leaves
+// the queue's first chunk.) The packets are made once and re-injected
+// every round so the slab refill does not count.
+func TestSourceQueueBacklogZeroAllocs(t *testing.T) {
+	net := hotpathNet(t)
+	h := net.Hosts[0]
+	pkts := make([]*ib.Packet, 3*pktChunkSlots+pktChunkSlots/2)
+	for i := range pkts {
+		pkts[i] = net.NewPacket(0, 7, 32, true)
+	}
+	round := func() {
+		for _, p := range pkts {
+			h.Inject(p)
+		}
+		chunks := 0
+		for c := h.queue.head; c != nil; c = c.next {
+			chunks++
+		}
+		if chunks < 4 {
+			t.Fatalf("backlog of %d packets spans %d chunks, want at least 4", h.QueueLen(), chunks)
+		}
+		net.Engine.RunUntilIdle()
+		if h.QueueLen() != 0 {
+			t.Fatalf("%d packets still queued after the drain", h.QueueLen())
+		}
+	}
+	for i := 0; i < 3; i++ { // warm the chunk pool, event pool and engine storage
+		round()
+	}
+	if allocs := testing.AllocsPerRun(10, round); allocs != 0 {
+		t.Fatalf("a warm source-queue backlog allocates %v objects per grow-and-drain round, want 0", allocs)
 	}
 }
 

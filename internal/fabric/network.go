@@ -31,6 +31,10 @@ type Network struct {
 	evFree []*fabricEvent
 	slab   entrySlab
 
+	// chunks is the freelist every host's source queue grows from and
+	// drains to (see srcqueue.go).
+	chunks chunkPool
+
 	// pktSlab is the tail of the current packet allocation block;
 	// NewPacket carves packets from it (see getPacket). pktBlocks
 	// remembers every block consumed so Recycle can hand them back to
@@ -198,13 +202,14 @@ func (n *Network) dropPacket(pkt *ib.Packet, reason DropReason) {
 		n.OnDropped(pkt, reason)
 	}
 	rp := n.Cfg.Retry
-	if rp.MaxRetries > 0 && pkt.Attempts < rp.MaxRetries {
+	if rp.MaxRetries > 0 && int(pkt.Attempts) < rp.MaxRetries {
 		pkt.Attempts++
+		attempts := int(pkt.Attempts)
 		n.Faults.Retries++
-		if pkt.Attempts > n.Faults.MaxAttempts {
-			n.Faults.MaxAttempts = pkt.Attempts
+		if attempts > n.Faults.MaxAttempts {
+			n.Faults.MaxAttempts = attempts
 		}
-		n.scheduleRequeue(rp.backoff(pkt.Attempts), n.Hosts[pkt.Src], pkt)
+		n.scheduleRequeue(rp.backoff(attempts), n.Hosts[pkt.Src], pkt)
 		return
 	}
 	n.Faults.Lost++
@@ -273,7 +278,12 @@ func NewNetwork(topo *topology.Topology, plan *ib.AddressPlan, cfg Config, seed 
 		})
 	}
 	for h := 0; h < topo.NumHosts(); h++ {
-		net.Hosts = append(net.Hosts, &Host{net: net, id: h, nextSeq: make([]uint64, topo.NumHosts())})
+		net.Hosts = append(net.Hosts, &Host{
+			net:     net,
+			id:      h,
+			queue:   pktFIFO{pool: &net.chunks},
+			nextSeq: make([]uint64, topo.NumHosts()),
+		})
 	}
 
 	// Wire host links: host h occupies its switch's host-port slot
@@ -397,11 +407,10 @@ func (n *Network) NewPacket(src, dst, size int, adaptive bool) *ib.Packet {
 	pkt := n.getPacket()
 	*pkt = ib.Packet{
 		ID:        n.nextID,
-		Src:       src,
-		Dst:       dst,
-		SLID:      n.Plan.BaseLID(src),
+		Src:       int32(src),
+		Dst:       int32(dst),
 		DLID:      dlid,
-		Size:      size,
+		Size:      int32(size),
 		Adaptive:  adaptive && n.Plan.LMC > 0,
 		CreatedAt: n.Engine.Now(),
 	}

@@ -586,7 +586,7 @@ func (sw *Switch) transmit(buf *vlBuffer, idx int, sp servicePoint, out ib.PortI
 	pkt := slab.pkt[id]
 	o := sw.out[out]
 	vl := sw.outVL(int(slab.sl[id]), out)
-	ser := ib.SerializationTime(pkt.Size)
+	ser := ib.SerializationTime(int(pkt.Size))
 	credits := int(slab.credits[id])
 
 	o.credits[vl] -= credits

@@ -9,45 +9,46 @@ import (
 // Packet is one IBA data packet traversing the simulated subnet. The
 // simulator works at packet granularity (virtual cut-through forwards
 // and buffers whole packets), so no flit structure is modelled.
+//
+// The struct is exactly one 64-byte cache line: a saturated run keeps
+// every packet it generated alive until it ends, so the layout is a
+// memory budget (TestPacketIsOneCacheLine pins it). The source LID is
+// not stored; AddressPlan.BaseLID(Src) gives it.
 type Packet struct {
 	ID uint64 // globally unique, for tracing and loss accounting
-
-	Src int // source host
-	Dst int // destination host
-
-	SLID LID // source port LID (base address of the source)
-	DLID LID // destination LID; low bit encodes the adaptivity request
-	SL   int // service level (selects the VL via the SLtoVL table)
-
-	Size int // bytes on the wire
 
 	// SeqNo numbers packets per (Src, Dst) flow in generation order;
 	// deterministic packets must be delivered in SeqNo order.
 	SeqNo uint64
 
-	// Adaptive mirrors DLID's low bit for convenience; it is set by
-	// the traffic generator and must agree with the address plan.
-	Adaptive bool
-
 	CreatedAt   sim.Time // when the generator produced it
-	InjectedAt  sim.Time // when the source CA started transmitting it
 	DeliveredAt sim.Time // when the tail reached the destination CA
-
-	Hops int // switches traversed so far
-
-	// Attempts counts fault-recovery retries: each time the fabric
-	// drops the packet and the source re-injects it, Attempts grows by
-	// one. Zero for packets that never met a fault.
-	Attempts int
 
 	// QueuedAt is when the packet last entered its source queue
 	// (initial injection or a retry); the host's send timeout is
 	// measured against it.
 	QueuedAt sim.Time
+
+	Src  int32 // source host
+	Dst  int32 // destination host
+	Size int32 // bytes on the wire
+	Hops int32 // switches traversed so far
+
+	// Attempts counts fault-recovery retries: each time the fabric
+	// drops the packet and the source re-injects it, Attempts grows by
+	// one. Zero for packets that never met a fault.
+	Attempts int32
+
+	DLID LID   // destination LID; low bit encodes the adaptivity request
+	SL   uint8 // service level (selects the VL via the SLtoVL table)
+
+	// Adaptive mirrors DLID's low bit for convenience; it is set by
+	// the traffic generator and must agree with the address plan.
+	Adaptive bool
 }
 
 // Credits returns the flow-control credits the packet consumes.
-func (p *Packet) Credits() int { return Credits(p.Size) }
+func (p *Packet) Credits() int { return Credits(int(p.Size)) }
 
 // Latency returns the end-to-end packet latency: generation at the
 // source host to delivery at the destination end node, matching the

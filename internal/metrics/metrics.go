@@ -172,7 +172,7 @@ func (c *Collector) onDelivered(p *ib.Packet) {
 	// Order tracking covers every delivery (not only the window) so
 	// flows spanning the warm-up boundary are judged correctly.
 	if c.numHosts > 0 {
-		di := p.Src*c.numHosts + p.Dst
+		di := int(p.Src)*c.numHosts + int(p.Dst)
 		if last := c.highestSeqDense[di]; last != 0 && p.SeqNo < last-1 {
 			c.OutOfOrder++
 		} else {
@@ -183,7 +183,7 @@ func (c *Collector) onDelivered(p *ib.Packet) {
 		if c.highestSeq == nil {
 			c.highestSeq = make(map[[2]int]uint64)
 		}
-		key := [2]int{p.Src, p.Dst}
+		key := [2]int{int(p.Src), int(p.Dst)}
 		if last, ok := c.highestSeq[key]; ok && p.SeqNo < last {
 			c.OutOfOrder++
 		} else {

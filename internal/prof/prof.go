@@ -88,8 +88,11 @@ func Flags() *Config {
 }
 
 // Start begins the configured profiles and returns the stop function
-// that finalizes them (defer it in main). The heap profile is written
-// at stop time, after a GC, so it reflects live steady-state memory.
+// that finalizes them (defer it in main). The memory profile is
+// written at stop time as the allocs profile: every allocation since
+// the process started, by call site, viewed as alloc_space by
+// default. By then a finished run is unreachable, so the heap
+// profile's default in-use view would be empty.
 func (c *Config) Start() (stop func(), err error) {
 	var cpuF, traceF *os.File
 	cleanup := func() {
@@ -139,8 +142,10 @@ func (c *Config) Start() (stop func(), err error) {
 				return
 			}
 			defer f.Close()
-			runtime.GC() // materialize the steady-state live set
-			if err := pprof.WriteHeapProfile(f); err != nil {
+			// The profile's counts lag by one GC cycle; a cycle now
+			// brings in the allocations since the last one.
+			runtime.GC()
+			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
 				fmt.Fprintln(os.Stderr, "prof:", err)
 			}
 		}

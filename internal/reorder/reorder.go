@@ -97,18 +97,23 @@ func (b *Buffer) Deliver(p *ib.Packet, now sim.Time) []*ib.Packet {
 		b.closeStep()
 	}
 	b.lastAt, b.hasLast = now, true
-	key := flowKey{src: p.Src, dst: p.Dst}
+	key := flowKey{src: int(p.Src), dst: int(p.Dst)}
 	var next uint64
 	di := -1
 	if b.numHosts > 0 {
-		di = p.Src*b.numHosts + p.Dst
+		di = int(p.Src)*b.numHosts + int(p.Dst)
 		next = b.expectedDense[di]
 	} else {
 		next = b.expected[key]
 	}
 	if p.SeqNo != next {
-		// Early: park it. (Late duplicates cannot happen — the fabric
-		// neither drops nor duplicates — so SeqNo > next always.)
+		// Early: park it. SeqNo > next always: the fabric does drop
+		// packets, but a retry re-injects the dropped packet itself,
+		// never a copy, so each SeqNo of a flow arrives at most once
+		// and no late duplicate can follow a release. The flip side:
+		// a packet lost for good (retries off or exhausted) never
+		// arrives, so every later packet of its flow stays parked
+		// until the run ends, inflating CurrentHeld and PeakHeld.
 		if b.held[key] == nil {
 			b.held[key] = make(map[uint64]*ib.Packet)
 		}

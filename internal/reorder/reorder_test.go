@@ -9,7 +9,7 @@ import (
 )
 
 func pkt(id uint64, src, dst int, seq uint64) *ib.Packet {
-	return &ib.Packet{ID: id, Src: src, Dst: dst, SeqNo: seq}
+	return &ib.Packet{ID: id, Src: int32(src), Dst: int32(dst), SeqNo: seq}
 }
 
 func TestInOrderPassesThrough(t *testing.T) {

@@ -100,13 +100,13 @@ func (r *Recorder) Attach(net *fabric.Network) {
 		if prevCreated != nil {
 			prevCreated(p)
 		}
-		r.record(Event{At: p.CreatedAt, Kind: Created, Packet: p.ID, Src: p.Src, Dst: p.Dst})
+		r.record(Event{At: p.CreatedAt, Kind: Created, Packet: p.ID, Src: int(p.Src), Dst: int(p.Dst)})
 	}
 	net.OnDelivered = func(p *ib.Packet) {
 		if prevDelivered != nil {
 			prevDelivered(p)
 		}
-		r.record(Event{At: p.DeliveredAt, Kind: Delivered, Packet: p.ID, Src: p.Src, Dst: p.Dst})
+		r.record(Event{At: p.DeliveredAt, Kind: Delivered, Packet: p.ID, Src: int(p.Src), Dst: int(p.Dst)})
 	}
 	net.OnHop = func(p *ib.Packet, sw int, out ib.PortID, adaptive bool) {
 		if prevHop != nil {
@@ -119,7 +119,7 @@ func (r *Recorder) Attach(net *fabric.Network) {
 		}
 		r.record(Event{
 			At: net.Engine.Now(), Kind: Hop, Packet: p.ID,
-			Src: p.Src, Dst: p.Dst, Switch: sw, Port: out, Adaptive: adaptive,
+			Src: int(p.Src), Dst: int(p.Dst), Switch: sw, Port: out, Adaptive: adaptive,
 		})
 	}
 }

@@ -60,7 +60,7 @@ func TestRecorderCapturesLifecycle(t *testing.T) {
 			hops++
 		}
 	}
-	if hops != pkt.Hops {
+	if hops != int(pkt.Hops) {
 		t.Fatalf("traced %d hops, packet reports %d", hops, pkt.Hops)
 	}
 }

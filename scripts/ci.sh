@@ -23,6 +23,9 @@ echo "==> alloc-regression gates (hot path must not allocate)"
 # also proves they keep the steady-state injection path allocation-free.
 go test -run 'ZeroAllocs' -v ./internal/core/ ./internal/sim/ ./internal/fabric/ ./internal/check/
 
+echo "==> bytes per generated packet (a saturated run keeps every packet; bound its memory slope)"
+go test -count=1 -run 'TestHotSpotBytesPerGeneratedPacket' -v ./internal/experiments/
+
 echo "==> determinism golden"
 go test -run 'TestFigure3Deterministic' -v ./internal/experiments/
 
