@@ -233,10 +233,11 @@ func NewNetwork(topo *topology.Topology, plan *ib.AddressPlan, cfg Config, seed 
 	// generous multiple of that horizon keeps steady-state forwarding
 	// traffic out of the overflow heap, leaving it the exponential
 	// inter-arrival tail. Explicit cfg.EngineOpts apply after the hint
-	// and override it. (A smaller wheel with hop-scale buckets was
-	// tried and loses ~20% on saturated sweeps: wide buckets push the
-	// sort and cursor-bucket insert costs past what the shorter
-	// empty-slot walk saves.)
+	// and override it. At the default MTU the hint gives 4096 buckets
+	// of 8 ns. With buckets sorted in O(n + width), the 64-switch
+	// Figure 3 panel ran within noise of that at 2048 × 16 ns,
+	// 1024 × 32 ns, 4096 × 16 ns and 8192 × 4 ns (EXPERIMENTS.md,
+	// "Counting-sort calendar buckets"), so the hint stays.
 	hopHorizon := ib.RoutingDelay + ib.PropagationDelay + ib.SerializationTime(cfg.MTU)
 	engineOpts := make([]sim.EngineOption, 0, len(cfg.EngineOpts)+1)
 	engineOpts = append(engineOpts, sim.WithSpanHint(16*hopHorizon))

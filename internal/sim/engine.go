@@ -52,9 +52,14 @@ func NewEngine(opts ...EngineOption) *Engine {
 		return &Engine{queue: h}
 	}
 	// Widen buckets until the wheel spans the hinted horizon (capped
-	// well short of Time overflow).
+	// well short of Time overflow); past the 64 ns bucket cap, add
+	// slots instead.
 	for cfg.spanHint > Time(1)<<(cfg.widthBits+cfg.slotBits) && cfg.widthBits+cfg.slotBits < 40 {
-		cfg.widthBits++
+		if cfg.widthBits < maxWidthBits {
+			cfg.widthBits++
+		} else {
+			cfg.slotBits++
+		}
 	}
 	var q *calendarQueue
 	if cfg.arena != nil {

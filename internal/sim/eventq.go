@@ -33,8 +33,8 @@ func (f funcAction) Do() { f() }
 // The (schedAt, seq) tiebreak is packed into one word (see eventKey)
 // so the struct stays at 32 bytes and the comparator at two integer
 // compares: carrying schedAt as a third field measurably slowed the
-// bucket sorts of saturated sequential runs (~20% wall time at 64
-// switches).
+// comparison sort buckets used before the counting sort (~20% wall
+// time at 64 switches).
 type event struct {
 	at  Time
 	key uint64
@@ -75,9 +75,11 @@ func eventLess(a, b event) bool {
 
 // eventQueue is the scheduler contract the engine dispatches through.
 // Implementations must dispatch in exact (at, seq) order — this is a
-// correctness requirement, not an approximation: the determinism
-// goldens hash entire experiment artifacts, so any reordering among
-// equal timestamps or across bucket boundaries is a test failure.
+// correctness requirement, not an approximation: any reordering among
+// equal timestamps or across bucket boundaries fails the queue
+// differentials and the experiment-level TestSchedulerOrderMatrix.
+// (The default-mode determinism goldens alone cannot see a swap of
+// same-timestamp events.)
 //
 // Two implementations exist: calendarQueue (the default, O(1)
 // amortized for the short-horizon event traffic of a saturated

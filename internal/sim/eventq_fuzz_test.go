@@ -6,8 +6,8 @@ import "testing"
 // any push/pop program over any wheel geometry must produce the exact
 // heap dispatch sequence. The seed corpus pins the known-delicate
 // inputs — equal-timestamp FIFO runs, bucket-boundary timestamps,
-// horizon-exact pushes and far-future overflow traffic — and the
-// fuzzer mutates from there. scripts/ci.sh runs a short smoke pass.
+// horizon-exact pushes, far-future overflow traffic and out-of-order
+// bucket fills — and the fuzzer mutates from there. scripts/ci.sh runs a short smoke pass.
 func FuzzEventQueueOrdering(f *testing.F) {
 	// Opcode key (see driveQueues): 0 near, 1 equal-timestamp, 2
 	// bucket boundary, 3 horizon-exact, 4 far future, 5 spread,
@@ -22,6 +22,25 @@ func FuzzEventQueueOrdering(f *testing.F) {
 		f.Add(seed, uint8(6), uint8(0))
 		f.Add(seed, uint8(defaultSlotBits), uint8(defaultWidthBits))
 	}
+	// Out-of-order fills of the bucket after the cursor's, which gets
+	// the counting sort when the cursor enters it. At width 8 ns,
+	// scatter8 lands 32 pushes on all 8 offsets of [8, 16), four each,
+	// so equal timestamps must keep their push order. scatter64 pushes
+	// 40 distinct timestamps and 8 repeats into [64, 128): one bucket
+	// at width 64 ns, eight at width 8 ns.
+	scatter8 := []byte{0, 0}
+	for k := 0; k < 32; k++ {
+		scatter8 = append(scatter8, 0, byte(8+k*5%8))
+	}
+	scatter64 := []byte{0, 0}
+	for k := 0; k < 48; k++ {
+		scatter64 = append(scatter64, 0, byte(64+k%40*23%64))
+	}
+	scatter8 = append(scatter8, 7, 255)
+	scatter64 = append(scatter64, 7, 255)
+	f.Add(scatter8, uint8(3), uint8(3))
+	f.Add(scatter64, uint8(3), uint8(3))
+	f.Add(scatter64, uint8(3), uint8(6))
 	f.Fuzz(func(t *testing.T, program []byte, slotBits, widthBits uint8) {
 		sb := uint(slotBits%10) + 1 // 2..1024 buckets
 		wb := uint(widthBits % 7)   // width 1..64 ns

@@ -74,8 +74,12 @@ func WithSpanHint(d Time) EngineOption {
 // 1<<widthBits ns each, clearing any span hint accumulated so far.
 // Tiny wheels wrap and overflow constantly — exactly what the
 // scheduler differential tests want to stress; production
-// callers should prefer WithSpanHint.
+// callers should prefer WithSpanHint. Buckets are at most 64 ns wide:
+// widthBits above 6 panics.
 func WithWheelGeometry(slotBits, widthBits uint) EngineOption {
+	if widthBits > maxWidthBits {
+		panic(fmt.Sprintf("sim: wheel bucket width 2^%d ns exceeds the 2^%d ns cap", widthBits, maxWidthBits))
+	}
 	return func(c *engineConfig) {
 		c.slotBits, c.widthBits = slotBits, widthBits
 		c.spanHint = 0

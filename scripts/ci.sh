@@ -68,8 +68,12 @@ go test -race -count=1 \
 go test -count=1 -run 'TestMetamorphicLMCInvarianceFamilies' -v ./internal/check/
 go test -count=1 -run 'TestFamilyReportGolden|TestFamilyDotOutput' -v ./cmd/ibtopo/
 
-echo "==> scheduler equivalence (calendar vs heap differential)"
-go test -run 'TestEventQueueDifferential|TestEngineSchedulersEquivalent' -v ./internal/sim/
+echo "==> scheduler equivalence (calendar vs heap differential, counting sort vs full-key sort, order-sensitive experiment matrix)"
+# Default-mode goldens cannot see the dispatch order among events that
+# share a timestamp; the experiment matrix runs the selection modes
+# whose RNG draws follow it, calendar vs heap and wake vs scan.
+go test -run 'TestEventQueueDifferential|TestEngineSchedulersEquivalent|TestSortBucketMatchesFullKeySort' -v ./internal/sim/
+go test -race -count=1 -run 'TestSchedulerOrderMatrix' -v ./internal/experiments/
 
 echo "==> event-queue fuzz smoke"
 go test -run '^$' -fuzz 'FuzzEventQueueOrdering' -fuzztime 10s ./internal/sim/
