@@ -127,8 +127,8 @@ func (sw *Switch) AuditHopView(out ib.PortID, sl int) (now sim.Time, credits int
 	if o == nil {
 		return 0, 0, false, false
 	}
-	vl, err := sw.sl2vl.VL(0, int(out), sl)
-	if err != nil {
+	vl, ok := sw.vlOf.VL(sl)
+	if !ok {
 		return 0, 0, false, false
 	}
 	return sw.net.Engine.Now(), o.credits[vl], o.peerHost != nil, true

@@ -258,13 +258,13 @@ func NewNetwork(topo *topology.Topology, plan *ib.AddressPlan, cfg Config, seed 
 		}
 		detOnly[s] = true
 	}
+	vlOf, err := ib.DefaultSLtoVL(cfg.NumVLs)
+	if err != nil {
+		return nil, err
+	}
 	numPorts := topo.SwitchPorts
 	for s := 0; s < topo.NumSwitches; s++ {
 		table, err := core.NewAdaptiveTable(plan.MaxLID(), plan.LMC)
-		if err != nil {
-			return nil, err
-		}
-		sl2vl, err := ib.NewSLtoVLTable(numPorts, ib.MaxVLs, cfg.NumVLs)
 		if err != nil {
 			return nil, err
 		}
@@ -273,7 +273,7 @@ func NewNetwork(topo *topology.Topology, plan *ib.AddressPlan, cfg Config, seed 
 			id:       s,
 			enhanced: cfg.AdaptiveSwitches && !detOnly[s],
 			table:    table,
-			sl2vl:    sl2vl,
+			vlOf:     vlOf,
 			in:       make([]*inPort, numPorts),
 			out:      make([]*outPort, numPorts),
 		})

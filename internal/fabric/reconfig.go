@@ -17,7 +17,8 @@ func errSwitchRange(s, n int) error {
 // normally (planned removal semantics: the cable is unplugged after
 // the current packet drains). The forwarding tables still reference
 // the dead ports until the subnet manager reconfigures the network —
-// call subnet.Reconfigure (or ReconfigureStaged) afterwards.
+// call subnet.ReconfigureStaged afterwards (zero delays model a
+// planned, instantaneous reconfiguration).
 //
 // Failing an already-failed link is an idempotent no-op.
 func (n *Network) SetLinkDown(a, b int) error {
@@ -218,8 +219,6 @@ func (sw *Switch) Reroute() (dropped int) {
 					}
 					slab.escape[id] = p
 				}
-				// The escape option may have moved: refresh its cached VL.
-				slab.escVL[id] = int8(sw.outVL(int(slab.sl[id]), slab.escape[id]))
 				i++
 			}
 		}

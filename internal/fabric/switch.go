@@ -34,7 +34,6 @@ type Switch struct {
 	escapeOnly bool
 
 	table *core.AdaptiveTable
-	sl2vl *ib.SLtoVLTable
 
 	in  []*inPort  // indexed by port; nil when the port is unwired
 	out []*outPort // indexed by port; nil when the port is unwired
@@ -61,11 +60,10 @@ type Switch struct {
 	// on every hop.
 	arbFn func()
 
-	// vlOf flattens the SL-to-VL table into one [out*MaxVLs + sl]
-	// lookup. The table is programmed at construction and never
-	// reprogrammed, so finishWiring snapshots it and the per-hop outVL
-	// call skips the table's range-checked error path.
-	vlOf []int8
+	// vlOf maps a service level to the data VL it travels on, sl %
+	// NumVLs on every output link. NewNetwork fills it once, so the
+	// per-hop outVL call is one table load.
+	vlOf ib.SLtoVL
 
 	// candScratch is reused across adaptiveCandidates calls. The slice
 	// is consumed synchronously by the selector before the next call,
@@ -177,16 +175,6 @@ func (sw *Switch) kick() {
 // network's entry slab.
 func (sw *Switch) finishWiring() {
 	sw.points = sw.buildServicePoints()
-	sw.vlOf = make([]int8, len(sw.out)*ib.MaxVLs)
-	for p := range sw.out {
-		for sl := 0; sl < ib.MaxVLs; sl++ {
-			vl, err := sw.sl2vl.VL(0, p, sl)
-			if err != nil {
-				panic(fmt.Sprintf("fabric: switch %d: %v", sw.id, err))
-			}
-			sw.vlOf[p*ib.MaxVLs+sl] = int8(vl)
-		}
-	}
 	sw.arbFn = func() {
 		sw.arbPending = false
 		if prof.HotPhasesEnabled() {
@@ -258,10 +246,10 @@ func (sw *Switch) receive(port ib.PortID, vl int, pkt *ib.Packet) {
 		}
 		slab.escape[id] = p
 	}
-	// The SLtoVL mapping of the escape option never changes while the
-	// entry is buffered (Reroute recomputes it with the table), so
-	// resolve it once here instead of on every escape probe.
-	slab.escVL[id] = int8(sw.outVL(int(slab.sl[id]), slab.escape[id]))
+	// The escape option's VL never changes while the entry is
+	// buffered, so resolve it once here instead of on every escape
+	// probe.
+	slab.escVL[id] = int8(sw.outVL(int(slab.sl[id])))
 	sw.in[port].vls[vl].push(id)
 	sw.occupancy++
 	if sw.net.wake {
@@ -330,7 +318,7 @@ func (sw *Switch) adaptiveCandidates(id int32, now sim.Time) []core.Candidate {
 		o := sw.out[p]
 		c := core.Candidate{Port: p}
 		if o != nil {
-			vl := sw.outVL(sl, p)
+			vl := sw.outVL(sl)
 			avail := o.credits[vl]
 			if o.peerHost != nil {
 				// Delivery port: the CA drains at line rate and has no
@@ -364,7 +352,7 @@ func (sw *Switch) bestAdaptive(id int32, now sim.Time) (ib.PortID, bool) {
 		if o == nil || !o.free(now) {
 			continue
 		}
-		avail := o.credits[sw.outVL(sl, p)]
+		avail := o.credits[sw.outVL(sl)]
 		var credits int
 		var eligible bool
 		if o.peerHost != nil {
@@ -395,7 +383,7 @@ func (sw *Switch) adaptiveRoom(avail, pktCredits int) bool {
 // escapeUsable reports whether the escape option of an entry can fire
 // now: link free and the next VL has room for the whole packet. The
 // escape VL was resolved once at arrival (slab.escVL), so the probe
-// skips the SLtoVL multiply-and-index.
+// skips the vlOf lookup.
 func (sw *Switch) escapeUsable(id int32, now sim.Time) bool {
 	slab := &sw.net.slab
 	o := sw.out[slab.escape[id]]
@@ -405,13 +393,10 @@ func (sw *Switch) escapeUsable(id int32, now sim.Time) bool {
 	return sw.net.Cfg.Split.CanUseEscape(o.credits[slab.escVL[id]], int(slab.credits[id]))
 }
 
-// outVL computes the VL a packet with service level sl will use on the
-// chosen output link via the SLtoVL table. The input port is not
-// tracked per entry because the default mapping ignores it; using
-// port 0 keeps the lookup well-formed. (Entries could carry their
-// input port if a QoS-style SLtoVL configuration ever needs it.)
-func (sw *Switch) outVL(sl int, out ib.PortID) int {
-	return int(sw.vlOf[int(out)*ib.MaxVLs+sl])
+// outVL returns the VL a packet with service level sl uses on any
+// output link.
+func (sw *Switch) outVL(sl int) int {
+	return int(sw.vlOf[sl])
 }
 
 // servicePoint identifies one crossbar connection of an input buffer.
@@ -521,7 +506,7 @@ func (sw *Switch) chooseOutput(id int32, now sim.Time) (out ib.PortID, asAdaptiv
 		if o == nil || !o.free(now) {
 			return 0, false, false
 		}
-		vl := sw.outVL(int(slab.sl[id]), chosen)
+		vl := sw.outVL(int(slab.sl[id]))
 		avail := o.credits[vl]
 		pktCredits := int(slab.credits[id])
 		usable := sw.net.Cfg.Split.CanUseEscape(avail, pktCredits)
@@ -585,7 +570,7 @@ func (sw *Switch) transmit(buf *vlBuffer, idx int, sp servicePoint, out ib.PortI
 	sw.occupancy--
 	pkt := slab.pkt[id]
 	o := sw.out[out]
-	vl := sw.outVL(int(slab.sl[id]), out)
+	vl := sw.outVL(int(slab.sl[id]))
 	ser := ib.SerializationTime(int(pkt.Size))
 	credits := int(slab.credits[id])
 

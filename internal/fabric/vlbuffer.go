@@ -58,9 +58,8 @@ type entrySlab struct {
 	sl      []int32
 	flags   []uint8
 
-	// escVL caches the SLtoVL-resolved VL of the entry's escape
-	// option, set at arrival (and refreshed by Reroute) so the escape
-	// probes skip the vlOf multiply-and-index.
+	// escVL caches the VL of the entry's escape option, set at
+	// arrival so the escape probes skip the vlOf lookup.
 	escVL []int8
 
 	free []int32

@@ -414,7 +414,7 @@ func (sw *Switch) parkBlocked(j int, id int32, now sim.Time) {
 			sw.parkOnLink(j, chosen)
 			return
 		}
-		sw.parkOnCredits(j, chosen, sw.outVL(int(slab.sl[id]), chosen), nvl)
+		sw.parkOnCredits(j, chosen, sw.outVL(int(slab.sl[id])), nvl)
 		return
 	}
 	if slab.flags[id]&entryPktAdaptive != 0 && len(slab.adaptive[id]) > 0 && sw.enhanced && !sw.escapeOnly {
@@ -427,7 +427,7 @@ func (sw *Switch) parkBlocked(j int, id int32, now sim.Time) {
 			if !o.free(now) {
 				sw.parkOnLink(j, p)
 			} else {
-				sw.parkOnCredits(j, p, sw.outVL(sl, p), nvl)
+				sw.parkOnCredits(j, p, sw.outVL(sl), nvl)
 			}
 		}
 	}

@@ -172,58 +172,33 @@ func TestLinearForwardingTable(t *testing.T) {
 }
 
 func TestSLtoVLDefaultMapping(t *testing.T) {
-	tab, err := NewSLtoVLTable(8, 16, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for sl := 0; sl < 16; sl++ {
-		vl, err := tab.VL(0, 1, sl)
+	for _, nvl := range []int{1, 2, 4, MaxVLs} {
+		m, err := DefaultSLtoVL(nvl)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if vl != sl%4 {
-			t.Fatalf("VL(0,1,%d) = %d, want %d", sl, vl, sl%4)
+		for sl := 0; sl < MaxVLs; sl++ {
+			if vl, ok := m.VL(sl); !ok || vl != sl%nvl {
+				t.Fatalf("%d VLs: VL(%d) = (%d, %v), want (%d, true)", nvl, sl, vl, ok, sl%nvl)
+			}
 		}
-	}
-}
-
-func TestSLtoVLSetOverride(t *testing.T) {
-	tab, err := NewSLtoVLTable(4, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tab.Set(1, 2, 3, 1); err != nil {
-		t.Fatal(err)
-	}
-	vl, err := tab.VL(1, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vl != 1 {
-		t.Fatalf("override VL = %d, want 1", vl)
-	}
-	// Other entries untouched.
-	if vl, _ := tab.VL(2, 1, 3); vl != 3%2 {
-		t.Fatalf("unrelated entry changed to %d", vl)
 	}
 }
 
 func TestSLtoVLRejectsBadShapesAndLookups(t *testing.T) {
-	if _, err := NewSLtoVLTable(0, 1, 1); err == nil {
-		t.Fatal("zero ports accepted")
+	for _, nvl := range []int{-1, 0, MaxVLs + 1} {
+		if _, err := DefaultSLtoVL(nvl); err == nil {
+			t.Fatalf("%d VLs accepted", nvl)
+		}
 	}
-	if _, err := NewSLtoVLTable(4, 4, MaxVLs+1); err == nil {
-		t.Fatal("17 VLs accepted")
-	}
-	tab, err := NewSLtoVLTable(4, 4, 2)
+	m, err := DefaultSLtoVL(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tab.VL(4, 0, 0); err == nil {
-		t.Fatal("out-of-range input port accepted")
-	}
-	if err := tab.Set(0, 0, 0, MaxVLs); err == nil {
-		t.Fatal("VL 16 accepted")
+	for _, sl := range []int{-1, MaxVLs} {
+		if _, ok := m.VL(sl); ok {
+			t.Fatalf("SL %d accepted", sl)
+		}
 	}
 }
 

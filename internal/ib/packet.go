@@ -40,7 +40,7 @@ type Packet struct {
 	Attempts int32
 
 	DLID LID   // destination LID; low bit encodes the adaptivity request
-	SL   uint8 // service level (selects the VL via the SLtoVL table)
+	SL   uint8 // service level; the packet travels on VL SL % NumVLs
 
 	// Adaptive mirrors DLID's low bit for convenience; it is set by
 	// the traffic generator and must agree with the address plan.

@@ -17,10 +17,6 @@ import "ibasim/internal/topology"
 //     deadlock-free, no matter how cyclic the adaptive options are.
 //   - Adaptive() supplies the minimal adaptive option sets programmed
 //     into the remaining LID slots.
-//   - SL(src, dst) is the service level packets between the two hosts
-//     travel at. Every current family returns 0 (the whole fabric runs
-//     on one data VL); the seam exists so VL-partitioned schemes can
-//     plug in without touching the subnet manager.
 //   - MinimalEscape() reports whether the family guarantees its escape
 //     paths are minimal (fat-tree D-mod-K: yes; up*/down* and
 //     mesh-restricted torus DOR: no). The conformance suite keys the
@@ -32,7 +28,6 @@ type Engine interface {
 	Name() string
 	Deterministic() *Deterministic
 	Adaptive() *FA
-	SL(src, dst int) int
 	MinimalEscape() bool
 	Verify() error
 }
@@ -54,12 +49,11 @@ type engine struct {
 	minimal bool
 }
 
-func (e *engine) Name() string                 { return e.name }
+func (e *engine) Name() string                  { return e.name }
 func (e *engine) Deterministic() *Deterministic { return e.det }
-func (e *engine) Adaptive() *FA                { return e.fa }
-func (e *engine) SL(src, dst int) int          { return 0 }
-func (e *engine) MinimalEscape() bool          { return e.minimal }
-func (e *engine) Verify() error                { return VerifyDeadlockFree(e.det) }
+func (e *engine) Adaptive() *FA                 { return e.fa }
+func (e *engine) MinimalEscape() bool           { return e.minimal }
+func (e *engine) Verify() error                 { return VerifyDeadlockFree(e.det) }
 
 // UpDownBuilder returns the up*/down* family builder — the escape
 // routing of the paper's irregular-network evaluation. root >= 0 forces

@@ -64,53 +64,42 @@ func DefaultOptions() Options { return Options{MaxRoutingOptions: 2, Root: -1} }
 // When the network's switches are plain deterministic (the baseline),
 // every slot of a block stores the escape port, exactly what §4.2
 // prescribes for mixing deterministic-only switches into the subnet.
+// ReconfigureStaged writes the tables through the same layout and
+// writer, on the surviving topology.
 func Configure(net *fabric.Network, opts Options) (*routing.FA, error) {
-	eng, err := buildEngine(net.Topo, opts)
+	l, err := newLayout(net, net.Topo, opts)
 	if err != nil {
 		return nil, err
 	}
-	fa := eng.Adaptive()
-
-	if opts.SourceMultipath > 1 {
-		ud := eng.Deterministic().UD
-		if ud == nil {
-			return nil, fmt.Errorf("subnet: source multipath needs up*/down* variants, not the %s engine", eng.Name())
-		}
-		if err := configureMultipath(net, ud, opts.SourceMultipath); err != nil {
+	for s := range net.Switches {
+		if err := l.write(net, s); err != nil {
 			return nil, err
 		}
-		return fa, nil
 	}
-
-	block := net.Plan.RangeSize()
-	mr := opts.MaxRoutingOptions
-	if mr <= 0 {
-		mr = block
-	}
-	if mr > block {
-		return nil, fmt.Errorf("subnet: MR %d exceeds LID range size %d (raise LMC)", mr, block)
-	}
-
-	for s, sw := range net.Switches {
-		for dst := 0; dst < net.Topo.NumHosts(); dst++ {
-			escape, adaptive, err := routeEntries(net, fa, s, dst, mr)
-			if err != nil {
-				return nil, err
-			}
-			base := net.Plan.BaseLID(dst)
-			if err := program(sw.Table(), base, block, escape, adaptive, sw.Enhanced()); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return fa, nil
+	return l.fa, nil
 }
 
-// buildEngine constructs and verifies the routing engine for one
-// topology per the options: the configured family builder, or the
-// up*/down* default. Verification (escape-CDG acyclicity) always runs
-// before any table is written.
-func buildEngine(topo *topology.Topology, opts Options) (routing.Engine, error) {
+// layout is the routing one subnet sweep programs: the verified
+// engine's FA function for one topology and the shape of every
+// destination's LID block. Configure and ReconfigureStaged both build
+// one and write every switch's table from it.
+type layout struct {
+	fa    *routing.FA
+	block int // LID range size, 2^LMC
+	mr    int // routing options per block in the FA layout
+
+	// paths holds the source-multipath variants: slot off of every
+	// block stores variant off%len(paths)'s next hop. nil selects the
+	// FA layout.
+	paths []*routing.Deterministic
+}
+
+// newLayout builds and verifies the routing engine on topo — the
+// pristine topology at initialization, the surviving one after a
+// sweep — and checks that the result fits the network's LID blocks.
+// Every error a bad configuration can cause surfaces here, before any
+// table is written.
+func newLayout(net *fabric.Network, topo *topology.Topology, opts Options) (*layout, error) {
 	build := opts.Engine
 	if build == nil {
 		build = routing.UpDownBuilder(opts.Root)
@@ -122,52 +111,78 @@ func buildEngine(topo *topology.Topology, opts Options) (routing.Engine, error) 
 	if err := eng.Verify(); err != nil {
 		return nil, err
 	}
-	return eng, nil
+	l := &layout{fa: eng.Adaptive(), block: net.Plan.RangeSize()}
+
+	if k := opts.SourceMultipath; k > 1 {
+		// k alternative deterministic up*/down* routings (tie-break
+		// variants on one link orientation). All conform to the same
+		// up*/down* relation, so their mixture is deadlock-free;
+		// VerifyDeadlockFreeAll re-checks the union CDG mechanically.
+		ud := eng.Deterministic().UD
+		if ud == nil {
+			return nil, fmt.Errorf("subnet: source multipath needs up*/down* variants, not the %s engine", eng.Name())
+		}
+		if k > l.block {
+			return nil, fmt.Errorf("subnet: %d source paths exceed LID range size %d (raise LMC)", k, l.block)
+		}
+		if net.Cfg.SourceMultipath != k {
+			return nil, fmt.Errorf("subnet: network configured for %d source paths, manager for %d",
+				net.Cfg.SourceMultipath, k)
+		}
+		l.paths = make([]*routing.Deterministic, k)
+		for v := range l.paths {
+			l.paths[v] = ud.TablesVariant(v)
+			if err := l.paths[v].Validate(); err != nil {
+				return nil, fmt.Errorf("subnet: variant %d: %w", v, err)
+			}
+		}
+		if err := routing.VerifyDeadlockFreeAll(l.paths); err != nil {
+			return nil, err
+		}
+		return l, nil
+	}
+
+	l.mr = opts.MaxRoutingOptions
+	if l.mr <= 0 {
+		l.mr = l.block
+	}
+	if l.mr > l.block {
+		return nil, fmt.Errorf("subnet: MR %d exceeds LID range size %d (raise LMC)", l.mr, l.block)
+	}
+	return l, nil
 }
 
-// configureMultipath programs k alternative deterministic up*/down*
-// routings (tie-break variants on one link orientation) into the first
-// k slots of every destination block and cycle-fills the rest. All
-// variants conform to the same up*/down* relation, so their mixture is
-// deadlock-free; VerifyDeadlockFreeAll re-checks the union CDG
-// mechanically before any table is written.
-func configureMultipath(net *fabric.Network, ud *routing.UpDown, k int) error {
-	block := net.Plan.RangeSize()
-	if k > block {
-		return fmt.Errorf("subnet: %d source paths exceed LID range size %d (raise LMC)", k, block)
-	}
-	if net.Cfg.SourceMultipath != k {
-		return fmt.Errorf("subnet: network configured for %d source paths, manager for %d",
-			net.Cfg.SourceMultipath, k)
-	}
-	variants := make([]*routing.Deterministic, k)
-	for v := range variants {
-		variants[v] = ud.TablesVariant(v)
-		if err := variants[v].Validate(); err != nil {
-			return fmt.Errorf("subnet: variant %d: %w", v, err)
-		}
-	}
-	if err := routing.VerifyDeadlockFreeAll(variants); err != nil {
-		return err
-	}
-	for s, sw := range net.Switches {
-		for dst := 0; dst < net.Topo.NumHosts(); dst++ {
+// write programs switch s's forwarding table from the layout, one LID
+// block per destination host. Hops are resolved to ports through the
+// network's wiring, which a reconfiguration never renumbers.
+func (l *layout) write(net *fabric.Network, s int) error {
+	sw := net.Switches[s]
+	tab := sw.Table()
+	for dst := 0; dst < net.Topo.NumHosts(); dst++ {
+		base := net.Plan.BaseLID(dst)
+		if l.paths != nil {
 			d := net.Topo.HostSwitch(dst)
-			base := net.Plan.BaseLID(dst)
-			for off := 0; off < block; off++ {
+			for off := 0; off < l.block; off++ {
 				port := net.HostPort(dst)
 				if d != s {
-					hop := variants[off%k].NextHop[s][d]
-					p, err := net.PortToNeighbor(s, hop)
+					p, err := net.PortToNeighbor(s, l.paths[off%len(l.paths)].NextHop[s][d])
 					if err != nil {
 						return err
 					}
 					port = p
 				}
-				if err := sw.Table().Set(base+ib.LID(off), port); err != nil {
+				if err := tab.Set(base+ib.LID(off), port); err != nil {
 					return err
 				}
 			}
+			continue
+		}
+		escape, adaptive, err := routeEntries(net, l.fa, s, dst, l.mr)
+		if err != nil {
+			return err
+		}
+		if err := program(tab, base, l.block, escape, adaptive, sw.Enhanced()); err != nil {
+			return err
 		}
 	}
 	return nil

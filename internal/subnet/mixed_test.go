@@ -131,3 +131,42 @@ func TestDeterministicOnlyOutOfRangeRejected(t *testing.T) {
 		t.Fatal("out-of-range DeterministicOnly accepted")
 	}
 }
+
+// TestMixedReconfigurationKeepsFence: a reconfiguration writes the
+// tables through the same §4.2 fence Configure does. No enhanced switch
+// may hold an adaptive slot (one that differs from its block's escape
+// slot) leading into a stock switch other than the destination's.
+func TestMixedReconfigurationKeepsFence(t *testing.T) {
+	for seed := uint64(1); seed <= 5; seed++ {
+		net := mixedNet(t, 16, seed)
+		if _, err := Configure(net, DefaultOptions()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := reconfigure(t, net, DefaultOptions(), net.Topo.Links[0]); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		breaches := 0
+		for s, sw := range net.Switches {
+			if !sw.Enhanced() {
+				continue
+			}
+			for dst := 0; dst < net.Topo.NumHosts(); dst++ {
+				d := net.Topo.HostSwitch(dst)
+				base := net.Plan.BaseLID(dst)
+				escape := sw.Table().Get(base)
+				for off := 1; off < net.Plan.RangeSize(); off++ {
+					p := sw.Table().Get(base + ib.LID(off))
+					if p == escape {
+						continue
+					}
+					if hop, ok := net.NeighborAt(s, p); ok && hop != d && !net.Switches[hop].Enhanced() {
+						breaches++
+					}
+				}
+			}
+		}
+		if breaches > 0 {
+			t.Errorf("seed %d: %d adaptive slots lead into a stock switch after reconfiguration", seed, breaches)
+		}
+	}
+}

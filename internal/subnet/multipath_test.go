@@ -124,3 +124,58 @@ func TestMultipathOverloadDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMultipathSurvivesReconfiguration: a reconfiguration re-programs
+// the source-multipath layout, not the FA one, so every destination
+// block keeps its alternative paths and traffic still drains.
+func TestMultipathSurvivesReconfiguration(t *testing.T) {
+	net := buildMultipathNet(t, 16, 4, 1, 2, 4)
+	opts := Options{Root: -1, SourceMultipath: 4}
+	if _, err := Configure(net, opts); err != nil {
+		t.Fatal(err)
+	}
+	multiPort := func() int {
+		n := 0
+		for _, sw := range net.Switches {
+			for dst := 0; dst < net.Topo.NumHosts(); dst++ {
+				base := net.Plan.BaseLID(dst)
+				for off := 1; off < net.Plan.RangeSize(); off++ {
+					if sw.Table().Get(base+ib.LID(off)) != sw.Table().Get(base) {
+						n++
+						break
+					}
+				}
+			}
+		}
+		return n
+	}
+	if got := multiPort(); got != 160 {
+		t.Fatalf("%d multi-port blocks after Configure, want 160", got)
+	}
+	if _, err := reconfigure(t, net, opts, net.Topo.Links[0]); err != nil {
+		t.Fatal(err)
+	}
+	if got := multiPort(); got != 160 {
+		t.Fatalf("%d multi-port blocks after reconfiguration, want 160", got)
+	}
+	rng := sim.NewRNG(3)
+	hosts := net.Topo.NumHosts()
+	delivered := 0
+	net.OnDelivered = func(_ *ib.Packet) { delivered++ }
+	for i := 0; i < 3000; i++ {
+		src, dst := rng.Intn(hosts), rng.Intn(hosts)
+		if src == dst {
+			dst = (dst + 1) % hosts
+		}
+		net.Hosts[src].Inject(net.NewPacket(src, dst, 32, false))
+	}
+	if err := net.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if delivered != 3000 {
+		t.Fatalf("delivered %d, want 3000", delivered)
+	}
+	if err := net.CreditsIntact(); err != nil {
+		t.Fatal(err)
+	}
+}

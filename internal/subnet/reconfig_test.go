@@ -3,10 +3,24 @@ package subnet
 import (
 	"testing"
 
+	"ibasim/internal/fabric"
 	"ibasim/internal/ib"
 	"ibasim/internal/sim"
 	"ibasim/internal/topology"
 )
+
+// reconfigure runs a planned reconfiguration: ReconfigureStaged with
+// zero delays, then the engine up to the instant the last switch is
+// reprogrammed.
+func reconfigure(t *testing.T, net *fabric.Network, opts Options, failed ...topology.Link) (*Staged, error) {
+	t.Helper()
+	st, err := ReconfigureStaged(net, opts, StagedOptions{}, failed...)
+	if err != nil {
+		return nil, err
+	}
+	net.Engine.Run(st.DoneAt)
+	return st, nil
+}
 
 func TestReconfigureAvoidsFailedLink(t *testing.T) {
 	net := buildNet(t, 16, 4, 1, 1, true)
@@ -14,7 +28,7 @@ func TestReconfigureAvoidsFailedLink(t *testing.T) {
 		t.Fatal(err)
 	}
 	failed := net.Topo.Links[0]
-	if _, err := Reconfigure(net, DefaultOptions(), failed); err != nil {
+	if _, err := reconfigure(t, net, DefaultOptions(), failed); err != nil {
 		t.Fatal(err)
 	}
 	if !net.LinkIsDown(failed.A, failed.B) {
@@ -52,7 +66,7 @@ func TestReconfigureRejectsDisconnection(t *testing.T) {
 	if _, err := Configure(net, DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Reconfigure(net, DefaultOptions(), topo.Links[1]); err == nil {
+	if _, err := reconfigure(t, net, DefaultOptions(), topo.Links[1]); err == nil {
 		t.Fatal("disconnecting failure accepted")
 	}
 }
@@ -83,7 +97,7 @@ func TestTrafficSurvivesReconfiguration(t *testing.T) {
 
 	// Fail one link and reconfigure immediately.
 	failed := net.Topo.Links[2]
-	if _, err := Reconfigure(net, DefaultOptions(), failed); err != nil {
+	if _, err := reconfigure(t, net, DefaultOptions(), failed); err != nil {
 		t.Fatal(err)
 	}
 
@@ -108,7 +122,7 @@ func TestReconfigureMultipleFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 	fails := []topology.Link{net.Topo.Links[0], net.Topo.Links[10], net.Topo.Links[20]}
-	if _, err := Reconfigure(net, DefaultOptions(), fails...); err != nil {
+	if _, err := reconfigure(t, net, DefaultOptions(), fails...); err != nil {
 		t.Fatal(err)
 	}
 	rng := sim.NewRNG(13)
@@ -133,7 +147,7 @@ func TestReconfigureMultipleFailures(t *testing.T) {
 // TestReconfigureInvalidatesLookupCache guards the AdaptiveTable block
 // cache against stale decodes: a Lookup performed before the subnet
 // manager reprograms a switch must not pin the superseded option set.
-// After Reconfigure, fresh lookups have to agree with the linear
+// After the reconfiguration, fresh lookups have to agree with the linear
 // (subnet-manager) view of the reprogrammed table and must not offer
 // any dead port.
 func TestReconfigureInvalidatesLookupCache(t *testing.T) {
@@ -155,7 +169,7 @@ func TestReconfigureInvalidatesLookupCache(t *testing.T) {
 	warm()
 
 	failed := net.Topo.Links[0]
-	if _, err := Reconfigure(net, DefaultOptions(), failed); err != nil {
+	if _, err := reconfigure(t, net, DefaultOptions(), failed); err != nil {
 		t.Fatal(err)
 	}
 	deadPort := func(s int) (ib.PortID, bool) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ibasim/internal/fabric"
-	"ibasim/internal/ib"
 	"ibasim/internal/routing"
 	"ibasim/internal/sim"
 	"ibasim/internal/topology"
@@ -49,31 +48,31 @@ type Staged struct {
 	StartAt, DoneAt sim.Time
 }
 
-// blockProgram is one destination's precomputed table block for one
-// switch.
-type blockProgram struct {
-	base     ib.LID
-	escape   ib.PortID
-	adaptive []ib.PortID
-}
-
-// ReconfigureStaged reacts to failed cables the way subnet.Reconfigure
-// does, but spread over simulated time instead of atomically: the
-// failure set (the given links plus every link already down, as a real
-// sweep would discover) is routed around, and the new tables are
-// installed one switch at a time on the network's event clock.
+// ReconfigureStaged reacts to failed cables the way an IBA subnet
+// manager does after a sweep discovers a topology change: it routes
+// around the failure set (the given links plus every link already
+// down, as a real sweep would discover), reprograms every forwarding
+// table through the same layout Configure writes (port numbering is
+// unchanged — ports are physical), and re-routes packets already
+// buffered in switches so none keeps waiting on a dead port. The
+// failed links must leave the switch graph connected.
 //
-// From the sweep's start until a given switch is reprogrammed, that
-// switch forwards on its escape (up*/down*) option only — its adaptive
-// options were computed against the dead topology and are not trusted.
-// Escape paths stale-referencing a failed link leave packets parked on
-// the dead port until that switch's reprogram+reroute; packets whose
-// DLID the new tables cannot route are dropped and counted (the
-// host-side retry policy, fabric.Config.Retry, re-injects them).
+// The new tables are installed one switch at a time on the network's
+// event clock. From the sweep's start until a given switch is
+// reprogrammed, that switch forwards on its escape (up*/down*) option
+// only — its adaptive options were computed against the dead topology
+// and are not trusted. Escape paths stale-referencing a failed link
+// leave packets parked on the dead port until that switch's
+// reprogram+reroute; packets whose DLID the new tables cannot route
+// are dropped and counted (the host-side retry policy,
+// fabric.Config.Retry, re-injects them). Zero delays model a planned
+// reconfiguration: every switch is reprogrammed at the calling
+// instant, before any packet moves.
 //
 // The call itself only validates, computes routes and schedules the
 // sweep; the returned Staged reports when programming starts and
-// completes. Duplicate links in failed are tolerated.
+// completes. Duplicate links in failed are tolerated, and re-failing a
+// dead link is a no-op.
 func ReconfigureStaged(net *fabric.Network, opts Options, st StagedOptions, failed ...topology.Link) (*Staged, error) {
 	if st.SweepDelay < 0 || st.PerSwitchDelay < 0 {
 		return nil, fmt.Errorf("subnet: negative staged-reconfig delay %+v", st)
@@ -86,44 +85,18 @@ func ReconfigureStaged(net *fabric.Network, opts Options, st StagedOptions, fail
 	// A sweep discovers every dead cable, not only the ones this call
 	// names — including links downed by earlier faults or whole-switch
 	// failures.
-	down := net.DownLinks()
-	reduced := net.Topo.Without(down...)
-	if !reduced.Connected() {
+	surviving := net.Topo.Without(net.DownLinks()...)
+	if !surviving.Connected() {
 		return nil, fmt.Errorf("subnet: failures disconnect the network")
 	}
-
-	eng, err := buildEngine(reduced, opts)
+	l, err := newLayout(net, surviving, opts)
 	if err != nil {
 		return nil, err
-	}
-	fa := eng.Adaptive()
-
-	block := net.Plan.RangeSize()
-	mr := opts.MaxRoutingOptions
-	if mr <= 0 {
-		mr = block
-	}
-	if mr > block {
-		return nil, fmt.Errorf("subnet: MR %d exceeds LID range size %d", mr, block)
-	}
-	// Compute every switch's new table now (the SM's route computation);
-	// the scheduled events only install the results.
-	programs := make([][]blockProgram, len(net.Switches))
-	for s := range net.Switches {
-		progs := make([]blockProgram, 0, net.Topo.NumHosts())
-		for dst := 0; dst < net.Topo.NumHosts(); dst++ {
-			escape, adaptive, err := reducedRouteEntries(net, reduced, fa, s, dst, mr)
-			if err != nil {
-				return nil, err
-			}
-			progs = append(progs, blockProgram{base: net.Plan.BaseLID(dst), escape: escape, adaptive: adaptive})
-		}
-		programs[s] = progs
 	}
 
 	now := net.Engine.Now()
 	staged := &Staged{
-		FA:      fa,
+		FA:      l.fa,
 		StartAt: now + st.SweepDelay,
 		DoneAt:  now + st.SweepDelay + sim.Time(len(net.Switches))*st.PerSwitchDelay,
 	}
@@ -137,16 +110,13 @@ func ReconfigureStaged(net *fabric.Network, opts Options, st StagedOptions, fail
 	})
 	droppedTotal := 0
 	for s, sw := range net.Switches {
-		s, sw := s, sw
 		at := st.SweepDelay + sim.Time(s+1)*st.PerSwitchDelay
 		net.Engine.Schedule(at, func() {
-			for _, p := range programs[s] {
-				if err := program(sw.Table(), p.base, block, p.escape, p.adaptive, sw.Enhanced()); err != nil {
-					// The plan geometry was validated above; a write
-					// failure here is a programming bug, not a runtime
-					// condition.
-					panic(fmt.Sprintf("subnet: staged reprogram switch %d: %v", s, err))
-				}
+			if err := l.write(net, s); err != nil {
+				// newLayout validated the routing and the block
+				// geometry; a write failure here is a programming bug,
+				// not a runtime condition.
+				panic(fmt.Sprintf("subnet: staged reprogram switch %d: %v", s, err))
 			}
 			sw.SetEscapeOnly(false)
 			droppedTotal += sw.Reroute()

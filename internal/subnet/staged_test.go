@@ -82,23 +82,44 @@ func TestStagedRejectsDisconnection(t *testing.T) {
 }
 
 // TestReconfigureDuplicateFailedLinks: re-reporting an already-failed
-// link (as repeated SM sweeps do) must be an idempotent no-op.
+// link (as repeated SM sweeps do) must be an idempotent no-op, and a
+// later sweep for a different link must keep routing around the first.
 func TestReconfigureDuplicateFailedLinks(t *testing.T) {
 	net := buildNet(t, 16, 4, 1, 1, true)
 	if _, err := Configure(net, DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
-	failed := net.Topo.Links[0]
-	if _, err := Reconfigure(net, DefaultOptions(), failed, failed, failed); err != nil {
+	first, second := net.Topo.Links[0], net.Topo.Links[5]
+	if _, err := reconfigure(t, net, DefaultOptions(), first, first, first); err != nil {
 		t.Fatalf("duplicate failed links rejected: %v", err)
 	}
-	if !net.LinkIsDown(failed.A, failed.B) {
+	if !net.LinkIsDown(first.A, first.B) {
 		t.Fatal("failed link not marked down")
 	}
 	// Reconfiguring again with the same (already applied) failure set
 	// must also succeed.
-	if _, err := Reconfigure(net, DefaultOptions(), failed); err != nil {
+	if _, err := reconfigure(t, net, DefaultOptions(), first); err != nil {
 		t.Fatalf("re-reconfigure of a known failure rejected: %v", err)
+	}
+	if _, err := reconfigure(t, net, DefaultOptions(), second); err != nil {
+		t.Fatalf("second failure rejected: %v", err)
+	}
+	for _, l := range []topology.Link{first, second} {
+		for _, end := range [][2]int{{l.A, l.B}, {l.B, l.A}} {
+			dead, err := net.PortToNeighbor(end[0], end[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			tab := net.Switches[end[0]].Table()
+			for dst := 0; dst < net.Topo.NumHosts(); dst++ {
+				base := net.Plan.BaseLID(dst)
+				for off := 0; off < net.Plan.RangeSize(); off++ {
+					if tab.Get(base+ib.LID(off)) == dead {
+						t.Fatalf("switch %d still routes dst %d over dead link %d-%d", end[0], dst, l.A, l.B)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -121,7 +142,7 @@ func TestReconfigureRejectsMROverRange(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.MaxRoutingOptions = net.Plan.RangeSize() + 1
-	_, err := Reconfigure(net, opts, net.Topo.Links[0])
+	_, err := reconfigure(t, net, opts, net.Topo.Links[0])
 	if err == nil {
 		t.Fatal("MR over LID range accepted")
 	}

@@ -9,6 +9,13 @@ cd "$(dirname "$0")/.."
 echo "==> go vet"
 go vet ./...
 
+echo "==> gofmt (every Go file is formatted)"
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+  echo "$unformatted"
+  exit 1
+fi
+
 echo "==> go build"
 go build ./...
 
@@ -77,6 +84,9 @@ go test -race -count=1 -run 'TestSchedulerOrderMatrix' -v ./internal/experiments
 
 echo "==> event-queue fuzz smoke"
 go test -run '^$' -fuzz 'FuzzEventQueueOrdering' -fuzztime 10s ./internal/sim/
+
+echo "==> subnet manager (one table writer: reconfiguration keeps the §4.2 fence and source multipath)"
+go test -race -count=1 -run 'TestStaged|TestReconfigure|TestTrafficSurvives|TestMixed|TestMultipath' -v ./internal/subnet/
 
 echo "==> fault-campaign smoke (seeded flaps, staged recovery, watchdog)"
 go test -race -run 'TestCampaignSmokeCI' -v ./internal/faults/
