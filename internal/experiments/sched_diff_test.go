@@ -16,9 +16,13 @@ import (
 // reproduce the Figure 3 and family-sweep goldens. Static selection
 // draws the RNG in the order packets are routed or arbitrated, so a
 // swap there moves results. The matrix runs all four §4.3 selection
-// modes on the uniform fixture and the hot-spot storm, and compares
-// complete RunResults of the default engine (calendar queue, wake
-// arbiter) against the heap scheduler and against the scan arbiter.
+// modes on the uniform fixture and the hot-spot storm, each at MR 2
+// and MR 4, and compares complete RunResults of the default engine
+// (calendar queue, wake arbiter) against the heap scheduler and
+// against the scan arbiter. The MR 4 variants are what make the
+// arbitration/static leg see order: at MR 2 its one adaptive slot
+// turns the static draw into Intn(1), and its results equal the
+// status-aware leg's.
 func TestSchedulerOrderMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs many full simulations")
@@ -30,12 +34,8 @@ func TestSchedulerOrderMatrix(t *testing.T) {
 	}{
 		{"uniform", diffSpec(topo)},
 		{"storm", diffStormSpec(t, topo)},
-	}
-	modes := []core.SelectionConfig{
-		{AtArbitration: true, StatusAware: true},
-		{AtArbitration: true, StatusAware: false},
-		{AtArbitration: false, StatusAware: true},
-		{AtArbitration: false, StatusAware: false},
+		{"uniform-mr4", withMR4(diffSpec(topo))},
+		{"storm-mr4", withMR4(diffStormSpec(t, topo))},
 	}
 	run := func(spec RunSpec, sel core.SelectionConfig, arb string, opts ...sim.EngineOption) RunResult {
 		t.Helper()
@@ -51,7 +51,7 @@ func TestSchedulerOrderMatrix(t *testing.T) {
 	}
 	for _, f := range fixtures {
 		var byMode []RunResult
-		for _, sel := range modes {
+		for _, sel := range selectionModes {
 			want := run(f.spec, sel, fabric.ArbWake)
 			if want.PacketsMeasured == 0 {
 				t.Fatalf("%s %s: no packet measured", f.name, sel)
@@ -67,7 +67,7 @@ func TestSchedulerOrderMatrix(t *testing.T) {
 		// The modes must actually reach the fabric, or the cells above
 		// repeat one comparison four times.
 		if reflect.DeepEqual(byMode[0], byMode[3]) {
-			t.Errorf("%s: %s and %s gave identical results", f.name, modes[0], modes[3])
+			t.Errorf("%s: %s and %s gave identical results", f.name, selectionModes[0], selectionModes[3])
 		}
 	}
 }

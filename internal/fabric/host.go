@@ -18,8 +18,11 @@ type Host struct {
 
 	out *outPort // link toward the attached switch
 
-	// queue is the source queue, a chunked FIFO (see srcqueue.go).
+	// queue is the source queue, a chunked FIFO of entries (see
+	// srcqueue.go); prebuilt holds, in queue order, the packets of its
+	// entPrebuilt entries.
 	queue      pktFIFO
+	prebuilt   pktQueue
 	injPending bool
 
 	// injectFn is the host's recurring delay-0 event closure, bound
@@ -33,11 +36,14 @@ type Host struct {
 	timeoutFn    func()
 	timeoutArmed sim.Time // deadline the pending check covers; 0 = none
 
-	// nextSeq numbers generated packets per destination (indexed by
-	// destination host ID), so the deliver side can verify in-order
-	// arrival of deterministic traffic. A dense slice: every host
-	// eventually talks to most destinations under the paper's traffic
-	// patterns, and the per-packet map hash was measurable.
+	// nextSeq numbers packets per destination (indexed by destination
+	// host ID), so the deliver side can verify in-order arrival of
+	// deterministic traffic. A packet takes its number when it leaves
+	// the source queue (see take); the queue releases packets in the
+	// order they entered, so the numbering is the order of generation.
+	// A dense slice: every host eventually talks to most destinations
+	// under the paper's traffic patterns, and the per-packet map hash
+	// was measurable.
 	nextSeq []uint64
 
 	// Injected and Delivered count packets for quick accounting;
@@ -62,21 +68,52 @@ func (h *Host) HeadID() uint64 {
 	if h.queue.len() == 0 {
 		return 0
 	}
-	return h.queue.peek().ID
+	return h.queue.peek().id
 }
 
-// Inject hands a generated packet to the CA. The packet's Src must be
+// Generate creates a packet of size bytes from this host to dst at the
+// current time and queues it: the traffic generator's entry point. The
+// packet takes its ID and DLID now, through the same draw as
+// Network.NewPacket, but waits as a srcEntry and is built only when it
+// leaves the queue. OnCreated sees it through the network's scratch
+// packet (see Network.OnCreated).
+//
+// A generation that joins a blocked queue schedules no injection pass:
+// the pass would fail wherever it ran in this instant (see
+// injectionBlocked), and a failed pass changes nothing.
+func (h *Host) Generate(dst, size int, adaptive bool) {
+	n := h.net
+	if uint(dst) >= uint(len(n.Hosts)) || size <= 0 || size > n.Cfg.MTU {
+		panic(fmt.Sprintf("fabric: host %d generates %d B to host %d (MTU %d, %d hosts)", h.id, size, dst, n.Cfg.MTU, len(n.Hosts)))
+	}
+	id, dlid, adaptive := n.address(dst, adaptive)
+	now := n.Engine.Now()
+	blocked := h.queue.len() > 0 && h.injectionBlocked(now)
+	e := srcEntry{id: id, at: now, dst: uint16(dst), dlid: dlid, size: uint16(size)}
+	if adaptive {
+		e.flags = entAdaptive
+	}
+	h.queue.push(e)
+	if n.OnCreated != nil {
+		n.created = h.packetOf(e)
+		n.OnCreated(&n.created)
+	}
+	h.armSendTimeout()
+	if !blocked {
+		h.kick()
+	}
+}
+
+// Inject hands an existing packet to the CA. The packet's Src must be
 // this host; DLID and Adaptive must already agree with the network's
-// address plan (traffic generators use Network.NewPacket, which
-// guarantees this).
+// address plan (Network.NewPacket guarantees this). It takes its
+// flow's SeqNo when it leaves the queue, like a generated packet.
 func (h *Host) Inject(pkt *ib.Packet) {
 	if int(pkt.Src) != h.id {
 		panic(fmt.Sprintf("fabric: packet %v injected at host %d", pkt, h.id))
 	}
-	pkt.SeqNo = h.nextSeq[pkt.Dst]
-	h.nextSeq[pkt.Dst]++
 	pkt.QueuedAt = h.net.Engine.Now()
-	h.queue.push(pkt)
+	h.pushPrebuilt(pkt, 0)
 	if h.net.OnCreated != nil {
 		h.net.OnCreated(pkt)
 	}
@@ -89,9 +126,87 @@ func (h *Host) Inject(pkt *ib.Packet) {
 func (h *Host) requeue(pkt *ib.Packet) {
 	pkt.Hops = 0
 	pkt.QueuedAt = h.net.Engine.Now()
-	h.queue.push(pkt)
+	h.pushPrebuilt(pkt, entRequeued)
 	h.armSendTimeout()
 	h.kick()
+}
+
+// pushPrebuilt queues an existing packet behind every waiting entry.
+func (h *Host) pushPrebuilt(pkt *ib.Packet, flags uint8) {
+	h.prebuilt.push(pkt)
+	h.queue.push(srcEntry{id: pkt.ID, at: pkt.QueuedAt, flags: entPrebuilt | flags})
+}
+
+// take removes the head entry and returns its packet: a prebuilt one
+// as it is, a fresh one carved from the network's packet slab. Every
+// packet but a retry takes its flow's next SeqNo here.
+func (h *Host) take() *ib.Packet {
+	e := h.queue.pop()
+	var pkt *ib.Packet
+	if e.flags&entPrebuilt != 0 {
+		pkt = h.prebuilt.pop()
+		if e.flags&entRequeued != 0 {
+			return pkt
+		}
+	} else {
+		pkt = h.net.getPacket()
+		*pkt = h.packetOf(e)
+	}
+	pkt.SeqNo = h.nextSeq[pkt.Dst]
+	h.nextSeq[pkt.Dst]++
+	return pkt
+}
+
+// packetOf returns the packet a fresh entry stands for, as it entered
+// the queue: SeqNo 0, no hop taken.
+func (h *Host) packetOf(e srcEntry) ib.Packet {
+	return ib.Packet{
+		ID:        e.id,
+		CreatedAt: e.at,
+		QueuedAt:  e.at,
+		Src:       int32(h.id),
+		Dst:       int32(e.dst),
+		Size:      int32(e.size),
+		DLID:      e.dlid,
+		Adaptive:  e.flags&entAdaptive != 0,
+	}
+}
+
+// headNeeds returns the VL the head packet travels on and the credits
+// it consumes. A fresh packet has SL 0.
+func (h *Host) headNeeds() (vl, credits int) {
+	e := h.queue.peek()
+	if e.flags&entPrebuilt == 0 {
+		return 0, ib.Credits(int(e.size))
+	}
+	pkt := h.prebuilt.peek()
+	return int(pkt.SL) % h.net.Cfg.NumVLs, pkt.Credits()
+}
+
+// injectionBlocked reports whether an injection pass for the current
+// head would fail at every point of this instant. It holds when the
+// link is up, no tamper model or mutation hook has touched the fabric,
+// no send-timeout check is due (it could drop the head), and either
+// the link is busy past now or the head lacks credits with no credit
+// return in flight. busyUntil changes only through this host's own
+// transmissions, which need a free link; credits rise only through
+// credit-return events, counted from scheduling to dispatch and never
+// scheduled with delay 0. So no event of this instant can make such a
+// pass succeed, and a pending pass (injPending) fails the same way.
+// The caller needs a non-empty queue.
+func (h *Host) injectionBlocked(now sim.Time) bool {
+	o := h.out
+	if o.down || !h.net.honest() || (h.timeoutArmed != 0 && h.timeoutArmed <= now) {
+		return false
+	}
+	if o.busyUntil > now {
+		return true
+	}
+	if o.returns > 0 {
+		return false
+	}
+	vl, credits := h.headNeeds()
+	return !h.net.Cfg.Split.CanUseEscape(o.credits[vl], credits)
 }
 
 // kick schedules an injection attempt at the current time (coalesced).
@@ -125,7 +240,7 @@ func (h *Host) armSendTimeout() {
 	if to <= 0 || h.queue.len() == 0 {
 		return
 	}
-	deadline := h.queue.peek().QueuedAt + to
+	deadline := h.queue.peek().at + to
 	if h.timeoutArmed != 0 && h.timeoutArmed <= deadline {
 		return
 	}
@@ -146,37 +261,35 @@ func (h *Host) expireHead() {
 		return
 	}
 	now := h.net.Engine.Now()
-	for h.queue.len() > 0 && now-h.queue.peek().QueuedAt >= to {
-		h.net.dropPacket(h.queue.pop(), DropTimeout)
+	for h.queue.len() > 0 && now-h.queue.peek().at >= to {
+		h.net.dropPacket(h.take(), DropTimeout)
 	}
 }
 
-// tryInject starts transmitting queued packets while the link is free
-// and the switch's input buffer has room for the whole packet.
+// tryInject starts transmitting the head packet if the link is free
+// and the switch's input buffer has room for the whole packet. The
+// link is then busy; the kick scheduled at its end continues the
+// queue.
 func (h *Host) tryInject() {
 	now := h.net.Engine.Now()
-	for h.queue.len() > 0 {
-		pkt := h.queue.peek()
-		if !h.out.free(now) {
-			return
-		}
-		vl := int(pkt.SL) % h.net.Cfg.NumVLs
-		if !h.net.Cfg.Split.CanUseEscape(h.out.credits[vl], pkt.Credits()) {
-			return
-		}
-		h.queue.pop()
-		h.out.credits[vl] -= pkt.Credits()
-		ser := ib.SerializationTime(int(pkt.Size))
-		h.out.busyUntil = now + ser
-		h.out.busyAccum += ser
-		h.out.txPackets++
-		h.Injected++
-		h.net.moved++
-
-		h.net.scheduleReceive(ib.PropagationDelay, h.out.peerSwitch, h.out.peerPort, vl, pkt)
-		h.net.scheduleHostKick(ser, h)
-		return // the link is now busy; the ser-kick continues the queue
+	if h.queue.len() == 0 || !h.out.free(now) {
+		return
 	}
+	vl, credits := h.headNeeds()
+	if !h.net.Cfg.Split.CanUseEscape(h.out.credits[vl], credits) {
+		return
+	}
+	pkt := h.take()
+	h.out.credits[vl] -= credits
+	ser := ib.SerializationTime(int(pkt.Size))
+	h.out.busyUntil = now + ser
+	h.out.busyAccum += ser
+	h.out.txPackets++
+	h.Injected++
+	h.net.moved++
+
+	h.net.scheduleReceive(ib.PropagationDelay, h.out.peerSwitch, h.out.peerPort, vl, pkt)
+	h.net.scheduleHostKick(ser, h)
 }
 
 // deliver sinks a packet arriving at this host.

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"math"
 
 	"ibasim/internal/core"
 	"ibasim/internal/ib"
@@ -36,22 +37,31 @@ type Network struct {
 	chunks chunkPool
 
 	// pktSlab is the tail of the current packet allocation block;
-	// NewPacket carves packets from it (see getPacket). pktBlocks
-	// remembers every block consumed so Recycle can hand them back to
-	// the sweep's PacketArena.
+	// NewPacket and the hosts carve packets from it (see getPacket).
+	// pktBlocks remembers every block consumed so Recycle can hand
+	// them back to the sweep's PacketArena.
 	pktSlab   []ib.Packet
 	pktBlocks [][]ib.Packet
 
 	// moved counts packet movements and nextID numbers the packets
-	// NewPacket creates.
+	// NewPacket and Host.Generate create.
 	moved  uint64
 	nextID uint64
+
+	// created is the scratch packet Host.Generate passes to OnCreated.
+	created ib.Packet
 
 	// OnCreated fires when a packet enters a source queue; OnDelivered
 	// when it reaches its destination CA; OnHop when a switch starts
 	// forwarding a packet (switch ID, output port, whether an adaptive
 	// routing option was used). Metrics collectors and tracers attach
 	// here; attachers must chain any callback already present.
+	//
+	// For a generated packet OnCreated receives a view, not the
+	// packet: a per-network scratch ib.Packet that the next generation
+	// overwrites, with SeqNo still 0 (a packet takes its SeqNo when it
+	// leaves the source queue). Observers copy the fields they need
+	// and keep no pointer to it.
 	OnCreated   func(*ib.Packet)
 	OnDelivered func(*ib.Packet)
 	OnHop       func(p *ib.Packet, sw int, out ib.PortID, adaptive bool)
@@ -89,13 +99,18 @@ type Network struct {
 // the failing ones rebuild their wait-list registrations).
 func (n *Network) applyArb() {
 	was := n.wake
-	n.wake = n.Cfg.arbWake() && n.tamper == (Tamper{}) && !n.mutated
+	n.wake = n.Cfg.arbWake() && n.honest()
 	if n.wake && !was {
 		for _, sw := range n.Switches {
 			sw.wakeAllPoints()
 		}
 	}
 }
+
+// honest reports that no tamper model is installed and no Tamper*
+// mutation hook has fired: forwarding state changes only through the
+// model's own events.
+func (n *Network) honest() bool { return n.tamper == (Tamper{}) && !n.mutated }
 
 // forceScanArb permanently falls back to the scan arbiter: a Tamper*
 // mutation hook changed credits/occupancy/tables without firing the
@@ -227,6 +242,14 @@ func NewNetwork(topo *topology.Topology, plan *ib.AddressPlan, cfg Config, seed 
 	}
 	if plan.NumHosts != topo.NumHosts() {
 		return nil, fmt.Errorf("fabric: plan has %d hosts, topology %d", plan.NumHosts, topo.NumHosts())
+	}
+	// A source-queue entry stores the destination host and the packet
+	// size in 16 bits each (see srcEntry).
+	if topo.NumHosts() > math.MaxUint16+1 {
+		return nil, fmt.Errorf("fabric: %d hosts exceed the %d a 16-bit LID space addresses", topo.NumHosts(), math.MaxUint16+1)
+	}
+	if cfg.MTU > math.MaxUint16 {
+		return nil, fmt.Errorf("fabric: MTU %d exceeds %d bytes", cfg.MTU, math.MaxUint16)
 	}
 	// Hop events land at most routing + propagation + MTU
 	// serialization time ahead; sizing the scheduler's wheel to a
@@ -399,23 +422,32 @@ func (n *Network) newVLBuffers(enhanced bool) []*vlBuffer {
 // of the alternative deterministic paths uniformly at random — the
 // source-node path selection of the paper's introduction.
 func (n *Network) NewPacket(src, dst, size int, adaptive bool) *ib.Packet {
-	n.nextID++
-	dlid := n.Plan.DLIDFor(dst, adaptive)
-	if k := n.Cfg.SourceMultipath; k > 1 {
-		adaptive = false
-		dlid = n.Plan.BaseLID(dst) + ib.LID(n.rng.Intn(k))
-	}
+	id, dlid, adaptive := n.address(dst, adaptive)
 	pkt := n.getPacket()
 	*pkt = ib.Packet{
-		ID:        n.nextID,
+		ID:        id,
 		Src:       int32(src),
 		Dst:       int32(dst),
 		DLID:      dlid,
 		Size:      int32(size),
-		Adaptive:  adaptive && n.Plan.LMC > 0,
+		Adaptive:  adaptive,
 		CreatedAt: n.Engine.Now(),
 	}
 	return pkt
+}
+
+// address takes the next packet ID and the DLID of a new packet to
+// dst, and settles its adaptive flag: the one draw NewPacket and
+// Host.Generate share, so both consume IDs and the source-multipath
+// RNG in the same order.
+func (n *Network) address(dst int, adaptive bool) (id uint64, dlid ib.LID, isAdaptive bool) {
+	n.nextID++
+	dlid = n.Plan.DLIDFor(dst, adaptive)
+	if k := n.Cfg.SourceMultipath; k > 1 {
+		adaptive = false
+		dlid = n.Plan.BaseLID(dst) + ib.LID(n.rng.Intn(k))
+	}
+	return n.nextID, dlid, adaptive && n.Plan.LMC > 0
 }
 
 // PortToNeighbor returns switch s's output port wired to the adjacent

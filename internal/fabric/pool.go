@@ -65,6 +65,7 @@ func (ev *fabricEvent) Do() {
 	case evDeliver:
 		host.deliver(pkt)
 	case evCreditReturn:
+		out.returns--
 		out.credits[vl] += n
 		if net.wake && out.ownerSw != nil {
 			out.ownerSw.wakeCredits(out.id, vl)
@@ -121,8 +122,10 @@ func (n *Network) scheduleDeliver(delay sim.Time, h *Host, pkt *ib.Packet) {
 }
 
 // scheduleCreditReturn schedules a flow-control update of credits
-// credits on (o, vl).
+// credits on (o, vl), counting it in o.returns until it dispatches.
+// Every caller passes at least the propagation delay.
 func (n *Network) scheduleCreditReturn(delay sim.Time, o *outPort, vl, credits int) {
+	o.returns++
 	ev := n.getEvent()
 	ev.kind, ev.out, ev.vl, ev.n = evCreditReturn, o, vl, credits
 	n.Engine.ScheduleAction(delay, ev)
@@ -153,13 +156,15 @@ func (n *Network) scheduleHostKick(delay sim.Time, h *Host) {
 	n.Engine.ScheduleAction(delay, ev)
 }
 
-// pktSlabSize is how many packets one allocation block holds. Packets
-// are not recycled — observers (reorder buffers, tracers, tests) may
-// hold a delivered packet long after the fabric last touches it, so
-// reuse would need a liveness protocol. Slab allocation keeps every
-// packet valid for the network's lifetime while cutting the allocator
-// to one call per block instead of one per packet; a block is freed as
-// a whole when the run's last reference to it drops.
+// pktSlabSize is how many packets one allocation block holds. A
+// generated packet is carved when it leaves its source queue (see
+// Host.take), so a saturated run's backlog takes no slab space.
+// Packets are not recycled — observers (reorder buffers, tracers,
+// tests) may hold a delivered packet long after the fabric last
+// touches it, so reuse would need a liveness protocol. Slab allocation
+// keeps every packet valid for the network's lifetime while cutting
+// the allocator to one call per block instead of one per packet; a
+// block is freed as a whole when the run's last reference to it drops.
 const pktSlabSize = 512
 
 // getPacket carves the next packet from the network's slab. The carve
@@ -175,8 +180,8 @@ func (n *Network) getPacket() *ib.Packet {
 }
 
 // pktBlock returns a fresh packet block: recycled from the configured
-// arena when one is set (stale contents are fine — NewPacket overwrites
-// the whole struct), freshly allocated otherwise.
+// arena when one is set (stale contents are fine — every carver
+// overwrites the whole struct), freshly allocated otherwise.
 func (n *Network) pktBlock() []ib.Packet {
 	if a := n.Cfg.PacketArena; a != nil {
 		if b := a.get(); b != nil {

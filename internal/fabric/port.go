@@ -33,6 +33,11 @@ type outPort struct {
 	credits   []int // per VL: credits available at the peer buffer
 	busyUntil sim.Time
 
+	// returns counts this port's credit-return events in flight:
+	// scheduled and not yet dispatched. A host reads it to prove an
+	// injection pass would fail (Host.injectionBlocked).
+	returns int
+
 	// busyAccum integrates link occupancy for utilization reporting.
 	busyAccum sim.Time
 	// txPackets counts packets sent through this port.

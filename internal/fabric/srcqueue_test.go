@@ -2,8 +2,8 @@ package fabric
 
 import (
 	"testing"
+	"unsafe"
 
-	"ibasim/internal/ib"
 	"ibasim/internal/sim"
 )
 
@@ -17,18 +17,17 @@ func fifoChunks(q *pktFIFO) []*pktChunk {
 }
 
 // checkFIFO compares q with the reference slice and checks the chunk
-// bookkeeping: the live slots hold exactly ref in order, every other
-// slot (in the queue and in the pool) is nil, an empty queue keeps one
-// chunk, a non-empty one spans no more chunks than its length needs
-// plus one, and every chunk ever seen is still either in the queue or
-// in the pool.
-func checkFIFO(t *testing.T, step int, q *pktFIFO, ref []*ib.Packet, seen map[*pktChunk]bool) {
+// bookkeeping: the live slots hold exactly ref in order, an empty
+// queue keeps one chunk, a non-empty one spans no more chunks than its
+// length needs plus one, and every chunk ever seen is still either in
+// the queue or in the pool.
+func checkFIFO(t *testing.T, step int, q *pktFIFO, ref []srcEntry, seen map[*pktChunk]bool) {
 	t.Helper()
 	if q.len() != len(ref) {
 		t.Fatalf("step %d: len %d, want %d", step, q.len(), len(ref))
 	}
-	if len(ref) > 0 && q.peek() != ref[0] {
-		t.Fatalf("step %d: head %v, want %v", step, q.peek(), ref[0])
+	if len(ref) > 0 && *q.peek() != ref[0] {
+		t.Fatalf("step %d: head %+v, want %+v", step, *q.peek(), ref[0])
 	}
 	cs := fifoChunks(q)
 	if len(cs) > 0 && cs[len(cs)-1] != q.tail {
@@ -38,38 +37,45 @@ func checkFIFO(t *testing.T, step int, q *pktFIFO, ref []*ib.Packet, seen map[*p
 		t.Fatalf("step %d: empty queue spans %d chunks at hi %d, ti %d; want one chunk at slot 0", step, len(cs), q.hi, q.ti)
 	}
 	if max := len(ref)/pktChunkSlots + 2; len(cs) > max {
-		t.Fatalf("step %d: %d packets span %d chunks, want at most %d", step, len(ref), len(cs), max)
+		t.Fatalf("step %d: %d entries span %d chunks, want at most %d", step, len(ref), len(cs), max)
 	}
 	i := 0
 	for ci, c := range cs {
 		seen[c] = true
-		for s, p := range c.slots {
+		for s, e := range c.slots {
 			live := (ci > 0 || s >= q.hi) && (ci < len(cs)-1 || s < q.ti)
 			switch {
-			case !live && p != nil:
-				t.Fatalf("step %d: chunk %d slot %d outside the live range holds %v", step, ci, s, p)
-			case live && (i >= len(ref) || p != ref[i]):
-				t.Fatalf("step %d: chunk %d slot %d holds %v, want element %d of the reference", step, ci, s, p, i)
+			case live && (i >= len(ref) || e != ref[i]):
+				t.Fatalf("step %d: chunk %d slot %d holds %+v, want element %d of the reference", step, ci, s, e, i)
 			case live:
 				i++
 			}
 		}
 	}
 	if i != len(ref) {
-		t.Fatalf("step %d: chunks hold %d packets, want %d", step, i, len(ref))
+		t.Fatalf("step %d: chunks hold %d entries, want %d", step, i, len(ref))
 	}
 	free := 0
 	for c := q.pool.free; c != nil; c = c.next {
 		seen[c] = true
 		free++
-		for s, p := range c.slots {
-			if p != nil {
-				t.Fatalf("step %d: pooled chunk slot %d still holds %v", step, s, p)
-			}
-		}
 	}
 	if len(seen) != len(cs)+free {
 		t.Fatalf("step %d: %d chunks seen, %d queued + %d pooled: a chunk leaked", step, len(seen), len(cs), free)
+	}
+}
+
+// TestSrcEntryLayout pins the memory budget of a waiting packet: a
+// 24-byte entry, and chunks of exactly 2 KiB, a Go size class.
+func TestSrcEntryLayout(t *testing.T) {
+	if got := unsafe.Sizeof(srcEntry{}); got != 24 {
+		t.Errorf("srcEntry is %d bytes, want 24", got)
+	}
+	if got := unsafe.Sizeof(pktChunk{}); got != 2048 {
+		t.Errorf("pktChunk is %d bytes, want 2048", got)
+	}
+	if got := unsafe.Offsetof(pktChunk{}.next); got != 0 {
+		t.Errorf("pktChunk.next at offset %d, want 0 (the chunk's only pointer leads)", got)
 	}
 }
 
@@ -79,26 +85,22 @@ func checkFIFO(t *testing.T, step int, q *pktFIFO, ref []*ib.Packet, seen map[*p
 // then drains everything, so the queue empties exactly at a chunk
 // boundary; the test fails if a run never covered both events.
 func TestPktFIFOMatchesSlice(t *testing.T) {
-	pkts := make([]ib.Packet, 8*pktChunkSlots)
-	for i := range pkts {
-		pkts[i].ID = uint64(i + 1)
-	}
 	for seed := uint64(1); seed <= 20; seed++ {
 		rng := sim.NewRNG(seed)
 		q := pktFIFO{pool: &chunkPool{}}
-		var ref []*ib.Packet
+		var ref []srcEntry
 		seen := map[*pktChunk]bool{}
 		next := 0
 		push := func() {
-			p := &pkts[next%len(pkts)]
 			next++
-			q.push(p)
-			ref = append(ref, p)
+			e := srcEntry{id: uint64(next), at: sim.Time(3 * next), dst: uint16(next), dlid: 1, size: 32, flags: uint8(next) & 3}
+			q.push(e)
+			ref = append(ref, e)
 		}
 		pop := func(step int) {
 			got := q.pop()
 			if got != ref[0] {
-				t.Fatalf("seed %d step %d: pop %v, want %v", seed, step, got, ref[0])
+				t.Fatalf("seed %d step %d: pop %+v, want %+v", seed, step, got, ref[0])
 			}
 			ref = ref[1:]
 		}
@@ -140,17 +142,17 @@ func TestPktFIFOMatchesSlice(t *testing.T) {
 
 // TestPktFIFOEmptyKeepsItsChunk: a queue that drains to empty keeps
 // its one chunk and reuses it from slot 0, so a host moving between
-// zero and one queued packet never touches the pool; chunks a drained
+// zero and one queued entry never touches the pool; chunks a drained
 // backlog released go to the next queue that grows.
 func TestPktFIFOEmptyKeepsItsChunk(t *testing.T) {
 	pool := &chunkPool{}
 	a, b := pktFIFO{pool: pool}, pktFIFO{pool: pool}
-	var p ib.Packet
-	a.push(&p)
+	p := srcEntry{id: 1}
+	a.push(p)
 	first := a.head
 	for i := 0; i < 3*pktChunkSlots; i++ {
 		a.pop()
-		a.push(&p)
+		a.push(p)
 		if a.head != first || a.tail != first {
 			t.Fatalf("round %d: a one-packet queue changed chunks", i)
 		}
@@ -159,7 +161,7 @@ func TestPktFIFOEmptyKeepsItsChunk(t *testing.T) {
 		t.Fatal("a one-packet queue returned a chunk to the pool")
 	}
 	for i := 0; i < 3*pktChunkSlots; i++ {
-		a.push(&p)
+		a.push(p)
 	}
 	grown := fifoChunks(&a)
 	for a.len() > 0 {
@@ -169,7 +171,7 @@ func TestPktFIFOEmptyKeepsItsChunk(t *testing.T) {
 		t.Fatalf("drained queue: head==tail %v, hi %d, ti %d; want one chunk at slot 0", a.head == a.tail, a.hi, a.ti)
 	}
 	for i := 0; i < 3*pktChunkSlots; i++ {
-		b.push(&p)
+		b.push(p)
 	}
 	reused := map[*pktChunk]bool{}
 	for _, c := range grown {

@@ -38,11 +38,15 @@ const (
 // minimum under the full (at, seq) order, so correctness never
 // depends on which level holds an event; when the wheel empties the
 // queue re-bases the window at the overflow minimum and migrates the
-// new window in, restoring O(1) service. The compare also covers a
-// subtle case: peekTime may park the cursor ahead of the engine
-// clock (next event far away, Run horizon hit first), after which a
-// push may land *behind* the cursor — such events route to the
-// overflow and still dispatch in exact order.
+// new window in, restoring O(1) service. The cursor never passes the
+// overflow minimum (see nextWheel), and an empty queue keeps its
+// window where the clock left it, so in-window pushes are the common
+// case even for runs whose first push is a far-future timer (a fault
+// campaign's first flap). One case remains: the dispatch loop's
+// horizon check may park the cursor ahead of the engine clock (next
+// event far away, Run horizon hit first), after which a push may land
+// *behind* the cursor — such events route to the overflow and still
+// dispatch in exact order.
 type calendarQueue struct {
 	slots   [][]event // power-of-two ring of buckets
 	free    [][]event // drained bucket backings, reused by appendSlot
@@ -79,11 +83,6 @@ func (q *calendarQueue) len() int { return q.count + q.overflow.len() }
 func (q *calendarQueue) slotIndex(t Time) int { return int(t>>q.widthBits) & q.mask }
 
 func (q *calendarQueue) push(e event) {
-	if q.count == 0 && q.overflow.len() == 0 {
-		// Empty queue: park the window at the event so a lone
-		// far-future timer does not detour through the overflow.
-		q.rebase(e.at)
-	}
 	if e.at >= q.curStart && e.at-q.curStart < q.span() {
 		if i := q.slotIndex(e.at); i != q.cur {
 			q.appendSlot(i, e)
@@ -98,6 +97,9 @@ func (q *calendarQueue) push(e event) {
 
 func (q *calendarQueue) pop() event {
 	if !q.nextWheel() {
+		if q.count > 0 {
+			return q.overflow.pop() // it precedes every wheel event
+		}
 		q.migrate() // empty-queue pops panic here, same contract as the heap
 	}
 	s := q.slots[q.cur]
@@ -117,6 +119,9 @@ func (q *calendarQueue) popAtMost(horizon Time) (event, bool) {
 	if !q.nextWheel() {
 		if q.overflow.len() == 0 || q.overflow.peekTime() > horizon {
 			return event{}, false
+		}
+		if q.count > 0 {
+			return q.overflow.pop(), true
 		}
 		q.migrate()
 	}
@@ -145,6 +150,9 @@ func (q *calendarQueue) popBefore(bound event) (event, bool) {
 	if !q.nextWheel() {
 		if q.overflow.len() == 0 || !eventLess(q.overflow.peek(), bound) {
 			return event{}, false
+		}
+		if q.count > 0 {
+			return q.overflow.pop(), true
 		}
 		q.migrate()
 	}
@@ -182,6 +190,9 @@ func (q *calendarQueue) peekTime() Time {
 	if !q.nextWheel() {
 		if q.overflow.len() == 0 {
 			return Forever
+		}
+		if q.count > 0 {
+			return q.overflow.peekTime()
 		}
 		q.migrate()
 	}
@@ -228,17 +239,26 @@ func (q *calendarQueue) hasEventAt(t Time) bool {
 }
 
 // nextWheel parks the cursor on the bucket holding the earliest wheel
-// event, sorting it on entry, and reports whether the wheel holds any
-// event at all. Advancing past empty buckets is amortized against the
-// clock advance that made them reachable.
+// event, sorting it on entry, and reports whether it did. It reports
+// false when the wheel is empty, and when the walk reaches a bucket
+// that starts after the overflow minimum: the cursor then stays where
+// it is, and that minimum precedes every wheel event. Stopping there
+// keeps the cursor from passing the time of an event still to
+// dispatch, so the pushes made once the clock reaches it land on the
+// wheel rather than behind the cursor. Advancing past empty buckets is
+// amortized against the clock advance that made them reachable.
 func (q *calendarQueue) nextWheel() bool {
 	if q.count == 0 {
 		return false
 	}
 	for q.head >= len(q.slots[q.cur]) {
+		next := q.curStart + q.width()
+		if q.overflow.len() > 0 && q.overflow.peekTime() < next {
+			return false
+		}
 		q.head = 0
 		q.cur = (q.cur + 1) & q.mask
-		q.curStart += q.width()
+		q.curStart = next
 		if len(q.slots[q.cur]) > 0 {
 			q.sortBucket(q.cur)
 			break

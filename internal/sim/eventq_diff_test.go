@@ -17,6 +17,11 @@ func (nopAction) Do() {}
 // runs, bucket-boundary times, horizon-exact and far-future pushes
 // (overflow), and drain/refill cycles. Pushes respect the engine
 // contract (never before the last popped timestamp).
+//
+// It also checks where each push lands: the cursor stays on the bucket
+// of the last popped timestamp, so a push lands on the wheel unless it
+// is at least one span past that bucket's start. A cursor that ran
+// ahead of the clock would send near pushes to the overflow instead.
 func driveQueues(program []byte, slotBits, widthBits uint) error {
 	wheel := newCalendarQueue(slotBits, widthBits)
 	heap := &heapQueue{}
@@ -25,11 +30,18 @@ func driveQueues(program []byte, slotBits, widthBits uint) error {
 	var now Time
 	var seq uint64
 
-	push := func(at Time) {
+	push := func(at Time) error {
 		e := event{at: at, key: eventKey(at, now, seq), act: nopAction{}}
 		seq++
+		before := wheel.count
 		wheel.push(e)
 		heap.push(e)
+		onWheel := wheel.count > before
+		if want := at < now&^(width-1)+span; onWheel != want {
+			return fmt.Errorf("push at %v with the clock at %v: on the wheel %v, want %v (cursor bucket starts at %v)",
+				at, now, onWheel, want, wheel.curStart)
+		}
+		return nil
 	}
 	pop := func() error {
 		if wheel.len() != heap.len() {
@@ -51,29 +63,29 @@ func driveQueues(program []byte, slotBits, widthBits uint) error {
 
 	for i := 0; i+1 < len(program); i += 2 {
 		op, arg := program[i]%8, Time(program[i+1])
+		var err error
 		switch op {
 		case 0: // near future, inside the window
-			push(now + arg)
+			err = push(now + arg)
 		case 1: // equal timestamps — FIFO among them
-			push(now)
+			err = push(now)
 		case 2: // bucket boundary at/above now
-			push((now+width-1)/width*width + arg*width)
+			err = push((now+width-1)/width*width + arg*width)
 		case 3: // horizon-exact: first time outside the window
-			push(now + span)
+			err = push(now + span)
 		case 4: // far future — overflow territory
-			push(now + span + arg*977)
+			err = push(now + span + arg*977)
 		case 5: // medium spread, crosses several buckets
-			push(now + arg*arg)
+			err = push(now + arg*arg)
 		case 6:
-			if err := pop(); err != nil {
-				return err
-			}
+			err = pop()
 		case 7: // drain burst
-			for j := 0; j < int(arg); j++ {
-				if err := pop(); err != nil {
-					return err
-				}
+			for j := 0; j < int(arg) && err == nil; j++ {
+				err = pop()
 			}
+		}
+		if err != nil {
+			return err
 		}
 	}
 	for heap.len() > 0 {
@@ -152,6 +164,53 @@ func TestEngineSchedulersEquivalent(t *testing.T) {
 		if calendar[i] != heap[i] {
 			t.Fatalf("dispatch %d: calendar at %v, heap at %v", i, calendar[i], heap[i])
 		}
+	}
+}
+
+// TestCalendarFarTimerFirst is the regression test for a cursor that
+// ran ahead of the clock: a fresh engine's first push, a far-future
+// timer (a fault campaign's first flap), used to park the window at
+// the timer, so every nearer event scheduled after it went through the
+// overflow heap. Here a chain of near events runs up to and past the
+// timer; only the timer may ever sit in the overflow.
+func TestCalendarFarTimerFirst(t *testing.T) {
+	e := NewEngine()
+	q := e.queue.(*calendarQueue)
+	const far = 55_264
+	if far < q.span() {
+		t.Fatalf("the timer at %v lies inside the %v ns window; the test needs it beyond", Time(far), q.span())
+	}
+	var fired []Time
+	e.At(far, func() { fired = append(fired, e.Now()) })
+	var near func()
+	near = func() {
+		fired = append(fired, e.Now())
+		if e.Now() < 2*far {
+			e.Schedule(1_000, near)
+			e.Schedule(0, func() {})
+		}
+	}
+	e.At(10, near)
+	e.At(5_000, func() {})
+	maxOverflow := 0
+	for e.Step() {
+		maxOverflow = max(maxOverflow, q.overflow.len())
+		if q.overflow.len() > 1 {
+			t.Fatalf("at %v the overflow holds %d events; only the far timer belongs there", e.Now(), q.overflow.len())
+		}
+	}
+	if maxOverflow != 1 {
+		t.Fatalf("the far timer never sat in the overflow (max %d)", maxOverflow)
+	}
+	sawFar := false
+	for i, at := range fired {
+		if i > 0 && at < fired[i-1] {
+			t.Fatalf("dispatch order %v not sorted", fired)
+		}
+		sawFar = sawFar || at == far
+	}
+	if !sawFar || fired[len(fired)-1] < 2*far {
+		t.Fatalf("the chain stopped at %v or skipped the timer at %v", fired[len(fired)-1], Time(far))
 	}
 }
 

@@ -4,7 +4,8 @@ import "testing"
 
 // FuzzEventQueueOrdering fuzzes the scheduler-equivalence property:
 // any push/pop program over any wheel geometry must produce the exact
-// heap dispatch sequence. The seed corpus pins the known-delicate
+// heap dispatch sequence, and every push less than a span ahead of the
+// clock's bucket must land on the wheel (see driveQueues). The seed corpus pins the known-delicate
 // inputs — equal-timestamp FIFO runs, bucket-boundary timestamps,
 // horizon-exact pushes, far-future overflow traffic and out-of-order
 // bucket fills — and the fuzzer mutates from there. scripts/ci.sh runs a short smoke pass.

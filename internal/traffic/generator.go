@@ -75,6 +75,8 @@ func NewGenerator(net *fabric.Network, cfg Config) (*Generator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	// A packet waits in its source queue as an entry with a 16-bit
+	// size; NewNetwork caps the MTU to fit, so this check covers it.
 	if cfg.PacketSize > net.Cfg.MTU {
 		return nil, fmt.Errorf("traffic: packet size %d exceeds MTU %d", cfg.PacketSize, net.Cfg.MTU)
 	}
@@ -120,8 +122,7 @@ func (hs *hostStream) generate() {
 	}
 	if dst := g.cfg.Pattern.Dest(hs.host.ID(), &hs.rng); dst >= 0 {
 		adaptive := hs.rng.Bool(g.cfg.AdaptiveFraction)
-		pkt := g.net.NewPacket(hs.host.ID(), dst, g.cfg.PacketSize, adaptive)
-		hs.host.Inject(pkt)
+		hs.host.Generate(dst, g.cfg.PacketSize, adaptive)
 		g.generated++
 	}
 	eng.Schedule(hs.rng.ExpTime(hs.mean), hs.fire)

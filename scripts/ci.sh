@@ -33,6 +33,9 @@ go test -run 'ZeroAllocs' -v ./internal/core/ ./internal/sim/ ./internal/fabric/
 echo "==> bytes per generated packet (a saturated run keeps every packet; bound its memory slope)"
 go test -count=1 -run 'TestHotSpotBytesPerGeneratedPacket' -v ./internal/experiments/
 
+echo "==> source queue (24-byte entries, one FIFO for generated, injected and retried packets, no failing injection pass)"
+go test -count=1 -run 'TestSrcEntryLayout|TestPktFIFO|TestSourceQueueMixedOrder|TestGenerateSkipsOnlyFailingPasses' -v ./internal/fabric/
+
 echo "==> determinism golden"
 go test -run 'TestFigure3Deterministic' -v ./internal/experiments/
 
@@ -75,12 +78,14 @@ go test -race -count=1 \
 go test -count=1 -run 'TestMetamorphicLMCInvarianceFamilies' -v ./internal/check/
 go test -count=1 -run 'TestFamilyReportGolden|TestFamilyDotOutput' -v ./cmd/ibtopo/
 
-echo "==> scheduler equivalence (calendar vs heap differential, counting sort vs full-key sort, order-sensitive experiment matrix)"
+echo "==> scheduler equivalence (calendar vs heap differential, counting sort vs full-key sort, order-sensitive experiment matrix and goldens)"
 # Default-mode goldens cannot see the dispatch order among events that
 # share a timestamp; the experiment matrix runs the selection modes
-# whose RNG draws follow it, calendar vs heap and wake vs scan.
-go test -run 'TestEventQueueDifferential|TestEngineSchedulersEquivalent|TestSortBucketMatchesFullKeySort' -v ./internal/sim/
-go test -race -count=1 -run 'TestSchedulerOrderMatrix' -v ./internal/experiments/
+# whose RNG draws follow it (at MR 2 and MR 4), calendar vs heap and
+# wake vs scan, and the selection-mode goldens pin those runs' complete
+# RunResults and a source-multipath run.
+go test -run 'TestEventQueueDifferential|TestEngineSchedulersEquivalent|TestSortBucketMatchesFullKeySort|TestCalendarFarTimerFirst|TestCalendarHorizonParking' -v ./internal/sim/
+go test -race -count=1 -run 'TestSchedulerOrderMatrix|TestSelectionModeGoldens' -v ./internal/experiments/
 
 echo "==> event-queue fuzz smoke"
 go test -run '^$' -fuzz 'FuzzEventQueueOrdering' -fuzztime 10s ./internal/sim/
