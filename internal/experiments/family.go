@@ -5,10 +5,8 @@ import (
 	"strconv"
 	"strings"
 
-	"ibasim/internal/fabric"
 	"ibasim/internal/routing"
 	"ibasim/internal/topology"
-	"ibasim/internal/traffic"
 )
 
 // FamilySpec selects a topology family plus its shape, the value behind
@@ -134,19 +132,5 @@ func Figure3Family(sc Scale, fam FamilySpec) (*Figure3Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	loads := DefaultLoads(sc.LoadLo, sc.LoadHi, sc.LoadPoints)
-	res := &Figure3Result{Switches: topo.NumSwitches, Family: fam.String()}
-	pktArena := fabric.NewPacketArena()
-	for _, frac := range Figure3Fractions {
-		pattern := traffic.Uniform{NumHosts: topo.NumHosts()}
-		spec := sc.Spec(topo, 2, 32, frac, pattern, sc.FirstSeed, true)
-		spec.Routing = fam.Routing()
-		spec.Fabric.PacketArena = pktArena
-		points, err := LoadSweep(spec, loads)
-		if err != nil {
-			return nil, err
-		}
-		res.Series = append(res.Series, Figure3Series{AdaptiveFraction: frac, Points: points})
-	}
-	return res, nil
+	return figure3Panel(sc, topo, fam.Routing(), fam.String())
 }

@@ -4,7 +4,8 @@ import (
 	"fmt"
 	"io"
 
-	"ibasim/internal/fabric"
+	"ibasim/internal/routing"
+	"ibasim/internal/topology"
 	"ibasim/internal/traffic"
 )
 
@@ -34,23 +35,29 @@ var Figure3Fractions = []float64{0, 0.25, 0.50, 0.75, 1.00}
 // seed), forwarding tables with two routing options, 4 inter-switch
 // links, uniform traffic, 32-byte packets.
 func Figure3(sc Scale, switches int) (*Figure3Result, error) {
-	topos, err := sc.topoSet(switches, 4)
+	topo, err := topology.GenerateIrregular(topology.IrregularSpec{
+		NumSwitches: switches, HostsPerSwitch: sc.HostsPerSw, InterSwitch: 4, Seed: sc.FirstSeed,
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("seed %d: %w", sc.FirstSeed, err)
 	}
-	topo := topos[0]
+	return figure3Panel(sc, topo, nil, "")
+}
+
+// figure3Panel runs the Figure 3 protocol on topo, one load sweep per
+// adaptive-traffic share, with tables from build (nil keeps the
+// up*/down* default). family is the panel header's family name, empty
+// for the paper's irregular networks.
+func figure3Panel(sc Scale, topo *topology.Topology, build routing.Builder, family string) (*Figure3Result, error) {
 	loads := DefaultLoads(sc.LoadLo, sc.LoadHi, sc.LoadPoints)
-	res := &Figure3Result{Switches: switches}
-	// One packet arena for the whole panel: each fraction's sweep
-	// reuses the previous one's packet blocks (see LoadSweep).
-	pktArena := fabric.NewPacketArena()
+	res := &Figure3Result{Switches: topo.NumSwitches, Family: family}
 	for _, frac := range Figure3Fractions {
 		pattern := traffic.Uniform{NumHosts: topo.NumHosts()}
 		// Switches stay enhanced throughout; the share of packets
 		// requesting adaptive service is what varies (§4.2: the
 		// source enables adaptivity per packet).
 		spec := sc.Spec(topo, 2, 32, frac, pattern, sc.FirstSeed, true)
-		spec.Fabric.PacketArena = pktArena
+		spec.Routing = build
 		points, err := LoadSweep(spec, loads)
 		if err != nil {
 			return nil, err

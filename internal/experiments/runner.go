@@ -282,9 +282,6 @@ func RunObserved(spec RunSpec, observe func(*fabric.Network)) (RunResult, error)
 		res.Audit.First = err.Error()
 		return res, err
 	}
-	// Hand the drained queue storage back to the sweep's arena (no-op
-	// unless the spec carried sim.WithArena).
-	net.Recycle()
 	return res, nil
 }
 
@@ -318,28 +315,11 @@ type SweepPoint struct {
 // a worker pool sized to GOMAXPROCS; results are identical to a
 // sequential sweep.
 func LoadSweep(spec RunSpec, loads []float64) ([]SweepPoint, error) {
-	// Load points share a queue arena: each finished run's drained
-	// event-queue storage seeds the next instead of regrowing from
-	// zero. The arena is thread-safe, so the worker pool can pass
-	// storage between points freely; results stay bit-identical (the
-	// scheduler is unchanged, only its allocation source).
-	arena := sim.NewQueueArena()
-	// Packet slab blocks recycle the same way (the sweep's dominant
-	// allocation); by the time Recycle runs every observer of the
-	// finished point has drained, so no packet reference survives.
-	// Multi-sweep experiments (Figure 3's per-fraction series) pass one
-	// arena in via the spec so blocks carry across sweeps — points
-	// within one sweep run concurrently and mostly miss each other.
-	pktArena := spec.Fabric.PacketArena
-	if pktArena == nil {
-		pktArena = fabric.NewPacketArena()
-	}
 	return runParallel(len(loads), func(i int) (SweepPoint, error) {
 		s := spec
 		s.Traffic.LoadBytesPerNsPerHost = loads[i]
-		s.Fabric.PacketArena = pktArena
 		s.Fabric.EngineOpts = append(append([]sim.EngineOption{}, s.Fabric.EngineOpts...),
-			sim.WithCapacityHint(256*s.Topo.NumSwitches), sim.WithArena(arena))
+			sim.WithCapacityHint(256*s.Topo.NumSwitches))
 		res, err := Run(s)
 		if err != nil {
 			return SweepPoint{}, err

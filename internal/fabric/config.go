@@ -67,17 +67,11 @@ type Config struct {
 	Retry RetryConfig
 
 	// EngineOpts configures the simulation engine's event scheduler
-	// (implementation, wheel geometry, storage arena). NewNetwork
+	// (implementation, wheel geometry, capacity hint). NewNetwork
 	// prepends a span hint derived from the link timing so the default
 	// calendar geometry covers the per-hop event horizon; options set
 	// here are applied afterwards and win.
 	EngineOpts []sim.EngineOption
-
-	// PacketArena, when set, recycles packet slab blocks from finished
-	// runs (returned via Network.Recycle) into this network's packet
-	// allocation. Sweeps set one arena for all their load points; see
-	// the PacketArena safety contract.
-	PacketArena *PacketArena
 
 	// Arb selects the crossbar arbiter: ArbWake (the default; "" means
 	// wake) drains an event-driven wait-list pending set, ArbScan is

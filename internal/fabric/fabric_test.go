@@ -387,42 +387,3 @@ func TestMultiVLConfiguration(t *testing.T) {
 		t.Fatalf("delivered %d, want 400", delivered)
 	}
 }
-
-// TestRecycleReturnsQueue is the sweep-arena gate: Network.Recycle must
-// hand the engine's queue storage back to the arena, so the next sweep
-// point draws it out again instead of growing a fresh one.
-func TestRecycleReturnsQueue(t *testing.T) {
-	topo, err := topology.GenerateIrregular(topology.IrregularSpec{
-		NumSwitches: 8, HostsPerSwitch: 4, InterSwitch: 4, Seed: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := ib.NewAddressPlan(topo.NumHosts(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	arena := sim.NewQueueArena()
-	cfg := fabric.DefaultConfig()
-	cfg.EngineOpts = []sim.EngineOption{sim.WithArena(arena)}
-	net, err := fabric.NewNetwork(topo, plan, cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.Recycle()
-	net.Recycle() // idempotent
-	if got := arena.Pooled(); got != 1 {
-		t.Fatalf("arena pooled %d queues after Recycle, want 1", got)
-	}
-	net2, err := fabric.NewNetwork(topo, plan, cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := arena.Pooled(); got != 0 {
-		t.Fatalf("arena still pools %d queues after rebuild, want 0", got)
-	}
-	net2.Recycle()
-	if got := arena.Pooled(); got != 1 {
-		t.Fatalf("arena pooled %d queues after second Recycle, want 1", got)
-	}
-}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"ibasim/internal/ib"
+	"ibasim/internal/prof"
 	"ibasim/internal/topology"
 )
 
@@ -133,6 +134,29 @@ func TestSwitchHopZeroAllocsDeterministic(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, hop); allocs != 0 {
 		t.Fatalf("steady-state deterministic forwarding allocates %v objects, want 0", allocs)
+	}
+}
+
+// TestSwitchHopZeroAllocsPhaseLabels holds a warm hop to the same bar
+// with the profiler's phase labels armed, as they are while a CPU
+// profile or execution trace is captured. The hop enters through a
+// receive event, so both switches' route, arbitrate and depart phases
+// switch labels.
+func TestSwitchHopZeroAllocsPhaseLabels(t *testing.T) {
+	prof.SetHotPhases(true)
+	t.Cleanup(func() { prof.SetHotPhases(false) })
+	net := hotpathNet(t)
+	sw := net.Switches[0]
+	pkt := net.NewPacket(0, 7, 32, true)
+	hop := func() {
+		net.scheduleReceive(0, sw, 0, 0, pkt)
+		net.Engine.RunUntilIdle()
+	}
+	for i := 0; i < 100; i++ {
+		hop()
+	}
+	if allocs := testing.AllocsPerRun(200, hop); allocs != 0 {
+		t.Fatalf("forwarding with phase labels armed allocates %v objects per traversal, want 0", allocs)
 	}
 }
 

@@ -38,10 +38,7 @@ type Network struct {
 
 	// pktSlab is the tail of the current packet allocation block;
 	// NewPacket and the hosts carve packets from it (see getPacket).
-	// pktBlocks remembers every block consumed so Recycle can hand
-	// them back to the sweep's PacketArena.
-	pktSlab   []ib.Packet
-	pktBlocks [][]ib.Packet
+	pktSlab []ib.Packet
 
 	// moved counts packet movements and nextID numbers the packets
 	// NewPacket and Host.Generate create.
@@ -517,18 +514,11 @@ func (n *Network) Run(horizon sim.Time) { n.Engine.Run(horizon) }
 // Processed returns the number of events dispatched so far.
 func (n *Network) Processed() uint64 { return n.Engine.Processed() }
 
-// Recycle returns the engine's queue storage to the arena the network
-// was built with (sim.WithArena), so a sweep's next network reuses it;
-// packet slab blocks go back to Cfg.PacketArena the same way. The
-// caller asserts the run is over and nothing retains a *ib.Packet from
-// it. Without arenas it is a no-op; calling it twice is safe.
-func (n *Network) Recycle() {
-	n.Engine.Recycle()
-	if a := n.Cfg.PacketArena; a != nil {
-		a.put(n.pktBlocks)
-		n.pktBlocks, n.pktSlab = nil, nil
-	}
-}
+// Recycle does nothing. A network keeps no storage for later runs: its
+// engine's queue and its packet blocks are freed with it. The method
+// stays because the benchmark program (perfbench/replay.go), its only
+// caller, calls it when a run ends.
+func (n *Network) Recycle() {}
 
 // Drain runs the simulation until every event has fired, then
 // verifies nothing is left in any buffer. It is the standard way tests

@@ -1,8 +1,6 @@
 package fabric
 
 import (
-	"sync"
-
 	"ibasim/internal/ib"
 	"ibasim/internal/prof"
 	"ibasim/internal/sim"
@@ -162,70 +160,17 @@ func (n *Network) scheduleHostKick(delay sim.Time, h *Host) {
 // Packets are not recycled — observers (reorder buffers, tracers,
 // tests) may hold a delivered packet long after the fabric last
 // touches it, so reuse would need a liveness protocol. Slab allocation
-// keeps every packet valid for the network's lifetime while cutting
-// the allocator to one call per block instead of one per packet; a
-// block is freed as a whole when the run's last reference to it drops.
+// cuts the allocator to one call per block instead of one per packet,
+// and a block is freed once none of its packets is referenced.
 const pktSlabSize = 512
 
 // getPacket carves the next packet from the network's slab. The carve
 // order is deterministic.
 func (n *Network) getPacket() *ib.Packet {
 	if len(n.pktSlab) == 0 {
-		n.pktSlab = n.pktBlock()
-		n.pktBlocks = append(n.pktBlocks, n.pktSlab)
+		n.pktSlab = make([]ib.Packet, pktSlabSize)
 	}
 	pkt := &n.pktSlab[0]
 	n.pktSlab = n.pktSlab[1:]
 	return pkt
-}
-
-// pktBlock returns a fresh packet block: recycled from the configured
-// arena when one is set (stale contents are fine — every carver
-// overwrites the whole struct), freshly allocated otherwise.
-func (n *Network) pktBlock() []ib.Packet {
-	if a := n.Cfg.PacketArena; a != nil {
-		if b := a.get(); b != nil {
-			return b
-		}
-	}
-	return make([]ib.Packet, pktSlabSize)
-}
-
-// PacketArena recycles packet slab blocks between the runs of a sweep,
-// the packet-memory analog of sim.QueueArena: the load points of a
-// sweep each allocate tens of thousands of packets, and handing a
-// finished run's blocks to the next cuts the dominant share of the
-// sweep's GC pressure. Thread-safe — load points run on a worker pool.
-//
-// Safety contract: blocks come back via Network.Recycle, whose caller
-// asserts the run is over and no *ib.Packet reference survives it
-// (observers drain with the network). Reusing a block while a packet
-// in it is still referenced would silently corrupt that packet.
-type PacketArena struct {
-	mu     sync.Mutex
-	blocks [][]ib.Packet
-}
-
-// NewPacketArena returns an empty arena.
-func NewPacketArena() *PacketArena { return &PacketArena{} }
-
-func (a *PacketArena) get() []ib.Packet {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if last := len(a.blocks) - 1; last >= 0 {
-		b := a.blocks[last]
-		a.blocks[last] = nil
-		a.blocks = a.blocks[:last]
-		return b
-	}
-	return nil
-}
-
-func (a *PacketArena) put(blocks [][]ib.Packet) {
-	if len(blocks) == 0 {
-		return
-	}
-	a.mu.Lock()
-	a.blocks = append(a.blocks, blocks...)
-	a.mu.Unlock()
 }

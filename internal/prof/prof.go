@@ -46,13 +46,26 @@ func SetHotPhases(on bool) { hotPhases.Store(on) }
 // HotPhasesEnabled reports whether hot-path phase labeling is armed.
 func HotPhasesEnabled() bool { return hotPhases.Load() }
 
-// phaseCtxs caches one labeled context per known phase so steady-state
-// labeling does not rebuild the label set per call.
-var phaseCtxs = map[string]context.Context{
-	PhaseRoute:     phaseCtx(PhaseRoute),
-	PhaseArbitrate: phaseCtx(PhaseArbitrate),
-	PhaseDepart:    phaseCtx(PhaseDepart),
+// Phase numbers index phaseCtxs; noPhase is the unlabelled top level.
+const (
+	noPhase = iota
+	routePhase
+	arbitratePhase
+	departPhase
+)
+
+// phaseCtxs holds one labelled context per phase, built once, so a
+// Phase call only switches the goroutine's label pointer.
+var phaseCtxs = [...]context.Context{
+	noPhase:        context.Background(),
+	routePhase:     phaseCtx(PhaseRoute),
+	arbitratePhase: phaseCtx(PhaseArbitrate),
+	departPhase:    phaseCtx(PhaseDepart),
 }
+
+// setLabels replaces the goroutine's profiler labels; tests swap in a
+// recorder.
+var setLabels = pprof.SetGoroutineLabels
 
 // phaseCtx builds the labeled context carrying phase=name.
 func phaseCtx(name string) context.Context {
@@ -60,14 +73,26 @@ func phaseCtx(name string) context.Context {
 }
 
 // Phase runs f with the goroutine labeled phase=name, so profile
-// samples taken inside attribute to that phase. Callers should gate on
+// samples taken inside attribute to that phase, then restores the
+// enclosing phase's label: arbitrate after depart, which always runs
+// within an arbitration pass, and no label after route and arbitrate,
+// which run at top level. It does not allocate. name is PhaseRoute,
+// PhaseArbitrate or PhaseDepart. Callers should gate on
 // HotPhasesEnabled — Phase itself always labels.
 func Phase(name string, f func()) {
-	ctx, ok := phaseCtxs[name]
-	if !ok {
-		ctx = phaseCtx(name)
+	p, outer := routePhase, noPhase
+	switch name {
+	case PhaseRoute:
+	case PhaseArbitrate:
+		p = arbitratePhase
+	case PhaseDepart:
+		p, outer = departPhase, arbitratePhase
+	default:
+		panic("prof: unknown phase " + name)
 	}
-	pprof.Do(ctx, pprof.Labels(), func(context.Context) { f() })
+	setLabels(phaseCtxs[p])
+	f()
+	setLabels(phaseCtxs[outer])
 }
 
 // Config holds the three profile destinations; empty means disabled.

@@ -377,15 +377,12 @@ func (q *calendarQueue) sortBucket(i int) {
 	q.slots[i] = out
 }
 
-// prealloc seeds the bucket freelist and the overflow so roughly n
-// standing events fit without growth. The chunks share one backing
-// allocation; a bucket outgrowing its chunk falls back to append's
-// usual regrow. No-op on storage that is already warm (e.g. a queue
-// recycled through a QueueArena).
+// prealloc seeds the bucket freelist and the overflow of a new queue
+// so roughly n standing events fit without growth. The chunks share
+// one backing allocation; a bucket outgrowing its chunk falls back to
+// append's usual regrow, and the chunk it leaves keeps stale event
+// copies until the queue itself is dropped.
 func (q *calendarQueue) prealloc(n int) {
-	if len(q.free) > 0 || cap(q.overflow.ev) > 0 {
-		return
-	}
 	const chunk = 64
 	chunks := (n + chunk - 1) / chunk
 	if chunks > 256 {
@@ -396,20 +393,4 @@ func (q *calendarQueue) prealloc(n int) {
 		q.free = append(q.free, backing[c*chunk:c*chunk:(c+1)*chunk])
 	}
 	q.overflow.ev = make([]event, 0, n/4+16)
-}
-
-// reset empties the queue for reuse, keeping every backing array (the
-// per-bucket slices, the freelist and the overflow heap's array).
-func (q *calendarQueue) reset() {
-	for i, s := range q.slots {
-		if len(s) > 0 {
-			clear(s) // release actions for GC
-			q.slots[i] = s[:0]
-		}
-	}
-	q.cur = 0
-	q.curStart = 0
-	q.head = 0
-	q.count = 0
-	q.overflow.reset()
 }

@@ -15,7 +15,6 @@ type Engine struct {
 	queue     eventQueue
 	processed uint64
 	running   bool
-	arena     *QueueArena
 
 	// imm is the immediate-event FIFO: delay-0 events scheduled while
 	// the engine is mid-dispatch. Such an event's packed key carries age
@@ -34,7 +33,7 @@ type Engine struct {
 // NewEngine returns an engine with the clock at zero and an empty
 // event queue. With no options it uses the calendar-queue scheduler
 // at its default geometry; see EngineOption for the scheduler,
-// geometry and storage-reuse knobs.
+// geometry and capacity knobs.
 func NewEngine(opts ...EngineOption) *Engine {
 	cfg := engineConfig{
 		kind:      SchedulerCalendar,
@@ -61,32 +60,11 @@ func NewEngine(opts ...EngineOption) *Engine {
 			cfg.slotBits++
 		}
 	}
-	var q *calendarQueue
-	if cfg.arena != nil {
-		q = cfg.arena.get(cfg.slotBits, cfg.widthBits)
-	} else {
-		q = newCalendarQueue(cfg.slotBits, cfg.widthBits)
-	}
+	q := newCalendarQueue(cfg.slotBits, cfg.widthBits)
 	if cfg.capacity > 0 {
 		q.prealloc(cfg.capacity)
 	}
-	return &Engine{queue: q, arena: cfg.arena}
-}
-
-// Recycle returns the engine's queue storage to the arena it was
-// built with (WithArena), making it available to the next engine in a
-// sweep. The engine must be done dispatching and is unusable
-// afterwards. Without an arena Recycle is a no-op and the engine
-// stays usable.
-func (e *Engine) Recycle() {
-	if e.arena == nil {
-		return
-	}
-	if q, ok := e.queue.(*calendarQueue); ok {
-		e.arena.put(q)
-	}
-	e.queue = nil
-	e.arena = nil
+	return &Engine{queue: q}
 }
 
 // Now returns the current simulated time.

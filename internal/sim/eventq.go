@@ -201,9 +201,3 @@ func (q *heapQueue) peekTime() Time {
 func (q *heapQueue) hasEventAt(t Time) bool {
 	return len(q.ev) > 0 && q.ev[0].at <= t
 }
-
-// reset empties the heap for reuse, keeping the backing array.
-func (q *heapQueue) reset() {
-	clear(q.ev)
-	q.ev = q.ev[:0]
-}

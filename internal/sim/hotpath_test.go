@@ -64,30 +64,6 @@ func TestSchedulePopZeroAllocsWarm(t *testing.T) {
 	}
 }
 
-// TestQueueArenaReuseZeroAllocs is the sweep-reuse gate: once a
-// QueueArena holds the drained storage of a completed run, building
-// the next engine from it and pushing a comparable standing load must
-// not grow queue storage. The two allocations left are fixed-size
-// construction costs — the Engine struct and the option-applied
-// engineConfig that escapes through the EngineOption closures — so
-// anything above 2 means per-run storage is being regrown.
-func TestQueueArenaReuseZeroAllocs(t *testing.T) {
-	arena := NewQueueArena()
-	a := &countAction{}
-	opts := []EngineOption{WithArena(arena)}
-	allocs := testing.AllocsPerRun(20, func() {
-		e := NewEngine(opts...)
-		for i := 0; i < 2048; i++ {
-			e.ScheduleAction(Time(i%512), a)
-		}
-		e.RunUntilIdle()
-		e.Recycle()
-	})
-	if allocs > 2 {
-		t.Fatalf("arena-recycled run allocates %v objects, want ≤ 2 (Engine struct + engineConfig)", allocs)
-	}
-}
-
 // TestEngineHeapSchedulerZeroAllocsWarm keeps the heap fallback under
 // the same alloc discipline as the default scheduler.
 func TestEngineHeapSchedulerZeroAllocsWarm(t *testing.T) {

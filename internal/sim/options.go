@@ -44,7 +44,6 @@ type engineConfig struct {
 	widthBits uint
 	spanHint  Time
 	capacity  int
-	arena     *QueueArena
 }
 
 // EngineOption configures NewEngine. The zero-option engine uses the
@@ -95,12 +94,4 @@ func WithCapacityHint(n int) EngineOption {
 			c.capacity = n
 		}
 	}
-}
-
-// WithArena draws the queue's backing storage from a shared
-// QueueArena; Engine.Recycle returns it when the run completes. Used
-// by sweep harnesses to stop consecutive runs from re-growing queue
-// storage from zero. Ignored by the heap scheduler.
-func WithArena(a *QueueArena) EngineOption {
-	return func(c *engineConfig) { c.arena = a }
 }

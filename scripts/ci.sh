@@ -27,8 +27,17 @@ go test -shuffle=on ./...
 
 echo "==> alloc-regression gates (hot path must not allocate)"
 # The always-on auditor's cheap hooks ride the same runs: this gate
-# also proves they keep the steady-state injection path allocation-free.
+# also proves they keep the steady-state injection path allocation-free,
+# and TestSwitchHopZeroAllocsPhaseLabels holds a hop with the profiler's
+# phase labels armed to the same bar.
 go test -run 'ZeroAllocs' -v ./internal/core/ ./internal/sim/ ./internal/fabric/ ./internal/check/
+
+echo "==> profiler phase labels (a phase restores the label of the phase it runs inside)"
+go test -count=1 -run 'TestPhaseRestoresEnclosingLabel' -v ./internal/prof/
+
+echo "==> harness goldens (Table 1, motivation, fault table and the facade's sweeps pinned by sha256; the parallel sweep matches a sequential one)"
+go test -race -count=1 -run 'TestHarnessGoldens|TestLoadSweepParallelMatchesSequential' -v ./internal/experiments/
+go test -race -count=1 -run 'TestHarnessGoldensFacade' -v .
 
 echo "==> bytes per generated packet (a saturated run keeps every packet; bound its memory slope)"
 go test -count=1 -run 'TestHotSpotBytesPerGeneratedPacket' -v ./internal/experiments/
