@@ -26,7 +26,7 @@ import (
 // smoke suite asserts each deliberate model break trips the named
 // invariant it targets.
 const (
-	// InvCreditBound: per (channel, VL), 0 <= credits and
+	// InvCreditBound: per channel, 0 <= credits and
 	// credits + peer occupancy <= CMax. (§4.4 flow control: in-flight
 	// packets and updates can only lower availability, never invent it.)
 	InvCreditBound = fabric.AuditCreditBound
@@ -34,8 +34,8 @@ const (
 	// C_XYE = min(C_0, C_XY), C_XYA + C_XYE = C_XY, and well-formedness
 	// of the configured split (0 < C_0 < CMax = BufferCredits).
 	InvCreditSplit = fabric.AuditCreditSplit
-	// InvCreditOccupancy: a VL buffer's occupancy counter equals the
-	// sum of its entries' credits.
+	// InvCreditOccupancy: an input buffer's occupancy counter equals
+	// the sum of its entries' credits.
 	InvCreditOccupancy = fabric.AuditCreditOccupancy
 	// InvCreditsIntact: with the network fully drained, every channel
 	// sees its full credit count again (credits were neither lost nor
@@ -253,7 +253,7 @@ func (a *Auditor) onDelivered(p *ib.Packet) {
 // selector saw.
 func (a *Auditor) onHop(p *ib.Packet, sw int, out ib.PortID, adaptive bool) {
 	a.hopChecks++
-	now, credits, hostFacing, ok := a.net.Switches[sw].AuditHopView(out, int(p.SL))
+	now, credits, hostFacing, ok := a.net.Switches[sw].AuditHopView(out)
 	if !ok {
 		return
 	}

@@ -104,7 +104,7 @@ func TestMutationForgedCredits(t *testing.T) {
 	net := irregularNet(t, 8, 1, 2)
 	s := 0
 	nb := net.Topo.Neighbors(s)[0]
-	if err := net.TamperCredits(s, nb, 0, +5); err != nil {
+	if err := net.TamperCredits(s, nb, +5); err != nil {
 		t.Fatal(err)
 	}
 	aud := check.Attach(net, check.Config{Heavy: true})
@@ -120,7 +120,7 @@ func TestMutationLeakedCredits(t *testing.T) {
 	net := irregularNet(t, 8, 1, 2)
 	s := 0
 	nb := net.Topo.Neighbors(s)[0]
-	if err := net.TamperCredits(s, nb, 0, -3); err != nil {
+	if err := net.TamperCredits(s, nb, -3); err != nil {
 		t.Fatal(err)
 	}
 	aud := check.Attach(net, check.Config{})
@@ -134,7 +134,7 @@ func TestMutationCorruptOccupancy(t *testing.T) {
 	net := irregularNet(t, 8, 1, 2)
 	s := 0
 	nb := net.Topo.Neighbors(s)[0]
-	if err := net.TamperOccupancy(nb, s, 0, +2); err != nil {
+	if err := net.TamperOccupancy(nb, s, +2); err != nil {
 		t.Fatal(err)
 	}
 	aud := check.Attach(net, check.Config{Heavy: true})

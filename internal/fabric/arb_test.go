@@ -22,7 +22,7 @@ func runArbCongestion(net *Network) {
 	sw := net.Switches[0]
 	for src := 0; src < 4; src++ {
 		pkt := net.NewPacket(src, 7, 64, true)
-		sw.receive(net.HostPort(src), 0, pkt)
+		sw.receive(net.HostPort(src), pkt)
 	}
 	net.Engine.RunUntilIdle()
 }
@@ -85,7 +85,7 @@ func TestArbTamperForcesScan(t *testing.T) {
 // re-arm wake mode over silently skewed credits.
 func TestArbMutationHookIsSticky(t *testing.T) {
 	net := hotpathNet(t)
-	if err := net.TamperCredits(0, 1, 0, -1); err != nil {
+	if err := net.TamperCredits(0, 1, -1); err != nil {
 		t.Fatal(err)
 	}
 	if net.ArbWake() {
@@ -95,7 +95,7 @@ func TestArbMutationHookIsSticky(t *testing.T) {
 	if net.ArbWake() {
 		t.Fatal("tamper reset re-armed the wake arbiter after a raw credit mutation")
 	}
-	if err := net.TamperCredits(0, 1, 0, 1); err != nil {
+	if err := net.TamperCredits(0, 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	runArbCongestion(net)
@@ -161,10 +161,8 @@ func requireArbStateEqual(t *testing.T, wake, scan *Network, tag string) {
 			if wo.busyUntil != so.busyUntil {
 				t.Fatalf("%s: switch %d port %d busyUntil diverged: wake %d, scan %d", tag, s, p, wo.busyUntil, so.busyUntil)
 			}
-			for vl := range wo.credits {
-				if wo.credits[vl] != so.credits[vl] {
-					t.Fatalf("%s: switch %d port %d vl %d credits diverged: wake %d, scan %d", tag, s, p, vl, wo.credits[vl], so.credits[vl])
-				}
+			if wo.credits != so.credits {
+				t.Fatalf("%s: switch %d port %d credits diverged: wake %d, scan %d", tag, s, p, wo.credits, so.credits)
 			}
 		}
 	}
@@ -245,7 +243,7 @@ func TestSwitchHopZeroAllocsScanArb(t *testing.T) {
 	sw := net.Switches[0]
 	pkt := net.NewPacket(0, 7, 32, true)
 	hop := func() {
-		sw.receive(0, 0, pkt)
+		sw.receive(0, pkt)
 		net.Engine.RunUntilIdle()
 	}
 	for i := 0; i < 100; i++ {
@@ -270,7 +268,7 @@ func TestArbWakeZeroAllocsCongested(t *testing.T) {
 	}
 	burst := func() {
 		for i, pkt := range pkts {
-			sw.receive(net.HostPort(i), 0, pkt)
+			sw.receive(net.HostPort(i), pkt)
 		}
 		net.Engine.RunUntilIdle()
 	}
@@ -296,7 +294,7 @@ func BenchmarkSwitchHopScanArb(b *testing.B) {
 	sw := net.Switches[0]
 	pkt := net.NewPacket(0, 7, 32, true)
 	hop := func() {
-		sw.receive(0, 0, pkt)
+		sw.receive(0, pkt)
 		net.Engine.RunUntilIdle()
 	}
 	for i := 0; i < 100; i++ {
@@ -327,7 +325,7 @@ func BenchmarkArbCongested(b *testing.B) {
 			}
 			burst := func() {
 				for i, pkt := range pkts {
-					sw.receive(net.HostPort(i), 0, pkt)
+					sw.receive(net.HostPort(i), pkt)
 				}
 				net.Engine.RunUntilIdle()
 			}

@@ -12,7 +12,7 @@ import (
 // catalog (fabric cannot import check without a cycle, so the strings
 // are defined at the point the checks run).
 const (
-	// AuditCreditBound: 0 <= c and c + occ <= CMax per (port, VL).
+	// AuditCreditBound: 0 <= c and c + occ <= CMax per channel.
 	AuditCreditBound = "credit-bound"
 	// AuditCreditSplit: the §4.4 identities C_XYA = max(0, c − C_0),
 	// C_XYE = min(C_0, c), C_XYA + C_XYE = c, plus well-formedness of
@@ -26,9 +26,9 @@ const (
 // AuditCredits verifies the flow-control invariants that must hold at
 // ANY simulated instant, packets in flight or not — the runtime
 // counterpart of CreditsIntact (which requires an idle network). For
-// every directed channel and VL, with c the credits the transmitter
-// believes are available and occ the credits actually stored in the
-// peer's buffer:
+// every directed channel, with c the credits the transmitter believes
+// are available and occ the credits actually stored in the peer's
+// buffer:
 //
 //	0 <= c <= CMax            (credits neither negative nor invented)
 //	c + occ <= CMax           (in-flight packets/updates only lower it)
@@ -57,34 +57,34 @@ func (n *Network) AuditCredits(report func(class, detail string)) {
 		if o == nil {
 			return
 		}
-		for vl, c := range o.credits {
-			if c < 0 || c > cmax {
-				report(AuditCreditBound, fmt.Sprintf("%s port %d vl %d: %d credits outside [0,%d]",
-					owner, o.id, vl, c, cmax))
-			}
-			a, e := split.Adaptive(c), split.Escape(c)
-			if a+e != c || a < 0 || a > split.CAdaptiveCap() || e < 0 || e > split.CEscape {
-				report(AuditCreditSplit, fmt.Sprintf("%s port %d vl %d: split identity broken: c=%d C_XYA=%d C_XYE=%d (C_0=%d)",
-					owner, o.id, vl, c, a, e, split.CEscape))
-			}
-			if o.peerSwitch != nil {
-				buf := o.peerSwitch.in[o.peerPort].vls[vl]
-				sum := 0
-				// Recompute from the packets, not the slab's cached
-				// credits column, so the audit stays independent of the
-				// bookkeeping it checks.
-				for _, id := range buf.ids {
-					sum += buf.slab.pkt[id].Credits()
-				}
-				if sum != buf.occupied {
-					report(AuditCreditOccupancy, fmt.Sprintf("%s port %d vl %d: peer buffer claims %d credits occupied, entries hold %d",
-						owner, o.id, vl, buf.occupied, sum))
-				}
-				if c+buf.occupied > cmax {
-					report(AuditCreditBound, fmt.Sprintf("%s port %d vl %d: credits %d + peer occupancy %d exceed capacity %d",
-						owner, o.id, vl, c, buf.occupied, cmax))
-				}
-			}
+		c := o.credits
+		if c < 0 || c > cmax {
+			report(AuditCreditBound, fmt.Sprintf("%s port %d: %d credits outside [0,%d]",
+				owner, o.id, c, cmax))
+		}
+		a, e := split.Adaptive(c), split.Escape(c)
+		if a+e != c || a < 0 || a > split.CAdaptiveCap() || e < 0 || e > split.CEscape {
+			report(AuditCreditSplit, fmt.Sprintf("%s port %d: split identity broken: c=%d C_XYA=%d C_XYE=%d (C_0=%d)",
+				owner, o.id, c, a, e, split.CEscape))
+		}
+		if o.peerSwitch == nil {
+			return
+		}
+		buf := o.peerSwitch.in[o.peerPort].buf
+		sum := 0
+		// Recompute from the packets, not the slab's cached credits
+		// column, so the audit stays independent of the bookkeeping it
+		// checks.
+		for _, id := range buf.ids {
+			sum += buf.slab.pkt[id].Credits()
+		}
+		if sum != buf.occupied {
+			report(AuditCreditOccupancy, fmt.Sprintf("%s port %d: peer buffer claims %d credits occupied, entries hold %d",
+				owner, o.id, buf.occupied, sum))
+		}
+		if c+buf.occupied > cmax {
+			report(AuditCreditBound, fmt.Sprintf("%s port %d: credits %d + peer occupancy %d exceed capacity %d",
+				owner, o.id, c, buf.occupied, cmax))
 		}
 	}
 	for _, sw := range n.Switches {
@@ -118,8 +118,8 @@ func (n *Network) CheckCreditConservation() error {
 // credits + pkt.Credits(). hostFacing distinguishes delivery ports
 // (CA drains at line rate, total room is the admission condition)
 // from inter-switch ports (adaptive region must hold the whole
-// packet). ok is false for an unwired port or unmappable SL.
-func (sw *Switch) AuditHopView(out ib.PortID, sl int) (now sim.Time, credits int, hostFacing, ok bool) {
+// packet). ok is false for an unwired port.
+func (sw *Switch) AuditHopView(out ib.PortID) (now sim.Time, credits int, hostFacing, ok bool) {
 	if int(out) >= len(sw.out) {
 		return 0, 0, false, false
 	}
@@ -127,11 +127,7 @@ func (sw *Switch) AuditHopView(out ib.PortID, sl int) (now sim.Time, credits int
 	if o == nil {
 		return 0, 0, false, false
 	}
-	vl, ok := sw.vlOf.VL(sl)
-	if !ok {
-		return 0, 0, false, false
-	}
-	return sw.net.Engine.Now(), o.credits[vl], o.peerHost != nil, true
+	return sw.net.Engine.Now(), o.credits, o.peerHost != nil, true
 }
 
 // NeighborAt resolves an inter-switch output port of switch s to the

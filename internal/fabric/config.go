@@ -1,11 +1,13 @@
 // Package fabric is the register-transfer-level model of an IBA
-// subnet: switches with per-VL input buffers, credit-based link-level
-// flow control, virtual cut-through switching, serial links with
-// propagation delay, and channel adapters (hosts) that inject and sink
-// packets. It realizes both a plain spec-compliant deterministic
+// subnet: switches with one input buffer per port, credit-based
+// link-level flow control, virtual cut-through switching, serial links
+// with propagation delay, and channel adapters (hosts) that inject and
+// sink packets. It realizes both a plain spec-compliant deterministic
 // subnet and the paper's enhanced switches (interleaved multi-option
 // forwarding tables, adaptive/escape logical queues inside each VL
-// buffer, credit-split output selection).
+// buffer, credit-split output selection). The fabric models exactly one
+// data VL, as the paper's evaluation does: the mechanism needs no extra
+// VLs, because both logical queues live inside a single VL's buffer.
 package fabric
 
 import (
@@ -19,20 +21,15 @@ import (
 // Config gathers the switch and link parameters of a simulation. The
 // zero value is not valid; start from DefaultConfig.
 type Config struct {
-	// NumVLs is the number of data virtual lanes per port. The
-	// paper's evaluation uses a single data VL (VLs are reserved for
-	// QoS separation, which it does not exercise).
-	NumVLs int
-
 	// BufferCredits is C_max: the capacity, in 64-byte credits, of
-	// each (input port, VL) buffer. It must hold at least two MTU
+	// each input port's buffer. It must hold at least two MTU
 	// packets so each logical queue can store a whole packet (§4.4).
 	BufferCredits int
 
 	// MTU is the maximum packet size in bytes.
 	MTU int
 
-	// Split divides each VL buffer into the adaptive and escape
+	// Split divides each input buffer into the adaptive and escape
 	// logical queues. Ignored by plain deterministic switches.
 	Split core.CreditSplit
 
@@ -41,7 +38,7 @@ type Config struct {
 
 	// AdaptiveSwitches enables the paper's switch enhancements. When
 	// false the fabric behaves as a stock IBA subnet: one routing
-	// option per DLID, single logical queue per VL.
+	// option per DLID, a single logical queue per buffer.
 	AdaptiveSwitches bool
 
 	// SourceMultipath enables the baseline the paper's introduction
@@ -164,14 +161,13 @@ func DefaultRetry() RetryConfig {
 	return RetryConfig{MaxRetries: 8, BackoffBase: 1_000, BackoffMax: 64_000, SendTimeout: 100_000}
 }
 
-// DefaultConfig returns the paper's evaluation parameters: 1 VL,
-// buffers of two MTUs (so each logical queue holds one full packet),
+// DefaultConfig returns the paper's evaluation parameters: buffers
+// of two MTUs (so each logical queue holds one full packet),
 // MTU 256 B, equal adaptive/escape split, arbitration-time
 // status-aware selection, enhanced switches.
 func DefaultConfig() Config {
 	credits := 2 * ib.Credits(ib.DefaultMTU) * 2 // 2 MTU per logical queue
 	return Config{
-		NumVLs:           1,
 		BufferCredits:    credits,
 		MTU:              ib.DefaultMTU,
 		Split:            core.SplitHalf(credits),
@@ -183,9 +179,6 @@ func DefaultConfig() Config {
 
 // Validate checks internal consistency.
 func (c Config) Validate() error {
-	if c.NumVLs < 1 || c.NumVLs > ib.MaxVLs {
-		return fmt.Errorf("fabric: NumVLs %d out of range", c.NumVLs)
-	}
 	if c.MTU <= 0 {
 		return fmt.Errorf("fabric: MTU %d", c.MTU)
 	}

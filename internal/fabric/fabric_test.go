@@ -333,11 +333,6 @@ func TestImmediateSelectionModesDrain(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	cfg := fabric.DefaultConfig()
-	cfg.NumVLs = 0
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("NumVLs 0 accepted")
-	}
-	cfg = fabric.DefaultConfig()
 	cfg.BufferCredits = 4 // cannot hold two MTU packets
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("tiny buffer accepted")
@@ -360,30 +355,5 @@ func TestNewNetworkRejectsMismatchedPlan(t *testing.T) {
 	}
 	if _, err := fabric.NewNetwork(topo, plan, fabric.DefaultConfig(), 1); err == nil {
 		t.Fatal("mismatched plan accepted")
-	}
-}
-
-func TestMultiVLConfiguration(t *testing.T) {
-	cfg := fabric.DefaultConfig()
-	cfg.NumVLs = 2
-	net := irregularNet(t, 8, 4, 67, cfg, 2, 1)
-	rng := sim.NewRNG(71)
-	hosts := net.Topo.NumHosts()
-	delivered := 0
-	net.OnDelivered = func(p *ib.Packet) { delivered++ }
-	for i := 0; i < 400; i++ {
-		src, dst := rng.Intn(hosts), rng.Intn(hosts)
-		if src == dst {
-			dst = (dst + 1) % hosts
-		}
-		pkt := net.NewPacket(src, dst, 32, true)
-		pkt.SL = uint8(i % 2) // spread across both VLs
-		net.Hosts[src].Inject(pkt)
-	}
-	if err := net.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	if delivered != 400 {
-		t.Fatalf("delivered %d, want 400", delivered)
 	}
 }

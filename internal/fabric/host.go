@@ -172,15 +172,13 @@ func (h *Host) packetOf(e srcEntry) ib.Packet {
 	}
 }
 
-// headNeeds returns the VL the head packet travels on and the credits
-// it consumes. A fresh packet has SL 0.
-func (h *Host) headNeeds() (vl, credits int) {
+// headCredits returns the credits the head packet consumes.
+func (h *Host) headCredits() int {
 	e := h.queue.peek()
 	if e.flags&entPrebuilt == 0 {
-		return 0, ib.Credits(int(e.size))
+		return ib.Credits(int(e.size))
 	}
-	pkt := h.prebuilt.peek()
-	return int(pkt.SL) % h.net.Cfg.NumVLs, pkt.Credits()
+	return h.prebuilt.peek().Credits()
 }
 
 // injectionBlocked reports whether an injection pass for the current
@@ -205,8 +203,7 @@ func (h *Host) injectionBlocked(now sim.Time) bool {
 	if o.returns > 0 {
 		return false
 	}
-	vl, credits := h.headNeeds()
-	return !h.net.Cfg.Split.CanUseEscape(o.credits[vl], credits)
+	return !h.net.Cfg.Split.CanUseEscape(o.credits, h.headCredits())
 }
 
 // kick schedules an injection attempt at the current time (coalesced).
@@ -275,20 +272,19 @@ func (h *Host) tryInject() {
 	if h.queue.len() == 0 || !h.out.free(now) {
 		return
 	}
-	vl, credits := h.headNeeds()
-	if !h.net.Cfg.Split.CanUseEscape(h.out.credits[vl], credits) {
+	credits := h.headCredits()
+	if !h.net.Cfg.Split.CanUseEscape(h.out.credits, credits) {
 		return
 	}
 	pkt := h.take()
-	h.out.credits[vl] -= credits
+	h.out.credits -= credits
 	ser := ib.SerializationTime(int(pkt.Size))
 	h.out.busyUntil = now + ser
 	h.out.busyAccum += ser
 	h.out.txPackets++
 	h.Injected++
-	h.net.moved++
 
-	h.net.scheduleReceive(ib.PropagationDelay, h.out.peerSwitch, h.out.peerPort, vl, pkt)
+	h.net.scheduleReceive(ib.PropagationDelay, h.out.peerSwitch, h.out.peerPort, pkt)
 	h.net.scheduleHostKick(ser, h)
 }
 
@@ -299,7 +295,6 @@ func (h *Host) deliver(pkt *ib.Packet) {
 	}
 	pkt.DeliveredAt = h.net.Engine.Now()
 	h.Delivered++
-	h.net.moved++
 	if h.net.OnDelivered != nil {
 		h.net.OnDelivered(pkt)
 	}

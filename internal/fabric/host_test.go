@@ -123,7 +123,7 @@ func queuedHost(t *testing.T, cfg Config) (*Network, *Host) {
 // repair in the same instant may follow), or while a tamper model or
 // mutation hook has touched forwarding state.
 func TestGenerateSkipsOnlyFailingPasses(t *testing.T) {
-	noCredits := func(net *Network, h *Host) { h.out.credits[0] = 0 }
+	noCredits := func(net *Network, h *Host) { h.out.credits = 0 }
 	cases := []struct {
 		name  string
 		setup func(net *Network, h *Host)
@@ -134,11 +134,11 @@ func TestGenerateSkipsOnlyFailingPasses(t *testing.T) {
 		{"busy link", func(net *Network, h *Host) { h.out.busyUntil = 100 }, true},
 		{"busy link, credit return in flight", func(net *Network, h *Host) {
 			h.out.busyUntil = 100
-			net.scheduleCreditReturn(ib.PropagationDelay, h.out, 0, 1)
+			net.scheduleCreditReturn(ib.PropagationDelay, h.out, 1)
 		}, true},
 		{"no credits, credit return in flight", func(net *Network, h *Host) {
 			noCredits(net, h)
-			net.scheduleCreditReturn(ib.PropagationDelay, h.out, 0, 1)
+			net.scheduleCreditReturn(ib.PropagationDelay, h.out, 1)
 		}, false},
 		{"no credits, link down", func(net *Network, h *Host) {
 			noCredits(net, h)
@@ -150,7 +150,7 @@ func TestGenerateSkipsOnlyFailingPasses(t *testing.T) {
 		}, false},
 		{"no credits, mutation hook fired", func(net *Network, h *Host) {
 			noCredits(net, h)
-			if err := net.TamperCredits(0, 1, 0, 0); err != nil {
+			if err := net.TamperCredits(0, 1, 0); err != nil {
 				t.Fatal(err)
 			}
 		}, false},
@@ -182,7 +182,7 @@ func TestGenerateSkipsOnlyFailingPasses(t *testing.T) {
 	skipped := false
 	net.Engine.At(1_000, func() { // dispatches before the timeout check it shares the instant with
 		h.out.down = false
-		h.out.credits[0] = 0
+		h.out.credits = 0
 		h.Generate(7, 32, false)
 		skipped = !h.injPending
 	})

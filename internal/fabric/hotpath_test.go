@@ -71,7 +71,7 @@ func TestSwitchHopZeroAllocsSteadyState(t *testing.T) {
 	sw := net.Switches[0]
 	pkt := net.NewPacket(0, 7, 32, true)
 	hop := func() {
-		sw.receive(0, 0, pkt)
+		sw.receive(0, pkt)
 		net.Engine.RunUntilIdle()
 	}
 	for i := 0; i < 100; i++ { // warm pools, caches, backing arrays
@@ -94,7 +94,7 @@ func TestSwitchHopZeroAllocsUnfused(t *testing.T) {
 	sw := net.Switches[0]
 	pkt := net.NewPacket(0, 7, 32, true)
 	hop := func() {
-		sw.receive(0, 0, pkt)
+		sw.receive(0, pkt)
 		net.Engine.RunUntilIdle()
 	}
 	for i := 0; i < 100; i++ {
@@ -126,7 +126,7 @@ func TestSwitchHopZeroAllocsDeterministic(t *testing.T) {
 	sw := net.Switches[0]
 	pkt := net.NewPacket(0, 5, 32, false)
 	hop := func() {
-		sw.receive(0, 0, pkt)
+		sw.receive(0, pkt)
 		net.Engine.RunUntilIdle()
 	}
 	for i := 0; i < 100; i++ {
@@ -149,7 +149,7 @@ func TestSwitchHopZeroAllocsPhaseLabels(t *testing.T) {
 	sw := net.Switches[0]
 	pkt := net.NewPacket(0, 7, 32, true)
 	hop := func() {
-		net.scheduleReceive(0, sw, 0, 0, pkt)
+		net.scheduleReceive(0, sw, 0, pkt)
 		net.Engine.RunUntilIdle()
 	}
 	for i := 0; i < 100; i++ {
@@ -229,7 +229,7 @@ func BenchmarkSwitchHop(b *testing.B) {
 	sw := net.Switches[0]
 	pkt := net.NewPacket(0, 7, 32, true)
 	hop := func() {
-		sw.receive(0, 0, pkt)
+		sw.receive(0, pkt)
 		net.Engine.RunUntilIdle()
 	}
 	for i := 0; i < 100; i++ {

@@ -40,9 +40,7 @@ type Network struct {
 	// NewPacket and the hosts carve packets from it (see getPacket).
 	pktSlab []ib.Packet
 
-	// moved counts packet movements and nextID numbers the packets
-	// NewPacket and Host.Generate create.
-	moved  uint64
+	// nextID numbers the packets NewPacket and Host.Generate create.
 	nextID uint64
 
 	// created is the scratch packet Host.Generate passes to OnCreated.
@@ -192,11 +190,6 @@ func (f FaultStats) Dropped() uint64 {
 // the exported Faults field.
 func (n *Network) FaultTotals() FaultStats { return n.Faults }
 
-// Moved returns the total number of packet movements (injections,
-// hops, deliveries, drops) so far — a monotone progress clock for
-// deadlock detection.
-func (n *Network) Moved() uint64 { return n.moved }
-
 // dropPacket accounts one discarded packet and, when the retry policy
 // allows, schedules its re-injection at the source with exponential
 // backoff.
@@ -209,7 +202,6 @@ func (n *Network) dropPacket(pkt *ib.Packet, reason DropReason) {
 	case DropTimeout:
 		n.Faults.DroppedTimeout++
 	}
-	n.moved++
 	if n.OnDropped != nil {
 		n.OnDropped(pkt, reason)
 	}
@@ -278,10 +270,6 @@ func NewNetwork(topo *topology.Topology, plan *ib.AddressPlan, cfg Config, seed 
 		}
 		detOnly[s] = true
 	}
-	vlOf, err := ib.DefaultSLtoVL(cfg.NumVLs)
-	if err != nil {
-		return nil, err
-	}
 	numPorts := topo.SwitchPorts
 	for s := 0; s < topo.NumSwitches; s++ {
 		table, err := core.NewAdaptiveTable(plan.MaxLID(), plan.LMC)
@@ -293,7 +281,6 @@ func NewNetwork(topo *topology.Topology, plan *ib.AddressPlan, cfg Config, seed 
 			id:       s,
 			enhanced: cfg.AdaptiveSwitches && !detOnly[s],
 			table:    table,
-			vlOf:     vlOf,
 			in:       make([]*inPort, numPorts),
 			out:      make([]*outPort, numPorts),
 		})
@@ -319,11 +306,11 @@ func NewNetwork(topo *topology.Topology, plan *ib.AddressPlan, cfg Config, seed 
 			id:         0,
 			peerSwitch: sw,
 			peerPort:   port,
-			credits:    net.fullCredits(),
+			credits:    cfg.BufferCredits,
 		}
 		sw.in[port] = &inPort{
 			id:       port,
-			vls:      net.newVLBuffers(sw.enhanced),
+			buf:      newVLBuffer(cfg.Split, sw.enhanced),
 			upstream: host.out,
 		}
 		sw.out[port] = &outPort{
@@ -332,7 +319,7 @@ func NewNetwork(topo *topology.Topology, plan *ib.AddressPlan, cfg Config, seed 
 			ownerSw:  sw,
 			id:       port,
 			peerHost: host,
-			credits:  net.fullCredits(),
+			credits:  cfg.BufferCredits,
 		}
 	}
 
@@ -383,33 +370,14 @@ func (n *Network) wire(a *Switch, pa ib.PortID, b *Switch, pb ib.PortID) {
 		id:         pa,
 		peerSwitch: b,
 		peerPort:   pb,
-		credits:    n.fullCredits(),
+		credits:    n.Cfg.BufferCredits,
 	}
 	a.out[pa] = o
 	b.in[pb] = &inPort{
 		id:       pb,
-		vls:      n.newVLBuffers(b.enhanced),
+		buf:      newVLBuffer(n.Cfg.Split, b.enhanced),
 		upstream: o,
 	}
-}
-
-func (n *Network) fullCredits() []int {
-	c := make([]int, n.Cfg.NumVLs)
-	for i := range c {
-		c[i] = n.Cfg.BufferCredits
-	}
-	return c
-}
-
-// newVLBuffers builds the per-VL input buffers of one switch port;
-// enhanced switches split each buffer into adaptive and escape
-// logical queues, stock switches keep a single queue.
-func (n *Network) newVLBuffers(enhanced bool) []*vlBuffer {
-	vls := make([]*vlBuffer, n.Cfg.NumVLs)
-	for i := range vls {
-		vls[i] = newVLBuffer(n.Cfg.Split, enhanced)
-	}
-	return vls
 }
 
 // NewPacket builds a packet from src to dst with the service mode
@@ -482,16 +450,11 @@ func (n *Network) InFlight() int {
 // peer buffer. A mismatch means credits were lost or duplicated.
 func (n *Network) CreditsIntact() error {
 	check := func(o *outPort, owner string) error {
-		if o == nil {
+		if o == nil || o.credits == n.Cfg.BufferCredits {
 			return nil
 		}
-		for vl, c := range o.credits {
-			if c != n.Cfg.BufferCredits {
-				return fmt.Errorf("fabric: %s port %d vl %d has %d credits, want %d",
-					owner, o.id, vl, c, n.Cfg.BufferCredits)
-			}
-		}
-		return nil
+		return fmt.Errorf("fabric: %s port %d has %d credits, want %d",
+			owner, o.id, o.credits, n.Cfg.BufferCredits)
 	}
 	for _, sw := range n.Switches {
 		for _, o := range sw.out {

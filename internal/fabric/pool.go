@@ -38,7 +38,6 @@ type fabricEvent struct {
 	host *Host      // evDeliver / evRequeue / evHostKick target
 	out  *outPort   // evCreditReturn target
 	port ib.PortID  // evReceive input port
-	vl   int        // input/output VL
 	n    int        // credits returned
 	pkt  *ib.Packet // in-flight packet
 }
@@ -50,23 +49,23 @@ type fabricEvent struct {
 // arbPending/injPending); the engine's immediates FIFO makes that a
 // slice append and read (see sim.Engine.imm).
 func (ev *fabricEvent) Do() {
-	kind, sw, host, out, port, vl, n, pkt := ev.kind, ev.sw, ev.host, ev.out, ev.port, ev.vl, ev.n, ev.pkt
+	kind, sw, host, out, port, n, pkt := ev.kind, ev.sw, ev.host, ev.out, ev.port, ev.n, ev.pkt
 	net := ev.network()
 	net.putEvent(ev)
 	switch kind {
 	case evReceive:
 		if prof.HotPhasesEnabled() {
-			prof.Phase(prof.PhaseRoute, func() { sw.receive(port, vl, pkt) })
+			prof.Phase(prof.PhaseRoute, func() { sw.receive(port, pkt) })
 			return
 		}
-		sw.receive(port, vl, pkt)
+		sw.receive(port, pkt)
 	case evDeliver:
 		host.deliver(pkt)
 	case evCreditReturn:
 		out.returns--
-		out.credits[vl] += n
+		out.credits += n
 		if net.wake && out.ownerSw != nil {
-			out.ownerSw.wakeCredits(out.id, vl)
+			out.ownerSw.wakeCredits(out.id)
 		}
 		out.owner.kick()
 	case evRequeue:
@@ -104,11 +103,11 @@ func (n *Network) putEvent(ev *fabricEvent) {
 	n.evFree = append(n.evFree, ev)
 }
 
-// scheduleReceive schedules a packet head arrival at (sw, port, vl)
-// after delay, without allocating once the pool is warm.
-func (n *Network) scheduleReceive(delay sim.Time, sw *Switch, port ib.PortID, vl int, pkt *ib.Packet) {
+// scheduleReceive schedules a packet head arrival at (sw, port) after
+// delay, without allocating once the pool is warm.
+func (n *Network) scheduleReceive(delay sim.Time, sw *Switch, port ib.PortID, pkt *ib.Packet) {
 	ev := n.getEvent()
-	ev.kind, ev.sw, ev.port, ev.vl, ev.pkt = evReceive, sw, port, vl, pkt
+	ev.kind, ev.sw, ev.port, ev.pkt = evReceive, sw, port, pkt
 	n.Engine.ScheduleAction(delay, ev)
 }
 
@@ -120,12 +119,12 @@ func (n *Network) scheduleDeliver(delay sim.Time, h *Host, pkt *ib.Packet) {
 }
 
 // scheduleCreditReturn schedules a flow-control update of credits
-// credits on (o, vl), counting it in o.returns until it dispatches.
-// Every caller passes at least the propagation delay.
-func (n *Network) scheduleCreditReturn(delay sim.Time, o *outPort, vl, credits int) {
+// credits on o, counting it in o.returns until it dispatches. Every
+// caller passes at least the propagation delay.
+func (n *Network) scheduleCreditReturn(delay sim.Time, o *outPort, credits int) {
 	o.returns++
 	ev := n.getEvent()
-	ev.kind, ev.out, ev.vl, ev.n = evCreditReturn, o, vl, credits
+	ev.kind, ev.out, ev.n = evCreditReturn, o, credits
 	n.Engine.ScheduleAction(delay, ev)
 }
 

@@ -14,7 +14,7 @@ type node interface {
 
 // outPort is the transmitting side of one directed channel: it tracks
 // the link's busy time and the credit count of the peer's input buffer
-// per VL (IBA's credit-based flow control is per-VL, §5.1).
+// (IBA's credit-based flow control, §5.1).
 type outPort struct {
 	owner node
 	net   *Network // the owner's network: credit-return events are pooled there
@@ -30,7 +30,7 @@ type outPort struct {
 	peerPort   ib.PortID // input port number on peerSwitch
 	peerHost   *Host
 
-	credits   []int // per VL: credits available at the peer buffer
+	credits   int // credits available at the peer buffer
 	busyUntil sim.Time
 
 	// returns counts this port's credit-return events in flight:
@@ -50,10 +50,10 @@ type outPort struct {
 
 func (o *outPort) free(now sim.Time) bool { return !o.down && o.busyUntil <= now }
 
-// inPort is the receiving side: per-VL buffers plus the reverse
+// inPort is the receiving side: the port's buffer plus the reverse
 // reference used to send credit updates back upstream.
 type inPort struct {
 	id       ib.PortID
-	vls      []*vlBuffer
+	buf      *vlBuffer
 	upstream *outPort // the transmitter feeding this port
 }

@@ -117,15 +117,13 @@ func (n *Network) SetSwitchDown(s int) error {
 		if in == nil {
 			continue
 		}
-		for vl, buf := range in.vls {
-			for buf.len() > 0 {
-				id := buf.removeAt(0)
-				sw.occupancy--
-				pkt := slab.pkt[id]
-				sw.net.scheduleCreditReturn(ib.PropagationDelay, in.upstream, vl, pkt.Credits())
-				sw.net.dropPacket(pkt, DropDeadPort)
-				slab.release(id)
-			}
+		for in.buf.len() > 0 {
+			id := in.buf.removeAt(0)
+			sw.occupancy--
+			pkt := slab.pkt[id]
+			sw.net.scheduleCreditReturn(ib.PropagationDelay, in.upstream, pkt.Credits())
+			sw.net.dropPacket(pkt, DropDeadPort)
+			slab.release(id)
 		}
 	}
 	return nil
@@ -194,33 +192,31 @@ func (sw *Switch) Reroute() (dropped int) {
 		if in == nil {
 			continue
 		}
-		for vl, buf := range in.vls {
-			for i := 0; i < buf.len(); {
-				id := buf.ids[i]
-				if sw.enhanced {
-					escape, adaptive, err := sw.table.Lookup(slab.pkt[id].DLID)
-					if err != nil {
-						sw.dropBuffered(buf, i, in, vl)
-						dropped++
-						continue
-					}
-					slab.escape[id], slab.adaptive[id] = escape, adaptive
-					if slab.chosen[id] != ib.InvalidPort {
-						// Immediate-selection decisions are remade.
-						slab.chosen[id] = ib.InvalidPort
-						sw.selectImmediate(id)
-					}
-				} else {
-					p := sw.table.Get(slab.pkt[id].DLID)
-					if p == ib.InvalidPort {
-						sw.dropBuffered(buf, i, in, vl)
-						dropped++
-						continue
-					}
-					slab.escape[id] = p
+		for i := 0; i < in.buf.len(); {
+			id := in.buf.ids[i]
+			if sw.enhanced {
+				escape, adaptive, err := sw.table.Lookup(slab.pkt[id].DLID)
+				if err != nil {
+					sw.dropBuffered(in, i)
+					dropped++
+					continue
 				}
-				i++
+				slab.escape[id], slab.adaptive[id] = escape, adaptive
+				if slab.chosen[id] != ib.InvalidPort {
+					// Immediate-selection decisions are remade.
+					slab.chosen[id] = ib.InvalidPort
+					sw.selectImmediate(id)
+				}
+			} else {
+				p := sw.table.Get(slab.pkt[id].DLID)
+				if p == ib.InvalidPort {
+					sw.dropBuffered(in, i)
+					dropped++
+					continue
+				}
+				slab.escape[id] = p
 			}
+			i++
 		}
 	}
 	// Rewritten routing decisions invalidate every wait-list
@@ -230,14 +226,14 @@ func (sw *Switch) Reroute() (dropped int) {
 	return dropped
 }
 
-// dropBuffered discards the buffered entry at index i as unroutable,
-// returning its credits upstream.
-func (sw *Switch) dropBuffered(buf *vlBuffer, i int, in *inPort, vl int) {
+// dropBuffered discards the entry at index i of an input port's
+// buffer as unroutable, returning its credits upstream.
+func (sw *Switch) dropBuffered(in *inPort, i int) {
 	slab := &sw.net.slab
-	id := buf.removeAt(i)
+	id := in.buf.removeAt(i)
 	sw.occupancy--
 	pkt := slab.pkt[id]
-	sw.net.scheduleCreditReturn(ib.PropagationDelay, in.upstream, vl, pkt.Credits())
+	sw.net.scheduleCreditReturn(ib.PropagationDelay, in.upstream, pkt.Credits())
 	sw.net.dropPacket(pkt, DropUnroutable)
 	slab.release(id)
 }

@@ -3,8 +3,6 @@ package fabric
 import (
 	"fmt"
 	"sort"
-
-	"ibasim/internal/ib"
 )
 
 // LinkStat reports one directed inter-switch channel's activity.
@@ -83,15 +81,4 @@ func (n *Network) Utilization() UtilizationSummary {
 func (u UtilizationSummary) String() string {
 	return fmt.Sprintf("links: mean %.1f%%, peak %.1f%%, imbalance %.2fx",
 		100*u.Mean, 100*u.Peak, u.Imbalance)
-}
-
-// PortFor exposes the (switch, neighbour) -> port mapping for tools;
-// it mirrors PortToNeighbor but panics on non-adjacency, for use in
-// contexts where adjacency is already established.
-func (n *Network) PortFor(s, neighbor int) ib.PortID {
-	p, err := n.PortToNeighbor(s, neighbor)
-	if err != nil {
-		panic(err)
-	}
-	return p
 }

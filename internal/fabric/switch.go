@@ -19,8 +19,8 @@ type Switch struct {
 	id  int
 
 	// enhanced marks a switch with the paper's extensions; stock
-	// switches route by exact-DLID linear lookup and keep single
-	// queues per VL (§4.2 allows mixing both kinds in one subnet).
+	// switches route by exact-DLID linear lookup and keep a single
+	// queue per buffer (§4.2 allows mixing both kinds in one subnet).
 	enhanced bool
 
 	// dead marks a whole-switch failure: arriving packets are dropped
@@ -38,32 +38,28 @@ type Switch struct {
 	in  []*inPort  // indexed by port; nil when the port is unwired
 	out []*outPort // indexed by port; nil when the port is unwired
 
-	// points caches the wired (port, VL) service points. The topology
-	// is static after wiring, so the slice is built once (finishWiring)
-	// instead of on every allocation pass. bufs is the parallel buffer
-	// pointer for each point: the allocation scan touches only it on
-	// empty points, one load instead of the in[port].vls[vl] chain.
-	points []servicePoint
+	// points caches the service points: the wired input ports, each
+	// with one buffer. The topology is static after wiring, so the
+	// slice is built once (finishWiring) instead of on every allocation
+	// pass. bufs is the parallel buffer pointer for each point: the
+	// allocation scan touches only it on empty points, one load instead
+	// of the in[port].buf chain.
+	points []ib.PortID
 	bufs   []*vlBuffer
 
 	rr         int // round-robin start for the allocation scan
 	arbPending bool
 
-	// occupancy counts packets buffered across every (port, VL) input
-	// buffer. An allocation pass over an empty switch — the common case
-	// right after the last buffered packet departed — short-circuits on
-	// it instead of scanning every service point.
+	// occupancy counts packets buffered across every input buffer. An
+	// allocation pass over an empty switch — the common case right
+	// after the last buffered packet departed — short-circuits on it
+	// instead of scanning every service point.
 	occupancy int
 
 	// arbFn is the switch's recurring delay-0 event closure, bound once
 	// at wiring: evaluating a fresh func literal per kick would allocate
 	// on every hop.
 	arbFn func()
-
-	// vlOf maps a service level to the data VL it travels on, sl %
-	// NumVLs on every output link. NewNetwork fills it once, so the
-	// per-hop outVL call is one table load.
-	vlOf ib.SLtoVL
 
 	// candScratch is reused across adaptiveCandidates calls. The slice
 	// is consumed synchronously by the selector before the next call,
@@ -72,11 +68,11 @@ type Switch struct {
 
 	// Wake-arbiter state (see wake.go). pending is the set of service
 	// points with an unconsumed wake signal; linkWaiters[port] and
-	// creditWaiters[port*NumVLs+vl] hold points blocked on that
-	// condition; waitPorts lists (dedup'd via portListed) the ports
-	// with link waiters, swept at arbitrate entry; timeParked/parkAt/
-	// parkedMask hold points whose head is not servable before a known
-	// readyAt; pointIdx maps (port*NumVLs+vl) to the point index.
+	// creditWaiters[port] hold points blocked on that output port's
+	// link or credits; waitPorts lists (dedup'd via portListed) the
+	// ports with link waiters, swept at arbitrate entry; timeParked/
+	// parkAt/parkedMask hold points whose head is not servable before a
+	// known readyAt; pointIdx maps an input port to its point index.
 	// parks counts wait-list registrations (Network.ArbParks). All
 	// carved from network-level arenas (Network.initWakeState) once
 	// wiring is final; maintained and read only while Network.wake is
@@ -136,26 +132,21 @@ func (sw *Switch) TxPackets() uint64 {
 	return n
 }
 
-// QueuedPackets counts packets buffered in the switch.
-func (sw *Switch) QueuedPackets() int { return sw.queuedPackets() }
-
-// ScanBuffers calls fn for every wired (port, VL) input buffer with
-// its current depth and head packet ID (0 when empty), in a fixed
-// port-major order. The forward-progress watchdog samples these to
-// detect service points whose head packet stopped moving.
-func (sw *Switch) ScanBuffers(fn func(port ib.PortID, vl int, depth int, headID uint64)) {
+// ScanBuffers calls fn for every wired input buffer with its current
+// depth and head packet ID (0 when empty), in port order. The
+// forward-progress watchdog samples these to detect service points
+// whose head packet stopped moving.
+func (sw *Switch) ScanBuffers(fn func(port ib.PortID, depth int, headID uint64)) {
 	slab := &sw.net.slab
 	for p, in := range sw.in {
 		if in == nil {
 			continue
 		}
-		for vl, buf := range in.vls {
-			var head uint64
-			if id := buf.head(); id >= 0 {
-				head = slab.pkt[id].ID
-			}
-			fn(ib.PortID(p), vl, buf.len(), head)
+		var head uint64
+		if id := in.buf.head(); id >= 0 {
+			head = slab.pkt[id].ID
 		}
+		fn(ib.PortID(p), in.buf.len(), head)
 	}
 }
 
@@ -183,26 +174,21 @@ func (sw *Switch) finishWiring() {
 		}
 		sw.arbitrate()
 	}
-	for _, in := range sw.in {
-		if in == nil {
-			continue
-		}
-		for _, buf := range in.vls {
-			buf.slab = &sw.net.slab
-		}
+	for _, buf := range sw.bufs {
+		buf.slab = &sw.net.slab
 	}
 }
 
-// receive is the head arrival of a packet on (port, vl). The
+// receive is the head arrival of a packet on an input port. The
 // forwarding table is accessed immediately ("as soon as a packet
 // arrives at the switch, before reaching the head of the input
 // buffer", §4.3); the packet becomes servable after RoutingDelay.
-func (sw *Switch) receive(port ib.PortID, vl int, pkt *ib.Packet) {
+func (sw *Switch) receive(port ib.PortID, pkt *ib.Packet) {
 	if sw.dead {
 		// The switch failed while the packet was on the wire: it is
 		// discarded at the dead input, and the freed buffer space is
 		// reported upstream so credit conservation holds.
-		sw.net.scheduleCreditReturn(ib.PropagationDelay, sw.in[port].upstream, vl, pkt.Credits())
+		sw.net.scheduleCreditReturn(ib.PropagationDelay, sw.in[port].upstream, pkt.Credits())
 		sw.net.dropPacket(pkt, DropDeadPort)
 		return
 	}
@@ -212,7 +198,6 @@ func (sw *Switch) receive(port ib.PortID, vl int, pkt *ib.Packet) {
 	slab.pkt[id] = pkt
 	slab.readyAt[id] = now + ib.RoutingDelay
 	slab.credits[id] = int32(pkt.Credits())
-	slab.sl[id] = int32(pkt.SL)
 	if pkt.Adaptive {
 		slab.flags[id] = entryPktAdaptive
 	}
@@ -220,7 +205,7 @@ func (sw *Switch) receive(port ib.PortID, vl int, pkt *ib.Packet) {
 		escape, adaptive, err := sw.table.Lookup(pkt.DLID)
 		if err != nil {
 			slab.release(id)
-			sw.dropUnroutable(port, vl, pkt)
+			sw.dropUnroutable(port, pkt)
 			return
 		}
 		if sw.net.tamper.AdaptiveDeterministic && len(adaptive) == 0 && sw.table.LMC() > 0 {
@@ -241,19 +226,15 @@ func (sw *Switch) receive(port ib.PortID, vl int, pkt *ib.Packet) {
 		p := sw.table.Get(pkt.DLID)
 		if p == ib.InvalidPort {
 			slab.release(id)
-			sw.dropUnroutable(port, vl, pkt)
+			sw.dropUnroutable(port, pkt)
 			return
 		}
 		slab.escape[id] = p
 	}
-	// The escape option's VL never changes while the entry is
-	// buffered, so resolve it once here instead of on every escape
-	// probe.
-	slab.escVL[id] = int8(sw.outVL(int(slab.sl[id])))
-	sw.in[port].vls[vl].push(id)
+	sw.in[port].buf.push(id)
 	sw.occupancy++
 	if sw.net.wake {
-		sw.wakeArrival(port, vl)
+		sw.wakeArrival(port)
 	}
 	sw.net.scheduleSwitchKick(ib.RoutingDelay, sw)
 }
@@ -261,8 +242,8 @@ func (sw *Switch) receive(port ib.PortID, vl int, pkt *ib.Packet) {
 // dropUnroutable discards a packet whose DLID has no programmed port
 // (a mid-reconfiguration transient) and returns its buffer space to
 // the upstream transmitter.
-func (sw *Switch) dropUnroutable(port ib.PortID, vl int, pkt *ib.Packet) {
-	sw.net.scheduleCreditReturn(ib.PropagationDelay, sw.in[port].upstream, vl, pkt.Credits())
+func (sw *Switch) dropUnroutable(port ib.PortID, pkt *ib.Packet) {
+	sw.net.scheduleCreditReturn(ib.PropagationDelay, sw.in[port].upstream, pkt.Credits())
 	sw.net.dropPacket(pkt, DropUnroutable)
 }
 
@@ -313,13 +294,11 @@ func (sw *Switch) adaptiveCandidates(id int32, now sim.Time) []core.Candidate {
 	}
 	cands := sw.candScratch[:len(adaptive)]
 	pktCredits := int(slab.credits[id])
-	sl := int(slab.sl[id])
 	for i, p := range adaptive {
 		o := sw.out[p]
 		c := core.Candidate{Port: p}
 		if o != nil {
-			vl := sw.outVL(sl)
-			avail := o.credits[vl]
+			avail := o.credits
 			if o.peerHost != nil {
 				// Delivery port: the CA drains at line rate and has no
 				// queue split; total room is the condition.
@@ -345,14 +324,13 @@ func (sw *Switch) adaptiveCandidates(id int32, now sim.Time) []core.Candidate {
 func (sw *Switch) bestAdaptive(id int32, now sim.Time) (ib.PortID, bool) {
 	slab := &sw.net.slab
 	pktCredits := int(slab.credits[id])
-	sl := int(slab.sl[id])
 	best, bestCredits := ib.InvalidPort, -1
 	for _, p := range slab.adaptive[id] {
 		o := sw.out[p]
 		if o == nil || !o.free(now) {
 			continue
 		}
-		avail := o.credits[sw.outVL(sl)]
+		avail := o.credits
 		var credits int
 		var eligible bool
 		if o.peerHost != nil {
@@ -381,28 +359,14 @@ func (sw *Switch) adaptiveRoom(avail, pktCredits int) bool {
 }
 
 // escapeUsable reports whether the escape option of an entry can fire
-// now: link free and the next VL has room for the whole packet. The
-// escape VL was resolved once at arrival (slab.escVL), so the probe
-// skips the vlOf lookup.
+// now: link free and the next buffer has room for the whole packet.
 func (sw *Switch) escapeUsable(id int32, now sim.Time) bool {
 	slab := &sw.net.slab
 	o := sw.out[slab.escape[id]]
 	if o == nil || !o.free(now) {
 		return false
 	}
-	return sw.net.Cfg.Split.CanUseEscape(o.credits[slab.escVL[id]], int(slab.credits[id]))
-}
-
-// outVL returns the VL a packet with service level sl uses on any
-// output link.
-func (sw *Switch) outVL(sl int) int {
-	return int(sw.vlOf[sl])
-}
-
-// servicePoint identifies one crossbar connection of an input buffer.
-type servicePoint struct {
-	port ib.PortID
-	vl   int
+	return sw.net.Cfg.Split.CanUseEscape(o.credits, int(slab.credits[id]))
 }
 
 // arbitrate is the crossbar allocation pass, dispatching to the
@@ -470,15 +434,15 @@ func (sw *Switch) arbitrateScan() {
 	}
 }
 
-// tryServe attempts to dispatch from both service points of one
-// buffer. It returns true if any packet left.
-func (sw *Switch) tryServe(buf *vlBuffer, sp servicePoint, now sim.Time) bool {
+// tryServe attempts to dispatch from both crossbar connections of one
+// input port's buffer. It returns true if any packet left.
+func (sw *Switch) tryServe(buf *vlBuffer, port ib.PortID, now sim.Time) bool {
 	served := false
 	slab := buf.slab
 	// Buffer head (adaptive-queue head).
 	if id := buf.head(); id >= 0 && slab.readyAt[id] <= now {
 		if out, asAdaptive, ok := sw.chooseOutput(id, now); ok {
-			sw.startTx(buf, 0, sp, out, asAdaptive)
+			sw.startTx(buf, 0, port, out, asAdaptive)
 			served = true
 		}
 	}
@@ -487,7 +451,7 @@ func (sw *Switch) tryServe(buf *vlBuffer, sp servicePoint, now sim.Time) bool {
 	// packet still in the adaptive region (see escapeService).
 	if idx, id := buf.escapeService(); id >= 0 && idx > 0 && slab.readyAt[id] <= now {
 		if out, asAdaptive, ok := sw.chooseOutput(id, now); ok {
-			sw.startTx(buf, idx, sp, out, asAdaptive)
+			sw.startTx(buf, idx, port, out, asAdaptive)
 			served = true
 		}
 	}
@@ -506,8 +470,7 @@ func (sw *Switch) chooseOutput(id int32, now sim.Time) (out ib.PortID, asAdaptiv
 		if o == nil || !o.free(now) {
 			return 0, false, false
 		}
-		vl := sw.outVL(int(slab.sl[id]))
-		avail := o.credits[vl]
+		avail := o.credits
 		pktCredits := int(slab.credits[id])
 		usable := sw.net.Cfg.Split.CanUseEscape(avail, pktCredits)
 		chosenAdaptive := slab.flags[id]&entryChosenAdaptive != 0
@@ -550,12 +513,12 @@ func (sw *Switch) chooseOutput(id int32, now sim.Time) (out ib.PortID, asAdaptiv
 // startTx dequeues the entry at idx and begins its transmission on the
 // output port (see transmit); when hot-phase profiling is active the
 // work is wrapped in the depart pprof label.
-func (sw *Switch) startTx(buf *vlBuffer, idx int, sp servicePoint, out ib.PortID, asAdaptive bool) {
+func (sw *Switch) startTx(buf *vlBuffer, idx int, port, out ib.PortID, asAdaptive bool) {
 	if prof.HotPhasesEnabled() {
-		prof.Phase(prof.PhaseDepart, func() { sw.transmit(buf, idx, sp, out, asAdaptive) })
+		prof.Phase(prof.PhaseDepart, func() { sw.transmit(buf, idx, port, out, asAdaptive) })
 		return
 	}
-	sw.transmit(buf, idx, sp, out, asAdaptive)
+	sw.transmit(buf, idx, port, out, asAdaptive)
 }
 
 // transmit dequeues the entry at idx and begins its transmission on
@@ -563,42 +526,40 @@ func (sw *Switch) startTx(buf *vlBuffer, idx int, sp servicePoint, out ib.PortID
 // the link is held for the serialization time, the credit update for
 // this switch's own input buffer travels back after the tail leaves,
 // and the head arrives at the peer after the propagation delay.
-func (sw *Switch) transmit(buf *vlBuffer, idx int, sp servicePoint, out ib.PortID, asAdaptive bool) {
+func (sw *Switch) transmit(buf *vlBuffer, idx int, port, out ib.PortID, asAdaptive bool) {
 	now := sw.net.Engine.Now()
 	slab := &sw.net.slab
 	id := buf.removeAt(idx)
 	sw.occupancy--
 	pkt := slab.pkt[id]
 	o := sw.out[out]
-	vl := sw.outVL(int(slab.sl[id]))
 	ser := ib.SerializationTime(int(pkt.Size))
 	credits := int(slab.credits[id])
 
-	o.credits[vl] -= credits
-	if o.credits[vl] < 0 {
-		panic(fmt.Sprintf("fabric: switch %d port %d vl %d negative credits", sw.id, out, vl))
+	o.credits -= credits
+	if o.credits < 0 {
+		panic(fmt.Sprintf("fabric: switch %d port %d negative credits", sw.id, out))
 	}
 	o.busyUntil = now + ser
 	o.busyAccum += ser
 	o.txPackets++
 	pkt.Hops++
-	sw.net.moved++
 	if sw.net.OnHop != nil {
 		sw.net.OnHop(pkt, sw.id, out, asAdaptive)
 	}
 
 	// Credit update to our upstream once the tail has left this
 	// buffer (ser) and flown back (prop).
-	sw.net.scheduleCreditReturn(ser+ib.PropagationDelay, sw.in[sp.port].upstream, sp.vl, credits)
+	sw.net.scheduleCreditReturn(ser+ib.PropagationDelay, sw.in[port].upstream, credits)
 
 	if o.peerHost != nil {
 		sw.net.scheduleDeliver(ser+ib.PropagationDelay, o.peerHost, pkt)
 		// The CA drains at line rate: its buffer frees as the tail
 		// arrives, and the credit update flies back one propagation
 		// delay later.
-		sw.net.scheduleCreditReturn(ser+2*ib.PropagationDelay, o, vl, credits)
+		sw.net.scheduleCreditReturn(ser+2*ib.PropagationDelay, o, credits)
 	} else {
-		sw.net.scheduleReceive(ib.PropagationDelay, o.peerSwitch, o.peerPort, vl, pkt)
+		sw.net.scheduleReceive(ib.PropagationDelay, o.peerSwitch, o.peerPort, pkt)
 	}
 	// The link frees at ser; look for more work then.
 	sw.net.scheduleSwitchKick(ser, sw)
@@ -606,28 +567,21 @@ func (sw *Switch) transmit(buf *vlBuffer, idx int, sp servicePoint, out ib.PortI
 	slab.release(id)
 }
 
-// buildServicePoints enumerates the wired (port, VL) buffers; the
-// result is cached in sw.points at wiring time.
-func (sw *Switch) buildServicePoints() []servicePoint {
+// buildServicePoints enumerates the wired input ports and fills the
+// parallel sw.bufs; the result is cached in sw.points at wiring time.
+func (sw *Switch) buildServicePoints() []ib.PortID {
 	np := 0
 	for _, in := range sw.in {
 		if in != nil {
-			np += len(in.vls)
+			np++
 		}
 	}
-	pts := make([]servicePoint, 0, np)
-	if cap(sw.bufs) < np {
-		sw.bufs = make([]*vlBuffer, 0, np)
-	} else {
-		sw.bufs = sw.bufs[:0]
-	}
+	pts := make([]ib.PortID, 0, np)
+	sw.bufs = make([]*vlBuffer, 0, np)
 	for p, in := range sw.in {
-		if in == nil {
-			continue
-		}
-		for vl := range in.vls {
-			pts = append(pts, servicePoint{port: ib.PortID(p), vl: vl})
-			sw.bufs = append(sw.bufs, in.vls[vl])
+		if in != nil {
+			pts = append(pts, ib.PortID(p))
+			sw.bufs = append(sw.bufs, in.buf)
 		}
 	}
 	return pts
@@ -639,11 +593,8 @@ func (sw *Switch) buildServicePoints() []servicePoint {
 func (sw *Switch) queuedPackets() int {
 	n := 0
 	for _, in := range sw.in {
-		if in == nil {
-			continue
-		}
-		for _, b := range in.vls {
-			n += b.len()
+		if in != nil {
+			n += in.buf.len()
 		}
 	}
 	return n

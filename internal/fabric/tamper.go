@@ -45,11 +45,11 @@ func (n *Network) SetTamper(t Tamper) {
 
 // TamperCredits forges flow-control state: it adds delta (possibly
 // negative) to the credit counter of switch s's output port toward
-// neighbor, VL vl, without touching the peer buffer — the
-// transmitter's view of the channel now lies. Mutation-suite hook:
-// a positive delta invents credits (credit-bound), a negative one
-// leaks them (credits-intact once drained).
-func (n *Network) TamperCredits(s, neighbor, vl, delta int) error {
+// neighbor, without touching the peer buffer — the transmitter's view
+// of the channel now lies. Mutation-suite hook: a positive delta
+// invents credits (credit-bound), a negative one leaks them
+// (credits-intact once drained).
+func (n *Network) TamperCredits(s, neighbor, delta int) error {
 	port, err := n.PortToNeighbor(s, neighbor)
 	if err != nil {
 		return err
@@ -58,21 +58,18 @@ func (n *Network) TamperCredits(s, neighbor, vl, delta int) error {
 	if o == nil {
 		return fmt.Errorf("fabric: switch %d port %d unwired", s, port)
 	}
-	if vl < 0 || vl >= len(o.credits) {
-		return fmt.Errorf("fabric: vl %d out of range [0,%d)", vl, len(o.credits))
-	}
 	// Credits changed without the credit-return wake: the wait lists
 	// can no longer be trusted, so fall back to the scan arbiter.
 	n.forceScanArb()
-	o.credits[vl] += delta
+	o.credits += delta
 	return nil
 }
 
 // TamperOccupancy corrupts the occupancy counter of the input buffer
-// of switch s's port facing neighbor, VL vl, without adding or
-// removing entries. Mutation-suite hook for the credit-occupancy
-// invariant (occ must equal the sum of entry credits).
-func (n *Network) TamperOccupancy(s, neighbor, vl, delta int) error {
+// of switch s's port facing neighbor without adding or removing
+// entries. Mutation-suite hook for the credit-occupancy invariant (occ
+// must equal the sum of entry credits).
+func (n *Network) TamperOccupancy(s, neighbor, delta int) error {
 	port, err := n.PortToNeighbor(s, neighbor)
 	if err != nil {
 		return err
@@ -81,11 +78,8 @@ func (n *Network) TamperOccupancy(s, neighbor, vl, delta int) error {
 	if in == nil {
 		return fmt.Errorf("fabric: switch %d port %d unwired", s, port)
 	}
-	if vl < 0 || vl >= len(in.vls) {
-		return fmt.Errorf("fabric: vl %d out of range [0,%d)", vl, len(in.vls))
-	}
 	n.forceScanArb()
-	in.vls[vl].occupied += delta
+	in.buf.occupied += delta
 	return nil
 }
 

@@ -14,7 +14,7 @@ import (
 // one or two fields of many entries; with the old array-of-structs
 // freelist every touch dragged a whole cache line of unrelated fields
 // (and a pointer dereference) through the cache. The slab keeps each
-// hot field contiguous, and the hottest per-packet reads (credits, SL,
+// hot field contiguous, and the hottest per-packet reads (credits and
 // the adaptive-service bit) are cached here at arrival so the scan
 // never chases the *ib.Packet at all.
 
@@ -52,15 +52,10 @@ type entrySlab struct {
 	// decision is deferred to arbitration.
 	chosen []ib.PortID
 
-	// credits and sl cache pkt.Credits() and pkt.SL; flags caches
-	// pkt.Adaptive and carries the chosen-rule bit.
+	// credits caches pkt.Credits(); flags caches pkt.Adaptive and
+	// carries the chosen-rule bit.
 	credits []int32
-	sl      []int32
 	flags   []uint8
-
-	// escVL caches the VL of the entry's escape option, set at
-	// arrival so the escape probes skip the vlOf lookup.
-	escVL []int8
 
 	free []int32
 }
@@ -86,9 +81,7 @@ func (s *entrySlab) grow() int32 {
 	s.adaptive = append(s.adaptive, make([][]ib.PortID, entrySlabChunk)...)
 	s.chosen = append(s.chosen, make([]ib.PortID, entrySlabChunk)...)
 	s.credits = append(s.credits, make([]int32, entrySlabChunk)...)
-	s.sl = append(s.sl, make([]int32, entrySlabChunk)...)
 	s.flags = append(s.flags, make([]uint8, entrySlabChunk)...)
-	s.escVL = append(s.escVL, make([]int8, entrySlabChunk)...)
 	for id := base; id < base+entrySlabChunk; id++ {
 		s.chosen[id] = ib.InvalidPort
 	}
@@ -108,13 +101,11 @@ func (s *entrySlab) release(id int32) {
 	s.adaptive[id] = nil
 	s.chosen[id] = ib.InvalidPort
 	s.credits[id] = 0
-	s.sl[id] = 0
 	s.flags[id] = 0
-	s.escVL[id] = 0
 	s.free = append(s.free, id)
 }
 
-// vlBuffer models the physical buffer of one (input port, VL) pair,
+// vlBuffer models the physical buffer of an input port's data VL,
 // logically divided per Figure 2: the first Split.CAdaptiveCap()
 // credits form the adaptive queue, the rest the escape queue. It is a
 // single FIFO with two service points:

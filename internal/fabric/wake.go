@@ -14,7 +14,7 @@ import (
 // every head is blocked. But the §4.4 admission rules mean a blocked
 // entry can only become servable when one *specific* condition
 // changes: its output link frees, credits return on a specific
-// (output port, VL), or its readyAt arrives. The wake arbiter
+// output port, or its readyAt arrives. The wake arbiter
 // (arbitrateWake) exploits that: a failed probe classifies its
 // blocking conditions and registers the service point on the precise
 // wait list, and the events that change those conditions wake only
@@ -61,11 +61,9 @@ import (
 // anyone, and the exactness argument only covers honest forwarding.
 
 // pointMask is a bitmask over a switch's service points. Switches can
-// have more than 64 points (ports x VLs), so it is multi-word; all
-// masks are preallocated at wiring time and never grow.
+// have more than 64 wired ports, so it is multi-word; all masks are
+// preallocated at wiring time and never grow.
 type pointMask []uint64
-
-func newPointMask(n int) pointMask { return make(pointMask, (n+63)/64) }
 
 func (m pointMask) set(i int)       { m[i>>6] |= 1 << (uint(i) & 63) }
 func (m pointMask) clear(i int)     { m[i>>6] &^= 1 << (uint(i) & 63) }
@@ -103,7 +101,6 @@ func (m pointMask) setAll(n int) {
 // every slice sized for its worst case, so steady-state operation
 // never allocates.
 func (n *Network) initWakeState() {
-	nvl := n.Cfg.NumVLs
 	var words, times, ints, ports, bools, masks int
 	for _, sw := range n.Switches {
 		np := len(sw.points)
@@ -114,12 +111,12 @@ func (n *Network) initWakeState() {
 				wired++
 			}
 		}
-		words += w * (2 + wired*(1+nvl))
+		words += w * (2 + 2*wired)
 		times += np
-		ints += np + len(sw.in)*nvl
+		ints += np + len(sw.in)
 		ports += len(sw.out)
 		bools += len(sw.out)
-		masks += len(sw.out) * (1 + nvl)
+		masks += 2 * len(sw.out)
 	}
 	wordArena := make([]uint64, words)
 	timeArena := make([]sim.Time, times)
@@ -142,42 +139,39 @@ func (n *Network) initWakeState() {
 		sw.parkAt, timeArena = timeArena[:np:np], timeArena[np:]
 		sw.timeParked, intArena = intArena[:0:np], intArena[np:]
 		sw.linkWaiters, maskArena = maskArena[:nout:nout], maskArena[nout:]
-		sw.creditWaiters, maskArena = maskArena[:nout*nvl:nout*nvl], maskArena[nout*nvl:]
+		sw.creditWaiters, maskArena = maskArena[:nout:nout], maskArena[nout:]
 		for p := range sw.out {
-			if sw.out[p] == nil {
-				continue
-			}
-			sw.linkWaiters[p] = takeMask(w)
-			for vl := 0; vl < nvl; vl++ {
-				sw.creditWaiters[p*nvl+vl] = takeMask(w)
+			if sw.out[p] != nil {
+				sw.linkWaiters[p] = takeMask(w)
+				sw.creditWaiters[p] = takeMask(w)
 			}
 		}
 		sw.waitPorts, portArena = portArena[:0:nout], portArena[nout:]
 		sw.portListed, boolArena = boolArena[:nout:nout], boolArena[nout:]
-		sw.pointIdx, intArena = intArena[:nin*nvl:nin*nvl], intArena[nin*nvl:]
+		sw.pointIdx, intArena = intArena[:nin:nin], intArena[nin:]
 		for i := range sw.pointIdx {
 			sw.pointIdx[i] = -1
 		}
-		for j, sp := range sw.points {
-			sw.pointIdx[int(sp.port)*nvl+sp.vl] = int32(j)
+		for j, port := range sw.points {
+			sw.pointIdx[port] = int32(j)
 		}
 	}
 }
 
-// wakeArrival marks the service point of (port, vl) pending — a packet
-// was pushed there. The call sites gate on Network.wake: the scan
+// wakeArrival marks the service point of an input port pending — a
+// packet was pushed there. The call sites gate on Network.wake: the scan
 // oracle must not pay bookkeeping it never reads, and a mid-run
 // scan->wake transition is made sound by applyArb's wholesale wake
 // instead.
-func (sw *Switch) wakeArrival(port ib.PortID, vl int) {
-	sw.pending.set(int(sw.pointIdx[int(port)*sw.net.Cfg.NumVLs+vl]))
+func (sw *Switch) wakeArrival(port ib.PortID) {
+	sw.pending.set(int(sw.pointIdx[port]))
 }
 
-// wakeCredits wakes every point waiting for credits on (port, vl).
-// Called by evCreditReturn right after the credit increment, before
-// the follow-up allocation pass runs.
-func (sw *Switch) wakeCredits(port ib.PortID, vl int) {
-	w := sw.creditWaiters[int(port)*sw.net.Cfg.NumVLs+vl]
+// wakeCredits wakes every point waiting for credits on output port
+// port. Called by evCreditReturn right after the credit increment,
+// before the follow-up allocation pass runs.
+func (sw *Switch) wakeCredits(port ib.PortID) {
+	w := sw.creditWaiters[port]
 	sw.pending.or(w)
 	w.zero()
 }
@@ -208,10 +202,10 @@ func (sw *Switch) parkOnLink(j int, p ib.PortID) {
 	sw.parks++
 }
 
-// parkOnCredits registers point j on the credit wait list of
-// (output port, VL).
-func (sw *Switch) parkOnCredits(j int, p ib.PortID, vl, nvl int) {
-	sw.creditWaiters[int(p)*nvl+vl].set(j)
+// parkOnCredits registers point j on the credit wait list of output
+// port p.
+func (sw *Switch) parkOnCredits(j int, p ib.PortID) {
+	sw.creditWaiters[p].set(j)
 	sw.parks++
 }
 
@@ -402,7 +396,6 @@ func (sw *Switch) tryServeWake(buf *vlBuffer, j int, now sim.Time) bool {
 // the wake arbiter only runs with a zero tamper model.
 func (sw *Switch) parkBlocked(j int, id int32, now sim.Time) {
 	slab := &sw.net.slab
-	nvl := sw.net.Cfg.NumVLs
 	if chosen := slab.chosen[id]; chosen != ib.InvalidPort {
 		// Immediate selection: the decision is fixed; only the chosen
 		// option's conditions matter.
@@ -414,11 +407,10 @@ func (sw *Switch) parkBlocked(j int, id int32, now sim.Time) {
 			sw.parkOnLink(j, chosen)
 			return
 		}
-		sw.parkOnCredits(j, chosen, sw.outVL(int(slab.sl[id])), nvl)
+		sw.parkOnCredits(j, chosen)
 		return
 	}
 	if slab.flags[id]&entryPktAdaptive != 0 && len(slab.adaptive[id]) > 0 && sw.enhanced && !sw.escapeOnly {
-		sl := int(slab.sl[id])
 		for _, p := range slab.adaptive[id] {
 			o := sw.out[p]
 			if o == nil {
@@ -427,7 +419,7 @@ func (sw *Switch) parkBlocked(j int, id int32, now sim.Time) {
 			if !o.free(now) {
 				sw.parkOnLink(j, p)
 			} else {
-				sw.parkOnCredits(j, p, sw.outVL(sl), nvl)
+				sw.parkOnCredits(j, p)
 			}
 		}
 	}
@@ -442,5 +434,5 @@ func (sw *Switch) parkBlocked(j int, id int32, now sim.Time) {
 		sw.parkOnLink(j, esc)
 		return
 	}
-	sw.parkOnCredits(j, esc, int(slab.escVL[id]), nvl)
+	sw.parkOnCredits(j, esc)
 }

@@ -177,6 +177,3 @@ func (inj *Injector) Err() error {
 	}
 	return inj.errs[0]
 }
-
-// Stats reads the network's fault counters (drops, retries, losses).
-func (inj *Injector) Stats() fabric.FaultStats { return inj.net.FaultTotals() }

@@ -53,13 +53,12 @@ func (v Violation) Error() string {
 // buffer stuck) doesn't balloon memory; Samples keeps counting.
 const maxViolations = 64
 
-// bufKey identifies one watched service point: a (switch, port, VL)
-// input buffer or a host source queue.
+// bufKey identifies one watched service point: a switch input port's
+// buffer or a host source queue.
 type bufKey struct {
 	host bool
 	sw   int
 	port ib.PortID
-	vl   int
 }
 
 // bufSig is the progress signature of a service point: if a non-empty
@@ -146,11 +145,11 @@ func (w *Watchdog) tick(now sim.Time) (stop bool) {
 func (w *Watchdog) checkProgress(now sim.Time) {
 	for s, sw := range w.net.Switches {
 		s := s
-		sw.ScanBuffers(func(port ib.PortID, vl int, depth int, headID uint64) {
-			w.observe(now, bufKey{sw: s, port: port, vl: vl}, headID, depth, 0,
+		sw.ScanBuffers(func(port ib.PortID, depth int, headID uint64) {
+			w.observe(now, bufKey{sw: s, port: port}, headID, depth, 0,
 				func() string {
-					return fmt.Sprintf("switch %d port %d VL %d: head packet %d stuck for %dns (depth %d)",
-						s, port, vl, headID, now-w.sigs[bufKey{sw: s, port: port, vl: vl}].since, depth)
+					return fmt.Sprintf("switch %d port %d: head packet %d stuck for %dns (depth %d)",
+						s, port, headID, now-w.sigs[bufKey{sw: s, port: port}].since, depth)
 				})
 		})
 	}

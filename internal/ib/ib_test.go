@@ -171,37 +171,6 @@ func TestLinearForwardingTable(t *testing.T) {
 	}
 }
 
-func TestSLtoVLDefaultMapping(t *testing.T) {
-	for _, nvl := range []int{1, 2, 4, MaxVLs} {
-		m, err := DefaultSLtoVL(nvl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for sl := 0; sl < MaxVLs; sl++ {
-			if vl, ok := m.VL(sl); !ok || vl != sl%nvl {
-				t.Fatalf("%d VLs: VL(%d) = (%d, %v), want (%d, true)", nvl, sl, vl, ok, sl%nvl)
-			}
-		}
-	}
-}
-
-func TestSLtoVLRejectsBadShapesAndLookups(t *testing.T) {
-	for _, nvl := range []int{-1, 0, MaxVLs + 1} {
-		if _, err := DefaultSLtoVL(nvl); err == nil {
-			t.Fatalf("%d VLs accepted", nvl)
-		}
-	}
-	m, err := DefaultSLtoVL(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sl := range []int{-1, MaxVLs} {
-		if _, ok := m.VL(sl); ok {
-			t.Fatalf("SL %d accepted", sl)
-		}
-	}
-}
-
 func TestPacketLatencyAndCredits(t *testing.T) {
 	p := &Packet{Size: 100, CreatedAt: 10, DeliveredAt: 510}
 	if p.Latency() != 500 {

@@ -41,8 +41,7 @@ type Packet struct {
 	// one. Zero for packets that never met a fault.
 	Attempts int32
 
-	DLID LID   // destination LID; low bit encodes the adaptivity request
-	SL   uint8 // service level; the packet travels on VL SL % NumVLs
+	DLID LID // destination LID; low bit encodes the adaptivity request
 
 	// Adaptive mirrors DLID's low bit for convenience; it is set by
 	// the traffic generator and must agree with the address plan.

@@ -109,15 +109,6 @@ type Collector struct {
 	Dropped [fabric.NumDropReasons]uint64
 }
 
-// DroppedTotal sums the per-reason drop counters.
-func (c *Collector) DroppedTotal() uint64 {
-	var t uint64
-	for _, v := range c.Dropped {
-		t += v
-	}
-	return t
-}
-
 // Attach registers the collector on the network. It must be called
 // before traffic starts; it chains with (replaces) any previous
 // callbacks.

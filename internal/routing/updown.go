@@ -63,28 +63,6 @@ func (u *UpDown) IsUp(from, to int) bool {
 	return to < from
 }
 
-// upNeighbors returns neighbours reachable via an up move from s.
-func (u *UpDown) upNeighbors(s int) []int {
-	var out []int
-	for _, n := range u.Topo.Neighbors(s) {
-		if u.IsUp(s, n) {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// downNeighbors returns neighbours reachable via a down move from s.
-func (u *UpDown) downNeighbors(s int) []int {
-	var out []int
-	for _, n := range u.Topo.Neighbors(s) {
-		if !u.IsUp(s, n) {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // Tables computes the destination-indexed deterministic next hops:
 // NextHop[s][d] is the neighbour switch to which switch s forwards a
 // packet destined to (a host on) switch d, or -1 when s == d.

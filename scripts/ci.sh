@@ -22,8 +22,8 @@ go build ./...
 echo "==> go test -race"
 go test -race ./...
 
-echo "==> go test -shuffle=on (order-independence of the suite)"
-go test -shuffle=on ./...
+echo "==> go test -count=2 -shuffle=on (order-independence of the suite, repeated in one process)"
+go test -count=2 -shuffle=on ./...
 
 echo "==> alloc-regression gates (hot path must not allocate)"
 # The always-on auditor's cheap hooks ride the same runs: this gate
