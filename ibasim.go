@@ -379,19 +379,28 @@ func SimulateTraced(c Config, capacity int, w io.Writer) (TraceResult, error) {
 // Sweep runs the configuration at each per-host load (bytes/ns) and
 // returns the latency/accepted-traffic curve.
 func Sweep(c Config, loads []float64) ([]Point, error) {
-	spec, err := c.spec()
+	curves, err := sweeps(loads, c)
 	if err != nil {
 		return nil, err
 	}
-	pts, err := experiments.LoadSweep(spec, loads)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Point, len(pts))
-	for i, p := range pts {
-		out[i] = Point{Offered: p.Offered, Accepted: p.Accepted, AvgLatency: p.AvgLatency}
+	out := make([]Point, len(loads))
+	for i, p := range curves[0] {
+		out[i] = Point(p)
 	}
 	return out, nil
+}
+
+// sweeps runs every configuration's load sweep on one worker pool.
+func sweeps(loads []float64, cs ...Config) ([][]experiments.SweepPoint, error) {
+	specs := make([]experiments.RunSpec, len(cs))
+	for i, c := range cs {
+		spec, err := c.spec()
+		if err != nil {
+			return nil, err
+		}
+		specs[i] = spec
+	}
+	return experiments.LoadSweeps(specs, loads)
 }
 
 // Throughput reads the saturation throughput (max accepted traffic)
@@ -429,17 +438,13 @@ func CompareRouting(c Config, loads []float64) (Comparison, error) {
 	ada.AdaptiveSwitches = true
 	ada.AdaptiveFraction = 1
 
-	detPts, err := Sweep(det, loads)
-	if err != nil {
-		return Comparison{}, err
-	}
-	adaPts, err := Sweep(ada, loads)
+	curves, err := sweeps(loads, det, ada)
 	if err != nil {
 		return Comparison{}, err
 	}
 	cmp := Comparison{
-		Deterministic: Throughput(detPts),
-		Adaptive:      Throughput(adaPts),
+		Deterministic: experiments.Throughput(curves[0]),
+		Adaptive:      experiments.Throughput(curves[1]),
 	}
 	if cmp.Deterministic > 0 {
 		cmp.Factor = cmp.Adaptive / cmp.Deterministic

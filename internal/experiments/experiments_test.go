@@ -73,10 +73,11 @@ func TestAcceptedTracksOfferedBelowSaturation(t *testing.T) {
 		NumSwitches: 8, HostsPerSwitch: 4, InterSwitch: 4, Seed: 3,
 	})
 	spec := sc.Spec(topo, 2, 32, 0, traffic.Uniform{NumHosts: topo.NumHosts()}, 1, false)
-	pts, err := LoadSweep(spec, []float64{0.005, 0.02})
+	curves, err := LoadSweeps([]RunSpec{spec}, []float64{0.005, 0.02})
 	if err != nil {
 		t.Fatal(err)
 	}
+	pts := curves[0]
 	for _, p := range pts {
 		if p.Accepted < 0.85*p.Offered {
 			t.Fatalf("below saturation accepted %.4f << offered %.4f", p.Accepted, p.Offered)
@@ -127,15 +128,11 @@ func TestAdaptiveBeatsDeterministic(t *testing.T) {
 	})
 	loads := DefaultLoads(sc.LoadLo, sc.LoadHi, sc.LoadPoints)
 	u := traffic.Uniform{NumHosts: topo.NumHosts()}
-	detPts, err := LoadSweep(sc.Spec(topo, 2, 32, 0, u, 1, false), loads)
+	curves, err := LoadSweeps([]RunSpec{sc.Spec(topo, 2, 32, 0, u, 1, false), sc.Spec(topo, 2, 32, 1, u, 1, true)}, loads)
 	if err != nil {
 		t.Fatal(err)
 	}
-	adaPts, err := LoadSweep(sc.Spec(topo, 2, 32, 1, u, 1, true), loads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	det, ada := Throughput(detPts), Throughput(adaPts)
+	det, ada := Throughput(curves[0]), Throughput(curves[1])
 	if ada < det {
 		t.Fatalf("adaptive throughput %.4f below deterministic %.4f", ada, det)
 	}

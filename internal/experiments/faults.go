@@ -22,8 +22,11 @@ type FaultRow struct {
 // recovery latency, and the watchdog verdict. The workload is uniform
 // traffic at the scale's low load so the fabric has headroom to
 // absorb re-routed packets (EXPERIMENTS.md records the methodology).
+// The rows' runs share one pool: each owns its topology, and fault
+// injection only reads the shared campaign.
 func FaultCampaign(sc Scale, links, mr int, c *faults.Campaign, faultSeed uint64) ([]FaultRow, error) {
 	var rows []FaultRow
+	var specs []RunSpec
 	for _, size := range sc.Sizes {
 		topoSet, err := sc.topoSet(size, links)
 		if err != nil {
@@ -35,19 +38,19 @@ func FaultCampaign(sc Scale, links, mr int, c *faults.Campaign, faultSeed uint64
 				traffic.Uniform{NumHosts: topo.NumHosts()}, seed, true)
 			spec.Faults = c
 			spec.FaultSeed = faultSeed + seed
-			res, err := Run(spec)
-			if err != nil {
-				return nil, fmt.Errorf("size %d seed %d: %w", size, seed, err)
-			}
-			rows = append(rows, FaultRow{
-				Size:     size,
-				Seed:     seed,
-				Accepted: res.AcceptedPerSwitch,
-				Degraded: res.Degraded,
-			})
+			rows = append(rows, FaultRow{Size: size, Seed: seed})
+			specs = append(specs, spec)
 		}
 	}
-	return rows, nil
+	return runParallel(len(rows), func(i int) (FaultRow, error) {
+		r := rows[i]
+		res, err := Run(specs[i])
+		if err != nil {
+			return r, fmt.Errorf("size %d seed %d: %w", r.Size, r.Seed, err)
+		}
+		r.Accepted, r.Degraded = res.AcceptedPerSwitch, res.Degraded
+		return r, nil
+	})
 }
 
 // WriteFaultTable prints campaign rows as tab-separated text.

@@ -45,24 +45,25 @@ func Figure3(sc Scale, switches int) (*Figure3Result, error) {
 }
 
 // figure3Panel runs the Figure 3 protocol on topo, one load sweep per
-// adaptive-traffic share, with tables from build (nil keeps the
-// up*/down* default). family is the panel header's family name, empty
-// for the paper's irregular networks.
+// adaptive-traffic share, all on one pool, with tables from build (nil
+// keeps the up*/down* default). family is the panel header's family
+// name, empty for the paper's irregular networks.
 func figure3Panel(sc Scale, topo *topology.Topology, build routing.Builder, family string) (*Figure3Result, error) {
-	loads := DefaultLoads(sc.LoadLo, sc.LoadHi, sc.LoadPoints)
-	res := &Figure3Result{Switches: topo.NumSwitches, Family: family}
-	for _, frac := range Figure3Fractions {
-		pattern := traffic.Uniform{NumHosts: topo.NumHosts()}
+	specs := make([]RunSpec, len(Figure3Fractions))
+	for i, frac := range Figure3Fractions {
 		// Switches stay enhanced throughout; the share of packets
 		// requesting adaptive service is what varies (§4.2: the
 		// source enables adaptivity per packet).
-		spec := sc.Spec(topo, 2, 32, frac, pattern, sc.FirstSeed, true)
-		spec.Routing = build
-		points, err := LoadSweep(spec, loads)
-		if err != nil {
-			return nil, err
-		}
-		res.Series = append(res.Series, Figure3Series{AdaptiveFraction: frac, Points: points})
+		specs[i] = sc.Spec(topo, 2, 32, frac, traffic.Uniform{NumHosts: topo.NumHosts()}, sc.FirstSeed, true)
+		specs[i].Routing = build
+	}
+	curves, err := LoadSweeps(specs, DefaultLoads(sc.LoadLo, sc.LoadHi, sc.LoadPoints))
+	if err != nil {
+		return nil, err
+	}
+	res := &Figure3Result{Switches: topo.NumSwitches, Family: family}
+	for i, frac := range Figure3Fractions {
+		res.Series = append(res.Series, Figure3Series{AdaptiveFraction: frac, Points: curves[i]})
 	}
 	return res, nil
 }

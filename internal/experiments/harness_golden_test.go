@@ -10,7 +10,7 @@ import (
 	"ibasim/internal/faults"
 )
 
-// Harness goldens: the SHA-256 of the tables the LoadSweep and Run
+// Harness goldens: the SHA-256 of the tables the LoadSweeps and Run
 // callers other than Figure 3 print, captured before the cross-run
 // queue and packet arenas were deleted. Like figure3Golden they pin
 // the harness plumbing (sweep wiring, per-run setup and teardown)

@@ -24,16 +24,14 @@ type MotivationRow struct {
 
 // Motivation runs the comparison for every size in the scale with
 // uniform 32-byte traffic, 4 inter-switch links, two routing options
-// for FA (the Figure 3 setup).
+// for FA (the Figure 3 setup). Every sweep runs on one pool.
 func Motivation(sc Scale) ([]MotivationRow, error) {
-	loads := DefaultLoads(sc.LoadLo, sc.LoadHi, sc.LoadPoints)
-	var rows []MotivationRow
+	var specs []RunSpec // the row's four schemes, per size and topology
 	for _, size := range sc.Sizes {
 		topos, err := sc.topoSet(size, 4)
 		if err != nil {
 			return nil, err
 		}
-		row := MotivationRow{Switches: size}
 		for ti, topo := range topos {
 			seed := sc.FirstSeed + uint64(ti)
 			u := traffic.Uniform{NumHosts: topo.NumHosts()}
@@ -46,28 +44,26 @@ func Motivation(sc Scale) ([]MotivationRow, error) {
 			sp4 := sc.Spec(topo, 4, 32, 0, u, seed, false)
 			sp4.SourceMultipath = 4
 			sp4.Fabric.SourceMultipath = 4
-
-			for _, c := range []struct {
-				spec RunSpec
-				into *float64
-			}{
-				{det, &row.Deterministic},
-				{sp2, &row.SourcePath2},
-				{sp4, &row.SourcePath4},
-				{fa, &row.FullyAdaptive},
-			} {
-				pts, err := LoadSweep(c.spec, loads)
-				if err != nil {
-					return nil, err
-				}
-				*c.into += Throughput(pts)
+			specs = append(specs, det, sp2, sp4, fa)
+		}
+	}
+	curves, err := LoadSweeps(specs, DefaultLoads(sc.LoadLo, sc.LoadHi, sc.LoadPoints))
+	if err != nil {
+		return nil, err
+	}
+	var rows []MotivationRow
+	for _, size := range sc.Sizes {
+		row := MotivationRow{Switches: size}
+		sums := []*float64{&row.Deterministic, &row.SourcePath2, &row.SourcePath4, &row.FullyAdaptive}
+		for range sc.Topologies { // topoSet's count for every size
+			for _, into := range sums {
+				*into += Throughput(curves[0])
+				curves = curves[1:]
 			}
 		}
-		n := float64(len(topos))
-		row.Deterministic /= n
-		row.SourcePath2 /= n
-		row.SourcePath4 /= n
-		row.FullyAdaptive /= n
+		for _, into := range sums {
+			*into /= float64(sc.Topologies)
+		}
 		rows = append(rows, row)
 	}
 	return rows, nil

@@ -84,33 +84,58 @@ func TestRunParallelZeroJobs(t *testing.T) {
 	}
 }
 
-// TestLoadSweepParallelMatchesSequential: the pool must not change
-// results — every simulation is self-contained and deterministic.
-func TestLoadSweepParallelMatchesSequential(t *testing.T) {
+// TestLoadSweepsMatchSequential: the pool must not change results or
+// their mapping back to curves. Three specs that differ in adaptive
+// share, enhanced vs stock switches and MR, at three loads, must equal
+// a sequential Run loop in plan order (spec by spec, loads as given).
+func TestLoadSweepsMatchSequential(t *testing.T) {
 	sc := tinyScale()
 	topo := topology.MustGenerateIrregular(topology.IrregularSpec{
 		NumSwitches: 8, HostsPerSwitch: 4, InterSwitch: 4, Seed: 4,
 	})
-	spec := sc.Spec(topo, 2, 32, 1, traffic.Uniform{NumHosts: topo.NumHosts()}, 3, true)
+	u := traffic.Uniform{NumHosts: topo.NumHosts()}
+	specs := []RunSpec{
+		sc.Spec(topo, 2, 32, 1, u, 3, true),
+		sc.Spec(topo, 2, 32, 0, u, 3, false),
+		sc.Spec(topo, 4, 32, 0.5, u, 3, true),
+	}
 	loads := []float64{0.005, 0.02, 0.05}
-	a, err := LoadSweep(spec, loads)
+	got, err := LoadSweeps(specs, loads)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Sequential reference.
-	var b []SweepPoint
-	for _, l := range loads {
-		s := spec
-		s.Traffic.LoadBytesPerNsPerHost = l
-		res, err := Run(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b = append(b, SweepPoint{Offered: res.OfferedPerSwitch, Accepted: res.AcceptedPerSwitch, AvgLatency: res.AvgLatencyNs})
+	if len(got) != len(specs) {
+		t.Fatalf("%d curves for %d specs", len(got), len(specs))
 	}
-	for i := range loads {
-		if a[i] != b[i] {
-			t.Fatalf("point %d differs: parallel %+v vs sequential %+v", i, a[i], b[i])
+	var want [][]SweepPoint
+	for _, spec := range specs {
+		var curve []SweepPoint
+		for _, l := range loads {
+			s := spec
+			s.Traffic.LoadBytesPerNsPerHost = l
+			res, err := Run(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			curve = append(curve, SweepPoint{Offered: res.OfferedPerSwitch, Accepted: res.AcceptedPerSwitch, AvgLatency: res.AvgLatencyNs})
+		}
+		want = append(want, curve)
+	}
+	for i := range specs {
+		if len(got[i]) != len(loads) {
+			t.Fatalf("curve %d has %d points for %d loads", i, len(got[i]), len(loads))
+		}
+		for j := range loads {
+			if got[i][j] != want[i][j] {
+				t.Fatalf("spec %d load %d: pooled %+v vs sequential %+v", i, j, got[i][j], want[i][j])
+			}
+			// Every point must be distinguishable, or a mis-mapped
+			// index could go unseen.
+			for k := range specs {
+				if k != i && want[k][j] == want[i][j] {
+					t.Fatalf("specs %d and %d give the same point at load %d", i, k, j)
+				}
+			}
 		}
 	}
 }

@@ -310,14 +310,18 @@ type SweepPoint struct {
 	AvgLatency float64 // ns
 }
 
-// LoadSweep runs the spec at each per-host load and returns the
-// curve. Load points are independent simulations, so they execute on
-// a worker pool sized to GOMAXPROCS; results are identical to a
-// sequential sweep.
-func LoadSweep(spec RunSpec, loads []float64) ([]SweepPoint, error) {
-	return runParallel(len(loads), func(i int) (SweepPoint, error) {
-		s := spec
-		s.Traffic.LoadBytesPerNsPerHost = loads[i]
+// LoadSweeps runs every spec at each per-host load and returns one
+// curve per spec. The points are independent simulations, so all of
+// them execute on one worker pool sized to GOMAXPROCS, and no worker
+// waits at the end of one curve for the next to start. Jobs go out in
+// plan order (spec by spec, loads as given), not by cost: the error
+// returned is then the one a sequential loop would hit first, and the
+// results are identical to such a loop's.
+func LoadSweeps(specs []RunSpec, loads []float64) ([][]SweepPoint, error) {
+	n := len(loads)
+	pts, err := runParallel(len(specs)*n, func(i int) (SweepPoint, error) {
+		s := specs[i/n]
+		s.Traffic.LoadBytesPerNsPerHost = loads[i%n]
 		s.Fabric.EngineOpts = append(append([]sim.EngineOption{}, s.Fabric.EngineOpts...),
 			sim.WithCapacityHint(256*s.Topo.NumSwitches))
 		res, err := Run(s)
@@ -330,6 +334,14 @@ func LoadSweep(spec RunSpec, loads []float64) ([]SweepPoint, error) {
 			AvgLatency: res.AvgLatencyNs,
 		}, nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	curves := make([][]SweepPoint, len(specs))
+	for i := range curves {
+		curves[i] = pts[i*n : (i+1)*n : (i+1)*n]
+	}
+	return curves, nil
 }
 
 // Throughput extracts the network throughput from a sweep: the highest

@@ -90,10 +90,13 @@ type Table1Row struct {
 // options (MR), for the given patterns and packet sizes. For each
 // topology it sweeps offered load twice — plain deterministic switches
 // vs enhanced switches with 100% adaptive traffic — and takes the
-// ratio of saturation throughputs.
+// ratio of saturation throughputs. Every sweep of every row runs on
+// one pool, and the zero-throughput check comes after all of them: a
+// later row's run error wins over an earlier row's zero deterministic
+// throughput.
 func Table1(sc Scale, links, mr int, patterns []PatternSpec, pktSizes []int) ([]Table1Row, error) {
 	var rows []Table1Row
-	loads := DefaultLoads(sc.LoadLo, sc.LoadHi, sc.LoadPoints)
+	var specs []RunSpec // deterministic, adaptive, per row and topology
 	for _, size := range sc.Sizes {
 		topos, err := sc.topoSet(size, links)
 		if err != nil {
@@ -101,45 +104,47 @@ func Table1(sc Scale, links, mr int, patterns []PatternSpec, pktSizes []int) ([]
 		}
 		for _, pkt := range pktSizes {
 			for _, ps := range patterns {
-				row := Table1Row{
+				rows = append(rows, Table1Row{
 					Switches: size, Links: links, MR: mr,
 					PacketSize: pkt, Pattern: ps.String(),
 					Min: -1,
-				}
+				})
 				for ti, topo := range topos {
 					seed := sc.FirstSeed + uint64(ti)
 					pattern, err := ps.build(topo.NumHosts(), seed)
 					if err != nil {
 						return nil, err
 					}
-					det := sc.Spec(topo, mr, pkt, 0, pattern, seed, false)
-					ada := sc.Spec(topo, mr, pkt, 1, pattern, seed, true)
-					detPts, err := LoadSweep(det, loads)
-					if err != nil {
-						return nil, err
-					}
-					adaPts, err := LoadSweep(ada, loads)
-					if err != nil {
-						return nil, err
-					}
-					dt, at := Throughput(detPts), Throughput(adaPts)
-					if dt <= 0 {
-						return nil, fmt.Errorf("experiments: zero deterministic throughput (size %d seed %d)", size, seed)
-					}
-					f := at / dt
-					row.Factors = append(row.Factors, f)
-					if row.Min < 0 || f < row.Min {
-						row.Min = f
-					}
-					if f > row.Max {
-						row.Max = f
-					}
-					row.Avg += f
+					specs = append(specs,
+						sc.Spec(topo, mr, pkt, 0, pattern, seed, false),
+						sc.Spec(topo, mr, pkt, 1, pattern, seed, true))
 				}
-				row.Avg /= float64(len(row.Factors))
-				rows = append(rows, row)
 			}
 		}
+	}
+	curves, err := LoadSweeps(specs, DefaultLoads(sc.LoadLo, sc.LoadHi, sc.LoadPoints))
+	if err != nil {
+		return nil, err
+	}
+	for i := range rows {
+		row := &rows[i]
+		for ti := range sc.Topologies { // topoSet's count for every size
+			dt, at := Throughput(curves[0]), Throughput(curves[1])
+			curves = curves[2:]
+			if dt <= 0 {
+				return nil, fmt.Errorf("experiments: zero deterministic throughput (size %d seed %d)", row.Switches, sc.FirstSeed+uint64(ti))
+			}
+			f := at / dt
+			row.Factors = append(row.Factors, f)
+			if row.Min < 0 || f < row.Min {
+				row.Min = f
+			}
+			if f > row.Max {
+				row.Max = f
+			}
+			row.Avg += f
+		}
+		row.Avg /= float64(len(row.Factors))
 	}
 	return rows, nil
 }

@@ -35,8 +35,8 @@ go test -run 'ZeroAllocs' -v ./internal/core/ ./internal/sim/ ./internal/fabric/
 echo "==> profiler phase labels (a phase restores the label of the phase it runs inside)"
 go test -count=1 -run 'TestPhaseRestoresEnclosingLabel' -v ./internal/prof/
 
-echo "==> harness goldens (Table 1, motivation, fault table and the facade's sweeps pinned by sha256; the parallel sweep matches a sequential one)"
-go test -race -count=1 -run 'TestHarnessGoldens|TestLoadSweepParallelMatchesSequential' -v ./internal/experiments/
+echo "==> harness goldens (Table 1, motivation, fault table and the facade's sweeps pinned by sha256; every harness runs one pool in plan order, and the pooled sweeps match a sequential loop)"
+go test -race -count=1 -run 'TestHarnessGoldens|TestLoadSweepsMatchSequential' -v ./internal/experiments/
 go test -race -count=1 -run 'TestHarnessGoldensFacade' -v .
 
 echo "==> bytes per generated packet (a saturated run keeps every packet; bound its memory slope)"
