@@ -443,30 +443,91 @@ const (
 // TestParentArtifactDecodes: artifacts already in users' stores stay
 // valid — same content address, same decoded result, same bytes.
 func TestParentArtifactDecodes(t *testing.T) {
-	job := testPlan(t).Jobs[0]
-	if job.Hash != parentHash {
-		t.Fatalf("content address moved: %s, want %s", job.Hash, parentHash)
-	}
-	a, err := DecodeArtifact([]byte(parentArtifact), parentHash)
+	checkStoredArtifact(t, testPlan(t).Jobs[0], parentHash, parentArtifact)
+}
+
+// faultSpec is the campaign `ibbench -exp faults -topos 4 -loads 6
+// -fractions 0,1 -emit-campaign FILE` writes: 96 jobs at 8 and 16
+// switches under four random link failures with staged recovery.
+const faultSpec = `{
+  "schema": 1,
+  "name": "ibbench-quick",
+  "sizes": [8, 16],
+  "hostsPerSwitch": 4,
+  "links": 4,
+  "mr": 2,
+  "packetSizes": [32],
+  "patterns": ["uniform"],
+  "adaptiveFractions": [0, 1],
+  "seeds": 4,
+  "firstSeed": 1,
+  "loadLo": 0.004,
+  "loadHi": 0.1,
+  "loadPoints": 6,
+  "warmupNs": 30000,
+  "measureNs": 150000,
+  "drainGraceNs": 30000,
+  "faults": "rand:4:15000@50000-150000; autoreconfig:10000",
+  "faultSeed": 1,
+  "exec": {"engine": "seq", "sched": "calendar", "arb": "wake"}
+}`
+
+// faultArtifact is job 67 of faultSpec (16 switches, 0 % adaptive,
+// 0.0525 B/ns/host, topology seed 4), as stored before source-queue
+// entries shrank to one word. Its watchdog violation names a packet
+// ID, so a change that renumbers packets moves it: such a change must
+// bump JobSchemaVersion.
+const (
+	faultHash     = "2d45b810aa604282c5627c2dcfb2639ed17f17b8077fe67fea7e90efe4eb2890"
+	faultArtifact = `{"schema":1,"input":"2d45b810aa604282c5627c2dcfb2639ed17f17b8077fe67fea7e90efe4eb2890","result":{"OfferedPerSwitch":0.21012222435230143,"AcceptedPerSwitch":0.10098666666666667,"AvgLatencyNs":44798.23366805822,"P99LatencyNs":262144,"PacketsMeasured":8863,"OutOfOrderFraction":0.0003341966747430863,"ReorderPeakHeld":70,"ReorderAvgDelayNs":351.2,"Retry":{"Retries":1779,"Lost":0,"DroppedTimeout":1779,"MaxAttempts":1,"BackoffCapNs":64000},"Degraded":{"FaultsInjected":4,"Repairs":4,"Reconfigs":8,"DroppedUnroutable":0,"DroppedOnDeadPort":0,"DroppedTimeout":1779,"Retries":1779,"Lost":0,"RerouteDrops":0,"RecoveryLatencyNs":31004,"WatchdogSamples":42,"WatchdogViolations":1,"FirstViolation":"faults: watchdog: forward-progress at t=160000: switch 8 port 3: head packet 3001 stuck for 100000ns (depth 16)"},"Audit":{"HopChecks":36818,"HeavyTicks":0,"Violations":0,"First":""},"ShardStats":null}}`
+)
+
+// TestParentArtifactNamesPacketID: a stored artifact whose result
+// names a packet ID ("head packet 3001") stays valid, and a fresh run
+// reproduces it byte for byte.
+func TestParentArtifactNamesPacketID(t *testing.T) {
+	spec, err := ParseSpec([]byte(faultSpec))
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := EncodeArtifact(parentHash, a.Result)
+	plan, err := spec.Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(again) != parentArtifact {
-		t.Fatalf("re-encoded artifact differs:\n%s\nvs\n%s", again, parentArtifact)
+	if !strings.Contains(faultArtifact, "head packet 3001 stuck") {
+		t.Fatal("the pinned artifact no longer names a packet ID")
+	}
+	checkStoredArtifact(t, plan.Jobs[67], faultHash, faultArtifact)
+}
+
+// checkStoredArtifact requires job to keep its content address hash,
+// artifact to decode under the strict decoder and re-encode to the
+// same bytes, and a fresh run of job to encode to them too.
+func checkStoredArtifact(t *testing.T, job Job, hash, artifact string) {
+	t.Helper()
+	if job.Hash != hash {
+		t.Fatalf("content address moved: %s, want %s", job.Hash, hash)
+	}
+	a, err := DecodeArtifact([]byte(artifact), hash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := EncodeArtifact(hash, a.Result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(again) != artifact {
+		t.Fatalf("re-encoded artifact differs:\n%s\nvs\n%s", again, artifact)
 	}
 	res, err := job.Spec.Execute()
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := EncodeArtifact(parentHash, res)
+	fresh, err := EncodeArtifact(hash, res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(fresh) != parentArtifact {
-		t.Fatalf("fresh run's artifact differs:\n%s\nvs\n%s", fresh, parentArtifact)
+	if string(fresh) != artifact {
+		t.Fatalf("fresh run's artifact differs:\n%s\nvs\n%s", fresh, artifact)
 	}
 }

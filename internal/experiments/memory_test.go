@@ -14,14 +14,15 @@ import (
 // maxBytesPerGeneratedPacket bounds what a saturated run allocates per
 // packet it generates. A run past saturation keeps nearly every packet
 // alive until it ends (source queues are unbounded), so this is the
-// slope of its peak memory. A packet that waits costs a 24-byte
-// source-queue entry; only the packets that leave their queue, about a
+// slope of its peak memory. A packet that waits costs an 8-byte
+// source-queue entry, the rest of it replayed from its host's traffic
+// stream; only the packets that reach the head of their queue, about a
 // tenth here, take a 64-byte ib.Packet. With the run's share of
-// everything else that is about 40 bytes in all on this workload. A
-// 64-byte packet built at generation plus an 8-byte queue slot cost
-// about 82; the bound sits between the two, with room for the run's
-// other allocations to move.
-const maxBytesPerGeneratedPacket = 48
+// everything else that is about 23 bytes in all on this workload. A
+// 24-byte entry that stores the whole packet costs about 40; the bound
+// sits between the two, with room for the run's other allocations to
+// move.
+const maxBytesPerGeneratedPacket = 32
 
 // TestHotSpotBytesPerGeneratedPacket gates heap allocation per
 // generated packet on the benchmark's saturated hot-spot workload: 16

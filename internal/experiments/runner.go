@@ -156,6 +156,10 @@ type DegradedStats struct {
 	RecoveryLatencyNs int64
 
 	// Watchdog outcome: audit ticks run and invariant breaches seen.
+	// WatchdogViolations counts the breaches the watchdog recorded,
+	// and it records at most 64 (faults.maxViolations), so a run that
+	// reads 64 may have seen more. Counting past the cap changes the
+	// result of such runs, so it waits for a JobSchemaVersion bump.
 	WatchdogSamples    uint64
 	WatchdogViolations int
 	// FirstViolation is the first breach's message ("" when clean).

@@ -198,6 +198,11 @@ func (c Config) Validate() error {
 	if c.SourceMultipath > 1 && c.AdaptiveSwitches {
 		return fmt.Errorf("fabric: source multipath is a plain-switch baseline; disable AdaptiveSwitches")
 	}
+	// Each path is one of the destination's LIDs; a source-queue entry
+	// keeps its offset in seven bits (see srcEntry).
+	if c.SourceMultipath > 1<<ib.MaxLMC {
+		return fmt.Errorf("fabric: %d source paths exceed the %d LIDs a host can own", c.SourceMultipath, 1<<ib.MaxLMC)
+	}
 	switch c.Arb {
 	case "", ArbWake, ArbScan:
 	default:

@@ -342,6 +342,17 @@ func TestConfigValidation(t *testing.T) {
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("MTU 0 accepted")
 	}
+	// No host owns more than 2^MaxLMC LIDs, so no more source paths.
+	cfg = fabric.DefaultConfig()
+	cfg.AdaptiveSwitches = false
+	cfg.SourceMultipath = 1 << ib.MaxLMC
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("%d source paths rejected: %v", cfg.SourceMultipath, err)
+	}
+	cfg.SourceMultipath++
+	if err := cfg.Validate(); err == nil {
+		t.Fatalf("%d source paths accepted", cfg.SourceMultipath)
+	}
 }
 
 func TestNewNetworkRejectsMismatchedPlan(t *testing.T) {

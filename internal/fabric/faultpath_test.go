@@ -5,6 +5,7 @@ import (
 
 	"ibasim/internal/fabric"
 	"ibasim/internal/ib"
+	"ibasim/internal/sim"
 	"ibasim/internal/topology"
 )
 
@@ -165,11 +166,38 @@ func TestUnroutableLookupDropsInsteadOfPanic(t *testing.T) {
 	}
 }
 
+// fixedStream is the stream of a host that generates packets of one
+// shape to one destination: gen queues n of them at the current time
+// through Host.Generate, and records that time for the host to replay.
+type fixedStream struct {
+	net       *fabric.Network
+	h         *fabric.Host
+	dst, size int
+	adaptive  bool
+	at        []sim.Time
+}
+
+// gen generates n packets now.
+func (s *fixedStream) gen(n int) {
+	for i := 0; i < n; i++ {
+		s.at = append(s.at, s.net.Engine.Now())
+		s.h.Generate(s.dst, s.size, s.adaptive)
+	}
+}
+
+// Next implements fabric.Stream.
+func (s *fixedStream) Next() (sim.Time, int, int, bool) {
+	at := s.at[0]
+	s.at = s.at[1:]
+	return at, s.dst, s.size, s.adaptive
+}
+
 // TestSendTimeoutDrainsMultiChunkBacklogInOrder: a backlog of several
-// source-queue chunks (255 packets each) waits behind a dead switch.
-// The send timeout drops the heads in FIFO order, each exactly one
-// timeout after it was queued, and retried packets re-enter at the
-// tail, behind packets queued while they were backing off.
+// source-queue chunks (255 packets each) of generated packets waits
+// behind a dead switch. The send timeout drops the heads in FIFO
+// order, each exactly one timeout after it was generated (a time the
+// host replays from its stream), and retried packets re-enter at the
+// tail, behind packets generated while they were backing off.
 func TestSendTimeoutDrainsMultiChunkBacklogInOrder(t *testing.T) {
 	const (
 		timeout = 1_000
@@ -199,19 +227,17 @@ func TestSendTimeoutDrainsMultiChunkBacklogInOrder(t *testing.T) {
 		}
 		drops = append(drops, drop{p.ID, p.Attempts})
 	}
-	inject := func(n int) (first uint64) {
-		for i := 0; i < n; i++ {
-			p := net.NewPacket(0, 4, 32, true)
-			if i == 0 {
-				first = p.ID
-			}
-			h.Inject(p)
-		}
-		return first
-	}
-	firstA := inject(nA)
+	var created []uint64
+	net.OnCreated = func(p *ib.Packet) { created = append(created, p.ID) }
+	s := &fixedStream{net: net, h: h, dst: 4, size: 32, adaptive: true}
+	h.SetStream(s)
+	s.gen(nA)
+	firstA := created[0]
 	var firstB uint64
-	net.Engine.At(atB, func() { firstB = inject(nB) })
+	net.Engine.At(atB, func() {
+		s.gen(nB)
+		firstB = created[nA]
+	})
 	// The retries of batch A re-enter at t = timeout + backoff; batch B
 	// must still be at the head, with A queued behind it.
 	net.Engine.At(timeout+backoff+1, func() {

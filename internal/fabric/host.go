@@ -18,12 +18,18 @@ type Host struct {
 
 	out *outPort // link toward the attached switch
 
-	// queue is the source queue, a chunked FIFO of entries (see
-	// srcqueue.go); prebuilt holds, in queue order, the packets of its
-	// entPrebuilt entries.
+	// queue is the source queue, a chunked FIFO of one-word entries
+	// (see srcqueue.go). head is the packet of its head entry, built
+	// when the entry got there (see loadHead), and nil while the queue
+	// is empty; prebuilt holds, in queue order, the packets of the
+	// other entPrebuilt entries.
 	queue      pktFIFO
+	head       *ib.Packet
 	prebuilt   pktQueue
 	injPending bool
+
+	// stream replays the packets Generate queued (see Stream).
+	stream Stream
 
 	// injectFn is the host's recurring delay-0 event closure, bound
 	// once at wiring so scheduling it never allocates.
@@ -65,18 +71,36 @@ func (h *Host) QueueLen() int { return h.queue.len() }
 // HeadID returns the ID of the packet at the source-queue head, or 0
 // when the queue is empty (watchdog progress probe).
 func (h *Host) HeadID() uint64 {
-	if h.queue.len() == 0 {
+	if h.head == nil {
 		return 0
 	}
-	return h.queue.peek().id
+	return h.head.ID
 }
 
+// Stream replays, in order, the packets Host.Generate queued at one
+// host. A generated packet waits as a bare ID (see srcEntry); when it
+// reaches the head of the source queue, the host reads the rest of it
+// from Next, once. Next must return exactly what the matching Generate
+// call had: the simulated time of the call, the destination, the size
+// in bytes and the adaptive request. A generator whose draws depend
+// only on the host's own RNG stream meets this by stepping a copy of
+// that stream (see traffic.Generator.Start).
+type Stream interface {
+	Next() (at sim.Time, dst, size int, adaptive bool)
+}
+
+// SetStream attaches the stream that replays this host's generated
+// packets. Generate needs one.
+func (h *Host) SetStream(s Stream) { h.stream = s }
+
 // Generate creates a packet of size bytes from this host to dst at the
-// current time and queues it: the traffic generator's entry point. The
-// packet takes its ID and DLID now, through the same draw as
-// Network.NewPacket, but waits as a srcEntry and is built only when it
-// leaves the queue. OnCreated sees it through the network's scratch
-// packet (see Network.OnCreated).
+// current time and queues it: the traffic generator's entry point, and
+// the only way a fresh packet enters a source queue. The packet takes
+// its ID and, under source multipath, its DLID offset now, through the
+// same draw as Network.NewPacket, but waits as a one-word srcEntry;
+// the host's Stream supplies the rest when it reaches the head.
+// OnCreated sees it through the network's scratch packet (see
+// Network.OnCreated).
 //
 // A generation that joins a blocked queue schedules no injection pass:
 // the pass would fail wherever it ran in this instant (see
@@ -86,16 +110,15 @@ func (h *Host) Generate(dst, size int, adaptive bool) {
 	if uint(dst) >= uint(len(n.Hosts)) || size <= 0 || size > n.Cfg.MTU {
 		panic(fmt.Sprintf("fabric: host %d generates %d B to host %d (MTU %d, %d hosts)", h.id, size, dst, n.Cfg.MTU, len(n.Hosts)))
 	}
-	id, dlid, adaptive := n.address(dst, adaptive)
+	if h.stream == nil {
+		panic(fmt.Sprintf("fabric: host %d generates with no stream attached", h.id))
+	}
+	id, path := n.address()
 	now := n.Engine.Now()
 	blocked := h.queue.len() > 0 && h.injectionBlocked(now)
-	e := srcEntry{id: id, at: now, dst: uint16(dst), dlid: dlid, size: uint16(size)}
-	if adaptive {
-		e.flags = entAdaptive
-	}
-	h.queue.push(e)
+	h.push(freshEntry(id, path))
 	if n.OnCreated != nil {
-		n.created = h.packetOf(e)
+		n.created = h.packetOf(id, now, dst, size, adaptive, path)
 		n.OnCreated(&n.created)
 	}
 	h.armSendTimeout()
@@ -113,7 +136,7 @@ func (h *Host) Inject(pkt *ib.Packet) {
 		panic(fmt.Sprintf("fabric: packet %v injected at host %d", pkt, h.id))
 	}
 	pkt.QueuedAt = h.net.Engine.Now()
-	h.pushPrebuilt(pkt, 0)
+	h.pushPrebuilt(pkt, entPrebuilt)
 	if h.net.OnCreated != nil {
 		h.net.OnCreated(pkt)
 	}
@@ -131,54 +154,68 @@ func (h *Host) requeue(pkt *ib.Packet) {
 	h.kick()
 }
 
-// pushPrebuilt queues an existing packet behind every waiting entry.
-func (h *Host) pushPrebuilt(pkt *ib.Packet, flags uint8) {
+// pushPrebuilt queues an existing packet behind every waiting entry;
+// tag is entPrebuilt or entRequeued.
+func (h *Host) pushPrebuilt(pkt *ib.Packet, tag srcEntry) {
 	h.prebuilt.push(pkt)
-	h.queue.push(srcEntry{id: pkt.ID, at: pkt.QueuedAt, flags: entPrebuilt | flags})
+	h.push(srcEntry(pkt.ID&entIDMask) | tag)
 }
 
-// take removes the head entry and returns its packet: a prebuilt one
-// as it is, a fresh one carved from the network's packet slab. Every
-// packet but a retry takes its flow's next SeqNo here.
+// push appends e to the source queue. An entry that lands at the head
+// is built at once.
+func (h *Host) push(e srcEntry) {
+	h.queue.push(e)
+	if h.queue.len() == 1 {
+		h.loadHead()
+	}
+}
+
+// loadHead builds the packet of the entry that has just reached the
+// queue head: a prebuilt one leaves the prebuilt FIFO; a fresh one is
+// carved from the network's packet slab and filled from the next
+// packet of the host's stream and the entry. The head's readers (take,
+// the injection pass, HeadID and the send timeout) read this packet.
+func (h *Host) loadHead() {
+	e := h.queue.peek()
+	if e&entPrebuilt != 0 {
+		h.head = h.prebuilt.pop()
+		return
+	}
+	at, dst, size, adaptive := h.stream.Next()
+	h.head = h.net.getPacket()
+	*h.head = h.packetOf(e.id(), at, dst, size, adaptive, e.path())
+}
+
+// packetOf returns a generated packet as it entered the queue: SeqNo
+// 0, no hop taken.
+func (h *Host) packetOf(id uint64, at sim.Time, dst, size int, adaptive bool, path int) ib.Packet {
+	dlid, adaptive := h.net.dlid(dst, adaptive, path)
+	return ib.Packet{
+		ID:        id,
+		CreatedAt: at,
+		QueuedAt:  at,
+		Src:       int32(h.id),
+		Dst:       int32(dst),
+		Size:      int32(size),
+		DLID:      dlid,
+		Adaptive:  adaptive,
+	}
+}
+
+// take removes the head and returns its packet, and builds the next
+// head. Every packet but a retry takes its flow's next SeqNo here.
 func (h *Host) take() *ib.Packet {
 	e := h.queue.pop()
-	var pkt *ib.Packet
-	if e.flags&entPrebuilt != 0 {
-		pkt = h.prebuilt.pop()
-		if e.flags&entRequeued != 0 {
-			return pkt
-		}
-	} else {
-		pkt = h.net.getPacket()
-		*pkt = h.packetOf(e)
+	pkt := h.head
+	h.head = nil
+	if h.queue.len() > 0 {
+		h.loadHead()
 	}
-	pkt.SeqNo = h.nextSeq[pkt.Dst]
-	h.nextSeq[pkt.Dst]++
+	if e&entRequeued != entRequeued {
+		pkt.SeqNo = h.nextSeq[pkt.Dst]
+		h.nextSeq[pkt.Dst]++
+	}
 	return pkt
-}
-
-// packetOf returns the packet a fresh entry stands for, as it entered
-// the queue: SeqNo 0, no hop taken.
-func (h *Host) packetOf(e srcEntry) ib.Packet {
-	return ib.Packet{
-		ID:        e.id,
-		CreatedAt: e.at,
-		QueuedAt:  e.at,
-		Src:       int32(h.id),
-		Dst:       int32(e.dst),
-		Size:      int32(e.size),
-		DLID:      e.dlid,
-		Adaptive:  e.flags&entAdaptive != 0,
-	}
-}
-
-// headCredits returns the credits the head packet consumes.
-func (h *Host) headCredits() int {
-	e := h.queue.peek()
-	if e.flags&entPrebuilt == 0 {
-		return ib.Credits(int(e.size))
-	}
-	return h.prebuilt.peek().Credits()
 }
 
 // injectionBlocked reports whether an injection pass for the current
@@ -203,7 +240,7 @@ func (h *Host) injectionBlocked(now sim.Time) bool {
 	if o.returns > 0 {
 		return false
 	}
-	return !h.net.Cfg.Split.CanUseEscape(o.credits, h.headCredits())
+	return !h.net.Cfg.Split.CanUseEscape(o.credits, h.head.Credits())
 }
 
 // kick schedules an injection attempt at the current time (coalesced).
@@ -237,7 +274,7 @@ func (h *Host) armSendTimeout() {
 	if to <= 0 || h.queue.len() == 0 {
 		return
 	}
-	deadline := h.queue.peek().at + to
+	deadline := h.head.QueuedAt + to
 	if h.timeoutArmed != 0 && h.timeoutArmed <= deadline {
 		return
 	}
@@ -258,7 +295,7 @@ func (h *Host) expireHead() {
 		return
 	}
 	now := h.net.Engine.Now()
-	for h.queue.len() > 0 && now-h.queue.peek().at >= to {
+	for h.queue.len() > 0 && now-h.head.QueuedAt >= to {
 		h.net.dropPacket(h.take(), DropTimeout)
 	}
 }
@@ -272,7 +309,7 @@ func (h *Host) tryInject() {
 	if h.queue.len() == 0 || !h.out.free(now) {
 		return
 	}
-	credits := h.headCredits()
+	credits := h.head.Credits()
 	if !h.net.Cfg.Split.CanUseEscape(h.out.credits, credits) {
 		return
 	}

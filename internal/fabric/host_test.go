@@ -7,6 +7,46 @@ import (
 	"ibasim/internal/sim"
 )
 
+// tape is the Stream of a test that generates by hand: gen records
+// each packet and queues it through Host.Generate, and the host reads
+// the records back as the packets reach the head, as it replays a
+// traffic generator's draws. A tape whose records are all read starts
+// over, so a warm tape allocates nothing.
+type tape struct {
+	h    *Host
+	recs []tapeRec
+	next int
+}
+
+type tapeRec struct {
+	at        sim.Time
+	dst, size int
+	adaptive  bool
+}
+
+// attachTape gives h a tape as its stream.
+func attachTape(h *Host) *tape {
+	tp := &tape{h: h}
+	h.SetStream(tp)
+	return tp
+}
+
+// gen generates one packet at the current time.
+func (tp *tape) gen(dst, size int, adaptive bool) {
+	tp.recs = append(tp.recs, tapeRec{tp.h.net.Engine.Now(), dst, size, adaptive})
+	tp.h.Generate(dst, size, adaptive)
+}
+
+// Next implements Stream.
+func (tp *tape) Next() (sim.Time, int, int, bool) {
+	r := tp.recs[tp.next]
+	tp.next++
+	if tp.next == len(tp.recs) {
+		tp.recs, tp.next = tp.recs[:0], 0
+	}
+	return r.at, r.dst, r.size, r.adaptive
+}
+
 // TestSourceQueueMixedOrder queues generated entries, injected packets
 // and retries at one host while its link is down, then lets them go.
 // The three kinds share one FIFO: they leave in the order they
@@ -24,6 +64,7 @@ func TestSourceQueueMixedOrder(t *testing.T) {
 	cfg.Retry = RetryConfig{MaxRetries: 2, BackoffBase: backoff, BackoffMax: backoff, SendTimeout: timeout}
 	net := hotpathNetCfg(t, cfg)
 	h := net.Hosts[0]
+	tp := attachTape(h)
 	h.out.down = true
 
 	var delivered []ib.Packet
@@ -38,10 +79,10 @@ func TestSourceQueueMixedOrder(t *testing.T) {
 	// Every batch is (generated to 7, injected to 7), batch 1 also a
 	// generated packet to 5.
 	batch := func(to5 bool) {
-		h.Generate(7, 32, false)
+		tp.gen(7, 32, false)
 		h.Inject(net.NewPacket(0, 7, 32, false))
 		if to5 {
-			h.Generate(5, 32, false)
+			tp.gen(5, 32, false)
 		}
 	}
 	batch(true)                                 // IDs 1, 2, 3
@@ -101,18 +142,19 @@ func TestSourceQueueMixedOrder(t *testing.T) {
 
 // queuedHost returns a network whose host 0 holds one generated entry
 // with no injection pass pending, its link up and idle, at time 0.
-func queuedHost(t *testing.T, cfg Config) (*Network, *Host) {
+func queuedHost(t *testing.T, cfg Config) (*Network, *Host, *tape) {
 	t.Helper()
 	net := hotpathNetCfg(t, cfg)
 	h := net.Hosts[0]
+	tp := attachTape(h)
 	h.out.down = true
-	h.Generate(7, 32, false)
+	tp.gen(7, 32, false)
 	net.Engine.Run(0) // the pass fails on the down link
 	h.out.down = false
 	if h.QueueLen() != 1 || h.injPending {
 		t.Fatalf("setup: queue %d, pass pending %v", h.QueueLen(), h.injPending)
 	}
-	return net, h
+	return net, h, tp
 }
 
 // TestGenerateSkipsOnlyFailingPasses checks when a generation that
@@ -156,9 +198,9 @@ func TestGenerateSkipsOnlyFailingPasses(t *testing.T) {
 		}, false},
 	}
 	for _, c := range cases {
-		net, h := queuedHost(t, DefaultConfig())
+		net, h, tp := queuedHost(t, DefaultConfig())
 		c.setup(net, h)
-		h.Generate(7, 32, false)
+		tp.gen(7, 32, false)
 		if skipped := !h.injPending; skipped != c.skip {
 			t.Errorf("%s: pass skipped %v, want %v", c.name, skipped, c.skip)
 		}
@@ -179,15 +221,16 @@ func TestGenerateSkipsOnlyFailingPasses(t *testing.T) {
 	cfg.Retry = RetryConfig{MaxRetries: 1, BackoffBase: 1, SendTimeout: 1_000}
 	net := hotpathNetCfg(t, cfg)
 	h := net.Hosts[0]
+	tp := attachTape(h)
 	skipped := false
 	net.Engine.At(1_000, func() { // dispatches before the timeout check it shares the instant with
 		h.out.down = false
 		h.out.credits = 0
-		h.Generate(7, 32, false)
+		tp.gen(7, 32, false)
 		skipped = !h.injPending
 	})
 	h.out.down = true
-	h.Generate(7, 32, false)
+	tp.gen(7, 32, false)
 	net.Engine.Run(1_000)
 	if skipped {
 		t.Error("no credits, send timeout due: pass skipped, want kept")
@@ -196,13 +239,14 @@ func TestGenerateSkipsOnlyFailingPasses(t *testing.T) {
 
 // TestGenerateZeroAllocsSteadyState holds the generator's path to the
 // injection gate's bar: generating a packet, queueing its entry,
-// building it as it leaves and running it through to delivery
-// allocates only the amortized slab refill.
+// replaying it from the host's stream at the head and running it
+// through to delivery allocates only the amortized slab refill.
 func TestGenerateZeroAllocsSteadyState(t *testing.T) {
 	net := hotpathNet(t)
 	h := net.Hosts[0]
+	tp := attachTape(h)
 	generate := func() {
-		h.Generate(7, 32, true)
+		tp.gen(7, 32, true)
 		net.Engine.RunUntilIdle()
 	}
 	for i := 0; i < 600; i++ { // warm pools and span a slab boundary

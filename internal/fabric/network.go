@@ -232,8 +232,9 @@ func NewNetwork(topo *topology.Topology, plan *ib.AddressPlan, cfg Config, seed 
 	if plan.NumHosts != topo.NumHosts() {
 		return nil, fmt.Errorf("fabric: plan has %d hosts, topology %d", plan.NumHosts, topo.NumHosts())
 	}
-	// A source-queue entry stores the destination host and the packet
-	// size in 16 bits each (see srcEntry).
+	// IBA's field widths bound the subnet: a LID is 16 bits, so no
+	// plan addresses more hosts, and no IBA MTU needs more than a
+	// 16-bit byte count.
 	if topo.NumHosts() > math.MaxUint16+1 {
 		return nil, fmt.Errorf("fabric: %d hosts exceed the %d a 16-bit LID space addresses", topo.NumHosts(), math.MaxUint16+1)
 	}
@@ -387,7 +388,8 @@ func (n *Network) wire(a *Switch, pa ib.PortID, b *Switch, pb ib.PortID) {
 // of the alternative deterministic paths uniformly at random — the
 // source-node path selection of the paper's introduction.
 func (n *Network) NewPacket(src, dst, size int, adaptive bool) *ib.Packet {
-	id, dlid, adaptive := n.address(dst, adaptive)
+	id, path := n.address()
+	dlid, adaptive := n.dlid(dst, adaptive, path)
 	pkt := n.getPacket()
 	*pkt = ib.Packet{
 		ID:        id,
@@ -401,18 +403,27 @@ func (n *Network) NewPacket(src, dst, size int, adaptive bool) *ib.Packet {
 	return pkt
 }
 
-// address takes the next packet ID and the DLID of a new packet to
-// dst, and settles its adaptive flag: the one draw NewPacket and
-// Host.Generate share, so both consume IDs and the source-multipath
-// RNG in the same order.
-func (n *Network) address(dst int, adaptive bool) (id uint64, dlid ib.LID, isAdaptive bool) {
+// address takes the next packet ID and, in source multipath mode,
+// draws which of the destination's paths a new packet takes: the one
+// draw NewPacket and Host.Generate share, so both consume IDs and the
+// source-multipath RNG in the same order.
+func (n *Network) address() (id uint64, path int) {
 	n.nextID++
-	dlid = n.Plan.DLIDFor(dst, adaptive)
 	if k := n.Cfg.SourceMultipath; k > 1 {
-		adaptive = false
-		dlid = n.Plan.BaseLID(dst) + ib.LID(n.rng.Intn(k))
+		path = n.rng.Intn(k)
 	}
-	return n.nextID, dlid, adaptive && n.Plan.LMC > 0
+	return n.nextID, path
+}
+
+// dlid returns the DLID of a packet to dst on the path address drew
+// and settles its adaptive flag. In source multipath mode the flag is
+// ignored and path offsets the destination's base LID; otherwise the
+// address plan encodes the requested service (§4.2).
+func (n *Network) dlid(dst int, adaptive bool, path int) (ib.LID, bool) {
+	if n.Cfg.SourceMultipath > 1 {
+		return n.Plan.BaseLID(dst) + ib.LID(path), false
+	}
+	return n.Plan.DLIDFor(dst, adaptive), adaptive && n.Plan.LMC > 0
 }
 
 // PortToNeighbor returns switch s's output port wired to the adjacent

@@ -154,8 +154,9 @@ func (n *Network) scheduleHostKick(delay sim.Time, h *Host) {
 }
 
 // pktSlabSize is how many packets one allocation block holds. A
-// generated packet is carved when it leaves its source queue (see
-// Host.take), so a saturated run's backlog takes no slab space.
+// generated packet is carved when it reaches the head of its source
+// queue (see Host.loadHead), so a saturated run's backlog takes no
+// slab space.
 // Packets are not recycled — observers (reorder buffers, tracers,
 // tests) may hold a delivered packet long after the fabric last
 // touches it, so reuse would need a liveness protocol. Slab allocation

@@ -1,15 +1,16 @@
 package fabric
 
-import (
-	"ibasim/internal/ib"
-	"ibasim/internal/sim"
-)
+import "ibasim/internal/ib"
 
 // Source queues are unbounded, so past saturation nearly every packet
 // a run generates waits in one until the run ends. A generated packet
-// therefore waits as a 24-byte, pointer-free srcEntry and becomes an
-// *ib.Packet only when it leaves the queue (see Host.take): the 64-byte
-// packet is built for the packets that move, not for the backlog.
+// therefore waits as one 8-byte word, its srcEntry, and becomes an
+// *ib.Packet only when it reaches the head of its queue (see
+// Host.loadHead): the 64-byte packet is built for the one packet per
+// host that can move next, not for the backlog. What the word leaves
+// out (generation time, destination, size and adaptive bit) is a pure
+// function of the host's traffic stream, which the host replays as its
+// entries reach the head (see Stream).
 //
 // The entries live in a linked list of fixed-size chunks: it holds
 // exactly one entry per queued packet plus at most two partly filled
@@ -17,32 +18,44 @@ import (
 // up to twice the standing depth and copies the whole backlog on each
 // growth step.
 
-// srcEntry is one waiting packet. A fresh entry carries everything the
-// packet will be built from; its ID and DLID were taken at generation,
-// so they do not depend on when it leaves. An entry with entPrebuilt
-// stands for a packet that already exists (a retry or a test's
-// Host.Inject); the packet waits in the host's prebuilt FIFO and the
-// entry keeps only its ID and queueing time.
-type srcEntry struct {
-	id    uint64   // packet ID
-	at    sim.Time // when the packet entered the queue (QueuedAt)
-	dst   uint16   // destination host; NewNetwork bounds the host count
-	dlid  ib.LID   // destination LID, drawn at generation
-	size  uint16   // bytes; at most one MTU, which NewNetwork bounds
-	flags uint8    // entAdaptive, entPrebuilt, entRequeued
+// srcEntry is one waiting packet: its ID in the low 56 bits and a tag
+// in the top byte. A fresh entry (Host.Generate) has the top bit
+// clear, and its tag is the offset of its DLID from the destination's
+// base LID under source multipath (0 otherwise). Both were taken at
+// generation, on the network's counter and RNG, so they do not depend
+// on when the packet leaves. An entry tagged entPrebuilt stands for a
+// packet that already exists (a retry or a test's Host.Inject); the
+// packet waits in the host's prebuilt FIFO.
+type srcEntry uint64
+
+const (
+	entTagShift = 56
+	entIDMask   = 1<<entTagShift - 1
+
+	// entPrebuilt tags an entry whose packet waits in Host.prebuilt.
+	entPrebuilt srcEntry = 0x80 << entTagShift
+	// entRequeued tags a prebuilt retry, which keeps its SeqNo; it
+	// includes the entPrebuilt bit, so no fresh entry matches it.
+	entRequeued srcEntry = 0xC0 << entTagShift
+)
+
+// freshEntry returns the entry of a generated packet. A host owns at
+// most 2^ib.MaxLMC LIDs, so path fits in the seven tag bits below the
+// prebuilt bit (Config.Validate bounds SourceMultipath to match).
+func freshEntry(id uint64, path int) srcEntry {
+	return srcEntry(id&entIDMask) | srcEntry(path)<<entTagShift
 }
 
-// srcEntry flags.
-const (
-	entAdaptive uint8 = 1 << iota // fresh packet: adaptive service
-	entPrebuilt                   // the packet waits in Host.prebuilt
-	entRequeued                   // prebuilt retry: keeps its SeqNo
-)
+// id returns the packet ID the entry holds.
+func (e srcEntry) id() uint64 { return uint64(e & entIDMask) }
+
+// path returns a fresh entry's DLID offset.
+func (e srcEntry) path() int { return int(e >> entTagShift) }
 
 // pktChunkSlots is the number of entries in one source-queue chunk.
 // With the next link a chunk is 2 KiB, a Go size class, so the
 // allocator wastes nothing on it.
-const pktChunkSlots = 85
+const pktChunkSlots = 255
 
 // pktChunk is one link of a source queue. next comes first: it is the
 // chunk's only pointer, so the collector scans one word per chunk.
@@ -88,7 +101,7 @@ type pktFIFO struct {
 func (q *pktFIFO) len() int { return q.n }
 
 // peek returns the head entry; the caller must have checked len() > 0.
-func (q *pktFIFO) peek() *srcEntry { return &q.head.slots[q.hi] }
+func (q *pktFIFO) peek() srcEntry { return q.head.slots[q.hi] }
 
 // push appends e at the tail.
 func (q *pktFIFO) push(e srcEntry) {
@@ -129,9 +142,10 @@ func (q *pktFIFO) pop() srcEntry {
 
 // pktQueue is a FIFO of packets that already exist: a host's retries
 // and injected packets, in the order their entPrebuilt entries hold in
-// the source queue. It is short-lived in practice; a backing array
-// that fills while its front is consumed is compacted rather than
-// grown, so its size follows the live depth.
+// the source queue, less the one at the head (Host.head). It is
+// short-lived in practice; a backing array that fills while its front
+// is consumed is compacted rather than grown, so its size follows the
+// live depth.
 type pktQueue struct {
 	pkts []*ib.Packet
 	head int
@@ -145,9 +159,6 @@ func (q *pktQueue) push(p *ib.Packet) {
 	}
 	q.pkts = append(q.pkts, p)
 }
-
-// peek returns the oldest packet; the queue must not be empty.
-func (q *pktQueue) peek() *ib.Packet { return q.pkts[q.head] }
 
 // pop removes and returns the oldest packet; the queue must not be
 // empty.

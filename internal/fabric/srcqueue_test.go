@@ -4,6 +4,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"ibasim/internal/ib"
 	"ibasim/internal/sim"
 )
 
@@ -26,8 +27,8 @@ func checkFIFO(t *testing.T, step int, q *pktFIFO, ref []srcEntry, seen map[*pkt
 	if q.len() != len(ref) {
 		t.Fatalf("step %d: len %d, want %d", step, q.len(), len(ref))
 	}
-	if len(ref) > 0 && *q.peek() != ref[0] {
-		t.Fatalf("step %d: head %+v, want %+v", step, *q.peek(), ref[0])
+	if len(ref) > 0 && q.peek() != ref[0] {
+		t.Fatalf("step %d: head %#x, want %#x", step, q.peek(), ref[0])
 	}
 	cs := fifoChunks(q)
 	if len(cs) > 0 && cs[len(cs)-1] != q.tail {
@@ -46,7 +47,7 @@ func checkFIFO(t *testing.T, step int, q *pktFIFO, ref []srcEntry, seen map[*pkt
 			live := (ci > 0 || s >= q.hi) && (ci < len(cs)-1 || s < q.ti)
 			switch {
 			case live && (i >= len(ref) || e != ref[i]):
-				t.Fatalf("step %d: chunk %d slot %d holds %+v, want element %d of the reference", step, ci, s, e, i)
+				t.Fatalf("step %d: chunk %d slot %d holds %#x, want element %d of the reference", step, ci, s, e, i)
 			case live:
 				i++
 			}
@@ -65,17 +66,26 @@ func checkFIFO(t *testing.T, step int, q *pktFIFO, ref []srcEntry, seen map[*pkt
 	}
 }
 
-// TestSrcEntryLayout pins the memory budget of a waiting packet: a
-// 24-byte entry, and chunks of exactly 2 KiB, a Go size class.
+// TestSrcEntryLayout pins the memory budget of a waiting packet: an
+// 8-byte entry, and chunks of exactly 2 KiB, a Go size class. It also
+// checks that the tag byte round-trips an ID and every DLID offset a
+// host can own, and that no fresh entry reads as prebuilt or requeued.
 func TestSrcEntryLayout(t *testing.T) {
-	if got := unsafe.Sizeof(srcEntry{}); got != 24 {
-		t.Errorf("srcEntry is %d bytes, want 24", got)
+	if got := unsafe.Sizeof(srcEntry(0)); got != 8 {
+		t.Errorf("srcEntry is %d bytes, want 8", got)
 	}
 	if got := unsafe.Sizeof(pktChunk{}); got != 2048 {
 		t.Errorf("pktChunk is %d bytes, want 2048", got)
 	}
 	if got := unsafe.Offsetof(pktChunk{}.next); got != 0 {
 		t.Errorf("pktChunk.next at offset %d, want 0 (the chunk's only pointer leads)", got)
+	}
+	const id = entIDMask - 5
+	for path := 0; path < 1<<ib.MaxLMC; path++ {
+		e := freshEntry(id, path)
+		if e.id() != id || e.path() != path || e&entPrebuilt != 0 || e&entRequeued == entRequeued {
+			t.Fatalf("freshEntry(%#x, %d) = %#x: id %#x, path %d, prebuilt %v", uint64(id), path, e, e.id(), e.path(), e&entPrebuilt != 0)
+		}
 	}
 }
 
@@ -93,14 +103,17 @@ func TestPktFIFOMatchesSlice(t *testing.T) {
 		next := 0
 		push := func() {
 			next++
-			e := srcEntry{id: uint64(next), at: sim.Time(3 * next), dst: uint16(next), dlid: 1, size: 32, flags: uint8(next) & 3}
+			e := freshEntry(uint64(next), next%128)
+			if next%3 == 0 {
+				e = srcEntry(next) | entRequeued
+			}
 			q.push(e)
 			ref = append(ref, e)
 		}
 		pop := func(step int) {
 			got := q.pop()
 			if got != ref[0] {
-				t.Fatalf("seed %d step %d: pop %+v, want %+v", seed, step, got, ref[0])
+				t.Fatalf("seed %d step %d: pop %#x, want %#x", seed, step, got, ref[0])
 			}
 			ref = ref[1:]
 		}
@@ -147,7 +160,7 @@ func TestPktFIFOMatchesSlice(t *testing.T) {
 func TestPktFIFOEmptyKeepsItsChunk(t *testing.T) {
 	pool := &chunkPool{}
 	a, b := pktFIFO{pool: pool}, pktFIFO{pool: pool}
-	p := srcEntry{id: 1}
+	p := freshEntry(1, 0)
 	a.push(p)
 	first := a.head
 	for i := 0; i < 3*pktChunkSlots; i++ {

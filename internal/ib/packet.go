@@ -11,11 +11,11 @@ import (
 // and buffers whole packets), so no flit structure is modelled.
 //
 // The struct is exactly one 64-byte cache line: a saturated run keeps
-// every packet that left its source queue alive until it ends, so the
-// layout is a memory budget (TestPacketIsOneCacheLine pins it). A
-// packet still waiting in its source queue is a 24-byte entry, not a
-// Packet (see fabric's srcqueue.go). The source LID is
-// not stored; AddressPlan.BaseLID(Src) gives it.
+// every packet that reached the head of its source queue alive until
+// it ends, so the layout is a memory budget (TestPacketIsOneCacheLine
+// pins it). A packet still waiting behind the head is an 8-byte entry,
+// not a Packet (see fabric's srcqueue.go). The source LID is not
+// stored; AddressPlan.BaseLID(Src) gives it.
 type Packet struct {
 	ID uint64 // globally unique, for tracing and loss accounting
 

@@ -63,6 +63,7 @@ type Generator struct {
 	cfg       Config
 	net       *fabric.Network
 	stop      sim.Time
+	mean      float64 // mean inter-arrival time, ns
 	streams   []hostStream
 	generated uint64
 }
@@ -75,55 +76,99 @@ func NewGenerator(net *fabric.Network, cfg Config) (*Generator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	// A packet waits in its source queue as an entry with a 16-bit
-	// size; NewNetwork caps the MTU to fit, so this check covers it.
 	if cfg.PacketSize > net.Cfg.MTU {
 		return nil, fmt.Errorf("traffic: packet size %d exceeds MTU %d", cfg.PacketSize, net.Cfg.MTU)
 	}
 	return &Generator{cfg: cfg, net: net}, nil
 }
 
+// source is one host's packet process: its RNG stream and the time of
+// its next generation step. A host's packets are a pure function of
+// that stream (see Pattern), so two copies made at the same point step
+// through the same packets.
+type source struct {
+	g   *Generator
+	src int      // the host's ID
+	at  sim.Time // time of the next step
+	rng sim.RNG  // split per host, held by value to keep streams one block
+}
+
+// step takes one generation step's draws, in the one order the
+// generator draws them: the destination, then the adaptive bit only
+// when the pattern sends from src (dst >= 0), then the gap to the
+// next step. It returns the step's time and its draws.
+func (s *source) step() (at sim.Time, dst int, adaptive bool, gap sim.Time) {
+	at = s.at
+	dst = s.g.cfg.Pattern.Dest(s.src, &s.rng)
+	if dst >= 0 {
+		adaptive = s.rng.Bool(s.g.cfg.AdaptiveFraction)
+	}
+	gap = s.rng.ExpTime(s.g.mean)
+	s.at += gap
+	return at, dst, adaptive, gap
+}
+
+// Next implements fabric.Stream: it steps to the host's next packet.
+// The host asks once per generated packet, so the steps it replays are
+// the ones the generation event took before the stop time.
+func (s *source) Next() (at sim.Time, dst, size int, adaptive bool) {
+	for {
+		at, dst, adaptive, _ := s.step()
+		if dst >= 0 {
+			return at, dst, s.g.cfg.PacketSize, adaptive
+		}
+	}
+}
+
 // hostStream is one host's generation process. Binding the host, its
-// RNG stream, and the rescheduling closure in one struct lets the
+// sources, and the rescheduling closure in one struct lets the
 // recurring generation event reuse a single func value instead of
 // allocating a new closure per packet.
 type hostStream struct {
-	g    *Generator
 	host *fabric.Host
-	rng  sim.RNG // split per host, held by value to keep streams one block
-	mean float64
-	fire func()
+	gen  source // the generation event's draws
+	// replay is a copy of gen made at Start; the host steps it as its
+	// generated packets reach the head of its source queue.
+	replay source
+	fire   func()
 }
 
 // Start schedules generation on every host from the current simulated
 // time until stopAt. Each host draws from an independent RNG stream,
-// so per-host processes are uncorrelated but reproducible.
+// so per-host processes are uncorrelated but reproducible; each host
+// gets a replay of its stream as its fabric.Stream.
 func (g *Generator) Start(stopAt sim.Time) {
 	g.stop = stopAt
-	mean := float64(g.cfg.PacketSize) / g.cfg.LoadBytesPerNsPerHost
+	g.mean = float64(g.cfg.PacketSize) / g.cfg.LoadBytesPerNsPerHost
 	root := sim.NewRNG(g.cfg.Seed ^ 0x54524146464943)
+	now := g.net.Engine.Now()
 	// All streams live in one backing array; only the recurring event
 	// closure is a per-host allocation.
 	g.streams = make([]hostStream, len(g.net.Hosts))
 	for i, h := range g.net.Hosts {
 		hs := &g.streams[i]
-		hs.g, hs.host, hs.rng, hs.mean = g, h, *root.Split(uint64(h.ID()) + 1), mean
-		hs.fire = hs.generate
+		hs.host = h
+		hs.gen = source{g: g, src: h.ID(), rng: *root.Split(uint64(h.ID()) + 1)}
 		// Random initial phase avoids all hosts firing in lockstep.
-		h.Engine().Schedule(hs.rng.ExpTime(mean), hs.fire)
+		phase := hs.gen.rng.ExpTime(g.mean)
+		hs.gen.at = now + phase
+		hs.replay = hs.gen
+		h.SetStream(&hs.replay)
+		hs.fire = hs.generate
+		h.Engine().Schedule(phase, hs.fire)
 	}
 }
 
 func (hs *hostStream) generate() {
-	g := hs.g
+	g := hs.gen.g
 	eng := hs.host.Engine()
 	if eng.Now() >= g.stop {
 		return
 	}
-	if dst := g.cfg.Pattern.Dest(hs.host.ID(), &hs.rng); dst >= 0 {
-		adaptive := hs.rng.Bool(g.cfg.AdaptiveFraction)
+	_, dst, adaptive, gap := hs.gen.step()
+	if dst >= 0 {
 		hs.host.Generate(dst, g.cfg.PacketSize, adaptive)
 		g.generated++
 	}
-	eng.Schedule(hs.rng.ExpTime(hs.mean), hs.fire)
+	eng.Schedule(gap, hs.fire)
 }

@@ -17,6 +17,12 @@ type Pattern interface {
 	// Dest returns the destination for a packet from src, or -1 when
 	// the pattern generates no traffic from src (e.g. bit-reversal
 	// fixed points). numHosts is fixed for a simulation.
+	//
+	// Dest may depend only on src and on what it draws from rng. A
+	// host replays its generated packets from a copy of its RNG stream
+	// as they reach the head of its source queue (see fabric.Stream),
+	// so any other input, or state that Dest changes, would replay a
+	// different destination than the one generated.
 	Dest(src int, rng *sim.RNG) int
 	Name() string
 }

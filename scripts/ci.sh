@@ -42,8 +42,9 @@ go test -race -count=1 -run 'TestHarnessGoldensFacade' -v .
 echo "==> bytes per generated packet (a saturated run keeps every packet; bound its memory slope)"
 go test -count=1 -run 'TestHotSpotBytesPerGeneratedPacket' -v ./internal/experiments/
 
-echo "==> source queue (24-byte entries, one FIFO for generated, injected and retried packets, no failing injection pass)"
+echo "==> source queue (8-byte entries replayed from the host's traffic stream, one FIFO for generated, injected and retried packets, no failing injection pass)"
 go test -count=1 -run 'TestSrcEntryLayout|TestPktFIFO|TestSourceQueueMixedOrder|TestGenerateSkipsOnlyFailingPasses' -v ./internal/fabric/
+go test -count=1 -run 'TestSourceReplayMatchesGeneration' -v ./internal/experiments/
 
 echo "==> determinism golden"
 go test -run 'TestFigure3Deterministic' -v ./internal/experiments/
