@@ -3,8 +3,6 @@ package core
 import (
 	"testing"
 	"testing/quick"
-
-	"ibasim/internal/sim"
 )
 
 func TestSplitHalf(t *testing.T) {
@@ -117,72 +115,6 @@ func TestAdaptiveStricterThanEscape(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPickAdaptiveStatusAware(t *testing.T) {
-	cfg := SelectionConfig{AtArbitration: true, StatusAware: true}
-	cands := []Candidate{
-		{Port: 1, Eligible: true, AdaptiveCredits: 2},
-		{Port: 2, Eligible: true, AdaptiveCredits: 7},
-		{Port: 3, Eligible: false, AdaptiveCredits: 99},
-	}
-	if got := PickAdaptive(cfg, cands, sim.NewRNG(1)); got != 1 {
-		t.Fatalf("PickAdaptive = %d, want 1 (most credits among eligible)", got)
-	}
-}
-
-func TestPickAdaptiveNoneEligible(t *testing.T) {
-	for _, aware := range []bool{true, false} {
-		cfg := SelectionConfig{StatusAware: aware}
-		cands := []Candidate{{Port: 1}, {Port: 2}}
-		if got := PickAdaptive(cfg, cands, sim.NewRNG(1)); got != -1 {
-			t.Fatalf("aware=%v: PickAdaptive = %d, want -1", aware, got)
-		}
-	}
-}
-
-func TestPickAdaptiveStaticUniform(t *testing.T) {
-	cfg := SelectionConfig{StatusAware: false}
-	cands := []Candidate{
-		{Port: 1, Eligible: true},
-		{Port: 2, Eligible: true},
-		{Port: 3, Eligible: true},
-	}
-	rng := sim.NewRNG(3)
-	counts := map[int]int{}
-	for i := 0; i < 3000; i++ {
-		counts[PickAdaptive(cfg, cands, rng)]++
-	}
-	for i := 0; i < 3; i++ {
-		if counts[i] < 800 || counts[i] > 1200 {
-			t.Fatalf("static pick skewed: %v", counts)
-		}
-	}
-}
-
-func TestPickAdaptiveTieBreaksToFirst(t *testing.T) {
-	cfg := SelectionConfig{StatusAware: true}
-	cands := []Candidate{
-		{Port: 4, Eligible: true, AdaptiveCredits: 5},
-		{Port: 5, Eligible: true, AdaptiveCredits: 5},
-	}
-	if got := PickAdaptive(cfg, cands, sim.NewRNG(1)); got != 0 {
-		t.Fatalf("tie pick = %d, want 0 (table order)", got)
-	}
-}
-
-func TestPickStatic(t *testing.T) {
-	if got := PickStatic(nil, sim.NewRNG(1)); got != -1 {
-		t.Fatalf("PickStatic(nil) = %d, want -1", got)
-	}
-	cands := []Candidate{{Port: 1}, {Port: 2}}
-	rng := sim.NewRNG(5)
-	for i := 0; i < 100; i++ {
-		got := PickStatic(cands, rng)
-		if got < 0 || got > 1 {
-			t.Fatalf("PickStatic out of range: %d", got)
-		}
 	}
 }
 

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"ibasim/internal/ib"
-	"ibasim/internal/sim"
-)
+import "fmt"
 
 // SelectionConfig captures the two design axes of §4.3 for choosing
 // the final output port among the options a Lookup returns:
@@ -41,66 +36,4 @@ func (c SelectionConfig) String() string {
 		how = "status-aware"
 	}
 	return fmt.Sprintf("%s/%s", when, how)
-}
-
-// Candidate is one adaptive routing option presented to the selector.
-type Candidate struct {
-	Port ib.PortID
-	// Eligible means the option can be used right now: the output
-	// link is free and the next-hop VL's adaptive queue has room for
-	// the whole packet (CreditSplit.CanUseAdaptive).
-	Eligible bool
-	// AdaptiveCredits is C_XYA at the next hop, the status signal a
-	// status-aware selector maximizes.
-	AdaptiveCredits int
-}
-
-// PickAdaptive chooses among adaptive candidates and returns the index
-// of the winner, or -1 when no candidate is eligible. Status-aware
-// selection takes the eligible option with the most free adaptive
-// credits (ties to the first in table order, matching the
-// lowest-address option); static selection picks uniformly at random
-// among eligible options.
-func PickAdaptive(cfg SelectionConfig, cands []Candidate, rng *sim.RNG) int {
-	if cfg.StatusAware {
-		best, bestCredits := -1, -1
-		for i, c := range cands {
-			if c.Eligible && c.AdaptiveCredits > bestCredits {
-				best, bestCredits = i, c.AdaptiveCredits
-			}
-		}
-		return best
-	}
-	// Count-then-index keeps the static pick allocation-free; the RNG
-	// consumption (one Intn over the eligible count) is unchanged.
-	eligible := 0
-	for _, c := range cands {
-		if c.Eligible {
-			eligible++
-		}
-	}
-	if eligible == 0 {
-		return -1
-	}
-	k := rng.Intn(eligible)
-	for i, c := range cands {
-		if c.Eligible {
-			if k == 0 {
-				return i
-			}
-			k--
-		}
-	}
-	return -1
-}
-
-// PickStatic chooses an option without any status information, for
-// immediate selection at routing time (§4.3's simplest variant): a
-// uniform pick over all options, eligible or not — the packet will
-// wait for the chosen port if it is busy.
-func PickStatic(cands []Candidate, rng *sim.RNG) int {
-	if len(cands) == 0 {
-		return -1
-	}
-	return rng.Intn(len(cands))
 }

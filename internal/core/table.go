@@ -87,9 +87,6 @@ func (t *AdaptiveTable) Set(lid ib.LID, port ib.PortID) error {
 // Get reads one linear entry (subnet-manager view).
 func (t *AdaptiveTable) Get(lid ib.LID) ib.PortID { return t.linear.Get(lid) }
 
-// Len returns the number of linear entries.
-func (t *AdaptiveTable) Len() int { return t.linear.Len() }
-
 // Lookup is the enhanced switch's routing access. It returns:
 //
 //   - escape: the deterministic/escape output port stored at the base

@@ -80,21 +80,34 @@ func TestArbBitExactChecked(t *testing.T) {
 	}
 }
 
-// TestArbBitExactFaults runs the shared fault campaign under both
+// TestArbBitExactFaults runs the shared fault campaigns under both
 // arbiters: dead ports leave stale link-waiter entries,
-// repairs wake wholesale, and Reroute rewrites the escape VL cache —
-// every degraded-mode observable must still match.
+// repairs wake wholesale, and Reroute rewrites the routing decisions —
+// every degraded-mode observable must still match. The retry campaign
+// adds send timeouts: hosts drop queue heads and re-inject them.
 func TestArbBitExactFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full fault campaigns")
 	}
-	spec := diffFaultSpec(diffTopo(t))
-	want := arbVariant(t, spec, fabric.ArbScan)
-	if want.Degraded.FaultsInjected == 0 || want.Degraded.Reconfigs == 0 {
-		t.Fatalf("campaign did not exercise faults: %+v", want.Degraded)
-	}
-	if got := arbVariant(t, spec, fabric.ArbWake); !reflect.DeepEqual(got, want) {
-		t.Errorf("faults wake diverged:\n got %+v\nwant %+v", got, want)
+	topo := diffTopo(t)
+	for _, c := range []struct {
+		name  string
+		spec  RunSpec
+		retry bool
+	}{
+		{"fault", diffFaultSpec(topo), false},
+		{"retry", diffRetrySpec(t, topo), true},
+	} {
+		want := arbVariant(t, c.spec, fabric.ArbScan)
+		if want.Degraded.FaultsInjected == 0 || want.Degraded.Reconfigs == 0 {
+			t.Fatalf("%s: campaign did not exercise faults: %+v", c.name, want.Degraded)
+		}
+		if c.retry && want.Retry.Retries == 0 {
+			t.Fatalf("%s: no packet was retried: %+v", c.name, want.Retry)
+		}
+		if got := arbVariant(t, c.spec, fabric.ArbWake); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: faults wake diverged:\n got %+v\nwant %+v", c.name, got, want)
+		}
 	}
 }
 

@@ -41,7 +41,9 @@ func diffSpec(topo *topology.Topology, opts ...sim.EngineOption) RunSpec {
 }
 
 // diffFaultSpec is diffSpec under a fault campaign: two link flaps with
-// staged SM recoveries, host retries and the invariant watchdog.
+// staged SM recoveries and the invariant watchdog. At its uniform 0.03
+// B/ns/host no packet is dropped or retried; diffRetrySpec is the
+// campaign that reaches those paths.
 func diffFaultSpec(topo *topology.Topology) RunSpec {
 	l0, l1 := topo.Links[0], topo.Links[1]
 	spec := diffSpec(topo)
@@ -72,5 +74,17 @@ func diffStormSpec(t testing.TB, topo *topology.Topology) RunSpec {
 	spec := diffSpec(topo)
 	spec.Traffic.Pattern = hot
 	spec.Traffic.LoadBytesPerNsPerHost = 0.25 // deep saturation
+	return spec
+}
+
+// diffRetrySpec is diffFaultSpec under the storm's 40 % hot spot at
+// 0.06 B/ns/host: queue heads toward the hot spot wait past the send
+// timeout, so hosts drop and re-inject them (thousands of retries), and
+// the flaps' Reroute re-selects at routing time in the immediate modes.
+func diffRetrySpec(t testing.TB, topo *topology.Topology) RunSpec {
+	t.Helper()
+	spec := diffFaultSpec(topo)
+	spec.Traffic.Pattern = diffStormSpec(t, topo).Traffic.Pattern
+	spec.Traffic.LoadBytesPerNsPerHost = 0.06
 	return spec
 }

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"ibasim/internal/core"
@@ -55,8 +56,10 @@ func diffMultipathSpec(topo *topology.Topology) RunSpec {
 // TestSelectionModeGoldens pins complete RunResults, as sha256
 // digests, in the runs whose results follow the dispatch order of
 // same-instant events and of RNG draws: every selection mode on the
-// uniform, storm and fault fixtures, the MR 4 fixtures where static
-// selection has real choices, and source multipath. The default-mode
+// uniform, storm, fault and retry fixtures, the MR 4 fixtures where
+// static selection has real choices, and source multipath. The retry
+// fixtures are the ones whose runs time out, drop and re-inject
+// packets and re-select after Reroute. The default-mode
 // goldens (Figure 3, the family sweeps) run status-aware selection at
 // arbitration time, which draws no RNG, so they cannot see such a
 // reordering; these digests can.
@@ -94,6 +97,23 @@ func TestSelectionModeGoldens(t *testing.T) {
 			"7436b8c5e4ba627b4114a1bd2b89df466ace52f8793431d658af442a120fa3a7",
 			"beffac556b12f7d9e75c3e7aaaa334727323f3cf2c78fa257a734670659881ba",
 		}},
+		// The retry fixture drops and re-injects thousands of packets.
+		// In the immediate modes its runs also record watchdog
+		// forward-progress lines that are saturation, not faults (the
+		// watchdog's false positive, ROADMAP item 5); fixing the
+		// watchdog will move these digests on purpose.
+		{"retry", diffRetrySpec(t, topo), []string{
+			"f25b5c651fe777f1bed684959a681620da9ea0992f9f03fbe57e492cb6dbbf0b",
+			"f25b5c651fe777f1bed684959a681620da9ea0992f9f03fbe57e492cb6dbbf0b",
+			"3346f3a5dc22491b771b4e51915f369de2124a1c2cb9d5c93e59a7e8e44c0f0a",
+			"91e2a1cf03c2f9e9e1b3d1e892dd9df0cb531628d656f21264ef1f90b68cdeea",
+		}},
+		{"retry-mr4", withMR4(diffRetrySpec(t, topo)), []string{
+			"0b0172996cc363f02baecdd6753256e9bded2be82aafa9cb452f8e68dc3f9a43",
+			"925b38f9d44f69aa5d5b589d432f460f64ea3110fa535410dbbbbf7670152c45",
+			"204de2ae2a85fe125d9bdf6e17f08a968c574a06736f3e93a2c16b6537b72f6f",
+			"e8cdd91e3f776bf81b4b3adcbcde10b86518bccb9587ee8869146e59aba623a3",
+		}},
 		{"storm-mr4", withMR4(diffStormSpec(t, topo)), []string{
 			"6c352e55984e0860fa1a2c905468596598bee4e272cde3284ab03aaf0ccfa82f",
 			"f6b1e5eaac193b59241f92621b36f033ec5b8010dd9cc858775a8dc7ecc7d654",
@@ -111,6 +131,9 @@ func TestSelectionModeGoldens(t *testing.T) {
 			}
 			if got := resultDigest(t, res); got != f.digests[i] {
 				t.Errorf("%s %s: RunResult digest %s, want %s", f.name, sel, got, f.digests[i])
+			}
+			if strings.HasPrefix(f.name, "retry") && res.Retry.Retries == 0 {
+				t.Errorf("%s %s: no packet was retried", f.name, sel)
 			}
 		}
 	}

@@ -47,12 +47,6 @@ func TestSourceReplayMatchesGeneration(t *testing.T) {
 	}
 	bitrevSpec := withFrac(diffSpec(topo), 0.5)
 	bitrevSpec.Traffic.Pattern = bitrev
-	// diffFaultSpec's flaps drop no packet; under the storm's hot spot
-	// the send timeout drops queue heads, and their retries re-enter
-	// behind fresh entries.
-	faultSpec := diffFaultSpec(topo)
-	faultSpec.Traffic.Pattern = diffStormSpec(t, topo).Traffic.Pattern
-	faultSpec.Traffic.LoadBytesPerNsPerHost = 0.06
 	fixtures := []struct {
 		name    string
 		spec    RunSpec
@@ -64,7 +58,9 @@ func TestSourceReplayMatchesGeneration(t *testing.T) {
 		{"bit-reversal/adaptive-0.5", bitrevSpec, false},
 		{"hot-spot/storm", diffStormSpec(t, topo), false},
 		{"source-multipath-2", withFrac(diffMultipathSpec(topo), 0.5), false},
-		{"faults/hot-spot", faultSpec, true},
+		// The send timeout drops queue heads, and their retries
+		// re-enter behind fresh entries.
+		{"faults/hot-spot", diffRetrySpec(t, topo), true},
 	}
 	for _, f := range fixtures {
 		t.Run(f.name, func(t *testing.T) {

@@ -326,8 +326,6 @@ func LoadSweeps(specs []RunSpec, loads []float64) ([][]SweepPoint, error) {
 	pts, err := runParallel(len(specs)*n, func(i int) (SweepPoint, error) {
 		s := specs[i/n]
 		s.Traffic.LoadBytesPerNsPerHost = loads[i%n]
-		s.Fabric.EngineOpts = append(append([]sim.EngineOption{}, s.Fabric.EngineOpts...),
-			sim.WithCapacityHint(256*s.Topo.NumSwitches))
 		res, err := Run(s)
 		if err != nil {
 			return SweepPoint{}, err

@@ -16,8 +16,9 @@ import (
 // reproduce the Figure 3 and family-sweep goldens. Static selection
 // draws the RNG in the order packets are routed or arbitrated, so a
 // swap there moves results. The matrix runs all four §4.3 selection
-// modes on the uniform fixture and the hot-spot storm, each at MR 2
-// and MR 4, and compares complete RunResults of the default engine
+// modes on the uniform fixture, the hot-spot storm and the retry
+// campaign (send timeouts, drops, re-injection and Reroute), each at
+// MR 2 and MR 4, and compares complete RunResults of the default engine
 // (calendar queue, wake arbiter) against the heap scheduler and
 // against the scan arbiter. The MR 4 variants are what make the
 // arbitration/static leg see order: at MR 2 its one adaptive slot
@@ -34,8 +35,10 @@ func TestSchedulerOrderMatrix(t *testing.T) {
 	}{
 		{"uniform", diffSpec(topo)},
 		{"storm", diffStormSpec(t, topo)},
+		{"retry", diffRetrySpec(t, topo)},
 		{"uniform-mr4", withMR4(diffSpec(topo))},
 		{"storm-mr4", withMR4(diffStormSpec(t, topo))},
+		{"retry-mr4", withMR4(diffRetrySpec(t, topo))},
 	}
 	run := func(spec RunSpec, sel core.SelectionConfig, arb string, opts ...sim.EngineOption) RunResult {
 		t.Helper()
@@ -55,6 +58,9 @@ func TestSchedulerOrderMatrix(t *testing.T) {
 			want := run(f.spec, sel, fabric.ArbWake)
 			if want.PacketsMeasured == 0 {
 				t.Fatalf("%s %s: no packet measured", f.name, sel)
+			}
+			if f.spec.Faults != nil && want.Retry.Retries == 0 {
+				t.Fatalf("%s %s: no packet was retried", f.name, sel)
 			}
 			if got := run(f.spec, sel, fabric.ArbWake, sim.WithScheduler(sim.SchedulerHeap)); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s %s: heap scheduler diverged from calendar:\n got %+v\nwant %+v", f.name, sel, got, want)

@@ -64,7 +64,7 @@ type Config struct {
 	Retry RetryConfig
 
 	// EngineOpts configures the simulation engine's event scheduler
-	// (implementation, wheel geometry, capacity hint). NewNetwork
+	// (implementation, wheel geometry). NewNetwork
 	// prepends a span hint derived from the link timing so the default
 	// calendar geometry covers the per-hop event horizon; options set
 	// here are applied afterwards and win.

@@ -7,8 +7,10 @@ package fabric
 // forwarding tables are programmed by hand.
 
 import (
+	"strings"
 	"testing"
 
+	"ibasim/internal/core"
 	"ibasim/internal/ib"
 	"ibasim/internal/prof"
 	"ibasim/internal/topology"
@@ -65,20 +67,31 @@ func hotpathNetCfg(tb testing.TB, cfg Config) *Network {
 // capacities are warm, forwarding a packet across both switches to its
 // destination CA — including every kick, the delay-0 arbitration
 // passes they schedule, credit returns and the delivery event — must
-// perform zero heap allocations.
+// perform zero heap allocations, under each §4.3 selection mode.
 func TestSwitchHopZeroAllocsSteadyState(t *testing.T) {
-	net := hotpathNet(t)
-	sw := net.Switches[0]
-	pkt := net.NewPacket(0, 7, 32, true)
-	hop := func() {
-		sw.receive(0, pkt)
-		net.Engine.RunUntilIdle()
-	}
-	for i := 0; i < 100; i++ { // warm pools, caches, backing arrays
-		hop()
-	}
-	if allocs := testing.AllocsPerRun(200, hop); allocs != 0 {
-		t.Fatalf("steady-state forwarding allocates %v objects per traversal, want 0", allocs)
+	for _, sel := range []core.SelectionConfig{
+		{AtArbitration: true, StatusAware: true},
+		{AtArbitration: true, StatusAware: false},
+		{AtArbitration: false, StatusAware: true},
+		{AtArbitration: false, StatusAware: false},
+	} {
+		t.Run(strings.ReplaceAll(sel.String(), "/", "-"), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Selection = sel
+			net := hotpathNetCfg(t, cfg)
+			sw := net.Switches[0]
+			pkt := net.NewPacket(0, 7, 32, true)
+			hop := func() {
+				sw.receive(0, pkt)
+				net.Engine.RunUntilIdle()
+			}
+			for i := 0; i < 100; i++ { // warm pools, caches, backing arrays
+				hop()
+			}
+			if allocs := testing.AllocsPerRun(200, hop); allocs != 0 {
+				t.Fatalf("steady-state forwarding allocates %v objects per traversal, want 0", allocs)
+			}
+		})
 	}
 }
 

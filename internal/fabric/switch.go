@@ -61,11 +61,6 @@ type Switch struct {
 	// on every hop.
 	arbFn func()
 
-	// candScratch is reused across adaptiveCandidates calls. The slice
-	// is consumed synchronously by the selector before the next call,
-	// so one scratch buffer per switch suffices.
-	candScratch []core.Candidate
-
 	// Wake-arbiter state (see wake.go). pending is the set of service
 	// points with an unconsumed wake signal; linkWaiters[port] and
 	// creditWaiters[port] hold points blocked on that output port's
@@ -99,9 +94,6 @@ func (sw *Switch) Enhanced() bool { return sw.enhanced }
 
 // Table exposes the forwarding table for the subnet manager.
 func (sw *Switch) Table() *core.AdaptiveTable { return sw.table }
-
-// Dead reports whether the switch has failed whole (SetSwitchDown).
-func (sw *Switch) Dead() bool { return sw.dead }
 
 // EscapeOnly reports whether the switch is in the staged-reconfig
 // transient where only escape forwarding is trusted.
@@ -254,119 +246,88 @@ func (sw *Switch) dropUnroutable(port ib.PortID, pkt *ib.Packet) {
 func (sw *Switch) selectImmediate(id int32) {
 	slab := &sw.net.slab
 	adaptive := slab.adaptive[id]
+	slab.chosen[id] = slab.escape[id]
+	slab.flags[id] &^= entryChosenAdaptive
 	if slab.flags[id]&entryPktAdaptive == 0 || len(adaptive) == 0 || sw.escapeOnly {
-		slab.chosen[id] = slab.escape[id]
-		slab.flags[id] &^= entryChosenAdaptive
 		return
 	}
-	now := sw.net.Engine.Now()
 	if sw.net.Cfg.Selection.StatusAware {
-		cands := sw.adaptiveCandidates(id, now)
-		if i := core.PickAdaptive(sw.net.Cfg.Selection, cands, sw.net.rng); i >= 0 {
-			slab.chosen[id] = cands[i].Port
+		if p, ok := sw.pickAdaptive(id, sw.net.Engine.Now()); ok {
+			slab.chosen[id] = p
 			slab.flags[id] |= entryChosenAdaptive
-			return
 		}
-		slab.chosen[id] = slab.escape[id]
-		slab.flags[id] &^= entryChosenAdaptive
 		return
 	}
 	// Static: uniform over adaptive options plus the escape option.
-	k := sw.net.rng.Intn(len(adaptive) + 1)
-	if k < len(adaptive) {
+	if k := sw.net.rng.Intn(len(adaptive) + 1); k < len(adaptive) {
 		slab.chosen[id] = adaptive[k]
 		slab.flags[id] |= entryChosenAdaptive
-	} else {
-		slab.chosen[id] = slab.escape[id]
-		slab.flags[id] &^= entryChosenAdaptive
 	}
 }
 
-// adaptiveCandidates builds the selector's view of an entry's adaptive
-// options: eligibility = output link free now and the next hop's
-// adaptive queue can hold the whole packet. The returned slice aliases
-// the switch's scratch buffer and is only valid until the next call.
-func (sw *Switch) adaptiveCandidates(id int32, now sim.Time) []core.Candidate {
+// pickAdaptive makes the §4.3 choice among an entry's adaptive
+// options, considering only those usable now. Status-aware selection
+// takes the option with the most room (ties to the first in table
+// order, matching the lowest-address option) and draws nothing; static
+// selection draws one Intn over the usable count, and none when no
+// option is usable, so a failed probe leaves the RNG untouched.
+func (sw *Switch) pickAdaptive(id int32, now sim.Time) (ib.PortID, bool) {
 	slab := &sw.net.slab
+	credits := int(slab.credits[id])
 	adaptive := slab.adaptive[id]
-	if cap(sw.candScratch) < len(adaptive) {
-		sw.candScratch = make([]core.Candidate, len(adaptive))
-	}
-	cands := sw.candScratch[:len(adaptive)]
-	pktCredits := int(slab.credits[id])
-	for i, p := range adaptive {
-		o := sw.out[p]
-		c := core.Candidate{Port: p}
-		if o != nil {
-			avail := o.credits
-			if o.peerHost != nil {
-				// Delivery port: the CA drains at line rate and has no
-				// queue split; total room is the condition.
-				c.AdaptiveCredits = avail
-				c.Eligible = o.free(now) && sw.net.Cfg.Split.CanUseEscape(avail, pktCredits)
-			} else {
-				c.AdaptiveCredits = sw.net.Cfg.Split.Adaptive(avail)
-				c.Eligible = o.free(now) && sw.adaptiveRoom(avail, pktCredits)
+	if sw.net.Cfg.Selection.StatusAware {
+		best, bestRoom := ib.InvalidPort, -1
+		for _, p := range adaptive {
+			if room, ok := sw.usable(p, credits, true, now); ok && room > bestRoom {
+				best, bestRoom = p, room
 			}
 		}
-		cands[i] = c
+		return best, best != ib.InvalidPort
 	}
-	return cands
-}
-
-// bestAdaptive is the single-pass fast path for the default selection
-// policy (arbitration-time, status-aware): it computes each option's
-// eligibility and adaptive credit count exactly as adaptiveCandidates
-// does and tracks the first maximum inline, matching
-// core.PickAdaptive's strict-greater scan over the same order — same
-// winner, no candidate slice materialized, and (like the slow path for
-// this policy) no RNG consumption.
-func (sw *Switch) bestAdaptive(id int32, now sim.Time) (ib.PortID, bool) {
-	slab := &sw.net.slab
-	pktCredits := int(slab.credits[id])
-	best, bestCredits := ib.InvalidPort, -1
-	for _, p := range slab.adaptive[id] {
-		o := sw.out[p]
-		if o == nil || !o.free(now) {
-			continue
-		}
-		avail := o.credits
-		var credits int
-		var eligible bool
-		if o.peerHost != nil {
-			credits = avail
-			eligible = sw.net.Cfg.Split.CanUseEscape(avail, pktCredits)
-		} else {
-			credits = sw.net.Cfg.Split.Adaptive(avail)
-			eligible = sw.adaptiveRoom(avail, pktCredits)
-		}
-		if eligible && credits > bestCredits {
-			best, bestCredits = p, credits
+	n := 0
+	for _, p := range adaptive {
+		if _, ok := sw.usable(p, credits, true, now); ok {
+			n++
 		}
 	}
-	return best, best != ib.InvalidPort
-}
-
-// adaptiveRoom is the §4.4 adaptive-admission condition: the adaptive
-// region of the next hop's buffer must hold the whole packet,
-// C_XYA = max(0, C_XY − C_0) >= pktCredits. The tamper flag swaps in
-// the (wrong) total-room condition for the mutation suite.
-func (sw *Switch) adaptiveRoom(avail, pktCredits int) bool {
-	if sw.net.tamper.SkipAdaptiveRoomCheck {
-		return sw.net.Cfg.Split.CanUseEscape(avail, pktCredits)
+	if n == 0 {
+		return ib.InvalidPort, false
 	}
-	return sw.net.Cfg.Split.CanUseAdaptive(avail, pktCredits)
+	k := sw.net.rng.Intn(n)
+	for _, p := range adaptive {
+		if _, ok := sw.usable(p, credits, true, now); ok {
+			if k == 0 {
+				return p, true
+			}
+			k--
+		}
+	}
+	return ib.InvalidPort, false
 }
 
-// escapeUsable reports whether the escape option of an entry can fire
-// now: link free and the next buffer has room for the whole packet.
-func (sw *Switch) escapeUsable(id int32, now sim.Time) bool {
-	slab := &sw.net.slab
-	o := sw.out[slab.escape[id]]
+// usable is the §4.4 admission check for sending a packet of credits
+// through port now. The port must be wired and its link free. An
+// adaptive hop toward a switch needs the whole packet to fit in the
+// adaptive region of the next buffer, C_XYA = max(0, C_XY − C_0); any
+// other hop, delivery to a CA included (the CA drains at line rate and
+// has no queue split), needs room in the whole buffer. room is the
+// status a status-aware selector maximizes: C_XYA for the adaptive hop
+// toward a switch, C_XY otherwise. The tamper flag swaps in the
+// (wrong) total-room condition for the mutation suite.
+func (sw *Switch) usable(port ib.PortID, credits int, asAdaptive bool, now sim.Time) (room int, ok bool) {
+	o := sw.out[port]
 	if o == nil || !o.free(now) {
-		return false
+		return 0, false
 	}
-	return sw.net.Cfg.Split.CanUseEscape(o.credits, int(slab.credits[id]))
+	split := sw.net.Cfg.Split
+	if !asAdaptive || o.peerHost != nil {
+		return o.credits, split.CanUseEscape(o.credits, credits)
+	}
+	room = split.Adaptive(o.credits)
+	if sw.net.tamper.SkipAdaptiveRoomCheck {
+		return room, split.CanUseEscape(o.credits, credits)
+	}
+	return room, split.CanUseAdaptive(o.credits, credits)
 }
 
 // arbitrate is the crossbar allocation pass, dispatching to the
@@ -463,24 +424,15 @@ func (sw *Switch) tryServe(buf *vlBuffer, port ib.PortID, now sim.Time) bool {
 // fire now.
 func (sw *Switch) chooseOutput(id int32, now sim.Time) (out ib.PortID, asAdaptive bool, ok bool) {
 	slab := &sw.net.slab
+	credits := int(slab.credits[id])
 	if chosen := slab.chosen[id]; chosen != ib.InvalidPort {
 		// Immediate selection: the decision is fixed; wait until that
 		// specific option can fire.
-		o := sw.out[chosen]
-		if o == nil || !o.free(now) {
-			return 0, false, false
-		}
-		avail := o.credits
-		pktCredits := int(slab.credits[id])
-		usable := sw.net.Cfg.Split.CanUseEscape(avail, pktCredits)
 		chosenAdaptive := slab.flags[id]&entryChosenAdaptive != 0
-		if chosenAdaptive && o.peerHost == nil {
-			usable = sw.adaptiveRoom(avail, pktCredits)
+		if _, ok := sw.usable(chosen, credits, chosenAdaptive, now); ok {
+			return chosen, chosenAdaptive, true
 		}
-		if !usable {
-			return 0, false, false
-		}
-		return chosen, chosenAdaptive, true
+		return 0, false, false
 	}
 	// Arbitration-time selection: adaptive options first (preference
 	// for minimal paths, §3), escape as fallback. The staged-reconfig
@@ -488,15 +440,8 @@ func (sw *Switch) chooseOutput(id int32, now sim.Time) (out ib.PortID, asAdaptiv
 	// stale table.
 	adaptivePkt := slab.flags[id]&entryPktAdaptive != 0 || sw.net.tamper.AdaptiveDeterministic
 	if adaptivePkt && len(slab.adaptive[id]) > 0 && sw.enhanced && !sw.escapeOnly {
-		if sel := sw.net.Cfg.Selection; sel.StatusAware {
-			if p, ok := sw.bestAdaptive(id, now); ok {
-				return p, true, true
-			}
-		} else {
-			cands := sw.adaptiveCandidates(id, now)
-			if i := core.PickAdaptive(sel, cands, sw.net.rng); i >= 0 {
-				return cands[i].Port, true, true
-			}
+		if p, ok := sw.pickAdaptive(id, now); ok {
+			return p, true, true
 		}
 		if sw.net.tamper.NoEscapeFallback {
 			// Mutation model: the §4.4 escape fallback is dropped —
@@ -504,8 +449,9 @@ func (sw *Switch) chooseOutput(id int32, now sim.Time) (out ib.PortID, asAdaptiv
 			return 0, false, false
 		}
 	}
-	if sw.escapeUsable(id, now) {
-		return slab.escape[id], false, true
+	esc := slab.escape[id]
+	if _, ok := sw.usable(esc, credits, false, now); ok {
+		return esc, false, true
 	}
 	return 0, false, false
 }

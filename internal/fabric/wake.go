@@ -25,10 +25,10 @@ import (
 // scan, including the RNG stream and the rr trajectory):
 //
 //  1. Failed probes are side-effect-free. chooseOutput on a blocked
-//     entry mutates nothing and draws no RNG — core.PickAdaptive
-//     returns -1 without an Intn call when no option is eligible, and
-//     the status-aware bestAdaptive path never draws. So eliding the
-//     failing probes the scan would have repeated changes no state.
+//     entry mutates nothing and draws no RNG — pickAdaptive's static
+//     selection returns false without an Intn call when no option is
+//     usable, and its status-aware selection never draws. So eliding
+//     the failing probes the scan would have repeated changes no state.
 //  2. Within one arbitrate call (fixed now), a serve can only worsen
 //     every OTHER point's conditions: it consumes output credits,
 //     extends an output link's busyUntil, and everything it schedules

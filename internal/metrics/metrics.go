@@ -58,7 +58,7 @@ func (s *LatencyStats) Std() float64 {
 	return math.Sqrt(v)
 }
 
-// Collector hooks a network's packet callbacks and accumulates the
+// Collector hooks a network's delivery callback and accumulates the
 // paper's two observables over the measurement window. Packets
 // created before the warm-up end are ignored entirely; accepted
 // traffic counts bytes delivered inside [WarmupEnd, MeasureEnd].
@@ -71,8 +71,6 @@ type Collector struct {
 
 	Latency        LatencyStats
 	DeliveredBytes int64
-	DeliveredCount uint64
-	CreatedCount   uint64
 
 	// Per-mode latency split, for analyzing mixed workloads.
 	LatencyAdaptive      LatencyStats
@@ -86,40 +84,30 @@ type Collector struct {
 	// is out of order when a higher SeqNo of the same (src, dst) flow
 	// was delivered earlier.
 	OutOfOrder      uint64
-	highestSeq      map[[2]int]uint64
 	OrderedDelivery uint64
 
-	// highestSeqDense replaces the highestSeq map when Attach learns
-	// the host count: slot src*numHosts+dst holds the flow's highest
-	// delivered SeqNo plus one (zero = flow unseen). The order check
-	// runs on every delivery; the dense form drops the per-delivery map
-	// hash and growth churn. numHosts == 0 falls back to the map.
-	highestSeqDense []uint64
-	numHosts        int
+	// highestSeq holds, in slot src*numHosts+dst, the flow's highest
+	// delivered SeqNo plus one (zero = flow unseen). Attach sizes it
+	// from the host count.
+	highestSeq []uint64
+	numHosts   int
 
 	// Reorder, when set before Attach, simulates destination-side
 	// reordering (§1's sketch): every delivery passes through the
 	// buffer and its occupancy/delay statistics quantify what
 	// restoring order on top of adaptive routing would cost.
 	Reorder *reorder.Buffer
-
-	// Dropped counts packets the fabric discarded, by reason — the
-	// degraded-mode view a fault campaign reports. All zero on a
-	// healthy run.
-	Dropped [fabric.NumDropReasons]uint64
 }
 
 // Attach registers the collector on the network. It must be called
-// before traffic starts; it chains with (replaces) any previous
-// callbacks.
+// before traffic starts; it replaces any previous OnDelivered
+// callback.
 func (c *Collector) Attach(net *fabric.Network) {
 	c.numSwitches = net.Topo.NumSwitches
 	c.engine = net.Engine
 	c.numHosts = net.Topo.NumHosts()
-	c.highestSeqDense = make([]uint64, c.numHosts*c.numHosts)
-	net.OnCreated = c.onCreated
+	c.highestSeq = make([]uint64, c.numHosts*c.numHosts)
 	net.OnDelivered = c.onDelivered
-	net.OnDropped = c.onDropped
 }
 
 // Finalize closes the reorder buffer's peak-occupancy accounting.
@@ -130,23 +118,10 @@ func (c *Collector) Finalize() {
 	}
 }
 
-func (c *Collector) onCreated(p *ib.Packet) {
-	if p.CreatedAt >= c.WarmupEnd && p.CreatedAt < c.MeasureEnd {
-		c.CreatedCount++
-	}
-}
-
-func (c *Collector) onDropped(p *ib.Packet, reason fabric.DropReason) {
-	if reason >= 0 && int(reason) < len(c.Dropped) {
-		c.Dropped[reason]++
-	}
-}
-
 func (c *Collector) onDelivered(p *ib.Packet) {
 	now := p.DeliveredAt
 	if now >= c.WarmupEnd && now < c.MeasureEnd {
 		c.DeliveredBytes += int64(p.Size)
-		c.DeliveredCount++
 	}
 	// Latency is attributed to packets *created* in the window so a
 	// tail of slow packets is not silently dropped from the average.
@@ -162,25 +137,12 @@ func (c *Collector) onDelivered(p *ib.Packet) {
 	}
 	// Order tracking covers every delivery (not only the window) so
 	// flows spanning the warm-up boundary are judged correctly.
-	if c.numHosts > 0 {
-		di := int(p.Src)*c.numHosts + int(p.Dst)
-		if last := c.highestSeqDense[di]; last != 0 && p.SeqNo < last-1 {
-			c.OutOfOrder++
-		} else {
-			c.highestSeqDense[di] = p.SeqNo + 1
-			c.OrderedDelivery++
-		}
+	di := int(p.Src)*c.numHosts + int(p.Dst)
+	if last := c.highestSeq[di]; last != 0 && p.SeqNo < last-1 {
+		c.OutOfOrder++
 	} else {
-		if c.highestSeq == nil {
-			c.highestSeq = make(map[[2]int]uint64)
-		}
-		key := [2]int{int(p.Src), int(p.Dst)}
-		if last, ok := c.highestSeq[key]; ok && p.SeqNo < last {
-			c.OutOfOrder++
-		} else {
-			c.highestSeq[key] = p.SeqNo
-			c.OrderedDelivery++
-		}
+		c.highestSeq[di] = p.SeqNo + 1
+		c.OrderedDelivery++
 	}
 	if c.Reorder != nil {
 		c.Reorder.Deliver(p, now)

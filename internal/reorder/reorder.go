@@ -20,18 +20,13 @@ type flowKey struct{ src, dst int }
 
 // Buffer reassembles sequence order per flow.
 type Buffer struct {
-	expected map[flowKey]uint64
+	// expected holds each flow's next expected SeqNo, one slot per
+	// (src, dst) pair, indexed src*numHosts+dst. It is read and written
+	// on every delivery, so it is dense; the held/arrival maps are only
+	// touched by the parked minority.
+	expected []uint64
+	numHosts int
 	held     map[flowKey]map[uint64]*ib.Packet
-
-	// expectedDense replaces the expected map when the host count is
-	// known up front (NewBufferForHosts): one slot per (src, dst) pair,
-	// indexed src*numHosts+dst. The expected counter is read and
-	// written on every delivery, and at a sweep's packet rates the map
-	// hash and growth churn were a measurable slice of the run; the
-	// held/arrival maps stay maps — they are only touched by the parked
-	// minority. numHosts == 0 means the map representation is in use.
-	expectedDense []uint64
-	numHosts      int
 
 	// Stats.
 	Parked       uint64 // packets that had to wait
@@ -55,25 +50,15 @@ type Buffer struct {
 	out []*ib.Packet
 }
 
-// NewBuffer returns an empty reorder buffer.
-func NewBuffer() *Buffer {
-	return &Buffer{
-		expected: make(map[flowKey]uint64),
-		held:     make(map[flowKey]map[uint64]*ib.Packet),
-		arrival:  make(map[uint64]sim.Time),
-	}
-}
-
 // NewBufferForHosts returns an empty reorder buffer for a subnet of
-// numHosts hosts, storing the per-flow expected counters densely (see
-// Buffer.expectedDense). Src and Dst of every delivered packet must be
-// below numHosts.
+// numHosts hosts. Src and Dst of every delivered packet must be below
+// numHosts.
 func NewBufferForHosts(numHosts int) *Buffer {
 	return &Buffer{
-		expectedDense: make([]uint64, numHosts*numHosts),
-		numHosts:      numHosts,
-		held:          make(map[flowKey]map[uint64]*ib.Packet),
-		arrival:       make(map[uint64]sim.Time),
+		expected: make([]uint64, numHosts*numHosts),
+		numHosts: numHosts,
+		held:     make(map[flowKey]map[uint64]*ib.Packet),
+		arrival:  make(map[uint64]sim.Time),
 	}
 }
 
@@ -98,14 +83,8 @@ func (b *Buffer) Deliver(p *ib.Packet, now sim.Time) []*ib.Packet {
 	}
 	b.lastAt, b.hasLast = now, true
 	key := flowKey{src: int(p.Src), dst: int(p.Dst)}
-	var next uint64
-	di := -1
-	if b.numHosts > 0 {
-		di = int(p.Src)*b.numHosts + int(p.Dst)
-		next = b.expectedDense[di]
-	} else {
-		next = b.expected[key]
-	}
+	di := int(p.Src)*b.numHosts + int(p.Dst)
+	next := b.expected[di]
 	if p.SeqNo != next {
 		// Early: park it. SeqNo > next always: the fabric does drop
 		// packets, but a retry re-injects the dropped packet itself,
@@ -139,11 +118,7 @@ func (b *Buffer) Deliver(p *ib.Packet, now sim.Time) []*ib.Packet {
 		out = append(out, q)
 		next++
 	}
-	if di >= 0 {
-		b.expectedDense[di] = next
-	} else {
-		b.expected[key] = next
-	}
+	b.expected[di] = next
 	b.out = out
 	return out
 }

@@ -8,12 +8,15 @@ import (
 	"ibasim/internal/sim"
 )
 
+// testHosts bounds the host IDs the tests' packets use.
+const testHosts = 5
+
 func pkt(id uint64, src, dst int, seq uint64) *ib.Packet {
 	return &ib.Packet{ID: id, Src: int32(src), Dst: int32(dst), SeqNo: seq}
 }
 
 func TestInOrderPassesThrough(t *testing.T) {
-	b := NewBuffer()
+	b := NewBufferForHosts(testHosts)
 	for seq := uint64(0); seq < 10; seq++ {
 		out := b.Deliver(pkt(seq+1, 0, 1, seq), sim.Time(seq))
 		if len(out) != 1 || out[0].SeqNo != seq {
@@ -29,7 +32,7 @@ func TestInOrderPassesThrough(t *testing.T) {
 }
 
 func TestEarlyPacketParksAndReleases(t *testing.T) {
-	b := NewBuffer()
+	b := NewBufferForHosts(testHosts)
 	if out := b.Deliver(pkt(2, 0, 1, 1), 100); out != nil {
 		t.Fatalf("early packet released: %v", out)
 	}
@@ -52,7 +55,7 @@ func TestEarlyPacketParksAndReleases(t *testing.T) {
 }
 
 func TestLongInversionRun(t *testing.T) {
-	b := NewBuffer()
+	b := NewBufferForHosts(testHosts)
 	// Deliver 9..1 first, then 0: everything must release at once, in
 	// order.
 	for seq := uint64(9); seq >= 1; seq-- {
@@ -85,7 +88,7 @@ func TestLongInversionRun(t *testing.T) {
 // left when time moves on does, so the sample is independent of the
 // dispatch order of equal-time deliveries.
 func TestPeakIsEndOfTimestampSample(t *testing.T) {
-	b := NewBuffer()
+	b := NewBufferForHosts(testHosts)
 	b.Deliver(pkt(2, 0, 1, 1), 10) // parked...
 	b.Deliver(pkt(1, 0, 1, 0), 10) // ...and released within t=10
 	b.Deliver(pkt(4, 0, 1, 3), 20) // parked across the boundary
@@ -100,7 +103,7 @@ func TestPeakIsEndOfTimestampSample(t *testing.T) {
 }
 
 func TestFlowsAreIndependent(t *testing.T) {
-	b := NewBuffer()
+	b := NewBufferForHosts(testHosts)
 	if out := b.Deliver(pkt(1, 0, 1, 1), 0); out != nil {
 		t.Fatal("flow (0,1) seq 1 released early")
 	}
@@ -125,7 +128,7 @@ func TestReorderPropertyAnyPermutationReleasesAllInOrder(t *testing.T) {
 		const n = 30
 		order := make([]int, n)
 		rng.Perm(order)
-		b := NewBuffer()
+		b := NewBufferForHosts(testHosts)
 		var released []uint64
 		for i, seqIdx := range order {
 			for _, p := range b.Deliver(pkt(uint64(i+1), 3, 4, uint64(seqIdx)), sim.Time(i)) {
@@ -148,7 +151,7 @@ func TestReorderPropertyAnyPermutationReleasesAllInOrder(t *testing.T) {
 }
 
 func TestStatsCounters(t *testing.T) {
-	b := NewBuffer()
+	b := NewBufferForHosts(testHosts)
 	b.Deliver(pkt(1, 0, 1, 2), 10) // parked
 	b.Deliver(pkt(2, 0, 1, 1), 20) // parked
 	b.Deliver(pkt(3, 0, 1, 0), 30) // releases all three
@@ -165,7 +168,7 @@ func TestStatsCounters(t *testing.T) {
 }
 
 func TestEmptyBufferStats(t *testing.T) {
-	b := NewBuffer()
+	b := NewBufferForHosts(testHosts)
 	if b.AvgReorderDelay() != 0 || b.ParkedFraction() != 0 || b.Held() != 0 {
 		t.Fatal("empty buffer has nonzero stats")
 	}

@@ -376,21 +376,3 @@ func (q *calendarQueue) sortBucket(i int) {
 	q.scratch = s[:0]
 	q.slots[i] = out
 }
-
-// prealloc seeds the bucket freelist and the overflow of a new queue
-// so roughly n standing events fit without growth. The chunks share
-// one backing allocation; a bucket outgrowing its chunk falls back to
-// append's usual regrow, and the chunk it leaves keeps stale event
-// copies until the queue itself is dropped.
-func (q *calendarQueue) prealloc(n int) {
-	const chunk = 64
-	chunks := (n + chunk - 1) / chunk
-	if chunks > 256 {
-		chunks = 256
-	}
-	backing := make([]event, chunks*chunk)
-	for c := 0; c < chunks; c++ {
-		q.free = append(q.free, backing[c*chunk:c*chunk:(c+1)*chunk])
-	}
-	q.overflow.ev = make([]event, 0, n/4+16)
-}

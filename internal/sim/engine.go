@@ -32,8 +32,8 @@ type Engine struct {
 
 // NewEngine returns an engine with the clock at zero and an empty
 // event queue. With no options it uses the calendar-queue scheduler
-// at its default geometry; see EngineOption for the scheduler,
-// geometry and capacity knobs.
+// at its default geometry; see EngineOption for the scheduler and
+// geometry knobs.
 func NewEngine(opts ...EngineOption) *Engine {
 	cfg := engineConfig{
 		kind:      SchedulerCalendar,
@@ -44,11 +44,7 @@ func NewEngine(opts ...EngineOption) *Engine {
 		o(&cfg)
 	}
 	if cfg.kind == SchedulerHeap {
-		h := &heapQueue{}
-		if cfg.capacity > 0 {
-			h.ev = make([]event, 0, cfg.capacity)
-		}
-		return &Engine{queue: h}
+		return &Engine{queue: &heapQueue{}}
 	}
 	// Widen buckets until the wheel spans the hinted horizon (capped
 	// well short of Time overflow); past the 64 ns bucket cap, add
@@ -60,11 +56,7 @@ func NewEngine(opts ...EngineOption) *Engine {
 			cfg.slotBits++
 		}
 	}
-	q := newCalendarQueue(cfg.slotBits, cfg.widthBits)
-	if cfg.capacity > 0 {
-		q.prealloc(cfg.capacity)
-	}
-	return &Engine{queue: q}
+	return &Engine{queue: newCalendarQueue(cfg.slotBits, cfg.widthBits)}
 }
 
 // Now returns the current simulated time.

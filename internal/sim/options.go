@@ -43,7 +43,6 @@ type engineConfig struct {
 	slotBits  uint
 	widthBits uint
 	spanHint  Time
-	capacity  int
 }
 
 // EngineOption configures NewEngine. The zero-option engine uses the
@@ -82,16 +81,5 @@ func WithWheelGeometry(slotBits, widthBits uint) EngineOption {
 	return func(c *engineConfig) {
 		c.slotBits, c.widthBits = slotBits, widthBits
 		c.spanHint = 0
-	}
-}
-
-// WithCapacityHint pre-sizes event storage for roughly n standing
-// events, moving slice growth from the first simulated microseconds
-// to construction time.
-func WithCapacityHint(n int) EngineOption {
-	return func(c *engineConfig) {
-		if n > c.capacity {
-			c.capacity = n
-		}
 	}
 }

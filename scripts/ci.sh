@@ -25,11 +25,12 @@ go test -race ./...
 echo "==> go test -count=2 -shuffle=on (order-independence of the suite, repeated in one process)"
 go test -count=2 -shuffle=on ./...
 
-echo "==> alloc-regression gates (hot path must not allocate)"
+echo "==> alloc-regression gates (hot path must not allocate; one selection pass in all four §4.3 modes)"
 # The always-on auditor's cheap hooks ride the same runs: this gate
 # also proves they keep the steady-state injection path allocation-free,
-# and TestSwitchHopZeroAllocsPhaseLabels holds a hop with the profiler's
-# phase labels armed to the same bar.
+# TestSwitchHopZeroAllocsSteadyState runs a hop under each selection
+# mode, and TestSwitchHopZeroAllocsPhaseLabels holds a hop with the
+# profiler's phase labels armed to the same bar.
 go test -run 'ZeroAllocs' -v ./internal/core/ ./internal/sim/ ./internal/fabric/ ./internal/check/
 
 echo "==> profiler phase labels (a phase restores the label of the phase it runs inside)"
@@ -60,8 +61,8 @@ go test -count=1 -run 'TestFigure3GoldenScanArb' -v ./internal/experiments/
 
 echo "==> wake-arbiter differential (wake vs scan bit-exact; tamper forces scan)"
 # The experiments matrix covers wheel geometries, both schedulers,
-# -check, a fault campaign and a hot-spot
-# contention storm; the fabric tests pin the runtime
+# -check, two fault campaigns (one with send-timeout retries) and a
+# hot-spot contention storm; the fabric tests pin the runtime
 # arm/disarm transitions and the lockstep rr-parity property. The
 # ZeroAllocs gate above already holds both arbiters to 0 allocs/op
 # (TestSwitchHopZeroAllocsScanArb and the congested wake-path burst
@@ -88,12 +89,17 @@ go test -race -count=1 \
 go test -count=1 -run 'TestMetamorphicLMCInvarianceFamilies' -v ./internal/check/
 go test -count=1 -run 'TestFamilyReportGolden|TestFamilyDotOutput' -v ./cmd/ibtopo/
 
-echo "==> scheduler equivalence (calendar vs heap differential, counting sort vs full-key sort, order-sensitive experiment matrix and goldens)"
+echo "==> one selection pass (the switch's §4.3 pickAdaptive and §4.4 usable, unit-tested on hand-set credits and links)"
+go test -count=1 -run 'TestPickAdaptive|TestUsable' -v ./internal/fabric/
+
+echo "==> scheduler equivalence and one selection pass (calendar vs heap differential, counting sort vs full-key sort, order-sensitive experiment matrix and goldens with the retry fixture)"
 # Default-mode goldens cannot see the dispatch order among events that
 # share a timestamp; the experiment matrix runs the selection modes
 # whose RNG draws follow it (at MR 2 and MR 4), calendar vs heap and
 # wake vs scan, and the selection-mode goldens pin those runs' complete
-# RunResults and a source-multipath run.
+# RunResults and a source-multipath run. The retry fixture
+# (diffRetrySpec) is the one whose runs time out, drop and re-inject
+# packets and re-select after Reroute; both tests run it.
 go test -run 'TestEventQueueDifferential|TestEngineSchedulersEquivalent|TestSortBucketMatchesFullKeySort|TestCalendarFarTimerFirst|TestCalendarHorizonParking' -v ./internal/sim/
 go test -race -count=1 -run 'TestSchedulerOrderMatrix|TestSelectionModeGoldens' -v ./internal/experiments/
 
