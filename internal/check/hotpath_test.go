@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ibasim/internal/check"
+	"ibasim/internal/fabric"
 	"ibasim/internal/topology"
 )
 
@@ -18,7 +19,7 @@ func TestInjectZeroAllocsWithAuditor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := buildNet(t, topo, 1, 2, true)
+	net := buildNet(t, topo, 1, 2, true, fabric.ArbWake)
 	check.Attach(net, check.Config{})
 
 	for name, adaptive := range map[string]bool{"adaptive": true, "deterministic": false} {

@@ -3,11 +3,14 @@ package check_test
 // The mutation smoke suite: each test deliberately breaks one paper
 // rule — through the fabric's Tamper hooks, built for exactly this —
 // and asserts the invariant auditor reports the breach under its
-// expected name. This is the proof that the auditor is not
-// vacuous: a future refactor that introduces one of these bug classes
-// will trip the same named invariant in any -check run.
+// expected name, under both crossbar arbiters. This is the proof that
+// the auditor is not vacuous: a future refactor that introduces one of
+// these bug classes will trip the same named invariant in any -check
+// run. TestArbWakeExactUnderTamper then holds the two arbiters to the
+// same results while the hooks fire mid-run.
 
 import (
+	"reflect"
 	"testing"
 
 	"ibasim/internal/check"
@@ -20,8 +23,9 @@ import (
 )
 
 // buildNet wires a configured fabric over topo: address plan with the
-// given LMC, subnet tables with MR routing options, enhanced switches.
-func buildNet(t *testing.T, topo *topology.Topology, lmc uint, mr int, enhanced bool) *fabric.Network {
+// given LMC, subnet tables with MR routing options, enhanced switches,
+// crossbar arbiter arb.
+func buildNet(t *testing.T, topo *topology.Topology, lmc uint, mr int, enhanced bool, arb string) *fabric.Network {
 	t.Helper()
 	plan, err := ib.NewAddressPlan(topo.NumHosts(), lmc)
 	if err != nil {
@@ -29,6 +33,7 @@ func buildNet(t *testing.T, topo *topology.Topology, lmc uint, mr int, enhanced 
 	}
 	cfg := fabric.DefaultConfig()
 	cfg.AdaptiveSwitches = enhanced
+	cfg.Arb = arb
 	net, err := fabric.NewNetwork(topo, plan, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +46,7 @@ func buildNet(t *testing.T, topo *topology.Topology, lmc uint, mr int, enhanced 
 
 // irregularNet builds the paper's standard evaluation fabric: a random
 // irregular topology with 4 inter-switch links and 4 hosts per switch.
-func irregularNet(t *testing.T, switches int, lmc uint, mr int) *fabric.Network {
+func irregularNet(t *testing.T, arb string, switches int, lmc uint, mr int) *fabric.Network {
 	t.Helper()
 	topo, err := topology.GenerateIrregular(topology.IrregularSpec{
 		NumSwitches: switches, HostsPerSwitch: 4, InterSwitch: 4, Seed: 1,
@@ -49,7 +54,15 @@ func irregularNet(t *testing.T, switches int, lmc uint, mr int) *fabric.Network 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return buildNet(t, topo, lmc, mr, true)
+	return buildNet(t, topo, lmc, mr, true, arb)
+}
+
+// forEachArb runs body as one subtest per crossbar arbiter: the wake
+// arbiter every real run uses, and the scan oracle.
+func forEachArb(t *testing.T, body func(t *testing.T, arb string)) {
+	for _, arb := range []string{fabric.ArbWake, fabric.ArbScan} {
+		t.Run(arb, func(t *testing.T) { body(t, arb) })
+	}
 }
 
 // runTraffic drives a generator workload to genEnd and lets the run
@@ -82,34 +95,38 @@ func expect(t *testing.T, rep check.Report, invariant string) {
 // workload the mutations corrupt reports ZERO violations when honest,
 // so a detection below can only come from the seeded bug.
 func TestMutationBaseline(t *testing.T) {
-	net := irregularNet(t, 16, 1, 2)
-	aud := check.Attach(net, check.Config{Heavy: true})
-	runTraffic(t, net, traffic.Config{
-		Pattern: traffic.Uniform{NumHosts: net.Topo.NumHosts()}, PacketSize: 256,
-		AdaptiveFraction: 1, LoadBytesPerNsPerHost: 0.06, Seed: 7,
-	}, 60_000, 120_000)
-	rep := aud.Finalize()
-	if rep.ViolationCount != 0 {
-		t.Fatalf("honest run reported %d violations, first: %v", rep.ViolationCount, rep.Err())
-	}
-	if rep.HopChecks == 0 || rep.HeavyTicks == 0 || rep.Created == 0 || rep.Delivered == 0 {
-		t.Fatalf("auditor idle: %+v", rep)
-	}
+	forEachArb(t, func(t *testing.T, arb string) {
+		net := irregularNet(t, arb, 16, 1, 2)
+		aud := check.Attach(net, check.Config{Heavy: true})
+		runTraffic(t, net, traffic.Config{
+			Pattern: traffic.Uniform{NumHosts: net.Topo.NumHosts()}, PacketSize: 256,
+			AdaptiveFraction: 1, LoadBytesPerNsPerHost: 0.06, Seed: 7,
+		}, 60_000, 120_000)
+		rep := aud.Finalize()
+		if rep.ViolationCount != 0 {
+			t.Fatalf("honest run reported %d violations, first: %v", rep.ViolationCount, rep.Err())
+		}
+		if rep.HopChecks == 0 || rep.HeavyTicks == 0 || rep.Created == 0 || rep.Delivered == 0 {
+			t.Fatalf("auditor idle: %+v", rep)
+		}
+	})
 }
 
 // Mutation 1: forge credits a transmitter never earned (+delta). The
 // §4.4 counter now exceeds the physical buffer; the heavy scan's
 // bound check c <= CMax catches it.
 func TestMutationForgedCredits(t *testing.T) {
-	net := irregularNet(t, 8, 1, 2)
-	s := 0
-	nb := net.Topo.Neighbors(s)[0]
-	if err := net.TamperCredits(s, nb, +5); err != nil {
-		t.Fatal(err)
-	}
-	aud := check.Attach(net, check.Config{Heavy: true})
-	net.Run(6_000)
-	expect(t, aud.Finalize(), check.InvCreditBound)
+	forEachArb(t, func(t *testing.T, arb string) {
+		net := irregularNet(t, arb, 8, 1, 2)
+		s := 0
+		nb := net.Topo.Neighbors(s)[0]
+		if err := net.TamperCredits(s, nb, +5); err != nil {
+			t.Fatal(err)
+		}
+		aud := check.Attach(net, check.Config{Heavy: true})
+		net.Run(6_000)
+		expect(t, aud.Finalize(), check.InvCreditBound)
+	})
 }
 
 // Mutation 2: leak credits (-delta), the classic "drop path forgot to
@@ -117,41 +134,53 @@ func TestMutationForgedCredits(t *testing.T) {
 // the drained end-state check sees the channel never recover its full
 // credit count. Cheap checks alone (no Heavy) must catch it.
 func TestMutationLeakedCredits(t *testing.T) {
-	net := irregularNet(t, 8, 1, 2)
-	s := 0
-	nb := net.Topo.Neighbors(s)[0]
-	if err := net.TamperCredits(s, nb, -3); err != nil {
-		t.Fatal(err)
-	}
-	aud := check.Attach(net, check.Config{})
-	net.Run(100)
-	expect(t, aud.Finalize(), check.InvCreditsIntact)
+	forEachArb(t, func(t *testing.T, arb string) {
+		net := irregularNet(t, arb, 8, 1, 2)
+		s := 0
+		nb := net.Topo.Neighbors(s)[0]
+		if err := net.TamperCredits(s, nb, -3); err != nil {
+			t.Fatal(err)
+		}
+		aud := check.Attach(net, check.Config{})
+		net.Run(100)
+		expect(t, aud.Finalize(), check.InvCreditsIntact)
+	})
 }
 
 // Mutation 3: corrupt a buffer's occupancy counter so it disagrees
 // with the credits its entries actually hold.
 func TestMutationCorruptOccupancy(t *testing.T) {
-	net := irregularNet(t, 8, 1, 2)
-	s := 0
-	nb := net.Topo.Neighbors(s)[0]
-	if err := net.TamperOccupancy(nb, s, +2); err != nil {
-		t.Fatal(err)
-	}
-	aud := check.Attach(net, check.Config{Heavy: true})
-	net.Run(6_000)
-	expect(t, aud.Finalize(), check.InvCreditOccupancy)
+	forEachArb(t, func(t *testing.T, arb string) {
+		net := irregularNet(t, arb, 8, 1, 2)
+		s := 0
+		nb := net.Topo.Neighbors(s)[0]
+		if err := net.TamperOccupancy(nb, s, +2); err != nil {
+			t.Fatal(err)
+		}
+		aud := check.Attach(net, check.Config{Heavy: true})
+		net.Run(6_000)
+		expect(t, aud.Finalize(), check.InvCreditOccupancy)
+	})
 }
 
 // Mutation 4: misorder the §4.1 interleaved table by one slot — every
 // block's escape entry now holds a minimal adaptive hop. Minimal
 // routing on an irregular network carries cyclic channel dependencies,
-// so the live-table escape-CDG scan must flag Duato's condition.
+// so the live-table escape-CDG scan must flag Duato's condition. The
+// cycle search is deterministic, so the report names one cycle.
 func TestMutationSwappedTableSlots(t *testing.T) {
-	net := irregularNet(t, 16, 1, 2)
-	net.TamperSwapTableSlots()
-	aud := check.Attach(net, check.Config{Heavy: true})
-	net.Run(6_000)
-	expect(t, aud.Finalize(), check.InvEscapeCDGAcyclic)
+	forEachArb(t, func(t *testing.T, arb string) {
+		net := irregularNet(t, arb, 16, 1, 2)
+		net.TamperSwapTableSlots()
+		aud := check.Attach(net, check.Config{Heavy: true})
+		net.Run(6_000)
+		rep := aud.Finalize()
+		expect(t, rep, check.InvEscapeCDGAcyclic)
+		const want = "check: escape-cdg-acyclic at t=5000: live escape tables form a cyclic channel dependency: (0->1) (1->2) (2->4) (4->8) (8->0) (0->1)"
+		if got := rep.Err().Error(); got != want {
+			t.Fatalf("first violation\n got %s\nwant %s", got, want)
+		}
+	})
 }
 
 // Mutation 5: skip the whole-packet adaptive-room check — admit a
@@ -159,14 +188,16 @@ func TestMutationSwappedTableSlots(t *testing.T) {
 // adaptive room (C_XYA, §4.4). Under congestion packets get admitted
 // into the escape reserve; the per-hop admission re-check fires.
 func TestMutationSkipAdaptiveRoomCheck(t *testing.T) {
-	net := irregularNet(t, 8, 1, 2)
-	net.SetTamper(fabric.Tamper{SkipAdaptiveRoomCheck: true})
-	aud := check.Attach(net, check.Config{})
-	runTraffic(t, net, traffic.Config{
-		Pattern: traffic.Uniform{NumHosts: net.Topo.NumHosts()}, PacketSize: 256,
-		AdaptiveFraction: 1, LoadBytesPerNsPerHost: 0.12, Seed: 3,
-	}, 60_000, 150_000)
-	expect(t, aud.Finalize(), check.InvAdaptiveAdmission)
+	forEachArb(t, func(t *testing.T, arb string) {
+		net := irregularNet(t, arb, 8, 1, 2)
+		net.SetTamper(fabric.Tamper{SkipAdaptiveRoomCheck: true})
+		aud := check.Attach(net, check.Config{})
+		runTraffic(t, net, traffic.Config{
+			Pattern: traffic.Uniform{NumHosts: net.Topo.NumHosts()}, PacketSize: 256,
+			AdaptiveFraction: 1, LoadBytesPerNsPerHost: 0.12, Seed: 3,
+		}, 60_000, 150_000)
+		expect(t, aud.Finalize(), check.InvAdaptiveAdmission)
+	})
 }
 
 // Mutation 6: drop the escape fallback — adaptive packets whose
@@ -175,27 +206,29 @@ func TestMutationSkipAdaptiveRoomCheck(t *testing.T) {
 // textbook construction) the adaptive sub-network alone deadlocks;
 // the auditor must call it by name once the event queue starves.
 func TestMutationNoEscapeFallback(t *testing.T) {
-	const n = 8
-	ring := topology.New(n, 1, 3)
-	for i := 0; i < n; i++ {
-		if err := ring.AddLink(i, (i+1)%n); err != nil {
-			t.Fatal(err)
-		}
-	}
-	net := buildNet(t, ring, 1, 2, true)
-	net.SetTamper(fabric.Tamper{NoEscapeFallback: true})
-	aud := check.Attach(net, check.Config{Heavy: true})
-	for i := range net.Hosts {
-		h := net.Hosts[i]
-		dst := (h.ID() + n/2) % n
-		h.Engine().Schedule(0, func() {
-			for k := 0; k < 64; k++ {
-				h.Inject(net.NewPacket(h.ID(), dst, 256, true))
+	forEachArb(t, func(t *testing.T, arb string) {
+		const n = 8
+		ring := topology.New(n, 1, 3)
+		for i := 0; i < n; i++ {
+			if err := ring.AddLink(i, (i+1)%n); err != nil {
+				t.Fatal(err)
 			}
-		})
-	}
-	net.Run(400_000)
-	expect(t, aud.Finalize(), check.InvDeadlock)
+		}
+		net := buildNet(t, ring, 1, 2, true, arb)
+		net.SetTamper(fabric.Tamper{NoEscapeFallback: true})
+		aud := check.Attach(net, check.Config{Heavy: true})
+		for i := range net.Hosts {
+			h := net.Hosts[i]
+			dst := (h.ID() + n/2) % n
+			h.Engine().Schedule(0, func() {
+				for k := 0; k < 64; k++ {
+					h.Inject(net.NewPacket(h.ID(), dst, 256, true))
+				}
+			})
+		}
+		net.Run(400_000)
+		expect(t, aud.Finalize(), check.InvDeadlock)
+	})
 }
 
 // Mutation 7: ignore the §4.2 service-mode bit and route deterministic
@@ -203,23 +236,141 @@ func TestMutationNoEscapeFallback(t *testing.T) {
 // congestion flows diverge across paths and deliveries overtake; the
 // in-order check fires.
 func TestMutationAdaptiveDeterministic(t *testing.T) {
-	net := irregularNet(t, 16, 2, 4)
-	net.SetTamper(fabric.Tamper{AdaptiveDeterministic: true})
-	aud := check.Attach(net, check.Config{})
-	runTraffic(t, net, traffic.Config{
-		Pattern: traffic.Uniform{NumHosts: net.Topo.NumHosts()}, PacketSize: 256,
-		AdaptiveFraction: 0, LoadBytesPerNsPerHost: 0.12, Seed: 5,
-	}, 60_000, 150_000)
-	expect(t, aud.Finalize(), check.InvDeterministicOrder)
+	forEachArb(t, func(t *testing.T, arb string) {
+		net := irregularNet(t, arb, 16, 2, 4)
+		net.SetTamper(fabric.Tamper{AdaptiveDeterministic: true})
+		aud := check.Attach(net, check.Config{})
+		runTraffic(t, net, traffic.Config{
+			Pattern: traffic.Uniform{NumHosts: net.Topo.NumHosts()}, PacketSize: 256,
+			AdaptiveFraction: 0, LoadBytesPerNsPerHost: 0.12, Seed: 5,
+		}, 60_000, 150_000)
+		expect(t, aud.Finalize(), check.InvDeterministicOrder)
+	})
 }
 
 // Mutation 8: misconfigure the credit split so the escape reserve
 // swallows the whole buffer (C_0 = CMax), bypassing Config.Validate.
 // The split well-formedness check runs unconditionally at Finalize.
 func TestMutationIllFormedSplit(t *testing.T) {
-	net := irregularNet(t, 8, 1, 2)
-	net.TamperSplit(16, 16)
-	aud := check.Attach(net, check.Config{})
-	net.Run(100)
-	expect(t, aud.Finalize(), check.InvCreditSplit)
+	forEachArb(t, func(t *testing.T, arb string) {
+		net := irregularNet(t, arb, 8, 1, 2)
+		net.TamperSplit(16, 16)
+		aud := check.Attach(net, check.Config{})
+		net.Run(100)
+		expect(t, aud.Finalize(), check.InvCreditSplit)
+	})
+}
+
+// tamperStep fires one tamper model change or mutation hook at a
+// simulated time.
+type tamperStep struct {
+	at  sim.Time
+	act tamperAct
+}
+
+// tamperAct changes a running network's tamper model or fires a hook.
+type tamperAct func(t *testing.T, net *fabric.Network)
+
+// toggled alternates a and b every 500 ns over [20 µs, 60 µs): a
+// single change rarely finds a point whose refused option it admits,
+// forty of each do.
+func toggled(a, b tamperAct) []tamperStep {
+	var steps []tamperStep
+	for at := sim.Time(20_000); at < 60_000; at += 1_000 {
+		steps = append(steps, tamperStep{at, a}, tamperStep{at + 500, b})
+	}
+	return steps
+}
+
+func setTamper(tm fabric.Tamper) tamperAct {
+	return func(_ *testing.T, net *fabric.Network) { net.SetTamper(tm) }
+}
+
+// skewCredits adds delta to the credits of every inter-switch channel.
+func skewCredits(delta int) tamperAct {
+	return func(t *testing.T, net *fabric.Network) {
+		for s := range net.Switches {
+			for _, nb := range net.Topo.Neighbors(s) {
+				if err := net.TamperCredits(s, nb, delta); err != nil {
+					t.Error(err)
+				}
+			}
+		}
+	}
+}
+
+// runTampered drives a congested mixed-service workload on a 16-switch
+// fabric under arbiter arb, firing steps mid-run, and returns the
+// network and its heavy audit report.
+func runTampered(t *testing.T, arb string, steps []tamperStep) (*fabric.Network, check.Report) {
+	t.Helper()
+	net := irregularNet(t, arb, 16, 1, 2)
+	aud := check.Attach(net, check.Config{Heavy: true})
+	for _, st := range steps {
+		net.Engine.At(st.at, func() { st.act(t, net) })
+	}
+	runTraffic(t, net, traffic.Config{
+		Pattern: traffic.Uniform{NumHosts: net.Topo.NumHosts()}, PacketSize: 256,
+		AdaptiveFraction: 0.5, LoadBytesPerNsPerHost: 0.12, Seed: 3,
+	}, 60_000, 120_000)
+	return net, aud.Finalize()
+}
+
+// TestArbWakeExactUnderTamper holds the wake arbiter to the scan
+// oracle while tamper models are installed and reset and mutation
+// hooks fire mid-run under traffic. A tamper model, forged credits or
+// a new split can admit what a parked point's probe refused without
+// the event that would wake it, so the wake arbiter must re-probe every
+// point (Network.wakeAll) and park on what the tampered probe itself
+// refused. (The occupancy and table-slot hooks change nothing a
+// buffered entry's probe reads; their cases check that the arbiters
+// still agree.) Audit reports, dispatched events and fault counters
+// must be identical, and the wake arbiter must have parked. Credits are
+// leaked and restored rather than forged: credits beyond the physical
+// buffer would overflow it under traffic.
+func TestArbWakeExactUnderTamper(t *testing.T) {
+	const mid = 30_000
+	honest := setTamper(fabric.Tamper{})
+	split := func(cEscape int) tamperAct {
+		return func(_ *testing.T, net *fabric.Network) { net.TamperSplit(net.Cfg.BufferCredits, cEscape) }
+	}
+	reserve := fabric.DefaultConfig().Split.CEscape
+	cases := []struct {
+		name  string
+		steps []tamperStep
+	}{
+		{"skip adaptive room check", toggled(setTamper(fabric.Tamper{SkipAdaptiveRoomCheck: true}), honest)},
+		{"no escape fallback", toggled(setTamper(fabric.Tamper{NoEscapeFallback: true}), honest)},
+		{"adaptive deterministic", toggled(setTamper(fabric.Tamper{AdaptiveDeterministic: true}), honest)},
+		{"reset to zero model", []tamperStep{
+			{0, setTamper(fabric.Tamper{SkipAdaptiveRoomCheck: true, NoEscapeFallback: true, AdaptiveDeterministic: true})},
+			{mid, honest},
+		}},
+		{"leaked and restored credits", toggled(skewCredits(-3), skewCredits(+3))},
+		{"corrupt occupancy", []tamperStep{{mid, func(t *testing.T, net *fabric.Network) {
+			if err := net.TamperOccupancy(net.Topo.Neighbors(0)[0], 0, -2); err != nil {
+				t.Error(err)
+			}
+		}}}},
+		{"halved escape reserve", toggled(split(reserve/2), split(reserve))},
+		{"swapped table slots", []tamperStep{{mid, func(_ *testing.T, net *fabric.Network) { net.TamperSwapTableSlots() }}}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			wake, wakeRep := runTampered(t, fabric.ArbWake, c.steps)
+			scan, scanRep := runTampered(t, fabric.ArbScan, c.steps)
+			if !wake.ArbWake() || wake.ArbParks() == 0 {
+				t.Fatalf("wake network: ArbWake %v, %d parks; the wake arbiter did not run", wake.ArbWake(), wake.ArbParks())
+			}
+			if !reflect.DeepEqual(wakeRep, scanRep) {
+				t.Errorf("audit reports differ:\nwake %+v\nscan %+v", wakeRep, scanRep)
+			}
+			if w, s := wake.Processed(), scan.Processed(); w != s {
+				t.Errorf("dispatched events: wake %d, scan %d", w, s)
+			}
+			if w, s := wake.FaultTotals(), scan.FaultTotals(); w != s {
+				t.Errorf("fault totals: wake %+v, scan %+v", w, s)
+			}
+		})
+	}
 }

@@ -1,11 +1,12 @@
 package fabric
 
-// In-package tests for the wake-list arbiter runtime switch: wake mode
-// must engage by default and actually park blocked service points, the
-// ArbScan oracle must never park, tamper models must force the scan
-// arbiter (stickily for the raw mutation hooks), and the two arbiters
-// must hold identical micro-state — rr cursor, buffer contents,
-// credits, link busy times — through arbitrary congested traffic.
+// In-package tests for the arbiter choice: wake mode must engage by
+// default and actually park blocked service points, the ArbScan oracle
+// must never park, and the two arbiters must hold identical
+// micro-state — rr cursor, buffer contents, credits, link busy times —
+// through arbitrary congested traffic. Their agreement under tamper
+// models and mutation hooks is TestArbWakeExactUnderTamper
+// (internal/check).
 
 import (
 	"math/rand"
@@ -56,51 +57,6 @@ func TestArbConfigScan(t *testing.T) {
 	runArbCongestion(net)
 	if p := net.ArbParks(); p != 0 {
 		t.Errorf("scan-arbiter network recorded %d parks, want 0", p)
-	}
-}
-
-// TestArbTamperForcesScan pins the mutation-suite interaction:
-// installing any non-zero tamper model forces the scan arbiter (the
-// tamper hooks mutate credits and occupancy without waking waiters),
-// and restoring the zero Tamper re-arms wake mode.
-func TestArbTamperForcesScan(t *testing.T) {
-	net := hotpathNet(t)
-	net.SetTamper(Tamper{SkipAdaptiveRoomCheck: true})
-	if net.ArbWake() {
-		t.Fatal("tampered network still runs the wake arbiter")
-	}
-	net.SetTamper(Tamper{})
-	if !net.ArbWake() {
-		t.Fatal("zero Tamper did not re-arm the wake arbiter")
-	}
-	runArbCongestion(net)
-	if net.ArbParks() == 0 {
-		t.Error("re-armed wake arbiter parked no service points")
-	}
-}
-
-// TestArbMutationHookIsSticky: the raw state-mutation hooks
-// (TamperCredits and friends) bypass SetTamper, so they latch the scan
-// arbiter for the network's lifetime — a later tamper reset must not
-// re-arm wake mode over silently skewed credits.
-func TestArbMutationHookIsSticky(t *testing.T) {
-	net := hotpathNet(t)
-	if err := net.TamperCredits(0, 1, -1); err != nil {
-		t.Fatal(err)
-	}
-	if net.ArbWake() {
-		t.Fatal("TamperCredits left the wake arbiter armed")
-	}
-	net.SetTamper(Tamper{})
-	if net.ArbWake() {
-		t.Fatal("tamper reset re-armed the wake arbiter after a raw credit mutation")
-	}
-	if err := net.TamperCredits(0, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	runArbCongestion(net)
-	if p := net.ArbParks(); p != 0 {
-		t.Errorf("latched scan arbiter recorded %d parks, want 0", p)
 	}
 }
 

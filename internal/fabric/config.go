@@ -74,10 +74,8 @@ type Config struct {
 	// wake) drains an event-driven wait-list pending set, ArbScan is
 	// the full round-robin rescan kept as the reference the
 	// differential tests compare against. Results are bit-identical
-	// either way — see wake.go for the equivalence argument. The wake
-	// arbiter disarms itself at runtime while a tamper model (or a
-	// Tamper* mutation hook) is active, since those mutate forwarding
-	// state without firing the corresponding wakes.
+	// either way, tamper models and mutation hooks included — see
+	// wake.go for the equivalence argument.
 	Arb string
 
 	// RoutingDelay, PropagationDelay and link rate come from
@@ -89,9 +87,6 @@ const (
 	ArbWake = "wake"
 	ArbScan = "scan"
 )
-
-// arbWake reports whether the config selects the wake-list arbiter.
-func (c Config) arbWake() bool { return c.Arb == "" || c.Arb == ArbWake }
 
 // DefaultBackoffCap is the documented ceiling on the exponential
 // retry backoff when RetryConfig.BackoffMax is left zero: ~1.05 ms of

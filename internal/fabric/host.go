@@ -220,18 +220,18 @@ func (h *Host) take() *ib.Packet {
 
 // injectionBlocked reports whether an injection pass for the current
 // head would fail at every point of this instant. It holds when the
-// link is up, no tamper model or mutation hook has touched the fabric,
-// no send-timeout check is due (it could drop the head), and either
-// the link is busy past now or the head lacks credits with no credit
-// return in flight. busyUntil changes only through this host's own
-// transmissions, which need a free link; credits rise only through
-// credit-return events, counted from scheduling to dispatch and never
-// scheduled with delay 0. So no event of this instant can make such a
-// pass succeed, and a pending pass (injPending) fails the same way.
-// The caller needs a non-empty queue.
+// link is up, no send-timeout check is due (it could drop the head),
+// and either the link is busy past now or the head lacks credits with
+// no credit return in flight. busyUntil changes only through this
+// host's own transmissions, which need a free link; credits rise only
+// through credit-return events, counted from scheduling to dispatch
+// and never scheduled with delay 0 (no tamper model or mutation hook
+// touches a host's link or credits). So no event of this instant can
+// make such a pass succeed, and a pending pass (injPending) fails the
+// same way. The caller needs a non-empty queue.
 func (h *Host) injectionBlocked(now sim.Time) bool {
 	o := h.out
-	if o.down || !h.net.honest() || (h.timeoutArmed != 0 && h.timeoutArmed <= now) {
+	if o.down || (h.timeoutArmed != 0 && h.timeoutArmed <= now) {
 		return false
 	}
 	if o.busyUntil > now {

@@ -77,50 +77,16 @@ type Network struct {
 	// tests so honest runs pay nothing.
 	tamper Tamper
 
-	// wake is the arbiter runtime switch: Cfg.Arb resolves to the
-	// wake-list arbiter, forced to the scan oracle while a tamper
-	// model is installed or a Tamper* mutation hook has fired
-	// (mutated, sticky) — those mutate forwarding state behind the
-	// wait lists' back.
-	wake    bool
-	mutated bool
+	// wake selects the wake-list arbiter (Cfg.Arb other than ArbScan);
+	// set once, by NewNetwork.
+	wake bool
 }
 
-// applyArb recomputes the arbiter runtime switch. Re-arming the wake
-// arbiter mid-run (a tamper model removed) wakes every point: the
-// wake hooks are gated off while scanning — the scan oracle must not
-// pay the bookkeeping it never reads — so the wholesale wake is what
-// makes a scan->wake transition sound (every point is re-probed, and
-// the failing ones rebuild their wait-list registrations).
-func (n *Network) applyArb() {
-	was := n.wake
-	n.wake = n.Cfg.arbWake() && n.honest()
-	if n.wake && !was {
-		for _, sw := range n.Switches {
-			sw.wakeAllPoints()
-		}
-	}
-}
-
-// honest reports that no tamper model is installed and no Tamper*
-// mutation hook has fired: forwarding state changes only through the
-// model's own events.
-func (n *Network) honest() bool { return n.tamper == (Tamper{}) && !n.mutated }
-
-// forceScanArb permanently falls back to the scan arbiter: a Tamper*
-// mutation hook changed credits/occupancy/tables without firing the
-// wakes the wait lists rely on. Sticky for the network's lifetime.
-func (n *Network) forceScanArb() {
-	n.mutated = true
-	n.wake = false
-}
-
-// ArbWake reports whether the wake-list arbiter is currently armed.
+// ArbWake reports whether the network runs the wake-list arbiter.
 func (n *Network) ArbWake() bool { return n.wake }
 
 // ArbParks sums, over every switch, the wait-list registrations the
-// wake arbiter made. Tests use it to prove the wake path engaged (or
-// was forced off).
+// wake arbiter made. Tests use it to prove the wake path engaged.
 func (n *Network) ArbParks() uint64 {
 	var p uint64
 	for _, sw := range n.Switches {
@@ -261,8 +227,8 @@ func NewNetwork(topo *topology.Topology, plan *ib.AddressPlan, cfg Config, seed 
 		Plan:   plan,
 		Cfg:    cfg,
 		rng:    sim.NewRNG(seed ^ 0x4641425249435F), // package tag
+		wake:   cfg.Arb != ArbScan,
 	}
-	net.applyArb()
 
 	detOnly := make(map[int]bool, len(cfg.DeterministicOnly))
 	for _, s := range cfg.DeterministicOnly {

@@ -3,7 +3,6 @@ package fabric
 import (
 	"fmt"
 
-	"ibasim/internal/ib"
 	"ibasim/internal/topology"
 )
 
@@ -112,18 +111,12 @@ func (n *Network) SetSwitchDown(s int) error {
 	}
 	// Drain: every buffered packet is lost; the upstream transmitters
 	// get their credits back so conservation audits stay exact.
-	slab := &sw.net.slab
 	for _, in := range sw.in {
 		if in == nil {
 			continue
 		}
 		for in.buf.len() > 0 {
-			id := in.buf.removeAt(0)
-			sw.occupancy--
-			pkt := slab.pkt[id]
-			sw.net.scheduleCreditReturn(ib.PropagationDelay, in.upstream, pkt.Credits())
-			sw.net.dropPacket(pkt, DropDeadPort)
-			slab.release(id)
+			sw.dropBuffered(in, 0, DropDeadPort)
 		}
 	}
 	return nil
@@ -187,34 +180,15 @@ func (n *Network) switchByID(s int) (*Switch, error) {
 // mid-reconfiguration transients) are dropped and counted instead of
 // panicking; Reroute returns how many packets it discarded.
 func (sw *Switch) Reroute() (dropped int) {
-	slab := &sw.net.slab
 	for _, in := range sw.in {
 		if in == nil {
 			continue
 		}
 		for i := 0; i < in.buf.len(); {
-			id := in.buf.ids[i]
-			if sw.enhanced {
-				escape, adaptive, err := sw.table.Lookup(slab.pkt[id].DLID)
-				if err != nil {
-					sw.dropBuffered(in, i)
-					dropped++
-					continue
-				}
-				slab.escape[id], slab.adaptive[id] = escape, adaptive
-				if slab.chosen[id] != ib.InvalidPort {
-					// Immediate-selection decisions are remade.
-					slab.chosen[id] = ib.InvalidPort
-					sw.selectImmediate(id)
-				}
-			} else {
-				p := sw.table.Get(slab.pkt[id].DLID)
-				if p == ib.InvalidPort {
-					sw.dropBuffered(in, i)
-					dropped++
-					continue
-				}
-				slab.escape[id] = p
+			if !sw.route(in.buf.ids[i]) {
+				sw.dropBuffered(in, i, DropUnroutable)
+				dropped++
+				continue
 			}
 			i++
 		}
@@ -227,13 +201,11 @@ func (sw *Switch) Reroute() (dropped int) {
 }
 
 // dropBuffered discards the entry at index i of an input port's
-// buffer as unroutable, returning its credits upstream.
-func (sw *Switch) dropBuffered(in *inPort, i int) {
+// buffer (see dropArrival) and recycles it.
+func (sw *Switch) dropBuffered(in *inPort, i int, reason DropReason) {
 	slab := &sw.net.slab
 	id := in.buf.removeAt(i)
 	sw.occupancy--
-	pkt := slab.pkt[id]
-	sw.net.scheduleCreditReturn(ib.PropagationDelay, in.upstream, pkt.Credits())
-	sw.net.dropPacket(pkt, DropUnroutable)
+	sw.dropArrival(in.id, slab.pkt[id], reason)
 	slab.release(id)
 }

@@ -68,11 +68,11 @@ type Switch struct {
 	// ports with link waiters, swept at arbitrate entry; timeParked/
 	// parkAt/parkedMask hold points whose head is not servable before a
 	// known readyAt; pointIdx maps an input port to its point index.
-	// parks counts wait-list registrations (Network.ArbParks). All
-	// carved from network-level arenas (Network.initWakeState) once
-	// wiring is final; maintained and read only while Network.wake is
-	// armed (applyArb re-seeds the pending set on scan->wake
-	// transitions).
+	// blocked holds the waits the current visit's probes recorded
+	// (recording is set while a wake-arbiter pass probes). parks
+	// counts wait-list registrations (Network.ArbParks). All carved
+	// from network-level arenas (Network.initWakeState) once wiring is
+	// final; maintained and read only under the wake arbiter.
 	pending       pointMask
 	linkWaiters   []pointMask
 	creditWaiters []pointMask
@@ -82,6 +82,8 @@ type Switch struct {
 	parkAt        []sim.Time
 	parkedMask    pointMask
 	pointIdx      []int32
+	blocked       []wait
+	recording     bool
 	parks         uint64
 }
 
@@ -178,10 +180,8 @@ func (sw *Switch) finishWiring() {
 func (sw *Switch) receive(port ib.PortID, pkt *ib.Packet) {
 	if sw.dead {
 		// The switch failed while the packet was on the wire: it is
-		// discarded at the dead input, and the freed buffer space is
-		// reported upstream so credit conservation holds.
-		sw.net.scheduleCreditReturn(ib.PropagationDelay, sw.in[port].upstream, pkt.Credits())
-		sw.net.dropPacket(pkt, DropDeadPort)
+		// discarded at the dead input.
+		sw.dropArrival(port, pkt, DropDeadPort)
 		return
 	}
 	now := sw.net.Engine.Now()
@@ -193,35 +193,10 @@ func (sw *Switch) receive(port ib.PortID, pkt *ib.Packet) {
 	if pkt.Adaptive {
 		slab.flags[id] = entryPktAdaptive
 	}
-	if sw.enhanced {
-		escape, adaptive, err := sw.table.Lookup(pkt.DLID)
-		if err != nil {
-			slab.release(id)
-			sw.dropUnroutable(port, pkt)
-			return
-		}
-		if sw.net.tamper.AdaptiveDeterministic && len(adaptive) == 0 && sw.table.LMC() > 0 {
-			// Mutation model: the service-mode bit is ignored, so a
-			// deterministic DLID fetches its block's adaptive options
-			// too (DLID|1 stays inside the 2^LMC-aligned block).
-			if esc2, ad2, err2 := sw.table.Lookup(pkt.DLID | 1); err2 == nil {
-				escape, adaptive = esc2, ad2
-			}
-		}
-		slab.escape[id], slab.adaptive[id] = escape, adaptive
-		if !sw.net.Cfg.Selection.AtArbitration {
-			sw.selectImmediate(id)
-		}
-	} else {
-		// Plain IBA switch: a linear lookup of the exact DLID yields
-		// the single routing option.
-		p := sw.table.Get(pkt.DLID)
-		if p == ib.InvalidPort {
-			slab.release(id)
-			sw.dropUnroutable(port, pkt)
-			return
-		}
-		slab.escape[id] = p
+	if !sw.route(id) {
+		sw.dropArrival(port, pkt, DropUnroutable)
+		slab.release(id)
+		return
 	}
 	sw.in[port].buf.push(id)
 	sw.occupancy++
@@ -231,12 +206,46 @@ func (sw *Switch) receive(port ib.PortID, pkt *ib.Packet) {
 	sw.net.scheduleSwitchKick(ib.RoutingDelay, sw)
 }
 
-// dropUnroutable discards a packet whose DLID has no programmed port
-// (a mid-reconfiguration transient) and returns its buffer space to
-// the upstream transmitter.
-func (sw *Switch) dropUnroutable(port ib.PortID, pkt *ib.Packet) {
+// route is the forwarding-table access for entry id, the one table read
+// of both an arrival and Reroute: it stores the entry's routing options
+// and, under immediate selection, fixes its output. It reports false
+// when the table has no port for the DLID (a mid-reconfiguration
+// transient); the caller drops the packet.
+func (sw *Switch) route(id int32) bool {
+	slab := &sw.net.slab
+	dlid := slab.pkt[id].DLID
+	if !sw.enhanced {
+		// Plain IBA switch: a linear lookup of the exact DLID yields
+		// the single routing option.
+		slab.escape[id] = sw.table.Get(dlid)
+		return slab.escape[id] != ib.InvalidPort
+	}
+	escape, adaptive, err := sw.table.Lookup(dlid)
+	if err != nil {
+		return false
+	}
+	if sw.net.tamper.AdaptiveDeterministic && len(adaptive) == 0 && sw.table.LMC() > 0 {
+		// Mutation model: the service-mode bit is ignored, so a
+		// deterministic DLID fetches its block's adaptive options
+		// too (DLID|1 stays inside the 2^LMC-aligned block).
+		if esc2, ad2, err2 := sw.table.Lookup(dlid | 1); err2 == nil {
+			escape, adaptive = esc2, ad2
+		}
+	}
+	slab.escape[id], slab.adaptive[id] = escape, adaptive
+	if !sw.net.Cfg.Selection.AtArbitration {
+		sw.selectImmediate(id)
+	}
+	return true
+}
+
+// dropArrival discards a packet that reached input port port but is
+// not buffered — the switch is dead, or its table has no port for the
+// DLID — and returns the buffer space the packet took upstream, so
+// credit conservation holds. dropBuffered shares it.
+func (sw *Switch) dropArrival(port ib.PortID, pkt *ib.Packet, reason DropReason) {
 	sw.net.scheduleCreditReturn(ib.PropagationDelay, sw.in[port].upstream, pkt.Credits())
-	sw.net.dropPacket(pkt, DropUnroutable)
+	sw.net.dropPacket(pkt, reason)
 }
 
 // selectImmediate fixes the output port right after the table access
@@ -313,28 +322,36 @@ func (sw *Switch) pickAdaptive(id int32, now sim.Time) (ib.PortID, bool) {
 // has no queue split), needs room in the whole buffer. room is the
 // status a status-aware selector maximizes: C_XYA for the adaptive hop
 // toward a switch, C_XY otherwise. The tamper flag swaps in the
-// (wrong) total-room condition for the mutation suite.
+// (wrong) total-room condition for the mutation suite. A wired option
+// it refuses is recorded with its first-failing condition, link before
+// credits (see refused).
 func (sw *Switch) usable(port ib.PortID, credits int, asAdaptive bool, now sim.Time) (room int, ok bool) {
 	o := sw.out[port]
-	if o == nil || !o.free(now) {
+	if o == nil {
+		return 0, false
+	}
+	if !o.free(now) {
+		sw.refused(port, true)
 		return 0, false
 	}
 	split := sw.net.Cfg.Split
-	if !asAdaptive || o.peerHost != nil {
-		return o.credits, split.CanUseEscape(o.credits, credits)
+	room, ok = o.credits, split.CanUseEscape(o.credits, credits)
+	if asAdaptive && o.peerHost == nil {
+		room = split.Adaptive(o.credits)
+		if !sw.net.tamper.SkipAdaptiveRoomCheck {
+			ok = split.CanUseAdaptive(o.credits, credits)
+		}
 	}
-	room = split.Adaptive(o.credits)
-	if sw.net.tamper.SkipAdaptiveRoomCheck {
-		return room, split.CanUseEscape(o.credits, credits)
+	if !ok {
+		sw.refused(port, false)
 	}
-	return room, split.CanUseAdaptive(o.credits, credits)
+	return room, ok
 }
 
 // arbitrate is the crossbar allocation pass, dispatching to the
 // configured arbiter: the wake-list drain (default) or the full
-// round-robin scan (ArbScan, the differential oracle — also forced
-// whenever a tamper model is installed). Both produce byte-identical
-// results; see wake.go for the equivalence argument.
+// round-robin scan (ArbScan, the differential oracle). Both produce
+// byte-identical results; see wake.go for the equivalence argument.
 func (sw *Switch) arbitrate() {
 	if sw.net.wake {
 		sw.arbitrateWake()
@@ -377,11 +394,10 @@ func (sw *Switch) arbitrateScan() {
 			if j >= n {
 				j -= n
 			}
-			buf := sw.bufs[j]
-			if len(buf.ids) == 0 {
+			if len(sw.bufs[j].ids) == 0 {
 				continue
 			}
-			if sw.tryServe(buf, points[j], now) {
+			if sw.visit(j, now) {
 				progress = true
 				if sw.occupancy == 0 {
 					break
@@ -395,27 +411,40 @@ func (sw *Switch) arbitrateScan() {
 	}
 }
 
-// tryServe attempts to dispatch from both crossbar connections of one
-// input port's buffer. It returns true if any packet left.
-func (sw *Switch) tryServe(buf *vlBuffer, port ib.PortID, now sim.Time) bool {
-	served := false
+// visit probes both crossbar connections of the non-empty service
+// point j — the buffer head, then the escape-service entry — and
+// starts every transmission whose §4.4 conditions hold, reporting
+// whether any packet left. Under the wake arbiter the probes record
+// what refused them, and a visit that serves nothing parks the point
+// on those records (see park); a visit that served throws them away
+// and keeps the point pending, so the next pass re-probes it, exactly
+// like the scan.
+func (sw *Switch) visit(j int, now sim.Time) bool {
+	buf, port := sw.bufs[j], sw.points[j]
 	slab := buf.slab
-	// Buffer head (adaptive-queue head).
-	if id := buf.head(); id >= 0 && slab.readyAt[id] <= now {
-		if out, asAdaptive, ok := sw.chooseOutput(id, now); ok {
-			sw.startTx(buf, 0, port, out, asAdaptive)
-			served = true
-		}
+	served := false
+	var headAt, escAt sim.Time // readyAt of an entry still in its routing delay
+	if id := buf.head(); slab.readyAt[id] > now {
+		headAt = slab.readyAt[id]
+	} else if out, asAdaptive, ok := sw.chooseOutput(id, now); ok {
+		sw.startTx(buf, 0, port, out, asAdaptive)
+		served = true
 	}
 	// Escape-queue connection, served independently (§4.4); the
 	// in-order pointer may redirect it to the first deterministic
 	// packet still in the adaptive region (see escapeService).
-	if idx, id := buf.escapeService(); id >= 0 && idx > 0 && slab.readyAt[id] <= now {
-		if out, asAdaptive, ok := sw.chooseOutput(id, now); ok {
+	if idx, id := buf.escapeService(); idx > 0 {
+		if slab.readyAt[id] > now {
+			escAt = slab.readyAt[id]
+		} else if out, asAdaptive, ok := sw.chooseOutput(id, now); ok {
 			sw.startTx(buf, idx, port, out, asAdaptive)
 			served = true
 		}
 	}
+	if !served && sw.recording {
+		sw.park(j, headAt, escAt)
+	}
+	sw.blocked = sw.blocked[:0]
 	return served
 }
 

@@ -34,13 +34,11 @@ type Tamper struct {
 }
 
 // SetTamper installs a fault model for the mutation suite. Passing the
-// zero Tamper restores honest forwarding. A tamper model forces the
-// scan arbiter: the wake arbiter's exactness argument (wake.go) only
-// covers honest forwarding. The zero Tamper re-arms it (with a
-// wholesale wake).
+// zero Tamper restores honest forwarding. A changed model can admit
+// what the old one refused, so every point is woken (wakeAll).
 func (n *Network) SetTamper(t Tamper) {
 	n.tamper = t
-	n.applyArb()
+	n.wakeAll()
 }
 
 // TamperCredits forges flow-control state: it adds delta (possibly
@@ -58,10 +56,9 @@ func (n *Network) TamperCredits(s, neighbor, delta int) error {
 	if o == nil {
 		return fmt.Errorf("fabric: switch %d port %d unwired", s, port)
 	}
-	// Credits changed without the credit-return wake: the wait lists
-	// can no longer be trusted, so fall back to the scan arbiter.
-	n.forceScanArb()
 	o.credits += delta
+	// Credits changed without the credit-return wake.
+	n.wakeAll()
 	return nil
 }
 
@@ -78,8 +75,8 @@ func (n *Network) TamperOccupancy(s, neighbor, delta int) error {
 	if in == nil {
 		return fmt.Errorf("fabric: switch %d port %d unwired", s, port)
 	}
-	n.forceScanArb()
 	in.buf.occupied += delta
+	n.wakeAll()
 	return nil
 }
 
@@ -89,9 +86,9 @@ func (n *Network) TamperOccupancy(s, neighbor, delta int) error {
 // using the corrupted split; the credit-split well-formedness check
 // must flag it.
 func (n *Network) TamperSplit(cMax, cEscape int) {
-	n.forceScanArb()
 	n.Cfg.Split.CMax = cMax
 	n.Cfg.Split.CEscape = cEscape
+	n.wakeAll()
 }
 
 // TamperSwapTableSlots swaps, for every switch and every destination
@@ -101,7 +98,6 @@ func (n *Network) TamperSplit(cMax, cEscape int) {
 // which is exactly the cyclic-dependency hazard Duato's condition
 // exists to exclude. Detected as escape-cdg-acyclic.
 func (n *Network) TamperSwapTableSlots() {
-	n.forceScanArb()
 	for _, sw := range n.Switches {
 		tab := sw.Table()
 		for h := 0; h < n.Topo.NumHosts(); h++ {
@@ -117,4 +113,5 @@ func (n *Network) TamperSwapTableSlots() {
 			tab.Set(base+1, escape)
 		}
 	}
+	n.wakeAll()
 }

@@ -15,9 +15,9 @@ import (
 // entry can only become servable when one *specific* condition
 // changes: its output link frees, credits return on a specific
 // output port, or its readyAt arrives. The wake arbiter
-// (arbitrateWake) exploits that: a failed probe classifies its
-// blocking conditions and registers the service point on the precise
-// wait list, and the events that change those conditions wake only
+// (arbitrateWake) exploits that: a failed probe records the
+// conditions that refused it and the service point is registered on
+// those precise wait lists, and the events that change them wake only
 // the registered points into a pending set that arbitrate drains in
 // exactly the order the full scan would have served them.
 //
@@ -25,10 +25,11 @@ import (
 // scan, including the RNG stream and the rr trajectory):
 //
 //  1. Failed probes are side-effect-free. chooseOutput on a blocked
-//     entry mutates nothing and draws no RNG — pickAdaptive's static
-//     selection returns false without an Intn call when no option is
-//     usable, and its status-aware selection never draws. So eliding
-//     the failing probes the scan would have repeated changes no state.
+//     entry mutates nothing but the visit's wait records and draws no
+//     RNG — pickAdaptive's static selection returns false without an
+//     Intn call when no option is usable, and its status-aware
+//     selection never draws. So eliding the failing probes the scan
+//     would have repeated changes no state.
 //  2. Within one arbitrate call (fixed now), a serve can only worsen
 //     every OTHER point's conditions: it consumes output credits,
 //     extends an output link's busyUntil, and everything it schedules
@@ -47,18 +48,36 @@ import (
 //     the arrival kick at +RoutingDelay (and the time-parked sweep)
 //     covers it. Control-plane mutations that can improve conditions
 //     wholesale (SetLinkUp, SetSwitchUp, SetEscapeOnly(false),
-//     Reroute, re-arming the wake mode) wake every point.
-//  4. Registration uses the first-failing condition per routing
-//     option, mirroring chooseOutput's evaluation order; that is
-//     self-correcting — a wake re-probes the point, and if a
-//     different condition now blocks it, the re-probe re-registers
-//     there. Stale registrations (left behind by wakeAll or by a
-//     point moving on) cause only spurious wakes, which are harmless
-//     by (1).
+//     Reroute, SetTamper and the Tamper* mutation hooks) wake every
+//     point.
+//  4. Waits are recorded by the probe itself, not re-derived: while a
+//     visit probes, usable records every wired option it refuses with
+//     its first-failing condition (link busy or down before credits),
+//     and a visit that serves nothing parks the point on exactly those
+//     records. Whatever chooseOutput consults — selection mode,
+//     escape-only transient, tamper model — the waits follow. That is
+//     self-correcting: a wake re-probes the point, and if a different
+//     condition now blocks it, the re-probe records and parks there.
+//     Stale registrations (left behind by wakeAll or by a point moving
+//     on) cause only spurious wakes, which are harmless by (1).
 //
-// Tampered runs force the scan arbiter (applyArb): the mutation hooks
-// mutate credits/occupancy behind the fabric's back without waking
-// anyone, and the exactness argument only covers honest forwarding.
+// Tamper models and mutation hooks run on this arbiter too. They
+// change forwarding state without the events that wake waiters (a rule
+// swapped, credits forged, the split, a table or an occupancy counter
+// rewritten). Rather than argue hook by hook which refused probe each
+// could now admit, SetTamper and every Tamper* hook wake all points of
+// every switch (Network.wakeAll). They kick nothing: the next
+// allocation pass of each switch re-probes every point, exactly as the
+// scan would at that same pass. The probes then run the tampered
+// rules, so by (4) the waits follow them.
+
+// wait is one condition a refused routing option waits on: the link of
+// output port port (busy or down) when link is set, its credits
+// otherwise.
+type wait struct {
+	port ib.PortID
+	link bool
+}
 
 // pointMask is a bitmask over a switch's service points. Switches can
 // have more than 64 wired ports, so it is multi-word; all masks are
@@ -99,9 +118,13 @@ func (m pointMask) setAll(n int) {
 // allocating them individually dominated network-construction
 // allocations; one arena per network keeps construction cheap and
 // every slice sized for its worst case, so steady-state operation
-// never allocates.
+// never allocates. A visit that serves nothing records at most one
+// wait per routing option of its two entries: len(out) deduplicated
+// adaptive ports plus the escape port each. A visit that serves may
+// record more (static selection probes its options twice) and throws
+// them away; were that to outgrow blocked, append would grow it once.
 func (n *Network) initWakeState() {
-	var words, times, ints, ports, bools, masks int
+	var words, times, ints, ports, bools, masks, waits int
 	for _, sw := range n.Switches {
 		np := len(sw.points)
 		w := (np + 63) / 64
@@ -117,6 +140,7 @@ func (n *Network) initWakeState() {
 		ports += len(sw.out)
 		bools += len(sw.out)
 		masks += 2 * len(sw.out)
+		waits += 2*len(sw.out) + 2
 	}
 	wordArena := make([]uint64, words)
 	timeArena := make([]sim.Time, times)
@@ -124,6 +148,7 @@ func (n *Network) initWakeState() {
 	portArena := make([]ib.PortID, ports)
 	boolArena := make([]bool, bools)
 	maskArena := make([]pointMask, masks)
+	waitArena := make([]wait, waits)
 	takeMask := func(w int) pointMask {
 		m := pointMask(wordArena[:w:w])
 		wordArena = wordArena[w:]
@@ -149,6 +174,8 @@ func (n *Network) initWakeState() {
 		sw.waitPorts, portArena = portArena[:0:nout], portArena[nout:]
 		sw.portListed, boolArena = boolArena[:nout:nout], boolArena[nout:]
 		sw.pointIdx, intArena = intArena[:nin:nin], intArena[nin:]
+		nw := 2*nout + 2
+		sw.blocked, waitArena = waitArena[:0:nw], waitArena[nw:]
 		for i := range sw.pointIdx {
 			sw.pointIdx[i] = -1
 		}
@@ -160,9 +187,7 @@ func (n *Network) initWakeState() {
 
 // wakeArrival marks the service point of an input port pending — a
 // packet was pushed there. The call sites gate on Network.wake: the scan
-// oracle must not pay bookkeeping it never reads, and a mid-run
-// scan->wake transition is made sound by applyArb's wholesale wake
-// instead.
+// oracle must not pay bookkeeping it never reads.
 func (sw *Switch) wakeArrival(port ib.PortID) {
 	sw.pending.set(int(sw.pointIdx[port]))
 }
@@ -178,14 +203,29 @@ func (sw *Switch) wakeCredits(port ib.PortID) {
 
 // wakeAllPoints marks every service point pending — the wholesale wake
 // for control-plane transitions (link/switch repair, table rewrite,
-// escape-only exit, wake-mode re-arm) whose effects are not tied to
-// one wait list. Stale wait-list registrations are left behind; they
-// only cause spurious (side-effect-free) re-probes.
+// escape-only exit, tamper model or mutation hook) whose effects are
+// not tied to one wait list. Stale wait-list registrations are left
+// behind; they only cause spurious (side-effect-free) re-probes.
 func (sw *Switch) wakeAllPoints() {
-	if sw.pending == nil {
-		return // pre-wiring (initWakeState has not run yet)
-	}
 	sw.pending.setAll(len(sw.points))
+}
+
+// wakeAll wakes every point of every switch and kicks nothing, so it
+// adds no event (see the tamper paragraph above).
+func (n *Network) wakeAll() {
+	for _, sw := range n.Switches {
+		sw.wakeAllPoints()
+	}
+}
+
+// refused records, while a wake-arbiter pass probes, that output port
+// port refused a routing option: on its link when link is set, on its
+// credits otherwise. Probes made outside a pass (immediate selection
+// at arrival) record nothing.
+func (sw *Switch) refused(port ib.PortID, link bool) {
+	if sw.recording {
+		sw.blocked = append(sw.blocked, wait{port, link})
+	}
 }
 
 // parkOnLink registers point j on the link-free wait list of output
@@ -264,7 +304,7 @@ func (sw *Switch) sweepWaiters(now sim.Time) {
 // repeating (like the scan's progress loop) until a pass serves
 // nothing. Points that served keep their pending bit and are
 // re-probed next pass; points that failed are cleared and parked on
-// their blocking conditions. Same rr origin, same trailing rr
+// their recorded waits (visit). Same rr origin, same trailing rr
 // advance, same occupancy short-circuits as arbitrateScan — see the
 // exactness argument at the top of this file.
 func (sw *Switch) arbitrateWake() {
@@ -287,6 +327,7 @@ func (sw *Switch) arbitrateWake() {
 	if len(sw.waitPorts) != 0 || len(sw.timeParked) != 0 {
 		sw.sweepWaiters(now)
 	}
+	sw.recording = true
 	for progress := true; progress && sw.occupancy > 0; {
 		progress = false
 		for i := 0; i < n; {
@@ -311,14 +352,13 @@ func (sw *Switch) arbitrateWake() {
 				i += tz
 				continue
 			}
-			buf := sw.bufs[j]
-			if len(buf.ids) == 0 {
+			if len(sw.bufs[j].ids) == 0 {
 				// Stale pending bit (buffer drained since it was set).
 				sw.pending.clear(j)
 				i++
 				continue
 			}
-			if sw.tryServeWake(buf, j, now) {
+			if sw.visit(j, now) {
 				progress = true
 				if sw.occupancy == 0 {
 					break
@@ -327,112 +367,30 @@ func (sw *Switch) arbitrateWake() {
 			i++
 		}
 	}
+	sw.recording = false
 	sw.rr++
 	if sw.rr == n {
 		sw.rr = 0
 	}
 }
 
-// tryServeWake mirrors tryServe — probe the buffer head, then the
-// (recomputed) escape-service entry — and on a fully failed visit
-// clears the point's pending bit and registers both entries'
-// blocking conditions. A visit that served anything keeps the bit:
-// the next pass re-probes, exactly like the scan.
-func (sw *Switch) tryServeWake(buf *vlBuffer, j int, now sim.Time) bool {
-	served := false
-	slab := buf.slab
-	var headWait, escWait sim.Time             // readyAt still in the future
-	var headBlocked, escBlocked int32 = -1, -1 // ready but nothing could fire
-	if id := buf.head(); id >= 0 {
-		if slab.readyAt[id] <= now {
-			if out, asAdaptive, ok := sw.chooseOutput(id, now); ok {
-				sw.startTx(buf, 0, sw.points[j], out, asAdaptive)
-				served = true
-			} else {
-				headBlocked = id
-			}
-		} else {
-			headWait = slab.readyAt[id]
-		}
-	}
-	if idx, id := buf.escapeService(); id >= 0 && idx > 0 {
-		if slab.readyAt[id] <= now {
-			if out, asAdaptive, ok := sw.chooseOutput(id, now); ok {
-				sw.startTx(buf, idx, sw.points[j], out, asAdaptive)
-				served = true
-			} else {
-				escBlocked = id
-			}
-		} else {
-			escWait = slab.readyAt[id]
-		}
-	}
-	if served {
-		return true
-	}
+// park ends a visit to point j that served nothing: it clears the
+// point's pending bit, parks it until headAt and escAt (the readyAt of
+// an entry still inside its routing delay, 0 when none), and registers
+// it on every wait the visit's probes recorded.
+func (sw *Switch) park(j int, headAt, escAt sim.Time) {
 	sw.pending.clear(j)
-	if headWait > 0 {
-		sw.timePark(j, headWait)
+	if headAt > 0 {
+		sw.timePark(j, headAt)
 	}
-	if escWait > 0 {
-		sw.timePark(j, escWait)
+	if escAt > 0 {
+		sw.timePark(j, escAt)
 	}
-	if headBlocked >= 0 {
-		sw.parkBlocked(j, headBlocked, now)
-	}
-	if escBlocked >= 0 {
-		sw.parkBlocked(j, escBlocked, now)
-	}
-	return false
-}
-
-// parkBlocked registers point j on the wait list of each condition
-// that blocked entry id, mirroring chooseOutput's evaluation order:
-// for every routing option the entry may use, the first-failing
-// condition (link busy before credits, as free() is checked first).
-// Options on unwired ports register nothing — wiring is static, and
-// the table rewrites that could replace them (Reroute) wake
-// wholesale. Tamper-specific chooseOutput branches need no mirror:
-// the wake arbiter only runs with a zero tamper model.
-func (sw *Switch) parkBlocked(j int, id int32, now sim.Time) {
-	slab := &sw.net.slab
-	if chosen := slab.chosen[id]; chosen != ib.InvalidPort {
-		// Immediate selection: the decision is fixed; only the chosen
-		// option's conditions matter.
-		o := sw.out[chosen]
-		if o == nil {
-			return
-		}
-		if !o.free(now) {
-			sw.parkOnLink(j, chosen)
-			return
-		}
-		sw.parkOnCredits(j, chosen)
-		return
-	}
-	if slab.flags[id]&entryPktAdaptive != 0 && len(slab.adaptive[id]) > 0 && sw.enhanced && !sw.escapeOnly {
-		for _, p := range slab.adaptive[id] {
-			o := sw.out[p]
-			if o == nil {
-				continue
-			}
-			if !o.free(now) {
-				sw.parkOnLink(j, p)
-			} else {
-				sw.parkOnCredits(j, p)
-			}
+	for _, w := range sw.blocked {
+		if w.link {
+			sw.parkOnLink(j, w.port)
+		} else {
+			sw.parkOnCredits(j, w.port)
 		}
 	}
-	// Escape fallback (always probed by chooseOutput when the entry
-	// reaches here — wake mode never runs under NoEscapeFallback).
-	esc := slab.escape[id]
-	o := sw.out[esc]
-	if o == nil {
-		return
-	}
-	if !o.free(now) {
-		sw.parkOnLink(j, esc)
-		return
-	}
-	sw.parkOnCredits(j, esc)
 }

@@ -304,114 +304,48 @@ type jsonCampaign struct {
 	} `json:"watchdog"`
 }
 
-// jsonRule is one row of the campaign-JSON validation table: an
-// ordered list of (predicate, error) pairs checked first-match-wins,
-// so every rejection carries one canonical message naming the
-// offending JSON path. The decoder layer above the table already
-// rejects malformed syntax, NaN/Infinity (not JSON), fractional or
-// overflowing times, and unknown fields — each with the line:column
-// where decoding stopped.
-type jsonRule struct {
-	name    string
-	applies func(*jsonCampaign) bool
-	err     func(*jsonCampaign) error
-}
-
-// firstEvent returns the index of the first event failing pred, or -1.
-func (jc *jsonCampaign) firstEvent(pred func(atNs int64, kind string) bool) int {
+// validate checks the decoded values, first failure wins, so every
+// rejection carries one canonical message naming the offending JSON
+// path. The decoder already rejected malformed syntax, NaN/Infinity
+// (not JSON), fractional or overflowing times, and unknown fields —
+// each with the line:column where decoding stopped.
+func (jc *jsonCampaign) validate() error {
+	const pre = "faults: campaign JSON: "
 	for i, e := range jc.Events {
-		if pred(e.AtNs, e.Kind) {
-			return i
+		if _, err := parseKind(e.Kind); err != nil {
+			return fmt.Errorf(pre+"events[%d].kind: unknown event kind %q", i, e.Kind)
 		}
 	}
-	return -1
-}
-
-var jsonRules = []jsonRule{
-	{
-		name: "event-kind-known",
-		applies: func(jc *jsonCampaign) bool {
-			return jc.firstEvent(func(_ int64, k string) bool { _, err := parseKind(k); return err != nil }) >= 0
-		},
-		err: func(jc *jsonCampaign) error {
-			i := jc.firstEvent(func(_ int64, k string) bool { _, err := parseKind(k); return err != nil })
-			return fmt.Errorf("faults: campaign JSON: events[%d].kind: unknown event kind %q", i, jc.Events[i].Kind)
-		},
-	},
-	{
-		name: "event-time-non-negative",
-		applies: func(jc *jsonCampaign) bool {
-			return jc.firstEvent(func(at int64, _ string) bool { return at < 0 }) >= 0
-		},
-		err: func(jc *jsonCampaign) error {
-			i := jc.firstEvent(func(at int64, _ string) bool { return at < 0 })
-			return fmt.Errorf("faults: campaign JSON: events[%d].atNs = %d is negative", i, jc.Events[i].AtNs)
-		},
-	},
-	{
-		name:    "random-flaps-count-positive",
-		applies: func(jc *jsonCampaign) bool { return jc.RandomFlaps != nil && jc.RandomFlaps.N <= 0 },
-		err: func(jc *jsonCampaign) error {
-			return fmt.Errorf("faults: campaign JSON: randomFlaps.n = %d must be positive", jc.RandomFlaps.N)
-		},
-	},
-	{
-		name:    "random-flaps-duration-positive",
-		applies: func(jc *jsonCampaign) bool { return jc.RandomFlaps != nil && jc.RandomFlaps.DownForNs <= 0 },
-		err: func(jc *jsonCampaign) error {
-			return fmt.Errorf("faults: campaign JSON: randomFlaps.downForNs = %d must be positive", jc.RandomFlaps.DownForNs)
-		},
-	},
-	{
-		name: "random-flaps-window-sane",
-		applies: func(jc *jsonCampaign) bool {
-			return jc.RandomFlaps != nil && (jc.RandomFlaps.FromNs < 0 || jc.RandomFlaps.ToNs <= jc.RandomFlaps.FromNs)
-		},
-		err: func(jc *jsonCampaign) error {
-			return fmt.Errorf("faults: campaign JSON: randomFlaps window [fromNs=%d, toNs=%d) is empty or negative",
-				jc.RandomFlaps.FromNs, jc.RandomFlaps.ToNs)
-		},
-	},
-	{
-		name:    "auto-reconfig-non-negative",
-		applies: func(jc *jsonCampaign) bool { return jc.AutoReconfigNs < 0 },
-		err: func(jc *jsonCampaign) error {
-			return fmt.Errorf("faults: campaign JSON: autoReconfigNs = %d is negative", jc.AutoReconfigNs)
-		},
-	},
-	{
-		name:    "sweep-delay-non-negative",
-		applies: func(jc *jsonCampaign) bool { return jc.SweepDelayNs < 0 },
-		err: func(jc *jsonCampaign) error {
-			return fmt.Errorf("faults: campaign JSON: sweepDelayNs = %d is negative", jc.SweepDelayNs)
-		},
-	},
-	{
-		name:    "per-switch-delay-non-negative",
-		applies: func(jc *jsonCampaign) bool { return jc.PerSwitchDelayNs < 0 },
-		err: func(jc *jsonCampaign) error {
-			return fmt.Errorf("faults: campaign JSON: perSwitchDelayNs = %d is negative", jc.PerSwitchDelayNs)
-		},
-	},
-	{
-		name: "watchdog-non-negative",
-		applies: func(jc *jsonCampaign) bool {
-			return jc.Watchdog != nil && (jc.Watchdog.SampleEveryNs < 0 || jc.Watchdog.HorizonNs < 0)
-		},
-		err: func(jc *jsonCampaign) error {
-			return fmt.Errorf("faults: campaign JSON: watchdog {sampleEveryNs=%d, horizonNs=%d} has a negative field",
-				jc.Watchdog.SampleEveryNs, jc.Watchdog.HorizonNs)
-		},
-	},
-	{
-		name: "schedules-something",
-		applies: func(jc *jsonCampaign) bool {
-			return len(jc.Events) == 0 && jc.RandomFlaps == nil
-		},
-		err: func(jc *jsonCampaign) error {
-			return fmt.Errorf("faults: campaign JSON schedules no events")
-		},
-	},
+	for i, e := range jc.Events {
+		if e.AtNs < 0 {
+			return fmt.Errorf(pre+"events[%d].atNs = %d is negative", i, e.AtNs)
+		}
+	}
+	if rf := jc.RandomFlaps; rf != nil {
+		switch {
+		case rf.N <= 0:
+			return fmt.Errorf(pre+"randomFlaps.n = %d must be positive", rf.N)
+		case rf.DownForNs <= 0:
+			return fmt.Errorf(pre+"randomFlaps.downForNs = %d must be positive", rf.DownForNs)
+		case rf.FromNs < 0 || rf.ToNs <= rf.FromNs:
+			return fmt.Errorf(pre+"randomFlaps window [fromNs=%d, toNs=%d) is empty or negative", rf.FromNs, rf.ToNs)
+		}
+	}
+	switch {
+	case jc.AutoReconfigNs < 0:
+		return fmt.Errorf(pre+"autoReconfigNs = %d is negative", jc.AutoReconfigNs)
+	case jc.SweepDelayNs < 0:
+		return fmt.Errorf(pre+"sweepDelayNs = %d is negative", jc.SweepDelayNs)
+	case jc.PerSwitchDelayNs < 0:
+		return fmt.Errorf(pre+"perSwitchDelayNs = %d is negative", jc.PerSwitchDelayNs)
+	}
+	if wd := jc.Watchdog; wd != nil && (wd.SampleEveryNs < 0 || wd.HorizonNs < 0) {
+		return fmt.Errorf(pre+"watchdog {sampleEveryNs=%d, horizonNs=%d} has a negative field", wd.SampleEveryNs, wd.HorizonNs)
+	}
+	if len(jc.Events) == 0 && jc.RandomFlaps == nil {
+		return fmt.Errorf("faults: campaign JSON schedules no events")
+	}
+	return nil
 }
 
 // lineCol converts a byte offset into 1-based line:column for decoder
@@ -448,8 +382,8 @@ func decodeErr(data []byte, dec *json.Decoder, err error) error {
 // ParseJSON decodes the JSON-file campaign format strictly: unknown
 // fields, non-JSON numbers (NaN/Infinity), fractional or overflowing
 // times and trailing garbage are rejected with the position where
-// decoding stopped; decoded values then pass the ordered jsonRules
-// validation table, whose errors name the offending JSON path. A
+// decoding stopped; decoded values then pass validate, whose errors
+// name the offending JSON path. A
 // malformed campaign fails loudly here instead of silently zeroing
 // fields and simulating the wrong failure schedule.
 func ParseJSON(data []byte) (*Campaign, error) {
@@ -463,10 +397,8 @@ func ParseJSON(data []byte) (*Campaign, error) {
 		line, col := lineCol(data, dec.InputOffset())
 		return nil, fmt.Errorf("faults: bad campaign JSON at line %d col %d: trailing data after campaign object", line, col)
 	}
-	for _, r := range jsonRules {
-		if r.applies(&jc) {
-			return nil, r.err(&jc)
-		}
+	if err := jc.validate(); err != nil {
+		return nil, err
 	}
 	c := &Campaign{
 		AutoReconfig:   sim.Time(jc.AutoReconfigNs),
@@ -474,7 +406,7 @@ func ParseJSON(data []byte) (*Campaign, error) {
 		PerSwitchDelay: sim.Time(jc.PerSwitchDelayNs),
 	}
 	for _, e := range jc.Events {
-		k, _ := parseKind(e.Kind) // kind validated by the rules table
+		k, _ := parseKind(e.Kind) // kind checked by validate
 		c.Events = append(c.Events, Event{At: sim.Time(e.AtNs), Kind: k, A: e.A, B: e.B, Switch: e.Switch})
 	}
 	if jc.RandomFlaps != nil {

@@ -1,6 +1,9 @@
 package routing
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // This file implements the channel dependency graph (CDG) analysis
 // used to verify deadlock freedom. Following Duato's theory (which §3
@@ -20,9 +23,6 @@ import "fmt"
 // with (c/n, c%n); FormatCycle renders them.
 func ChannelID(a, b, n int) int { return a*n + b }
 
-// channelID is the package-internal alias kept for existing callers.
-func channelID(a, b, n int) int { return ChannelID(a, b, n) }
-
 // CDGFromNextHops builds a channel dependency graph from an arbitrary
 // next-hop relation: for every destination d in [0, numDests) and
 // switch s, next(s, d) returns the next switch on the escape path
@@ -32,7 +32,8 @@ func channelID(a, b, n int) int { return ChannelID(a, b, n) }
 // (s→m) → (m→x). The runtime auditor uses this against the LIVE
 // forwarding tables (destinations are hosts, next hops read from the
 // programmed escape slots); EscapeCDG uses it against a computed
-// up*/down* routing (destinations are switches).
+// up*/down* routing (destinations are switches). Each successor list
+// is sorted, so FindCycle's result does not depend on map order.
 func CDGFromNextHops(numSwitches, numDests int, next func(s, d int) (int, bool)) map[int][]int {
 	depSet := make(map[int]map[int]bool)
 	for d := 0; d < numDests; d++ {
@@ -58,6 +59,7 @@ func CDGFromNextHops(numSwitches, numDests int, next func(s, d int) (int, bool))
 		for c2 := range set {
 			dep[c] = append(dep[c], c2)
 		}
+		sort.Ints(dep[c])
 	}
 	return dep
 }
@@ -82,7 +84,9 @@ func EscapeCDG(det *Deterministic) map[int][]int {
 }
 
 // FindCycle returns a cycle in the dependency graph as a channel-ID
-// sequence (first == last), or nil if the graph is acyclic.
+// sequence (first == last), or nil if the graph is acyclic. The search
+// starts from channels in ascending ID and follows successors in list
+// order, so one graph always yields the same cycle.
 func FindCycle(dep map[int][]int) []int {
 	const (
 		white = 0 // unvisited
@@ -111,7 +115,12 @@ func FindCycle(dep map[int][]int) []int {
 		color[c] = black
 		return false
 	}
+	starts := make([]int, 0, len(dep))
 	for c := range dep {
+		starts = append(starts, c)
+	}
+	sort.Ints(starts)
+	for _, c := range starts {
 		if color[c] == white && dfs(c) {
 			// Reconstruct the cycle by walking parents back from
 			// cycleEnd to cycleStart.

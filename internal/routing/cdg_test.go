@@ -59,6 +59,35 @@ func TestFindCycleSelfLoop(t *testing.T) {
 	}
 }
 
+// TestFindCycleDeterministic: the cycle reported for a cyclic CDG
+// must not depend on map iteration order. First-minimal-hop tables on
+// an irregular 16-switch network carry cyclic dependencies; twenty
+// builds and searches must name one cycle.
+func TestFindCycleDeterministic(t *testing.T) {
+	top := irregular(t, 16, 4, 1)
+	fa := NewFA(mustUD(t, top).Tables())
+	n := top.NumSwitches
+	firstMinimal := func(s, d int) (int, bool) {
+		if opts := fa.Options(s, d, 1); len(opts) > 0 {
+			return opts[0], true
+		}
+		return 0, false
+	}
+	var want string
+	for i := 0; i < 20; i++ {
+		cycle := FindCycle(CDGFromNextHops(n, n, firstMinimal))
+		if cycle == nil {
+			t.Fatal("first-minimal-hop tables gave an acyclic CDG")
+		}
+		got := FormatCycle(cycle, n)
+		if i == 0 {
+			want = got
+		} else if got != want {
+			t.Fatalf("call %d reported%s, call 0%s", i, got, want)
+		}
+	}
+}
+
 func TestFindCycleEmpty(t *testing.T) {
 	if c := FindCycle(map[int][]int{}); c != nil {
 		t.Fatalf("cycle %v in empty graph", c)
@@ -80,8 +109,8 @@ func TestEscapeCDGCoversUsedChannels(t *testing.T) {
 			if m == d {
 				continue
 			}
-			c1 := channelID(s, m, n)
-			c2 := channelID(m, det.NextHop[m][d], n)
+			c1 := ChannelID(s, m, n)
+			c2 := ChannelID(m, det.NextHop[m][d], n)
 			found := false
 			for _, c := range dep[c1] {
 				if c == c2 {

@@ -59,18 +59,21 @@ go test -count=1 -run 'TestTracingDoesNotPerturbExecution' -v ./internal/experim
 echo "==> determinism golden with the scan arbiter (rescan oracle reproduces the artifact)"
 go test -count=1 -run 'TestFigure3GoldenScanArb' -v ./internal/experiments/
 
-echo "==> wake-arbiter differential (wake vs scan bit-exact; tamper forces scan)"
+echo "==> wake-arbiter differential (wake vs scan bit-exact, also while tamper models and mutation hooks fire)"
 # The experiments matrix covers wheel geometries, both schedulers,
 # -check, two fault campaigns (one with send-timeout retries) and a
-# hot-spot contention storm; the fabric tests pin the runtime
-# arm/disarm transitions and the lockstep rr-parity property. The
+# hot-spot contention storm; the fabric tests pin the arbiter choice
+# and the lockstep rr-parity property; TestArbWakeExactUnderTamper
+# compares the two arbiters' audit reports, event counts and fault
+# totals while tamper models and mutation hooks fire mid-run. The
 # ZeroAllocs gate above already holds both arbiters to 0 allocs/op
 # (TestSwitchHopZeroAllocsScanArb and the congested wake-path burst
 # TestArbWakeZeroAllocsCongested match its pattern).
 go test -count=1 -run 'TestArb' -v ./internal/fabric/
 go test -race -count=1 -run 'TestArb' -v ./internal/experiments/
+go test -count=1 -run 'TestArbWakeExactUnderTamper' -v ./internal/check/
 
-echo "==> mutation smoke (every seeded model break trips its named invariant)"
+echo "==> mutation smoke (every seeded model break trips its named invariant under both arbiters)"
 go test -count=1 -run 'TestMutation' -v ./internal/check/
 
 echo "==> topology fuzz corpus (Figure 3 geometries route deadlock-free)"
