@@ -25,7 +25,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"ibasim/internal/campaign"
 )
@@ -39,9 +38,53 @@ func usage(w io.Writer) {
 	fmt.Fprintln(w, "  worker (internal; job JSON on stdin, artifact on stdout)")
 }
 
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "ibcamp:", err)
-	os.Exit(1)
+func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
+
+// run is main with its environment injected so tests can drive the
+// command end to end. It returns the exit code: 0 on success, 1 when
+// the command fails (after an "ibcamp: ..." line on stderr), 2 on a
+// usage error, 3 when an interrupted campaign can be resumed.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	if len(args) < 1 {
+		usage(stderr)
+		return 2
+	}
+	switch args[0] {
+	case "run":
+		return cmdRun(args[1:], stdout, stderr)
+	case "expand":
+		return cmdExpand(args[1:], stdout, stderr)
+	case "verify":
+		return cmdVerify(args[1:], stdout, stderr)
+	case "worker":
+		return campaign.WorkerMain(stdin, stdout, stderr)
+	case "-h", "-help", "--help", "help":
+		usage(stdout)
+		return 0
+	default:
+		fmt.Fprintf(stderr, "ibcamp: unknown command %q\n", args[0])
+		usage(stderr)
+		return 2
+	}
+}
+
+func fail(stderr io.Writer, err error) int {
+	fmt.Fprintln(stderr, "ibcamp:", err)
+	return 1
+}
+
+// parse parses a subcommand's flags the way flag.ExitOnError would
+// exit: ok is false after -h (code 0) or a bad flag (code 2).
+func parse(fs *flag.FlagSet, args []string, stderr io.Writer) (code int, ok bool) {
+	fs.SetOutput(stderr)
+	switch err := fs.Parse(args); {
+	case err == nil:
+		return 0, true
+	case errors.Is(err, flag.ErrHelp):
+		return 0, false
+	default:
+		return 2, false
+	}
 }
 
 func loadPlan(specPath string) (*campaign.Plan, error) {
@@ -56,99 +99,113 @@ func loadPlan(specPath string) (*campaign.Plan, error) {
 	return spec.Expand()
 }
 
-func cmdRun(args []string) {
-	fs := flag.NewFlagSet("ibcamp run", flag.ExitOnError)
+func cmdRun(args []string, stdout, stderr io.Writer) int {
+	def := campaign.DefaultOptions()
+	fs := flag.NewFlagSet("ibcamp run", flag.ContinueOnError)
 	specPath := fs.String("spec", "", "campaign spec JSON file")
 	storeDir := fs.String("store", "", "result store directory (created if missing)")
-	workers := fs.Int("workers", 2, "concurrent worker processes")
-	timeout := fs.Duration("timeout", 5*time.Minute, "per-attempt wall-clock limit")
-	retries := fs.Int("retries", 2, "retries per job after the first attempt")
-	backoff := fs.Duration("backoff", 250*time.Millisecond, "base retry backoff (doubles per attempt, jittered)")
-	backoffMax := fs.Duration("backoff-max", 10*time.Second, "retry backoff ceiling")
-	hungAfter := fs.Duration("hung-after", 10*time.Second, "kill a worker silent this long")
+	workers := fs.Int("workers", def.Workers, "concurrent worker processes")
+	timeout := fs.Duration("timeout", def.Timeout, "per-attempt wall-clock limit")
+	retries := fs.Int("retries", def.Retries, "retries per job after the first attempt")
+	backoff := fs.Duration("backoff", def.BackoffBase, "base retry backoff (doubles per attempt, jittered)")
+	backoffMax := fs.Duration("backoff-max", def.BackoffMax, "retry backoff ceiling")
+	hungAfter := fs.Duration("hung-after", def.HungAfter, "kill a worker silent this long")
 	degrade := fs.Bool("degrade", false, "aggregate partial results, annotating missing seeds per cell")
 	quiet := fs.Bool("q", false, "suppress progress output")
-	fs.Parse(args)
+	if code, ok := parse(fs, args, stderr); !ok {
+		return code
+	}
 	if *specPath == "" || *storeDir == "" {
-		fail(errors.New("run needs -spec and -store"))
+		return fail(stderr, errors.New("run needs -spec and -store"))
 	}
 	plan, err := loadPlan(*specPath)
 	if err != nil {
-		fail(err)
+		return fail(stderr, err)
 	}
 	store, err := campaign.Open(*storeDir)
 	if err != nil {
-		fail(err)
+		return fail(stderr, err)
 	}
-	var log io.Writer = os.Stderr
+	log := stderr
 	if *quiet {
 		log = io.Discard
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	rep, err := campaign.Run(ctx, plan, store, campaign.Options{
+	opts := campaign.Options{
 		Workers: *workers, Timeout: *timeout, Retries: *retries,
 		BackoffBase: *backoff, BackoffMax: *backoffMax, HungAfter: *hungAfter,
 		Degrade: *degrade, Log: log,
-	})
+	}
+	if *retries == 0 {
+		opts.Retries = -1 // Options reads 0 as the default
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	rep, err := campaign.Run(ctx, plan, store, opts)
 	if err != nil {
 		if rep != nil && ctx.Err() != nil {
-			fmt.Fprintln(os.Stderr, "ibcamp:", err)
-			fmt.Fprintln(os.Stderr, "ibcamp: completed jobs are stored; rerun the same command to resume")
-			os.Exit(3)
+			fmt.Fprintln(stderr, "ibcamp:", err)
+			fmt.Fprintln(stderr, "ibcamp: completed jobs are stored; rerun the same command to resume")
+			return 3
 		}
-		fail(err)
+		return fail(stderr, err)
 	}
-	if err := rep.Table.Write(os.Stdout); err != nil {
-		fail(err)
+	if err := rep.Table.Write(stdout); err != nil {
+		return fail(stderr, err)
 	}
-	fmt.Fprintf(os.Stderr, "ibcamp: done: %d job(s) — %d run, %d cached, %d retried attempt(s)\n",
+	fmt.Fprintf(stderr, "ibcamp: done: %d job(s) — %d run, %d cached, %d retried attempt(s)\n",
 		len(rep.Outcomes), rep.Done, rep.Cached, rep.Retried)
+	return 0
 }
 
-func cmdExpand(args []string) {
-	fs := flag.NewFlagSet("ibcamp expand", flag.ExitOnError)
+func cmdExpand(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ibcamp expand", flag.ContinueOnError)
 	specPath := fs.String("spec", "", "campaign spec JSON file")
-	fs.Parse(args)
+	if code, ok := parse(fs, args, stderr); !ok {
+		return code
+	}
 	if *specPath == "" {
-		fail(errors.New("expand needs -spec"))
+		return fail(stderr, errors.New("expand needs -spec"))
 	}
 	plan, err := loadPlan(*specPath)
 	if err != nil {
-		fail(err)
+		return fail(stderr, err)
 	}
-	fmt.Printf("# campaign %s: %d job(s), %d group(s)\n", plan.Spec.Name, len(plan.Jobs), len(plan.Groups))
-	fmt.Println("# hash\tsize\tpkt\tpattern\tfrac\tload\tseed")
+	fmt.Fprintf(stdout, "# campaign %s: %d job(s), %d group(s)\n", plan.Spec.Name, len(plan.Jobs), len(plan.Groups))
+	fmt.Fprintln(stdout, "# hash\tsize\tpkt\tpattern\tfrac\tload\tseed")
 	for _, j := range plan.Jobs {
 		s := j.Spec
-		fmt.Printf("%s\t%d\t%d\t%s\t%.2f\t%.4f\t%d\n",
+		fmt.Fprintf(stdout, "%s\t%d\t%d\t%s\t%.2f\t%.4f\t%d\n",
 			j.Hash, s.Switches, s.PacketSize, s.Pattern.String(), s.AdaptiveFraction, s.Load, s.Seed)
 	}
+	return 0
 }
 
-func cmdVerify(args []string) {
-	fs := flag.NewFlagSet("ibcamp verify", flag.ExitOnError)
+func cmdVerify(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ibcamp verify", flag.ContinueOnError)
 	storeDir := fs.String("store", "", "result store directory")
-	fs.Parse(args)
+	if code, ok := parse(fs, args, stderr); !ok {
+		return code
+	}
 	if *storeDir == "" {
-		fail(errors.New("verify needs -store"))
+		return fail(stderr, errors.New("verify needs -store"))
 	}
 	store, err := campaign.Open(*storeDir)
 	if err != nil {
-		fail(err)
+		return fail(stderr, err)
 	}
 	entries, torn, err := store.Verify()
 	if err != nil {
-		fail(err)
+		return fail(stderr, err)
 	}
-	fmt.Printf("store %s: %d verified entr%s, %d torn temp file(s)\n",
+	fmt.Fprintf(stdout, "store %s: %d verified entr%s, %d torn temp file(s)\n",
 		*storeDir, entries, plural(entries, "y", "ies"), len(torn))
 	for _, t := range torn {
-		fmt.Println("torn:", t)
+		fmt.Fprintln(stdout, "torn:", t)
 	}
 	if len(torn) > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 func plural(n int, one, many string) string {
@@ -156,27 +213,4 @@ func plural(n int, one, many string) string {
 		return one
 	}
 	return many
-}
-
-func main() {
-	if len(os.Args) < 2 {
-		usage(os.Stderr)
-		os.Exit(2)
-	}
-	switch os.Args[1] {
-	case "run":
-		cmdRun(os.Args[2:])
-	case "expand":
-		cmdExpand(os.Args[2:])
-	case "verify":
-		cmdVerify(os.Args[2:])
-	case "worker":
-		os.Exit(campaign.WorkerMain(os.Stdin, os.Stdout, os.Stderr))
-	case "-h", "-help", "--help", "help":
-		usage(os.Stdout)
-	default:
-		fmt.Fprintf(os.Stderr, "ibcamp: unknown command %q\n", os.Args[1])
-		usage(os.Stderr)
-		os.Exit(2)
-	}
 }

@@ -1,0 +1,83 @@
+package main
+
+import (
+	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestMain doubles as a failing worker: the coordinator re-execs its
+// own executable as "<exe> worker", which under test is this binary.
+// Every attempt then fails at once, so the tests can count attempts
+// without depending on timing.
+func TestMain(m *testing.M) {
+	if len(os.Args) > 1 && os.Args[1] == "worker" {
+		fmt.Fprintln(os.Stderr, "ibcamp test worker: induced failure")
+		os.Exit(1)
+	}
+	os.Exit(m.Run())
+}
+
+// oneJobSpec writes a campaign spec that expands to a single job.
+func oneJobSpec(t *testing.T) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "camp.json")
+	spec := `{"name":"one","sizes":[8],"links":4,"mr":2,"packetSizes":[32],"loadLo":0.01,"loadHi":0.01}`
+	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestRunRetries pins -retries N to N retries after the first attempt:
+// -retries 0 makes one attempt, not the default budget.
+func TestRunRetries(t *testing.T) {
+	for _, c := range []struct {
+		retries  string
+		attempts int
+	}{{"0", 1}, {"1", 2}, {"2", 3}} {
+		t.Run("retries="+c.retries, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			code := run([]string{"run", "-spec", oneJobSpec(t), "-store", t.TempDir(),
+				"-retries", c.retries, "-backoff", "1ms", "-backoff-max", "1ms"}, nil, &stdout, &stderr)
+			if code != 1 {
+				t.Fatalf("exit %d, want 1; stderr:\n%s", code, stderr.String())
+			}
+			if stdout.Len() != 0 {
+				t.Fatalf("a failed campaign wrote a table:\n%s", stdout.String())
+			}
+			log := stderr.String()
+			if got := strings.Count(log, "ibcamp test worker: induced failure"); got != c.attempts {
+				t.Fatalf("%d worker attempts, want %d; stderr:\n%s", got, c.attempts, log)
+			}
+			last := fmt.Sprintf("attempt %d/%d failed", c.attempts, c.attempts)
+			if !strings.Contains(log, last) {
+				t.Fatalf("stderr lacks %q:\n%s", last, log)
+			}
+		})
+	}
+}
+
+// TestUsage pins the exit codes of the command-line surface: no
+// command and an unknown command are usage errors, help succeeds.
+func TestUsage(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		code int
+	}{
+		{nil, 2},
+		{[]string{"bogus"}, 2},
+		{[]string{"help"}, 0},
+		{[]string{"run", "-h"}, 0},
+		{[]string{"run", "-no-such-flag"}, 2},
+		{[]string{"run"}, 1},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(c.args, nil, &stdout, &stderr); code != c.code {
+			t.Errorf("ibcamp %v: exit %d, want %d; stderr:\n%s", c.args, code, c.code, stderr.String())
+		}
+	}
+}

@@ -26,9 +26,6 @@ import (
 	"ibasim/internal/traffic"
 )
 
-// simTime converts a nanosecond count into the engine's time type.
-func simTime(ns int64) sim.Time { return sim.Time(ns) }
-
 // Config describes one simulation: topology shape, routing setup and
 // workload. Zero values are invalid; start from DefaultConfig.
 type Config struct {
@@ -132,105 +129,30 @@ func DefaultConfig() Config {
 	}
 }
 
-// Result reports the paper's observables for one run.
-type Result struct {
-	// OfferedPerSwitch and AcceptedPerSwitch are in bytes/ns/switch.
-	OfferedPerSwitch  float64
-	AcceptedPerSwitch float64
-	// AvgLatencyNs is the mean generation-to-delivery latency;
-	// P99LatencyNs bounds the 99th percentile.
-	AvgLatencyNs float64
-	P99LatencyNs float64
-	// PacketsMeasured counts packets in the measurement window.
-	PacketsMeasured uint64
-	// OutOfOrderFraction is the share of deliveries overtaken by a
-	// later packet of their (src, dst) flow — adaptivity's in-order
-	// cost (§1).
-	OutOfOrderFraction float64
-	// ReorderPeakHeld and ReorderAvgDelayNs describe the
-	// destination-side reorder buffer that would restore full
-	// ordering: peak packets parked and mean added delay.
-	ReorderPeakHeld   int
-	ReorderAvgDelayNs float64
-
-	// Degraded reports fault-campaign observables (drops by reason,
-	// retries, losses, staged-recovery latency, watchdog verdict).
-	// Zero unless Config.Faults ran a campaign.
-	Degraded Degraded
-
-	// Audit reports the invariant auditor's pass over the run.
-	Audit Audit
-}
+// Result reports the paper's observables for one run:
+// OfferedPerSwitch and AcceptedPerSwitch (bytes/ns/switch), the mean
+// and 99th-percentile latency, the out-of-order share and the
+// destination reorder buffer's cost, the host retry machinery's work
+// (Retry), the fault campaign's outcome (Degraded) and the invariant
+// auditor's verdict (Audit). It is the experiments layer's RunResult,
+// so the facade reports every field the harnesses compute.
+// ShardStats is always nil; it stays only so stored campaign
+// artifacts decode, and goes with the next change to the stored
+// result schema.
+type Result = experiments.RunResult
 
 // Audit summarizes the invariant auditor: how many per-hop admission
 // checks and heavy whole-fabric scans ran, and what they found.
-type Audit struct {
-	HopChecks  uint64
-	HeavyTicks uint64 // 0 unless Config.Check
-	Violations int
-	// First is the first violation's message ("" when clean).
-	First string
-}
+type Audit = experiments.AuditStats
 
-// Degraded reports how a run behaved under a fault campaign.
-type Degraded struct {
-	// FaultsInjected, Repairs and Reconfigs count executed failure
-	// events, repair events, and completed staged reconfigurations.
-	FaultsInjected int
-	Repairs        int
-	Reconfigs      int
+// Degraded reports how a run behaved under a fault campaign (drops by
+// reason, retries, losses, staged-recovery latency, watchdog verdict).
+// It is zero unless Config.Faults ran a campaign.
+type Degraded = experiments.DegradedStats
 
-	// Packet drops by reason, plus source-side retries and packets
-	// lost for good (retry budget exhausted).
-	DroppedUnroutable uint64
-	DroppedOnDeadPort uint64
-	DroppedTimeout    uint64
-	Retries           uint64
-	Lost              uint64
-
-	// RerouteDrops counts buffered packets staged recovery discarded.
-	RerouteDrops int
-
-	// RecoveryLatencyNs: first fault to first post-reconfiguration
-	// delivery; -1 if never observed.
-	RecoveryLatencyNs int64
-
-	// Watchdog verdict: audit ticks run, invariant breaches seen, and
-	// the first breach's message ("" when clean).
-	WatchdogSamples    uint64
-	WatchdogViolations int
-	FirstViolation     string
-}
-
-// Dropped sums the per-reason drop counters.
-func (d Degraded) Dropped() uint64 {
-	return d.DroppedUnroutable + d.DroppedOnDeadPort + d.DroppedTimeout
-}
-
-func degradedFrom(d experiments.DegradedStats) Degraded {
-	return Degraded{
-		FaultsInjected:     d.FaultsInjected,
-		Repairs:            d.Repairs,
-		Reconfigs:          d.Reconfigs,
-		DroppedUnroutable:  d.DroppedUnroutable,
-		DroppedOnDeadPort:  d.DroppedOnDeadPort,
-		DroppedTimeout:     d.DroppedTimeout,
-		Retries:            d.Retries,
-		Lost:               d.Lost,
-		RerouteDrops:       d.RerouteDrops,
-		RecoveryLatencyNs:  d.RecoveryLatencyNs,
-		WatchdogSamples:    d.WatchdogSamples,
-		WatchdogViolations: d.WatchdogViolations,
-		FirstViolation:     d.FirstViolation,
-	}
-}
-
-// Point is one load point of a sweep.
-type Point struct {
-	Offered    float64
-	Accepted   float64
-	AvgLatency float64
-}
+// Point is one load point of a sweep: offered and accepted traffic
+// (bytes/ns/switch) and mean latency (ns).
+type Point = experiments.SweepPoint
 
 // spec translates the public Config into an internal RunSpec. It
 // rejects an unsupported combination before building anything, so the
@@ -263,10 +185,12 @@ func (c Config) spec() (experiments.RunSpec, error) {
 	if err != nil {
 		return experiments.RunSpec{}, err
 	}
-	sc := experiments.QuickScale()
-	sc.Warmup = simTime(c.WarmupNs)
-	sc.Measure = simTime(c.MeasureNs)
-	sc.DrainGrace = simTime(c.DrainNs)
+	sc := experiments.Scale{
+		Warmup:     sim.Time(c.WarmupNs),
+		Measure:    sim.Time(c.MeasureNs),
+		DrainGrace: sim.Time(c.DrainNs),
+		Check:      c.Check,
+	}
 	mr := c.RoutingOptions
 	if c.SourceMultipath > mr {
 		mr = c.SourceMultipath // the LID block must hold every path
@@ -286,7 +210,6 @@ func (c Config) spec() (experiments.RunSpec, error) {
 		}
 		spec.Fabric.Split = split
 	}
-	spec.Check = c.Check
 	if c.Faults != "" {
 		camp, err := faults.Load(c.Faults)
 		if err != nil {
@@ -303,27 +226,6 @@ func patternFor(c Config, numHosts int) (traffic.Pattern, error) {
 	return experiments.BuildPattern(ps, numHosts, c.Seed)
 }
 
-// resultFrom converts an internal run result to the public shape.
-func resultFrom(res experiments.RunResult) Result {
-	return Result{
-		OfferedPerSwitch:   res.OfferedPerSwitch,
-		AcceptedPerSwitch:  res.AcceptedPerSwitch,
-		AvgLatencyNs:       res.AvgLatencyNs,
-		P99LatencyNs:       res.P99LatencyNs,
-		PacketsMeasured:    res.PacketsMeasured,
-		OutOfOrderFraction: res.OutOfOrderFraction,
-		ReorderPeakHeld:    res.ReorderPeakHeld,
-		ReorderAvgDelayNs:  res.ReorderAvgDelayNs,
-		Degraded:           degradedFrom(res.Degraded),
-		Audit: Audit{
-			HopChecks:  res.Audit.HopChecks,
-			HeavyTicks: res.Audit.HeavyTicks,
-			Violations: res.Audit.Violations,
-			First:      res.Audit.First,
-		},
-	}
-}
-
 // Simulate runs one simulation and returns its observables. Under a
 // fault campaign (Config.Faults) a non-nil error with a partial
 // Result means the campaign itself failed — e.g. a reconfiguration
@@ -333,11 +235,7 @@ func Simulate(c Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := experiments.Run(spec)
-	if err != nil {
-		return resultFrom(res), err
-	}
-	return resultFrom(res), nil
+	return experiments.Run(spec)
 }
 
 // TraceResult augments a Result with tracer aggregates.
@@ -370,7 +268,7 @@ func SimulateTraced(c Config, capacity int, w io.Writer) (TraceResult, error) {
 		}
 	}
 	return TraceResult{
-		Result:         resultFrom(res),
+		Result:         res,
 		AdaptiveShare:  rec.AdaptiveShare(),
 		EventsRecorded: rec.Total(),
 	}, nil
@@ -383,11 +281,7 @@ func Sweep(c Config, loads []float64) ([]Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Point, len(loads))
-	for i, p := range curves[0] {
-		out[i] = Point(p)
-	}
-	return out, nil
+	return curves[0], nil
 }
 
 // sweeps runs every configuration's load sweep on one worker pool.
@@ -405,15 +299,7 @@ func sweeps(loads []float64, cs ...Config) ([][]experiments.SweepPoint, error) {
 
 // Throughput reads the saturation throughput (max accepted traffic)
 // off a sweep.
-func Throughput(points []Point) float64 {
-	best := 0.0
-	for _, p := range points {
-		if p.Accepted > best {
-			best = p.Accepted
-		}
-	}
-	return best
-}
+func Throughput(points []Point) float64 { return experiments.Throughput(points) }
 
 // Loads builds a geometric per-host load grid, a convenient argument
 // for Sweep.

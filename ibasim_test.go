@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"ibasim/internal/fabric"
 )
 
 // tiny returns a fast test configuration.
@@ -210,5 +212,31 @@ func TestScaleValidation(t *testing.T) {
 	var buf bytes.Buffer
 	if err := RunTable2("bogus", 4, 3, &buf); err == nil {
 		t.Fatal("unknown scale accepted")
+	}
+}
+
+// TestSimulateReportsRetry: a fault campaign turns on the hosts'
+// send-timeout retry, and Simulate reports that machinery's work in
+// Result.Retry, consistent with the campaign's Degraded counters.
+func TestSimulateReportsRetry(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.TopologySeed, cfg.Seed = 4, 4
+	cfg.AdaptiveSwitches = false
+	cfg.AdaptiveFraction = 0
+	cfg.Load = 0.0525
+	cfg.WarmupNs = 30_000
+	cfg.MeasureNs = 150_000
+	cfg.DrainNs = 30_000
+	cfg.Faults = "rand:4:15000@50000-150000; autoreconfig:10000"
+	cfg.FaultSeed = 1
+	res, err := Simulate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(fabric.DefaultRetry().EffectiveBackoffCap()); res.Retry.BackoffCapNs != want {
+		t.Fatalf("Retry.BackoffCapNs = %d, want the default policy's cap %d", res.Retry.BackoffCapNs, want)
+	}
+	if res.Retry.Retries == 0 || res.Retry.Retries != res.Degraded.Retries {
+		t.Fatalf("Retry.Retries = %d, Degraded.Retries = %d: want equal and nonzero", res.Retry.Retries, res.Degraded.Retries)
 	}
 }

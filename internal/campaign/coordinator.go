@@ -20,28 +20,28 @@ import (
 	"ibasim/internal/sim"
 )
 
-// Options tunes the coordinator. The zero value is usable: every field
-// has a documented default.
+// Options tunes the coordinator. The zero value is usable: a zero
+// field takes its value from DefaultOptions.
 type Options struct {
-	// Workers is the number of concurrent worker processes (default 2).
+	// Workers is the number of concurrent worker processes.
 	Workers int
 	// Timeout is the per-attempt wall-clock budget; a worker past it is
-	// killed and the attempt counts as failed (default 5m).
+	// killed and the attempt counts as failed.
 	Timeout time.Duration
-	// Retries is the per-job retry budget after the first attempt
-	// (default 2, so up to 3 attempts).
+	// Retries is the per-job retry budget after the first attempt. Zero
+	// takes the default; a negative value means no retry.
 	Retries int
 	// BackoffBase/BackoffMax shape the exponential backoff between
 	// attempts: base doubles per retry, saturates at max, and a
 	// deterministic jitter (seeded from the job hash and attempt) keeps
-	// co-failing jobs from re-spawning in lockstep. Defaults 250ms/10s.
+	// co-failing jobs from re-spawning in lockstep.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
 	// HungAfter kills a worker whose stdout heartbeat goes silent this
-	// long (default 10s). This is the layer that catches SIGKILLed,
-	// OOM-killed and wedged processes; it sits above the per-job
-	// Timeout (live-lock) and the in-sim deadlock watchdog (model
-	// wedges), each of which catches what the others cannot.
+	// long. This is the layer that catches SIGKILLed, OOM-killed and
+	// wedged processes; it sits above the per-job Timeout (live-lock)
+	// and the in-sim deadlock watchdog (model wedges), each of which
+	// catches what the others cannot.
 	HungAfter time.Duration
 	// Degrade aggregates whatever completed instead of failing the
 	// campaign when jobs exhaust their retry budget; missing seeds are
@@ -68,26 +68,41 @@ type testHooks struct {
 	onHeartbeat func(hash string, attempt int, cmd *exec.Cmd)
 }
 
+// DefaultOptions returns the coordinator's defaults: 2 workers, a 5m
+// attempt timeout, 2 retries (so up to 3 attempts), 250ms backoff
+// doubling up to 10s, and a 10s heartbeat silence limit.
+func DefaultOptions() Options {
+	return Options{
+		Workers:     2,
+		Timeout:     5 * time.Minute,
+		Retries:     2,
+		BackoffBase: 250 * time.Millisecond,
+		BackoffMax:  10 * time.Second,
+		HungAfter:   10 * time.Second,
+	}
+}
+
 func (o Options) withDefaults() Options {
+	def := DefaultOptions()
 	if o.Workers <= 0 {
-		o.Workers = 2
+		o.Workers = def.Workers
 	}
 	if o.Timeout <= 0 {
-		o.Timeout = 5 * time.Minute
+		o.Timeout = def.Timeout
 	}
 	if o.Retries < 0 {
 		o.Retries = 0
 	} else if o.Retries == 0 {
-		o.Retries = 2
+		o.Retries = def.Retries
 	}
 	if o.BackoffBase <= 0 {
-		o.BackoffBase = 250 * time.Millisecond
+		o.BackoffBase = def.BackoffBase
 	}
 	if o.BackoffMax <= 0 {
-		o.BackoffMax = 10 * time.Second
+		o.BackoffMax = def.BackoffMax
 	}
 	if o.HungAfter <= 0 {
-		o.HungAfter = 10 * time.Second
+		o.HungAfter = def.HungAfter
 	}
 	if len(o.WorkerCmd) == 0 {
 		exe, err := os.Executable()

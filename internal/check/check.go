@@ -73,23 +73,16 @@ type Config struct {
 	// Heavy enables the periodic whole-fabric scans (credit audit,
 	// live-table escape-CDG acyclicity) on an engine tick.
 	Heavy bool
-	// Every is the heavy tick period (default 5_000 ns, matching the
-	// fault watchdog's sampling cadence).
-	Every sim.Time
-	// MaxViolations caps recorded violations so a systemic breach
-	// doesn't balloon memory (default 64); counting continues.
-	MaxViolations int
 }
 
-func (c Config) withDefaults() Config {
-	if c.Every <= 0 {
-		c.Every = 5_000
-	}
-	if c.MaxViolations <= 0 {
-		c.MaxViolations = 64
-	}
-	return c
-}
+const (
+	// heavyEvery is the heavy tick period, matching the fault
+	// watchdog's sampling cadence.
+	heavyEvery sim.Time = 5_000
+	// maxViolations caps recorded violations so a systemic breach
+	// doesn't balloon memory; counting continues.
+	maxViolations = 64
+)
 
 // Violation is one observed invariant breach.
 type Violation struct {
@@ -115,8 +108,8 @@ type Report struct {
 	// HeavyTicks counts whole-fabric scan ticks (0 unless Config.Heavy).
 	HeavyTicks uint64
 	// Violations lists recorded breaches: per-event (hook) findings
-	// first, then heavy-tick and finalize findings. ViolationCount
-	// keeps counting past the MaxViolations cap.
+	// first, then heavy-tick and finalize findings, at most 64 in all.
+	// ViolationCount keeps counting past the cap.
 	Violations     []Violation
 	ViolationCount uint64
 }
@@ -149,9 +142,9 @@ type findings struct {
 	count uint64
 }
 
-func (f *findings) add(v Violation, max int) {
+func (f *findings) add(v Violation) {
 	f.count++
-	if len(f.list) < max {
+	if len(f.list) < maxViolations {
 		f.list = append(f.list, v)
 	}
 }
@@ -159,9 +152,7 @@ func (f *findings) add(v Violation, max int) {
 // Auditor re-verifies model invariants from the fabric's observer
 // hooks. Build with Attach; read results with Finalize.
 type Auditor struct {
-	net *fabric.Network
-	cfg Config
-
+	net    *fabric.Network
 	ticker *sim.Ticker
 
 	// Per-event hook state: totals, the in-order check's per-flow
@@ -193,7 +184,6 @@ type Auditor struct {
 func Attach(net *fabric.Network, cfg Config) *Auditor {
 	a := &Auditor{
 		net:         net,
-		cfg:         cfg.withDefaults(),
 		lastDetSeq:  make(map[flowKey]uint64),
 		orderExempt: net.Cfg.SourceMultipath > 1 || net.Cfg.Retry.Enabled(),
 	}
@@ -216,8 +206,8 @@ func Attach(net *fabric.Network, cfg Config) *Auditor {
 		}
 		a.onHop(p, sw, out, adaptive)
 	}
-	if a.cfg.Heavy {
-		a.ticker = sim.NewTicker(net.Engine, a.cfg.Every, a.heavyTick)
+	if cfg.Heavy {
+		a.ticker = sim.NewTicker(net.Engine, heavyEvery, a.heavyTick)
 		a.ticker.Start()
 	}
 	return a
@@ -240,7 +230,7 @@ func (a *Auditor) onDelivered(p *ib.Packet) {
 			Invariant: InvDeterministicOrder,
 			Detail: fmt.Sprintf("flow %d->%d: deterministic packet seq %d delivered after seq %d",
 				p.Src, p.Dst, p.SeqNo, last),
-		}, a.cfg.MaxViolations)
+		})
 		return
 	}
 	a.lastDetSeq[k] = p.SeqNo
@@ -266,7 +256,7 @@ func (a *Auditor) onHop(p *ib.Packet, sw int, out ib.PortID, adaptive bool) {
 				Invariant: InvAdaptiveAdmission,
 				Detail: fmt.Sprintf("switch %d port %d: packet %d (%d credits) admitted adaptively with C_XY=%d, C_XYA=%d (C_0=%d)",
 					sw, out, p.ID, p.Credits(), pre, split.Adaptive(pre), split.CEscape),
-			}, a.cfg.MaxViolations)
+			})
 		}
 		return
 	}
@@ -276,32 +266,47 @@ func (a *Auditor) onHop(p *ib.Packet, sw int, out ib.PortID, adaptive bool) {
 			Invariant: InvEscapeAdmission,
 			Detail: fmt.Sprintf("switch %d port %d: packet %d (%d credits) sent with only %d credits available",
 				sw, out, p.ID, p.Credits(), pre),
-		}, a.cfg.MaxViolations)
+		})
 	}
 }
 
-func (a *Auditor) report(v Violation) { a.control.add(v, a.cfg.MaxViolations) }
+func (a *Auditor) report(v Violation) { a.control.add(v) }
 
 // heavyTick runs the whole-fabric scans. It follows the watchdog's
 // self-stop protocol: once nothing else is pending, the auditor is the
 // only thing left alive and stops rescheduling (reporting a deadlock
 // if packets are still buffered).
 func (a *Auditor) heavyTick(now sim.Time) (stop bool) {
-	a.net.AuditCredits(func(class, detail string) {
-		a.report(Violation{At: now, Invariant: class, Detail: detail})
-	})
+	a.net.AuditCredits(a.reporter(now))
 	a.checkEscapeCDG(now)
 	if a.net.Engine.Pending() == 0 {
-		if inFlight := a.net.InFlight(); inFlight > 0 {
-			a.report(Violation{
-				At:        now,
-				Invariant: InvDeadlock,
-				Detail:    fmt.Sprintf("event queue empty with %d packets in flight", inFlight),
-			})
-		}
+		a.checkDeadlock(now)
 		return true
 	}
 	return false
+}
+
+// reporter adapts the fabric's (class, detail) audit callbacks to
+// violations stamped at now.
+func (a *Auditor) reporter(now sim.Time) func(class, detail string) {
+	return func(class, detail string) {
+		a.report(Violation{At: now, Invariant: class, Detail: detail})
+	}
+}
+
+// checkDeadlock reports InvDeadlock when packets are still buffered;
+// callers invoke it once nothing else is pending. It returns the
+// in-flight count.
+func (a *Auditor) checkDeadlock(now sim.Time) int {
+	inFlight := a.net.InFlight()
+	if inFlight > 0 {
+		a.report(Violation{
+			At:        now,
+			Invariant: InvDeadlock,
+			Detail:    fmt.Sprintf("event queue empty with %d packets in flight", inFlight),
+		})
+	}
+	return inFlight
 }
 
 // Finalize stops the heavy ticker and runs the end-of-run checks,
@@ -332,28 +337,13 @@ func (a *Auditor) Finalize() Report {
 	a.hook.list = nil
 
 	now := a.net.Engine.Now()
-	split := a.net.Cfg.Split
-	if split.CEscape <= 0 || split.CEscape >= split.CMax || split.CMax != a.net.Cfg.BufferCredits {
-		a.report(Violation{
-			At:        now,
-			Invariant: InvCreditSplit,
-			Detail: fmt.Sprintf("split ill-formed: CMax=%d CEscape=%d BufferCredits=%d (want 0 < C_0 < CMax = BufferCredits)",
-				split.CMax, split.CEscape, a.net.Cfg.BufferCredits),
-		})
-	}
+	a.net.AuditSplit(a.reporter(now))
 	pending := a.net.Engine.Pending()
 	if a.ticker != nil && a.ticker.Scheduled() {
 		pending--
 	}
 	if pending == 0 {
-		inFlight := a.net.InFlight()
-		if inFlight > 0 {
-			a.report(Violation{
-				At:        now,
-				Invariant: InvDeadlock,
-				Detail:    fmt.Sprintf("event queue empty with %d packets in flight", inFlight),
-			})
-		}
+		inFlight := a.checkDeadlock(now)
 		lost := a.net.FaultTotals().Lost
 		if r.Created != r.Delivered+lost+uint64(inFlight) {
 			a.report(Violation{
@@ -373,7 +363,7 @@ func (a *Auditor) Finalize() Report {
 		r.HeavyTicks = a.ticker.Ticks()
 	}
 	r.ViolationCount += a.control.count
-	if room := a.cfg.MaxViolations - len(r.Violations); room > 0 {
+	if room := maxViolations - len(r.Violations); room > 0 {
 		if len(a.control.list) > room {
 			a.control.list = a.control.list[:room]
 		}

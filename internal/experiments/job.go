@@ -36,7 +36,6 @@ import (
 	"ibasim/internal/faults"
 	"ibasim/internal/sim"
 	"ibasim/internal/topology"
-	"ibasim/internal/traffic"
 )
 
 // topoFor regenerates the job's topology from its parameters; the
@@ -275,25 +274,19 @@ func (j JobSpec) Execute() (RunResult, error) {
 	if err != nil {
 		return RunResult{}, err
 	}
-	fcfg := fabric.DefaultConfig()
-	fcfg.AdaptiveSwitches = j.Enhanced
-	if j.Exec.Sched != "" {
-		kind, _ := sim.ParseScheduler(j.Exec.Sched) // Validate checked it
-		fcfg.EngineOpts = []sim.EngineOption{sim.WithScheduler(kind)}
-	}
-	fcfg.Arb = j.Exec.Arb
-	spec := RunSpec{
-		Topo:       topo,
-		LMC:        lmcFor(j.MR),
-		MR:         j.MR,
-		Fabric:     fcfg,
-		Traffic:    traffic.Config{Pattern: pattern, PacketSize: j.PacketSize, AdaptiveFraction: j.AdaptiveFraction, LoadBytesPerNsPerHost: j.Load, Seed: j.Seed},
+	sc := Scale{
 		Warmup:     sim.Time(j.WarmupNs),
 		Measure:    sim.Time(j.MeasureNs),
 		DrainGrace: sim.Time(j.DrainGraceNs),
-		Seed:       j.Seed,
 		Check:      j.Exec.Check,
+		Arb:        j.Exec.Arb,
 	}
+	if j.Exec.Sched != "" {
+		kind, _ := sim.ParseScheduler(j.Exec.Sched) // Validate checked it
+		sc.EngineOpts = []sim.EngineOption{sim.WithScheduler(kind)}
+	}
+	spec := sc.Spec(topo, j.MR, j.PacketSize, j.AdaptiveFraction, pattern, j.Seed, j.Enhanced)
+	spec.Traffic.LoadBytesPerNsPerHost = j.Load
 	if j.Faults != "" {
 		camp, err := faults.Parse(j.Faults)
 		if err != nil {

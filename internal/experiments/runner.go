@@ -71,11 +71,15 @@ type RunSpec struct {
 
 // RunResult is the paper's pair of observables plus bookkeeping.
 type RunResult struct {
+	// OfferedPerSwitch and AcceptedPerSwitch are in bytes/ns/switch.
 	OfferedPerSwitch  float64
 	AcceptedPerSwitch float64
-	AvgLatencyNs      float64
-	P99LatencyNs      float64
-	PacketsMeasured   uint64
+	// AvgLatencyNs is the mean generation-to-delivery latency;
+	// P99LatencyNs bounds the 99th percentile. PacketsMeasured counts
+	// the packets of the measurement window.
+	AvgLatencyNs    float64
+	P99LatencyNs    float64
+	PacketsMeasured uint64
 
 	// OutOfOrderFraction is the share of deliveries overtaken by a
 	// later packet of their flow — the in-order cost of adaptivity.
@@ -466,7 +470,8 @@ func lmcFor(mr int) uint {
 }
 
 // Spec assembles a RunSpec from the scale and explicit knobs; the
-// harnesses and the CLI build every run through it.
+// harnesses, the ibasim facade and campaign jobs (JobSpec.Execute)
+// build every run through it.
 func (sc Scale) Spec(topo *topology.Topology, mr, pktSize int, adaptiveFrac float64, pattern traffic.Pattern, seed uint64, enhanced bool) RunSpec {
 	fcfg := fabric.DefaultConfig()
 	fcfg.AdaptiveSwitches = enhanced

@@ -48,11 +48,7 @@ const (
 func (n *Network) AuditCredits(report func(class, detail string)) {
 	cmax := n.Cfg.BufferCredits
 	split := n.Cfg.Split
-	if split.CEscape <= 0 || split.CEscape >= split.CMax || split.CMax != cmax {
-		report(AuditCreditSplit, fmt.Sprintf(
-			"split ill-formed: CMax=%d CEscape=%d BufferCredits=%d (want 0 < C_0 < CMax = BufferCredits)",
-			split.CMax, split.CEscape, cmax))
-	}
+	n.AuditSplit(report)
 	check := func(o *outPort, owner string) {
 		if o == nil {
 			return
@@ -94,6 +90,18 @@ func (n *Network) AuditCredits(report func(class, detail string)) {
 	}
 	for _, h := range n.Hosts {
 		check(h.out, fmt.Sprintf("host %d", h.id))
+	}
+}
+
+// AuditSplit reports an ill-formed configured split: the §4.4 model
+// needs 0 < C_0 < CMax = BufferCredits.
+func (n *Network) AuditSplit(report func(class, detail string)) {
+	cmax := n.Cfg.BufferCredits
+	split := n.Cfg.Split
+	if split.CEscape <= 0 || split.CEscape >= split.CMax || split.CMax != cmax {
+		report(AuditCreditSplit, fmt.Sprintf(
+			"split ill-formed: CMax=%d CEscape=%d BufferCredits=%d (want 0 < C_0 < CMax = BufferCredits)",
+			split.CMax, split.CEscape, cmax))
 	}
 }
 

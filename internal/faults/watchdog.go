@@ -8,9 +8,9 @@ import (
 	"ibasim/internal/sim"
 )
 
-// WatchdogConfig controls the runtime invariant checkers. The zero
-// value disables the watchdog; withDefaults fills sampling parameters
-// for an enabled one.
+// WatchdogConfig controls the runtime invariant checkers. Every fault
+// campaign run starts the watchdog; a zero field takes its default
+// (5,000 ns sampling, 100,000 ns progress horizon).
 type WatchdogConfig struct {
 	// SampleEvery is the audit tick period.
 	SampleEvery sim.Time
@@ -22,9 +22,6 @@ type WatchdogConfig struct {
 	// runners recover it into an error).
 	Fatal bool
 }
-
-// Enabled reports whether the watchdog should run at all.
-func (c WatchdogConfig) Enabled() bool { return c.SampleEvery > 0 || c.Horizon > 0 }
 
 func (c WatchdogConfig) withDefaults() WatchdogConfig {
 	if c.SampleEvery <= 0 {

@@ -1,10 +1,6 @@
 package routing
 
-import (
-	"fmt"
-
-	"ibasim/internal/topology"
-)
+import "fmt"
 
 // FA is the Fully Adaptive routing function of §3: for each
 // (switch, destination switch) pair it provides
@@ -118,10 +114,4 @@ func (f *FA) OptionsHistogram(cap int) []int {
 		}
 	}
 	return hist
-}
-
-// MinimalPathExists reports whether dst is reachable from src (always
-// true on validated topologies; used by property tests).
-func MinimalPathExists(t *topology.Topology, src, dst int) bool {
-	return t.Distances(src)[dst] >= 0
 }

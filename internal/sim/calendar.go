@@ -312,9 +312,9 @@ func (q *calendarQueue) appendSlot(i int, e event) {
 
 // insertCurrent places e at its sorted position within the undrained
 // remainder of the cursor bucket. A locally scheduled event carries
-// the largest (schedAt, seq) issued so far, so among equal timestamps
-// it lands after every incumbent; the binary search on the full
-// (at, schedAt, seq) order places it exactly either way.
+// the largest seq issued so far, so among equal timestamps it lands
+// after every incumbent; the binary search on the full (at, seq)
+// order places it exactly either way.
 func (q *calendarQueue) insertCurrent(e event) {
 	s := q.slots[q.cur]
 	lo, hi := q.head, len(s)
@@ -335,14 +335,13 @@ func (q *calendarQueue) insertCurrent(e event) {
 // sortBucket puts bucket i in dispatch order with a stable counting
 // sort on at's offset inside the bucket, O(n + width). Ordering by at
 // alone is exact because of the append-order invariant: events that
-// share a timestamp already sit in (schedAt, seq) order. Pushes append
-// in seq order, schedAt never decreases as seq grows, and migrate
-// appends heap pops in ascending order (it runs only on an empty wheel,
-// so no pushed event precedes them in a bucket). A bucket already
-// non-decreasing in at is left as it is. Otherwise the sorted copy
-// goes to the scratch buffer, which then takes the bucket's place; the
-// old backing, cleared of its actions, becomes the next scratch, so a
-// warm queue sorts without allocating.
+// share a timestamp already sit in seq order. Pushes append in seq
+// order, and migrate appends heap pops in ascending order (it runs
+// only on an empty wheel, so no pushed event precedes them in a
+// bucket). A bucket already non-decreasing in at is left as it is.
+// Otherwise the sorted copy goes to the scratch buffer, which then
+// takes the bucket's place; the old backing, cleared of its actions,
+// becomes the next scratch, so a warm queue sorts without allocating.
 func (q *calendarQueue) sortBucket(i int) {
 	s := q.slots[i]
 	j := 1

@@ -31,13 +31,13 @@ func randomBucket(r *RNG, width Time, sorted bool) []event {
 			at = lo + Time(r.Intn(int(base+width-lo)))
 		}
 		at = max(at, lo)
-		s = append(s, event{at: at, key: eventKey(at, schedAt, uint64(seq)), act: nopAction{}})
+		s = append(s, event{at: at, seq: uint64(seq), act: nopAction{}})
 	}
 	return s
 }
 
 // TestSortBucketMatchesFullKeySort checks the counting sort against a
-// comparison sort on the full (at, schedAt, seq) key, for every bucket
+// comparison sort on the full (at, seq) key, for every bucket
 // width from 1 to 64 ns, on buckets built under the append-order
 // invariant. Already-sorted buckets must be left in place; sorted ones
 // must leave no action behind in the scratch buffer they trade with.

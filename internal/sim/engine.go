@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Engine is the discrete-event simulation core. Components schedule
 // callbacks at future simulated times; Run dispatches them in
@@ -17,15 +14,15 @@ type Engine struct {
 	running   bool
 
 	// imm is the immediate-event FIFO: delay-0 events scheduled while
-	// the engine is mid-dispatch. Such an event's packed key carries age
-	// ^(at-schedAt) = ^0, the maximum, so it provably orders after
-	// every same-timestamp event already in the queue (whose age fields
-	// are all smaller) and among its peers by sequence — i.e. exactly
-	// FIFO. Keeping them out of the wheel replaces a sorted-bucket
-	// insert and cursor pop per delay-0 event (the dominant event kind
-	// of a saturated switch: every coalesced allocation-pass kick) with
-	// a slice append and read. imm drains completely before Run
-	// returns.
+	// the engine is mid-dispatch. Every queued event sharing such an
+	// event's timestamp was scheduled before it (a mid-dispatch delay-0
+	// event never takes the queue path), so it carries a smaller seq and
+	// dispatches first; among themselves immediates dispatch in seq
+	// order, i.e. FIFO. Keeping them out of the wheel replaces a
+	// sorted-bucket insert and cursor pop per delay-0 event (the
+	// dominant event kind of a saturated switch: every coalesced
+	// allocation-pass kick) with a slice append and read. imm drains
+	// completely before Run returns.
 	imm     []event
 	immHead int
 }
@@ -112,24 +109,11 @@ func (e *Engine) AtAction(t Time, a Action) {
 		// Delay-0 mid-dispatch: goes to the immediate FIFO (see the imm
 		// field). Outside Run (setup code, Step) the event takes the
 		// queue path.
-		e.imm = append(e.imm, event{at: t, key: eventKey(t, e.now, e.nextSeq()), act: a})
-		return
+		e.imm = append(e.imm, event{at: t, seq: e.seq, act: a})
+	} else {
+		e.queue.push(event{at: t, seq: e.seq, act: a})
 	}
-	e.queue.push(event{at: t, key: eventKey(t, e.now, e.nextSeq()), act: a})
-}
-
-// nextSeq returns the engine's next event sequence number. The packed
-// event key stores it in 32 bits; one engine run would have to
-// schedule over four billion events to exhaust it — hours of wall
-// time beyond any experiment here — so exhaustion is a model bug
-// worth a loud stop rather than a silently wrapped dispatch order.
-func (e *Engine) nextSeq() uint64 {
-	if e.seq > math.MaxUint32 {
-		panic("sim: event sequence space exhausted (2^32 events in one engine)")
-	}
-	s := e.seq
 	e.seq++
-	return s
 }
 
 // Run dispatches events until the queue is empty or the next event is
@@ -149,8 +133,8 @@ func (e *Engine) Run(horizon Time) {
 }
 
 // dispatchLoop is Run's body: dispatch queue events due at or before
-// horizon, merging the immediate FIFO in at its exact
-// key position. An immediate is always at == now <= horizon (it was
+// horizon, merging the immediate FIFO in at its exact (at, seq)
+// position. An immediate is always at == now <= horizon (it was
 // appended while dispatching an event that passed the horizon check),
 // so the loop can never return while imm is nonempty — imm is provably
 // drained on exit.
@@ -159,10 +143,10 @@ func (e *Engine) dispatchLoop(horizon Time) {
 		if e.immHead < len(e.imm) {
 			ie := e.imm[e.immHead]
 			// A queue event sharing the timestamp dispatches first iff it
-			// orders before ie under the full key — which it does unless
-			// it is itself a delay-0 event scheduled after ie (impossible:
-			// mid-dispatch delay-0s all land in imm). hasEventAt is the
-			// cheap guard; popBefore settles the key comparison exactly.
+			// orders before ie — which it does, since it was scheduled
+			// before ie (mid-dispatch delay-0s all land in imm).
+			// hasEventAt is the cheap guard; popBefore settles the
+			// comparison exactly.
 			if e.queue.hasEventAt(e.now) {
 				if ev, ok := e.queue.popBefore(ie); ok {
 					e.now = ev.at

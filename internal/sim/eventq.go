@@ -1,7 +1,5 @@
 package sim
 
-import "math"
-
 // Action is a schedulable unit of work. The engine accepts either a
 // plain closure (Schedule/At) or an Action (ScheduleAction/AtAction);
 // the latter is the allocation-free fast path: components keep a pool
@@ -21,56 +19,26 @@ type funcAction func()
 
 func (f funcAction) Do() { f() }
 
-// event is a scheduled callback. The logical dispatch order is
-// (at, schedAt, seq) lexicographic: earlier timestamps first, equal
-// timestamps in schedule-time order, FIFO among events scheduled at
-// the same instant. Within one engine schedAt is nondecreasing in seq
-// (the clock never runs backwards), so the order coincides with the
-// (at, seq) order; the schedule distance in the key is what lets the
-// engine's immediate FIFO (delay-0 events, distance 0) merge with
-// queued events by one key comparison.
-//
-// The (schedAt, seq) tiebreak is packed into one word (see eventKey)
-// so the struct stays at 32 bytes and the comparator at two integer
-// compares: carrying schedAt as a third field measurably slowed the
-// comparison sort buckets used before the counting sort (~20% wall
-// time at 64 switches).
+// event is a scheduled callback. The dispatch order is (at, seq)
+// lexicographic: earlier timestamps first, equal timestamps in the
+// order they were scheduled. seq is the engine's event counter, unique
+// within an engine, so two distinct events never compare equal and
+// every scheduler implementation must realize the exact same sequence.
+// Within one engine the schedule time never decreases as seq grows
+// (the clock never runs backwards), so among equal timestamps seq
+// order is also schedule-time order.
 type event struct {
 	at  Time
-	key uint64
+	seq uint64
 	act Action
 }
 
-// eventKey packs (schedAt, seq) into a single uint64 that compares in
-// (schedAt ascending, seq ascending) order among events with equal
-// at: the high half holds the bit-inverted schedule distance
-// at-schedAt (older schedAt → larger distance → smaller inverted
-// half), the low half the engine's 32-bit sequence number.
-//
-// The distance saturates at MaxUint32 ns (~4.3 s of simulated time).
-// Saturation preserves the exact dispatch order: within one engine
-// schedAt is nondecreasing in seq, so ties created by the clamp fall
-// back to seq, which already equals schedule order. Nothing in the
-// model schedules seconds ahead — the clamp is a safety rail, not a
-// working regime.
-func eventKey(at, schedAt Time, seq uint64) uint64 {
-	delta := uint64(at - schedAt)
-	if delta > math.MaxUint32 {
-		delta = math.MaxUint32
-	}
-	return uint64(^uint32(delta))<<32 | seq
-}
-
-// eventLess is the engine's total dispatch order: (at, schedAt, seq)
-// lexicographic via the packed key. Sequence numbers are unique
-// within an engine, so two distinct events never compare equal and
-// every scheduler implementation must realize the exact same
-// sequence.
+// eventLess is the engine's total dispatch order: (at, seq).
 func eventLess(a, b event) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
-	return a.key < b.key
+	return a.seq < b.seq
 }
 
 // eventQueue is the scheduler contract the engine dispatches through.
@@ -97,7 +65,7 @@ type eventQueue interface {
 	// instead of two per dispatched event.
 	popAtMost(horizon Time) (event, bool)
 	// popBefore pops and returns the earliest event if it orders
-	// strictly before bound under the full (at, key) dispatch order.
+	// strictly before bound under the full (at, seq) dispatch order.
 	// The engine uses it to merge its immediate-event FIFO (see
 	// Engine.imm) against the queue.
 	popBefore(bound event) (event, bool)

@@ -31,7 +31,7 @@ func driveQueues(program []byte, slotBits, widthBits uint) error {
 	var seq uint64
 
 	push := func(at Time) error {
-		e := event{at: at, key: eventKey(at, now, seq), act: nopAction{}}
+		e := event{at: at, seq: seq, act: nopAction{}}
 		seq++
 		before := wheel.count
 		wheel.push(e)
@@ -54,8 +54,8 @@ func driveQueues(program []byte, slotBits, widthBits uint) error {
 			return nil
 		}
 		w, h := wheel.pop(), heap.pop()
-		if w.at != h.at || w.key != h.key {
-			return fmt.Errorf("pop: wheel (%v, %#x), heap (%v, %#x)", w.at, w.key, h.at, h.key)
+		if w.at != h.at || w.seq != h.seq {
+			return fmt.Errorf("pop: wheel (%v, %d), heap (%v, %d)", w.at, w.seq, h.at, h.seq)
 		}
 		now = w.at
 		return nil

@@ -1,6 +1,6 @@
 // Package trace records packet lifecycle events (creation, per-switch
 // forwarding, delivery) from a running fabric, for debugging routing
-// behaviour and for the ibsim -trace flag. The recorder keeps a
+// behaviour and for the ibsim -packet-trace flag. The recorder keeps a
 // bounded ring of events so tracing a saturated run cannot exhaust
 // memory.
 package trace

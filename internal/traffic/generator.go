@@ -42,17 +42,10 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// OfferedPerSwitch converts the per-host rate to the paper's
-// bytes/ns/switch unit.
-func (c Config) OfferedPerSwitch(hostsPerSwitch int) float64 {
-	return c.LoadBytesPerNsPerHost * float64(hostsPerSwitch)
-}
-
-// OfferedPerSwitchAvg is OfferedPerSwitch for non-uniform host
-// attachment: avgHosts is NumHosts/NumSwitches (fat-trees put hosts
-// only on the leaf row, so the average is fractional). For uniform
-// topologies the average is the exact integer and the result is
-// bit-identical to OfferedPerSwitch.
+// OfferedPerSwitchAvg converts the per-host rate to the paper's
+// bytes/ns/switch unit: avgHosts is NumHosts/NumSwitches, an integer
+// on uniform topologies and fractional on fat-trees, which put hosts
+// only on the leaf row.
 func (c Config) OfferedPerSwitchAvg(avgHosts float64) float64 {
 	return c.LoadBytesPerNsPerHost * avgHosts
 }

@@ -143,7 +143,7 @@ func TestConfigValidate(t *testing.T) {
 
 func TestOfferedPerSwitch(t *testing.T) {
 	c := Config{LoadBytesPerNsPerHost: 0.01}
-	if got := c.OfferedPerSwitch(4); math.Abs(got-0.04) > 1e-12 {
-		t.Fatalf("OfferedPerSwitch = %v, want 0.04", got)
+	if got := c.OfferedPerSwitchAvg(4); math.Abs(got-0.04) > 1e-12 {
+		t.Fatalf("OfferedPerSwitchAvg(4) = %v, want 0.04", got)
 	}
 }

@@ -40,6 +40,9 @@ echo "==> harness goldens (Table 1, motivation, fault table and the facade's swe
 go test -race -count=1 -run 'TestHarnessGoldens|TestLoadSweepsMatchSequential' -v ./internal/experiments/
 go test -race -count=1 -run 'TestHarnessGoldensFacade' -v .
 
+echo "==> facade result (ibasim.Result is the experiments RunResult: a fault run reports Retry)"
+go test -count=1 -run 'TestSimulateReportsRetry' -v .
+
 echo "==> bytes per generated packet (a saturated run keeps every packet; bound its memory slope)"
 go test -count=1 -run 'TestHotSpotBytesPerGeneratedPacket' -v ./internal/experiments/
 
@@ -117,6 +120,9 @@ go test -race -run 'TestCampaignSmokeCI' -v ./internal/faults/
 
 echo "==> crash-tolerance suite (SIGKILL mid-job, torn-store audit, byte-identical resume)"
 go test -race -count=1 -run 'TestWorkerSIGKILL|TestCampaign|TestResume|TestCorrupt|TestHungWorker|TestStore|TestParentArtifact' -v ./internal/campaign/
+
+echo "==> ibcamp command (-retries N makes N retries after the first attempt; exit codes)"
+go test -race -count=1 -run 'TestRunRetries|TestUsage' -v ./cmd/ibcamp/
 
 echo "==> crash loop (the coordinator is the store's only writer: no torn files under any kill timing)"
 go test -count=50 -run 'TestWorkerSIGKILL|TestHungWorker|TestInterruptedRun' ./internal/campaign/
