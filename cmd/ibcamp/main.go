@@ -99,7 +99,17 @@ func loadPlan(specPath string) (*campaign.Plan, error) {
 	return spec.Expand()
 }
 
-func cmdRun(args []string, stdout, stderr io.Writer) int {
+// runConfig is what the run command's flags ask for.
+type runConfig struct {
+	spec, store string
+	opts        campaign.Options
+}
+
+// parseRun parses the run command's flags; ok is false when the
+// command should exit with code at once. campaign.Options reads a zero
+// field as its default, but on the command line 0 retries, 0 backoff
+// and 0 backoff ceiling each mean none: no retry, no wait.
+func parseRun(args []string, stderr io.Writer) (rc runConfig, code int, ok bool) {
 	def := campaign.DefaultOptions()
 	fs := flag.NewFlagSet("ibcamp run", flag.ContinueOnError)
 	specPath := fs.String("spec", "", "campaign spec JSON file")
@@ -107,40 +117,54 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	workers := fs.Int("workers", def.Workers, "concurrent worker processes")
 	timeout := fs.Duration("timeout", def.Timeout, "per-attempt wall-clock limit")
 	retries := fs.Int("retries", def.Retries, "retries per job after the first attempt")
-	backoff := fs.Duration("backoff", def.BackoffBase, "base retry backoff (doubles per attempt, jittered)")
-	backoffMax := fs.Duration("backoff-max", def.BackoffMax, "retry backoff ceiling")
+	backoff := fs.Duration("backoff", def.BackoffBase, "base retry backoff (doubles per attempt, jittered; 0 = no wait)")
+	backoffMax := fs.Duration("backoff-max", def.BackoffMax, "retry backoff ceiling (0 = no wait)")
 	hungAfter := fs.Duration("hung-after", def.HungAfter, "kill a worker silent this long")
 	degrade := fs.Bool("degrade", false, "aggregate partial results, annotating missing seeds per cell")
 	quiet := fs.Bool("q", false, "suppress progress output")
 	if code, ok := parse(fs, args, stderr); !ok {
-		return code
-	}
-	if *specPath == "" || *storeDir == "" {
-		return fail(stderr, errors.New("run needs -spec and -store"))
-	}
-	plan, err := loadPlan(*specPath)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	store, err := campaign.Open(*storeDir)
-	if err != nil {
-		return fail(stderr, err)
+		return rc, code, false
 	}
 	log := stderr
 	if *quiet {
 		log = io.Discard
 	}
-	opts := campaign.Options{
+	rc = runConfig{spec: *specPath, store: *storeDir, opts: campaign.Options{
 		Workers: *workers, Timeout: *timeout, Retries: *retries,
 		BackoffBase: *backoff, BackoffMax: *backoffMax, HungAfter: *hungAfter,
 		Degrade: *degrade, Log: log,
-	}
+	}}
 	if *retries == 0 {
-		opts.Retries = -1 // Options reads 0 as the default
+		rc.opts.Retries = -1
+	}
+	if *backoff == 0 {
+		rc.opts.BackoffBase = -1
+	}
+	if *backoffMax == 0 {
+		rc.opts.BackoffMax = -1
+	}
+	return rc, 0, true
+}
+
+func cmdRun(args []string, stdout, stderr io.Writer) int {
+	rc, code, ok := parseRun(args, stderr)
+	if !ok {
+		return code
+	}
+	if rc.spec == "" || rc.store == "" {
+		return fail(stderr, errors.New("run needs -spec and -store"))
+	}
+	plan, err := loadPlan(rc.spec)
+	if err != nil {
+		return fail(stderr, err)
+	}
+	store, err := campaign.Open(rc.store)
+	if err != nil {
+		return fail(stderr, err)
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	rep, err := campaign.Run(ctx, plan, store, opts)
+	rep, err := campaign.Run(ctx, plan, store, rc.opts)
 	if err != nil {
 		if rep != nil && ctx.Err() != nil {
 			fmt.Fprintln(stderr, "ibcamp:", err)

@@ -3,10 +3,13 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"ibasim/internal/campaign"
 )
 
 // TestMain doubles as a failing worker: the coordinator re-execs its
@@ -58,6 +61,27 @@ func TestRunRetries(t *testing.T) {
 				t.Fatalf("stderr lacks %q:\n%s", last, log)
 			}
 		})
+	}
+}
+
+// TestRunZeroMeansNone pins how the run flags map onto
+// campaign.Options, which reads a zero field as its default: on the
+// command line 0 retries, 0 backoff and 0 backoff ceiling each ask for
+// none (a negative field), and flags left out keep the defaults.
+func TestRunZeroMeansNone(t *testing.T) {
+	rc, code, ok := parseRun([]string{"-retries", "0", "-backoff", "0", "-backoff-max", "0"}, io.Discard)
+	if !ok {
+		t.Fatalf("parse failed with exit %d", code)
+	}
+	if o := rc.opts; o.Retries >= 0 || o.BackoffBase >= 0 || o.BackoffMax >= 0 {
+		t.Fatalf("-retries 0 -backoff 0 -backoff-max 0 gave retries %d, backoff %v, ceiling %v; want all negative",
+			o.Retries, o.BackoffBase, o.BackoffMax)
+	}
+	rc, _, _ = parseRun(nil, io.Discard)
+	def := campaign.DefaultOptions()
+	if o := rc.opts; o.Retries != def.Retries || o.BackoffBase != def.BackoffBase || o.BackoffMax != def.BackoffMax {
+		t.Fatalf("no flags gave retries %d, backoff %v, ceiling %v; want the defaults %d, %v, %v",
+			o.Retries, o.BackoffBase, o.BackoffMax, def.Retries, def.BackoffBase, def.BackoffMax)
 	}
 }
 

@@ -431,6 +431,33 @@ func TestBackoffDelayDeterministicAndBounded(t *testing.T) {
 	}
 }
 
+// TestBackoffNoneWaitsZero pins the computed delay of a negative
+// backoff, which asks for none (ibcamp run -backoff 0 -backoff-max 0):
+// every retry waits exactly zero, while a zero field still takes the
+// default. The delay is computed, not timed.
+func TestBackoffNoneWaitsZero(t *testing.T) {
+	h := testHash(1)
+	for _, o := range []Options{
+		{BackoffBase: -1, BackoffMax: -1},
+		{BackoffBase: -1},
+		{BackoffMax: -1},
+	} {
+		d := o.withDefaults()
+		for attempt := 1; attempt <= 8; attempt++ {
+			if got := backoffDelay(h, attempt, d.BackoffBase, d.BackoffMax); got != 0 {
+				t.Fatalf("backoff %v, ceiling %v: attempt %d waits %v, want 0", o.BackoffBase, o.BackoffMax, attempt, got)
+			}
+		}
+	}
+	def := DefaultOptions()
+	if d := (Options{}).withDefaults(); d.BackoffBase != def.BackoffBase || d.BackoffMax != def.BackoffMax {
+		t.Fatalf("zero options: backoff %v, ceiling %v; want the defaults %v, %v", d.BackoffBase, d.BackoffMax, def.BackoffBase, def.BackoffMax)
+	}
+	if got := backoffDelay(h, 1, def.BackoffBase, def.BackoffMax); got < def.BackoffBase/2 {
+		t.Fatalf("default first retry waits %v, want at least %v", got, def.BackoffBase/2)
+	}
+}
+
 // parentArtifact is tinySpec's first job encoded by the simulator
 // before the sharded engine was removed. Stored artifacts carry the
 // "ShardStats":null key, so it must still decode under the strict

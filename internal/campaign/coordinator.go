@@ -34,7 +34,8 @@ type Options struct {
 	// BackoffBase/BackoffMax shape the exponential backoff between
 	// attempts: base doubles per retry, saturates at max, and a
 	// deterministic jitter (seeded from the job hash and attempt) keeps
-	// co-failing jobs from re-spawning in lockstep.
+	// co-failing jobs from re-spawning in lockstep. Zero takes the
+	// default; a negative value means no wait.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
 	// HungAfter kills a worker whose stdout heartbeat goes silent this
@@ -95,10 +96,14 @@ func (o Options) withDefaults() Options {
 	} else if o.Retries == 0 {
 		o.Retries = def.Retries
 	}
-	if o.BackoffBase <= 0 {
+	if o.BackoffBase < 0 {
+		o.BackoffBase = 0
+	} else if o.BackoffBase == 0 {
 		o.BackoffBase = def.BackoffBase
 	}
-	if o.BackoffMax <= 0 {
+	if o.BackoffMax < 0 {
+		o.BackoffMax = 0
+	} else if o.BackoffMax == 0 {
 		o.BackoffMax = def.BackoffMax
 	}
 	if o.HungAfter <= 0 {

@@ -156,8 +156,9 @@ type Auditor struct {
 	ticker *sim.Ticker
 
 	// Per-event hook state: totals, the in-order check's per-flow
-	// high-water marks, and the hook findings.
-	created    uint64
+	// high-water marks, and the hook findings. created0 is the
+	// network's creation count at Attach (see fabric.Network.Created).
+	created0   uint64
 	delivered  uint64
 	hopChecks  uint64
 	lastDetSeq map[flowKey]uint64
@@ -184,16 +185,11 @@ type Auditor struct {
 func Attach(net *fabric.Network, cfg Config) *Auditor {
 	a := &Auditor{
 		net:         net,
+		created0:    net.Created(),
 		lastDetSeq:  make(map[flowKey]uint64),
 		orderExempt: net.Cfg.SourceMultipath > 1 || net.Cfg.Retry.Enabled(),
 	}
-	prevCreated, prevDelivered, prevHop := net.OnCreated, net.OnDelivered, net.OnHop
-	net.OnCreated = func(p *ib.Packet) {
-		if prevCreated != nil {
-			prevCreated(p)
-		}
-		a.created++
-	}
+	prevDelivered, prevHop := net.OnDelivered, net.OnHop
 	net.OnDelivered = func(p *ib.Packet) {
 		if prevDelivered != nil {
 			prevDelivered(p)
@@ -328,7 +324,7 @@ func (a *Auditor) Finalize() Report {
 		a.ticker.Stop()
 	}
 	r := Report{
-		Created:        a.created,
+		Created:        a.net.Created() - a.created0,
 		Delivered:      a.delivered,
 		HopChecks:      a.hopChecks,
 		ViolationCount: a.hook.count,

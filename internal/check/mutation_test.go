@@ -112,6 +112,44 @@ func TestMutationBaseline(t *testing.T) {
 	})
 }
 
+// TestReportCreatedCountsGeneratedAndInjected pins the auditor's
+// creation count, the left side of InvPacketConservation: on a drained
+// run it equals the packets the generator made plus those injected,
+// and every one of them was delivered. The auditor reads the count
+// from the network, so attaching it sets no OnCreated hook and a
+// generated packet is never built just to be counted.
+func TestReportCreatedCountsGeneratedAndInjected(t *testing.T) {
+	net := irregularNet(t, fabric.ArbWake, 8, 1, 2)
+	aud := check.Attach(net, check.Config{})
+	if net.OnCreated != nil {
+		t.Fatal("attaching the auditor set OnCreated")
+	}
+	hosts := net.Topo.NumHosts()
+	gen, err := traffic.NewGenerator(net, traffic.Config{
+		Pattern: traffic.Uniform{NumHosts: hosts}, PacketSize: 64,
+		AdaptiveFraction: 0.5, LoadBytesPerNsPerHost: 0.05, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen.Start(20_000)
+	const injected = 40
+	for i := 0; i < injected; i++ {
+		src, dst := i%hosts, (i*7+3)%hosts
+		net.Hosts[src].Inject(net.NewPacket(src, dst, 64, i%2 == 0))
+	}
+	net.Run(sim.Forever)
+	rep := aud.Finalize()
+	if rep.ViolationCount != 0 {
+		t.Fatalf("%d violations, first: %v", rep.ViolationCount, rep.Err())
+	}
+	want := gen.Generated() + injected
+	if gen.Generated() == 0 || rep.Created != want || rep.Delivered != want {
+		t.Fatalf("created %d, delivered %d; want %d each (%d generated + %d injected)",
+			rep.Created, rep.Delivered, want, gen.Generated(), injected)
+	}
+}
+
 // Mutation 1: forge credits a transmitter never earned (+delta). The
 // §4.4 counter now exceeds the physical buffer; the heavy scan's
 // bound check c <= CMax catches it.

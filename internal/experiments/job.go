@@ -76,20 +76,31 @@ type ExecSpec struct {
 // ("engine":"shard") fail here instead of silently running
 // sequentially.
 func (e ExecSpec) Validate() error {
+	_, err := e.engineOpts()
+	return err
+}
+
+// engineOpts validates the hints and returns the engine options they
+// select: none for the default scheduler, else the named one.
+func (e ExecSpec) engineOpts() ([]sim.EngineOption, error) {
 	switch e.Engine {
 	case "", "seq":
 	default:
-		return fmt.Errorf(`experiments: exec field "engine" is %q; the sequential engine "seq" is the only one`, e.Engine)
+		return nil, fmt.Errorf(`experiments: exec field "engine" is %q; the sequential engine "seq" is the only one`, e.Engine)
 	}
-	if _, err := sim.ParseScheduler(e.Sched); err != nil {
-		return fmt.Errorf(`experiments: exec field "sched": %v`, err)
+	kind, err := sim.ParseScheduler(e.Sched)
+	if err != nil {
+		return nil, fmt.Errorf(`experiments: exec field "sched": %v`, err)
 	}
 	switch e.Arb {
 	case "", fabric.ArbWake, fabric.ArbScan:
 	default:
-		return fmt.Errorf(`experiments: exec field "arb" is %q (want %q or %q)`, e.Arb, fabric.ArbWake, fabric.ArbScan)
+		return nil, fmt.Errorf(`experiments: exec field "arb" is %q (want %q or %q)`, e.Arb, fabric.ArbWake, fabric.ArbScan)
 	}
-	return nil
+	if e.Sched == "" {
+		return nil, nil
+	}
+	return []sim.EngineOption{sim.WithScheduler(kind)}, nil
 }
 
 // JobSpec describes one run completely. The zero value is invalid;
@@ -214,65 +225,80 @@ func (j JobSpec) Hash() string {
 // Validate checks the result-determining fields structurally, plus the
 // execution hints in Exec (ExecSpec.Validate).
 func (j JobSpec) Validate() error {
-	k := j // normalized view
-	k.Normalize()
-	if k.Schema != JobSchemaVersion {
-		return fmt.Errorf("experiments: job schema %d, this build speaks %d", k.Schema, JobSchemaVersion)
-	}
-	if k.Switches <= 0 || k.Links <= 0 || k.HostsPerSwitch <= 0 {
-		return fmt.Errorf("experiments: job topology %d switches / %d links / %d hosts-per-switch must be positive",
-			k.Switches, k.Links, k.HostsPerSwitch)
-	}
-	if k.MR < 1 {
-		return fmt.Errorf("experiments: job MR %d must be >= 1", k.MR)
-	}
-	if k.PacketSize <= 0 {
-		return fmt.Errorf("experiments: job packet size %d must be positive", k.PacketSize)
-	}
-	switch k.Pattern.Kind {
-	case "uniform", "bit-reversal":
-	case "hot-spot":
-		if math.IsNaN(k.Pattern.Fraction) || k.Pattern.Fraction <= 0 || k.Pattern.Fraction > 1 {
-			return fmt.Errorf("experiments: job hot-spot fraction %v out of (0,1]", k.Pattern.Fraction)
-		}
-	default:
-		return fmt.Errorf("experiments: job pattern %q unknown", k.Pattern.Kind)
-	}
-	if math.IsNaN(k.AdaptiveFraction) || k.AdaptiveFraction < 0 || k.AdaptiveFraction > 1 {
-		return fmt.Errorf("experiments: job adaptive fraction %v out of [0,1]", k.AdaptiveFraction)
-	}
-	if math.IsNaN(k.Load) || math.IsInf(k.Load, 0) || k.Load <= 0 {
-		return fmt.Errorf("experiments: job load %v must be positive and finite", k.Load)
-	}
-	if k.MeasureNs <= 0 {
-		return fmt.Errorf("experiments: job measurement window %dns must be positive", k.MeasureNs)
-	}
-	if k.WarmupNs < 0 || k.DrainGraceNs < 0 {
-		return fmt.Errorf("experiments: job warmup %dns / drain grace %dns must be non-negative", k.WarmupNs, k.DrainGraceNs)
-	}
-	if k.Faults != "" {
-		if _, err := faults.Parse(k.Faults); err != nil {
-			return fmt.Errorf("experiments: job fault spec: %w", err)
-		}
-	}
-	return k.Exec.Validate()
+	j.Normalize()
+	_, _, err := j.parse()
+	return err
 }
 
-// Execute runs the job and returns its result. The result serializes
-// identically whatever the Exec hints — the property that makes the
-// Exec-excluded content address sound.
-func (j JobSpec) Execute() (RunResult, error) {
+// parse validates a normalized job and returns what it parsed on the
+// way: the fault campaign (nil for a fault-free job) and the engine
+// options of Exec.
+func (j JobSpec) parse() (*faults.Campaign, []sim.EngineOption, error) {
+	if j.Schema != JobSchemaVersion {
+		return nil, nil, fmt.Errorf("experiments: job schema %d, this build speaks %d", j.Schema, JobSchemaVersion)
+	}
+	if j.Switches <= 0 || j.Links <= 0 || j.HostsPerSwitch <= 0 {
+		return nil, nil, fmt.Errorf("experiments: job topology %d switches / %d links / %d hosts-per-switch must be positive",
+			j.Switches, j.Links, j.HostsPerSwitch)
+	}
+	if j.MR < 1 {
+		return nil, nil, fmt.Errorf("experiments: job MR %d must be >= 1", j.MR)
+	}
+	if j.PacketSize <= 0 {
+		return nil, nil, fmt.Errorf("experiments: job packet size %d must be positive", j.PacketSize)
+	}
+	switch j.Pattern.Kind {
+	case "uniform", "bit-reversal":
+	case "hot-spot":
+		if math.IsNaN(j.Pattern.Fraction) || j.Pattern.Fraction <= 0 || j.Pattern.Fraction > 1 {
+			return nil, nil, fmt.Errorf("experiments: job hot-spot fraction %v out of (0,1]", j.Pattern.Fraction)
+		}
+	default:
+		return nil, nil, fmt.Errorf("experiments: job pattern %q unknown", j.Pattern.Kind)
+	}
+	if math.IsNaN(j.AdaptiveFraction) || j.AdaptiveFraction < 0 || j.AdaptiveFraction > 1 {
+		return nil, nil, fmt.Errorf("experiments: job adaptive fraction %v out of [0,1]", j.AdaptiveFraction)
+	}
+	if math.IsNaN(j.Load) || math.IsInf(j.Load, 0) || j.Load <= 0 {
+		return nil, nil, fmt.Errorf("experiments: job load %v must be positive and finite", j.Load)
+	}
+	if j.MeasureNs <= 0 {
+		return nil, nil, fmt.Errorf("experiments: job measurement window %dns must be positive", j.MeasureNs)
+	}
+	if j.WarmupNs < 0 || j.DrainGraceNs < 0 {
+		return nil, nil, fmt.Errorf("experiments: job warmup %dns / drain grace %dns must be non-negative", j.WarmupNs, j.DrainGraceNs)
+	}
+	var camp *faults.Campaign
+	if j.Faults != "" {
+		var err error
+		if camp, err = faults.Parse(j.Faults); err != nil {
+			return nil, nil, fmt.Errorf("experiments: job fault spec: %w", err)
+		}
+	}
+	opts, err := j.Exec.engineOpts()
+	if err != nil {
+		return nil, nil, err
+	}
+	return camp, opts, nil
+}
+
+// RunSpec returns the run Execute simulates: it normalizes the job,
+// validates it as Validate does, and builds the run through Scale.Spec
+// from the job's windows and exec hints, then sets the job's load. It
+// normalizes once and parses the fault spec and the scheduler once.
+func (j JobSpec) RunSpec() (RunSpec, error) {
 	j.Normalize()
-	if err := j.Validate(); err != nil {
-		return RunResult{}, err
+	camp, engineOpts, err := j.parse()
+	if err != nil {
+		return RunSpec{}, err
 	}
 	topo, err := topoFor(j)
 	if err != nil {
-		return RunResult{}, err
+		return RunSpec{}, err
 	}
 	pattern, err := j.Pattern.build(topo.NumHosts(), j.Seed)
 	if err != nil {
-		return RunResult{}, err
+		return RunSpec{}, err
 	}
 	sc := Scale{
 		Warmup:     sim.Time(j.WarmupNs),
@@ -280,20 +306,24 @@ func (j JobSpec) Execute() (RunResult, error) {
 		DrainGrace: sim.Time(j.DrainGraceNs),
 		Check:      j.Exec.Check,
 		Arb:        j.Exec.Arb,
-	}
-	if j.Exec.Sched != "" {
-		kind, _ := sim.ParseScheduler(j.Exec.Sched) // Validate checked it
-		sc.EngineOpts = []sim.EngineOption{sim.WithScheduler(kind)}
+		EngineOpts: engineOpts,
 	}
 	spec := sc.Spec(topo, j.MR, j.PacketSize, j.AdaptiveFraction, pattern, j.Seed, j.Enhanced)
 	spec.Traffic.LoadBytesPerNsPerHost = j.Load
-	if j.Faults != "" {
-		camp, err := faults.Parse(j.Faults)
-		if err != nil {
-			return RunResult{}, err
-		}
+	if camp != nil {
 		spec.Faults = camp
 		spec.FaultSeed = j.FaultSeed
+	}
+	return spec, nil
+}
+
+// Execute runs the job and returns its result. The result serializes
+// identically whatever the Exec hints — the property that makes the
+// Exec-excluded content address sound.
+func (j JobSpec) Execute() (RunResult, error) {
+	spec, err := j.RunSpec()
+	if err != nil {
+		return RunResult{}, err
 	}
 	res, err := Run(spec)
 	if err != nil {

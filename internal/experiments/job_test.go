@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -123,11 +124,52 @@ func TestJobValidate(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("Validate = %v, want error containing %q", err, tc.want)
 			}
+			if _, rerr := j.RunSpec(); rerr == nil || rerr.Error() != err.Error() {
+				t.Fatalf("RunSpec = %v, want Validate's error %q", rerr, err)
+			}
 		})
 	}
 	j := testJob()
 	if err := j.Validate(); err != nil {
 		t.Fatalf("valid job rejected: %v", err)
+	}
+}
+
+// TestJobRunSpec pins what RunSpec builds from a job: the windows, the
+// load, the fault campaign and its seed, and the scheduler hint as the
+// one engine option, none of them for a fault-free job on the default
+// scheduler; and Execute runs exactly that spec.
+func TestJobRunSpec(t *testing.T) {
+	plain, err := testJob().RunSpec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Faults != nil || plain.Fabric.EngineOpts != nil {
+		t.Fatalf("fault-free job on the default scheduler: faults %v, engine options %v", plain.Faults, plain.Fabric.EngineOpts)
+	}
+	j := testJob()
+	j.Faults, j.FaultSeed, j.Exec.Sched = "rand:1:1000@2000-3000", 3, "heap"
+	spec, err := j.RunSpec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec.Faults == nil || spec.FaultSeed != 3 || len(spec.Fabric.EngineOpts) != 1 {
+		t.Fatalf("fault job on the heap: faults %v, fault seed %d, %d engine options", spec.Faults, spec.FaultSeed, len(spec.Fabric.EngineOpts))
+	}
+	if spec.Traffic.LoadBytesPerNsPerHost != j.Load || spec.Warmup != 5_000 || spec.Measure != 20_000 || spec.DrainGrace != 5_000 {
+		t.Fatalf("load %v, windows %d/%d/%d; want %v and 5000/20000/5000",
+			spec.Traffic.LoadBytesPerNsPerHost, spec.Warmup, spec.Measure, spec.DrainGrace, j.Load)
+	}
+	want, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := j.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Execute = %+v, Run(RunSpec()) = %+v", got, want)
 	}
 }
 

@@ -193,17 +193,19 @@ func (s *fixedStream) Next() (sim.Time, int, int, bool) {
 }
 
 // TestSendTimeoutDrainsMultiChunkBacklogInOrder: a backlog of several
-// source-queue chunks (255 packets each) of generated packets waits
-// behind a dead switch. The send timeout drops the heads in FIFO
-// order, each exactly one timeout after it was generated (a time the
-// host replays from its stream), and retried packets re-enter at the
-// tail, behind packets generated while they were backing off.
+// source-queue chunks of generated packets (2,040 one-byte entries a
+// chunk: one host's IDs are consecutive here, and a retry's entry is a
+// one-byte marker) waits behind a dead switch. The send timeout drops
+// the heads in FIFO order, each exactly one timeout after it was
+// generated (a time the host replays from its stream), and retried
+// packets re-enter at the tail, behind packets generated while they
+// were backing off.
 func TestSendTimeoutDrainsMultiChunkBacklogInOrder(t *testing.T) {
 	const (
 		timeout = 1_000
 		backoff = 400
-		nA      = 3*255 + 7 // first batch, queued at t=0
-		nB      = 2*255 + 3 // second batch, queued at t=1200
+		nA      = 3*2040 + 7 // first batch, queued at t=0
+		nB      = 2*2040 + 3 // second batch, queued at t=1200
 		atB     = 1_200
 	)
 	cfg := fabric.DefaultConfig()

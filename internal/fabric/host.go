@@ -18,15 +18,17 @@ type Host struct {
 
 	out *outPort // link toward the attached switch
 
-	// queue is the source queue, a chunked FIFO of one-word entries
-	// (see srcqueue.go). head is the packet of its head entry, built
-	// when the entry got there (see loadHead), and nil while the queue
-	// is empty; prebuilt holds, in queue order, the packets of the
-	// other entPrebuilt entries.
-	queue      pktFIFO
-	head       *ib.Packet
-	prebuilt   pktQueue
-	injPending bool
+	// The source queue is head followed by the entries of queue, a
+	// chunked FIFO of coded entries (see srcqueue.go). head is the
+	// packet of the oldest entry, decoded and built when the entry got
+	// there (see loadHead), and nil while the source queue is empty;
+	// headRequeued says it is a retry. prebuilt holds, in queue order,
+	// the packets of the other entPrebuilt entries.
+	queue        pktFIFO
+	head         *ib.Packet
+	headRequeued bool
+	prebuilt     pktQueue
+	injPending   bool
 
 	// stream replays the packets Generate queued (see Stream).
 	stream Stream
@@ -66,7 +68,12 @@ func (h *Host) ID() int { return h.id }
 func (h *Host) Engine() *sim.Engine { return h.net.Engine }
 
 // QueueLen returns the number of packets waiting in the source queue.
-func (h *Host) QueueLen() int { return h.queue.len() }
+func (h *Host) QueueLen() int {
+	if h.head == nil {
+		return 0
+	}
+	return 1 + h.queue.len()
+}
 
 // HeadID returns the ID of the packet at the source-queue head, or 0
 // when the queue is empty (watchdog progress probe).
@@ -78,7 +85,7 @@ func (h *Host) HeadID() uint64 {
 }
 
 // Stream replays, in order, the packets Host.Generate queued at one
-// host. A generated packet waits as a bare ID (see srcEntry); when it
+// host. A generated packet waits as a coded ID (see srcEntry); when it
 // reaches the head of the source queue, the host reads the rest of it
 // from Next, once. Next must return exactly what the matching Generate
 // call had: the simulated time of the call, the destination, the size
@@ -97,9 +104,9 @@ func (h *Host) SetStream(s Stream) { h.stream = s }
 // current time and queues it: the traffic generator's entry point, and
 // the only way a fresh packet enters a source queue. The packet takes
 // its ID and, under source multipath, its DLID offset now, through the
-// same draw as Network.NewPacket, but waits as a one-word srcEntry;
-// the host's Stream supplies the rest when it reaches the head.
-// OnCreated sees it through the network's scratch packet (see
+// same draw as Network.NewPacket, but waits as a coded srcEntry; the
+// host's Stream supplies the rest when it reaches the head. OnCreated,
+// when set, sees it through the network's scratch packet (see
 // Network.OnCreated).
 //
 // A generation that joins a blocked queue schedules no injection pass:
@@ -115,11 +122,12 @@ func (h *Host) Generate(dst, size int, adaptive bool) {
 	}
 	id, path := n.address()
 	now := n.Engine.Now()
-	blocked := h.queue.len() > 0 && h.injectionBlocked(now)
+	blocked := h.head != nil && h.injectionBlocked(now)
+	n.created++
 	h.push(freshEntry(id, path))
 	if n.OnCreated != nil {
-		n.created = h.packetOf(id, now, dst, size, adaptive, path)
-		n.OnCreated(&n.created)
+		n.scratch = h.packetOf(id, now, dst, size, adaptive, path)
+		n.OnCreated(&n.scratch)
 	}
 	h.armSendTimeout()
 	if !blocked {
@@ -136,6 +144,7 @@ func (h *Host) Inject(pkt *ib.Packet) {
 		panic(fmt.Sprintf("fabric: packet %v injected at host %d", pkt, h.id))
 	}
 	pkt.QueuedAt = h.net.Engine.Now()
+	h.net.created++
 	h.pushPrebuilt(pkt, entPrebuilt)
 	if h.net.OnCreated != nil {
 		h.net.OnCreated(pkt)
@@ -155,28 +164,30 @@ func (h *Host) requeue(pkt *ib.Packet) {
 }
 
 // pushPrebuilt queues an existing packet behind every waiting entry;
-// tag is entPrebuilt or entRequeued.
-func (h *Host) pushPrebuilt(pkt *ib.Packet, tag srcEntry) {
+// e is entPrebuilt or entRequeued.
+func (h *Host) pushPrebuilt(pkt *ib.Packet, e srcEntry) {
 	h.prebuilt.push(pkt)
-	h.push(srcEntry(pkt.ID&entIDMask) | tag)
+	h.push(e)
 }
 
 // push appends e to the source queue. An entry that lands at the head
-// is built at once.
+// is decoded and built at once.
 func (h *Host) push(e srcEntry) {
 	h.queue.push(e)
-	if h.queue.len() == 1 {
+	if h.head == nil {
 		h.loadHead()
 	}
 }
 
-// loadHead builds the packet of the entry that has just reached the
-// queue head: a prebuilt one leaves the prebuilt FIFO; a fresh one is
-// carved from the network's packet slab and filled from the next
-// packet of the host's stream and the entry. The head's readers (take,
-// the injection pass, HeadID and the send timeout) read this packet.
+// loadHead decodes the oldest entry of queue, which has just reached
+// the head of the source queue, and builds its packet: a prebuilt one
+// leaves the prebuilt FIFO; a fresh one is carved from the network's
+// packet slab and filled from the next packet of the host's stream and
+// the entry. The head's readers (take, the injection pass, HeadID and
+// the send timeout) read this packet.
 func (h *Host) loadHead() {
-	e := h.queue.peek()
+	e := h.queue.pop()
+	h.headRequeued = e == entRequeued
 	if e&entPrebuilt != 0 {
 		h.head = h.prebuilt.pop()
 		return
@@ -205,13 +216,12 @@ func (h *Host) packetOf(id uint64, at sim.Time, dst, size int, adaptive bool, pa
 // take removes the head and returns its packet, and builds the next
 // head. Every packet but a retry takes its flow's next SeqNo here.
 func (h *Host) take() *ib.Packet {
-	e := h.queue.pop()
-	pkt := h.head
+	pkt, requeued := h.head, h.headRequeued
 	h.head = nil
 	if h.queue.len() > 0 {
 		h.loadHead()
 	}
-	if e&entRequeued != entRequeued {
+	if !requeued {
 		pkt.SeqNo = h.nextSeq[pkt.Dst]
 		h.nextSeq[pkt.Dst]++
 	}
@@ -271,7 +281,7 @@ func (h *Host) finishWiring() {
 // already covers an earlier-or-equal deadline.
 func (h *Host) armSendTimeout() {
 	to := h.net.Cfg.Retry.SendTimeout
-	if to <= 0 || h.queue.len() == 0 {
+	if to <= 0 || h.head == nil {
 		return
 	}
 	deadline := h.head.QueuedAt + to
@@ -295,7 +305,7 @@ func (h *Host) expireHead() {
 		return
 	}
 	now := h.net.Engine.Now()
-	for h.queue.len() > 0 && now-h.head.QueuedAt >= to {
+	for h.head != nil && now-h.head.QueuedAt >= to {
 		h.net.dropPacket(h.take(), DropTimeout)
 	}
 }
@@ -306,7 +316,7 @@ func (h *Host) expireHead() {
 // queue.
 func (h *Host) tryInject() {
 	now := h.net.Engine.Now()
-	if h.queue.len() == 0 || !h.out.free(now) {
+	if h.head == nil || !h.out.free(now) {
 		return
 	}
 	credits := h.head.Credits()

@@ -206,7 +206,7 @@ func TestInjectZeroAllocsSteadyState(t *testing.T) {
 func TestSourceQueueBacklogZeroAllocs(t *testing.T) {
 	net := hotpathNet(t)
 	h := net.Hosts[0]
-	pkts := make([]*ib.Packet, 3*pktChunkSlots+pktChunkSlots/2)
+	pkts := make([]*ib.Packet, 3*pktChunkBytes+pktChunkBytes/2) // one byte each
 	for i := range pkts {
 		pkts[i] = net.NewPacket(0, 7, 32, true)
 	}

@@ -43,8 +43,12 @@ type Network struct {
 	// nextID numbers the packets NewPacket and Host.Generate create.
 	nextID uint64
 
-	// created is the scratch packet Host.Generate passes to OnCreated.
-	created ib.Packet
+	// created counts the packets Host.Generate and Host.Inject queued
+	// (see Created).
+	created uint64
+
+	// scratch is the packet view Host.Generate passes to OnCreated.
+	scratch ib.Packet
 
 	// OnCreated fires when a packet enters a source queue; OnDelivered
 	// when it reaches its destination CA; OnHop when a switch starts
@@ -81,6 +85,13 @@ type Network struct {
 	// set once, by NewNetwork.
 	wake bool
 }
+
+// Created returns the number of packets that entered a source queue
+// through Host.Generate or Host.Inject. A retry re-enters its queue
+// without counting again. OnCreated fires for exactly these packets,
+// but an observer that only counts reads this instead, so generation
+// never builds the packet view.
+func (n *Network) Created() uint64 { return n.created }
 
 // ArbWake reports whether the network runs the wake-list arbiter.
 func (n *Network) ArbWake() bool { return n.wake }

@@ -13,9 +13,9 @@ import (
 // The struct is exactly one 64-byte cache line: a saturated run keeps
 // every packet that reached the head of its source queue alive until
 // it ends, so the layout is a memory budget (TestPacketIsOneCacheLine
-// pins it). A packet still waiting behind the head is an 8-byte entry,
-// not a Packet (see fabric's srcqueue.go). The source LID is not
-// stored; AddressPlan.BaseLID(Src) gives it.
+// pins it). A packet still waiting behind the head is a delta-coded
+// entry of a byte or two, not a Packet (see fabric's srcqueue.go). The
+// source LID is not stored; AddressPlan.BaseLID(Src) gives it.
 type Packet struct {
 	ID uint64 // globally unique, for tracing and loss accounting
 

@@ -46,7 +46,7 @@ go test -count=1 -run 'TestSimulateReportsRetry' -v .
 echo "==> bytes per generated packet (a saturated run keeps every packet; bound its memory slope)"
 go test -count=1 -run 'TestHotSpotBytesPerGeneratedPacket' -v ./internal/experiments/
 
-echo "==> source queue (8-byte entries replayed from the host's traffic stream, one FIFO for generated, injected and retried packets, no failing injection pass)"
+echo "==> source queue (delta-coded entries of about 1.4 bytes replayed from the host's traffic stream, one FIFO for generated, injected and retried packets, no failing injection pass)"
 go test -count=1 -run 'TestSrcEntryLayout|TestPktFIFO|TestSourceQueueMixedOrder|TestGenerateSkipsOnlyFailingPasses' -v ./internal/fabric/
 go test -count=1 -run 'TestSourceReplayMatchesGeneration' -v ./internal/experiments/
 
@@ -112,6 +112,9 @@ go test -race -count=1 -run 'TestSchedulerOrderMatrix|TestSelectionModeGoldens' 
 echo "==> event-queue fuzz smoke"
 go test -run '^$' -fuzz 'FuzzEventQueueOrdering' -fuzztime 10s ./internal/sim/
 
+echo "==> source-queue fuzz smoke (delta-coded entries against a slice: gaps up to 2^56-1, every DLID offset, markers, bursts across chunks)"
+go test -run '^$' -fuzz 'FuzzPktFIFO' -fuzztime 5s ./internal/fabric/
+
 echo "==> subnet manager (one table writer: reconfiguration keeps the §4.2 fence and source multipath)"
 go test -race -count=1 -run 'TestStaged|TestReconfigure|TestTrafficSurvives|TestMixed|TestMultipath' -v ./internal/subnet/
 
@@ -121,8 +124,8 @@ go test -race -run 'TestCampaignSmokeCI' -v ./internal/faults/
 echo "==> crash-tolerance suite (SIGKILL mid-job, torn-store audit, byte-identical resume)"
 go test -race -count=1 -run 'TestWorkerSIGKILL|TestCampaign|TestResume|TestCorrupt|TestHungWorker|TestStore|TestParentArtifact' -v ./internal/campaign/
 
-echo "==> ibcamp command (-retries N makes N retries after the first attempt; exit codes)"
-go test -race -count=1 -run 'TestRunRetries|TestUsage' -v ./cmd/ibcamp/
+echo "==> ibcamp command (-retries N makes N retries after the first attempt; 0 retries, backoff or ceiling means none; exit codes)"
+go test -race -count=1 -run 'TestRunRetries|TestRunZeroMeansNone|TestUsage' -v ./cmd/ibcamp/
 
 echo "==> crash loop (the coordinator is the store's only writer: no torn files under any kill timing)"
 go test -count=50 -run 'TestWorkerSIGKILL|TestHungWorker|TestInterruptedRun' ./internal/campaign/
