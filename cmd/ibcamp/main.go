@@ -108,22 +108,33 @@ type runConfig struct {
 // parseRun parses the run command's flags; ok is false when the
 // command should exit with code at once. campaign.Options reads a zero
 // field as its default, but on the command line 0 retries, 0 backoff
-// and 0 backoff ceiling each mean none: no retry, no wait.
+// and 0 backoff ceiling each mean none: no retry, no wait. -workers,
+// -timeout and -hung-after have no "none", so a value that is not
+// positive is a usage error.
 func parseRun(args []string, stderr io.Writer) (rc runConfig, code int, ok bool) {
 	def := campaign.DefaultOptions()
 	fs := flag.NewFlagSet("ibcamp run", flag.ContinueOnError)
 	specPath := fs.String("spec", "", "campaign spec JSON file")
 	storeDir := fs.String("store", "", "result store directory (created if missing)")
-	workers := fs.Int("workers", def.Workers, "concurrent worker processes")
-	timeout := fs.Duration("timeout", def.Timeout, "per-attempt wall-clock limit")
+	workers := fs.Int("workers", def.Workers, "concurrent worker processes (must be positive)")
+	timeout := fs.Duration("timeout", def.Timeout, "per-attempt wall-clock limit (must be positive)")
 	retries := fs.Int("retries", def.Retries, "retries per job after the first attempt")
 	backoff := fs.Duration("backoff", def.BackoffBase, "base retry backoff (doubles per attempt, jittered; 0 = no wait)")
 	backoffMax := fs.Duration("backoff-max", def.BackoffMax, "retry backoff ceiling (0 = no wait)")
-	hungAfter := fs.Duration("hung-after", def.HungAfter, "kill a worker silent this long")
+	hungAfter := fs.Duration("hung-after", def.HungAfter, "kill a worker silent this long (must be positive)")
 	degrade := fs.Bool("degrade", false, "aggregate partial results, annotating missing seeds per cell")
 	quiet := fs.Bool("q", false, "suppress progress output")
 	if code, ok := parse(fs, args, stderr); !ok {
 		return rc, code, false
+	}
+	for _, f := range []struct {
+		name     string
+		positive bool
+	}{{"workers", *workers > 0}, {"timeout", *timeout > 0}, {"hung-after", *hungAfter > 0}} {
+		if !f.positive {
+			fmt.Fprintf(stderr, "ibcamp run: -%s must be positive, got %s\n", f.name, fs.Lookup(f.name).Value)
+			return rc, 2, false
+		}
 	}
 	log := stderr
 	if *quiet {

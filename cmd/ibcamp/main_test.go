@@ -85,6 +85,26 @@ func TestRunZeroMeansNone(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNonPositive: -workers, -timeout and -hung-after have
+// no "none" value, so zero or a negative value is a usage error (exit 2)
+// naming the flag, not a silent default.
+func TestRunRejectsNonPositive(t *testing.T) {
+	for _, c := range [][]string{
+		{"-workers", "0"}, {"-workers", "-1"},
+		{"-timeout", "0"}, {"-timeout", "-1s"},
+		{"-hung-after", "0"}, {"-hung-after", "-1s"},
+	} {
+		var stdout, stderr bytes.Buffer
+		args := append([]string{"run", "-spec", "no-such.json", "-store", "no-such-store"}, c...)
+		if code := run(args, nil, &stdout, &stderr); code != 2 || !strings.Contains(stderr.String(), c[0]+" must be positive") {
+			t.Errorf("ibcamp %v: exit %d, stderr %q; want exit 2 naming %s", args, code, stderr.String(), c[0])
+		}
+	}
+	if _, code, ok := parseRun([]string{"-workers", "1", "-timeout", "1ms", "-hung-after", "1ms"}, io.Discard); !ok {
+		t.Fatalf("positive -workers, -timeout and -hung-after refused with exit %d", code)
+	}
+}
+
 // TestUsage pins the exit codes of the command-line surface: no
 // command and an unknown command are usage errors, help succeeds.
 func TestUsage(t *testing.T) {

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"math"
 
 	"ibasim/internal/ib"
 	"ibasim/internal/sim"
@@ -51,8 +52,9 @@ type Host struct {
 	// order they entered, so the numbering is the order of generation.
 	// A dense slice: every host eventually talks to most destinations
 	// under the paper's traffic patterns, and the per-packet map hash
-	// was measurable.
-	nextSeq []uint64
+	// was measurable. A flow carries at most 2^32-1 packets (take
+	// panics past that), so a number fits 32 bits.
+	nextSeq []uint32
 
 	// Injected and Delivered count packets for quick accounting;
 	// detailed metrics hang off the Network callbacks.
@@ -181,10 +183,11 @@ func (h *Host) push(e srcEntry) {
 
 // loadHead decodes the oldest entry of queue, which has just reached
 // the head of the source queue, and builds its packet: a prebuilt one
-// leaves the prebuilt FIFO; a fresh one is carved from the network's
-// packet slab and filled from the next packet of the host's stream and
-// the entry. The head's readers (take, the injection pass, HeadID and
-// the send timeout) read this packet.
+// leaves the prebuilt FIFO; a fresh one takes a packet from the
+// network (see getPacket), is filled from the next packet of the
+// host's stream and the entry, and is marked Pooled. The head's
+// readers (take, the injection pass, HeadID and the send timeout) read
+// this packet.
 func (h *Host) loadHead() {
 	e := h.queue.pop()
 	h.headRequeued = e == entRequeued
@@ -195,6 +198,7 @@ func (h *Host) loadHead() {
 	at, dst, size, adaptive := h.stream.Next()
 	h.head = h.net.getPacket()
 	*h.head = h.packetOf(e.id(), at, dst, size, adaptive, e.path())
+	h.head.Pooled = true
 }
 
 // packetOf returns a generated packet as it entered the queue: SeqNo
@@ -222,8 +226,12 @@ func (h *Host) take() *ib.Packet {
 		h.loadHead()
 	}
 	if !requeued {
-		pkt.SeqNo = h.nextSeq[pkt.Dst]
-		h.nextSeq[pkt.Dst]++
+		seq := h.nextSeq[pkt.Dst]
+		if seq == math.MaxUint32 {
+			panic(fmt.Sprintf("fabric: flow %d->%d passes 2^32-1 packets", h.id, pkt.Dst))
+		}
+		pkt.SeqNo = uint64(seq)
+		h.nextSeq[pkt.Dst] = seq + 1
 	}
 	return pkt
 }
@@ -335,7 +343,8 @@ func (h *Host) tryInject() {
 	h.net.scheduleHostKick(ser, h)
 }
 
-// deliver sinks a packet arriving at this host.
+// deliver sinks a packet arriving at this host and, once OnDelivered
+// has seen it, recycles it.
 func (h *Host) deliver(pkt *ib.Packet) {
 	if int(pkt.Dst) != h.id {
 		panic(fmt.Sprintf("fabric: packet %v delivered to host %d", pkt, h.id))
@@ -345,4 +354,5 @@ func (h *Host) deliver(pkt *ib.Packet) {
 	if h.net.OnDelivered != nil {
 		h.net.OnDelivered(pkt)
 	}
+	h.net.putPacket(pkt)
 }

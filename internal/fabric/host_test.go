@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"math"
 	"testing"
 
 	"ibasim/internal/ib"
@@ -255,4 +256,82 @@ func TestGenerateZeroAllocsSteadyState(t *testing.T) {
 	if allocs := testing.AllocsPerRun(2*pktSlabSize, generate); allocs > 2.5/pktSlabSize {
 		t.Fatalf("steady-state generation allocates %v objects per packet, want at most the amortized slab refill (%v)", allocs, 2.5/pktSlabSize)
 	}
+}
+
+// TestPacketRecycling: a generated packet goes back to the network's
+// freelist once it is delivered or lost for good, and the next packet
+// reuses it; a dropped packet whose retry is pending stays out of the
+// freelist, and a packet built by NewPacket is never recycled. The
+// hooks keep packet addresses only to compare them.
+func TestPacketRecycling(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Retry = RetryConfig{MaxRetries: 1, BackoffBase: 500, BackoffMax: 500, SendTimeout: 1_000}
+	net := hotpathNetCfg(t, cfg)
+	h := net.Hosts[0]
+	tp := attachTape(h)
+	var delivered, dropped []*ib.Packet
+	var freeAfterDrop []int
+	net.OnDelivered = func(p *ib.Packet) { delivered = append(delivered, p) }
+	net.OnDropped = func(p *ib.Packet, _ DropReason) {
+		dropped = append(dropped, p)
+		net.Engine.Schedule(0, func() { freeAfterDrop = append(freeAfterDrop, len(net.pktFree)) })
+	}
+
+	tp.gen(7, 32, false)
+	net.Engine.RunUntilIdle()
+	tp.gen(7, 32, false)
+	net.Engine.RunUntilIdle()
+	if len(delivered) != 2 || delivered[0] != delivered[1] || net.PacketsCarved() != 1 {
+		t.Fatalf("two generated packets in turn: %d delivered, same memory %v, %d carved; want 2, true, 1",
+			len(delivered), len(delivered) == 2 && delivered[0] == delivered[1], net.PacketsCarved())
+	}
+
+	// NewPacket takes the recycled packet, and it stays the caller's.
+	own := net.NewPacket(0, 7, 32, false)
+	if own != delivered[0] || own.Pooled {
+		t.Fatalf("NewPacket: reused %v, pooled %v; want true, false", own == delivered[0], own.Pooled)
+	}
+	h.Inject(own)
+	net.Engine.RunUntilIdle()
+	if len(net.pktFree) != 0 || own.DeliveredAt == 0 || own.Dst != 7 {
+		t.Fatalf("injected packet after delivery: %d packets free, %v; want none free, its own fields", len(net.pktFree), own)
+	}
+
+	// A packet that times out twice at a dead host link: the first drop
+	// schedules its retry, the second loses it for good.
+	h.out.down = true
+	tp.gen(7, 32, false)
+	net.Engine.RunUntilIdle()
+	if len(dropped) != 2 || dropped[0] != dropped[1] || net.Faults.Lost != 1 {
+		t.Fatalf("%d drops (same packet %v), %d lost; want 2, true, 1", len(dropped), len(dropped) == 2 && dropped[0] == dropped[1], net.Faults.Lost)
+	}
+	if len(freeAfterDrop) != 2 || freeAfterDrop[0] != 0 || freeAfterDrop[1] != 1 || net.pktFree[0] != dropped[1] {
+		t.Fatalf("freelist length after each drop = %v, want [0 1] holding the lost packet", freeAfterDrop)
+	}
+	if net.PacketsCarved() != 2 {
+		t.Fatalf("%d packets carved, want 2", net.PacketsCarved())
+	}
+}
+
+// TestFlowSeqPast32BitsPanics: a flow's SeqNo counter is 32 bits wide,
+// so the packet after its 2^32-1st panics rather than wrapping to 0.
+func TestFlowSeqPast32BitsPanics(t *testing.T) {
+	net := hotpathNet(t)
+	h := net.Hosts[0]
+	tp := attachTape(h)
+	var last uint64
+	net.OnDelivered = func(p *ib.Packet) { last = p.SeqNo }
+	h.nextSeq[7] = math.MaxUint32 - 1
+	tp.gen(7, 32, false)
+	net.Engine.RunUntilIdle()
+	if last != math.MaxUint32-1 {
+		t.Fatalf("last packet of the flow took seq %d, want 2^32-2", last)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("flow numbered a packet past 2^32-1")
+		}
+	}()
+	tp.gen(7, 32, false)
+	net.Engine.RunUntilIdle()
 }

@@ -37,8 +37,12 @@ type Network struct {
 	chunks chunkPool
 
 	// pktSlab is the tail of the current packet allocation block;
-	// NewPacket and the hosts carve packets from it (see getPacket).
+	// NewPacket and the hosts carve packets from it. pktFree holds the
+	// generated packets delivered or lost for good, reused first (see
+	// getPacket). carved counts the packets taken from the slab.
 	pktSlab []ib.Packet
+	pktFree []*ib.Packet
+	carved  uint64
 
 	// nextID numbers the packets NewPacket and Host.Generate create.
 	nextID uint64
@@ -56,20 +60,23 @@ type Network struct {
 	// routing option was used). Metrics collectors and tracers attach
 	// here; attachers must chain any callback already present.
 	//
-	// For a generated packet OnCreated receives a view, not the
-	// packet: a per-network scratch ib.Packet that the next generation
-	// overwrites, with SeqNo still 0 (a packet takes its SeqNo when it
-	// leaves the source queue). Observers copy the fields they need
-	// and keep no pointer to it.
+	// Every hook's packet pointer is valid only during the call.
+	// Observers copy the fields they need and keep no pointer: the
+	// network reuses a generated packet once it is delivered or lost
+	// for good (see ib.Packet.Pooled), and for a generated packet
+	// OnCreated receives a per-network scratch view that the next
+	// generation overwrites, with SeqNo still 0 (a packet takes its
+	// SeqNo when it leaves the source queue). Only a packet built by
+	// NewPacket stays its caller's to read after the run.
 	OnCreated   func(*ib.Packet)
 	OnDelivered func(*ib.Packet)
 	OnHop       func(p *ib.Packet, sw int, out ib.PortID, adaptive bool)
 
 	// OnDropped fires when the fabric discards a packet (unroutable
 	// DLID, dead port/switch, or source send timeout). Same chaining
-	// contract as the other hooks. A dropped packet may still be
-	// re-injected by its source under Cfg.Retry; OnDropped fires once
-	// per drop, not once per loss.
+	// and pointer contract as the other hooks. A dropped packet may
+	// still be re-injected by its source under Cfg.Retry; OnDropped
+	// fires once per drop, not once per loss.
 	OnDropped func(p *ib.Packet, reason DropReason)
 
 	// Faults accumulates the degraded-mode counters. All zero on a
@@ -169,7 +176,8 @@ func (n *Network) FaultTotals() FaultStats { return n.Faults }
 
 // dropPacket accounts one discarded packet and, when the retry policy
 // allows, schedules its re-injection at the source with exponential
-// backoff.
+// backoff; a packet lost for good is recycled, so the caller reads it
+// no more.
 func (n *Network) dropPacket(pkt *ib.Packet, reason DropReason) {
 	switch reason {
 	case DropUnroutable:
@@ -194,6 +202,7 @@ func (n *Network) dropPacket(pkt *ib.Packet, reason DropReason) {
 		return
 	}
 	n.Faults.Lost++
+	n.putPacket(pkt)
 }
 
 // NewNetwork wires a subnet over the topology. The LMC is chosen by
@@ -268,7 +277,7 @@ func NewNetwork(topo *topology.Topology, plan *ib.AddressPlan, cfg Config, seed 
 			net:     net,
 			id:      h,
 			queue:   pktFIFO{pool: &net.chunks},
-			nextSeq: make([]uint64, topo.NumHosts()),
+			nextSeq: make([]uint32, topo.NumHosts()),
 		})
 	}
 
@@ -363,7 +372,8 @@ func (n *Network) wire(a *Switch, pa ib.PortID, b *Switch, pb ib.PortID) {
 // simulated time. The caller injects it at Hosts[src]. In source
 // multipath mode the adaptive flag is ignored and the DLID selects one
 // of the alternative deterministic paths uniformly at random — the
-// source-node path selection of the paper's introduction.
+// source-node path selection of the paper's introduction. The packet
+// stays the caller's: the network never recycles it.
 func (n *Network) NewPacket(src, dst, size int, adaptive bool) *ib.Packet {
 	id, path := n.address()
 	dlid, adaptive := n.dlid(dst, adaptive, path)

@@ -156,21 +156,48 @@ func (n *Network) scheduleHostKick(delay sim.Time, h *Host) {
 // pktSlabSize is how many packets one allocation block holds. A
 // generated packet is carved when it reaches the head of its source
 // queue (see Host.loadHead), so a saturated run's backlog takes no
-// slab space.
-// Packets are not recycled — observers (reorder buffers, tracers,
-// tests) may hold a delivered packet long after the fabric last
-// touches it, so reuse would need a liveness protocol. Slab allocation
-// cuts the allocator to one call per block instead of one per packet,
-// and a block is freed once none of its packets is referenced.
+// slab space. Slab allocation cuts the allocator to one call per block
+// instead of one per packet.
+//
+// A generated packet (ib.Packet.Pooled) goes back to the network's
+// pktFree list once it is delivered, after OnDelivered, or lost for
+// good, after OnDropped, and getPacket hands it out again before
+// carving: a run's packets are then the ones in flight, not every
+// block that one live packet would pin. The hooks' contract (see
+// Network.OnCreated) is what makes that safe: no observer keeps a
+// packet pointer past the call. Packets from NewPacket are never
+// recycled, so a caller may read them after the run.
 const pktSlabSize = 512
 
-// getPacket carves the next packet from the network's slab. The carve
-// order is deterministic.
+// getPacket returns a packet for the caller to fill in whole: the one
+// recycled last, or else the next one carved from the network's slab.
+// Both orders are deterministic.
 func (n *Network) getPacket() *ib.Packet {
+	if last := len(n.pktFree) - 1; last >= 0 {
+		pkt := n.pktFree[last]
+		n.pktFree = n.pktFree[:last]
+		return pkt
+	}
 	if len(n.pktSlab) == 0 {
 		n.pktSlab = make([]ib.Packet, pktSlabSize)
 	}
 	pkt := &n.pktSlab[0]
 	n.pktSlab = n.pktSlab[1:]
+	n.carved++
 	return pkt
+}
+
+// PacketsCarved returns how many packets the network has carved from
+// its slab blocks so far. A recycled packet is reused before a new one
+// is carved, so on a run that only generates traffic this is the peak
+// number of packets alive at once: at source-queue heads, on wires and
+// in switch buffers.
+func (n *Network) PacketsCarved() uint64 { return n.carved }
+
+// putPacket recycles pkt if the network built it for generated
+// traffic. Every caller has made its last read of the packet.
+func (n *Network) putPacket(pkt *ib.Packet) {
+	if pkt.Pooled {
+		n.pktFree = append(n.pktFree, pkt)
+	}
 }

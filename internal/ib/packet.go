@@ -10,12 +10,14 @@ import (
 // simulator works at packet granularity (virtual cut-through forwards
 // and buffers whole packets), so no flit structure is modelled.
 //
-// The struct is exactly one 64-byte cache line: a saturated run keeps
-// every packet that reached the head of its source queue alive until
-// it ends, so the layout is a memory budget (TestPacketIsOneCacheLine
-// pins it). A packet still waiting behind the head is a delta-coded
-// entry of a byte or two, not a Packet (see fabric's srcqueue.go). The
-// source LID is not stored; AddressPlan.BaseLID(Src) gives it.
+// The struct is exactly one 64-byte cache line: a saturated run holds
+// one Packet for every packet at the head of a source queue, on a wire
+// or in a switch buffer, so the layout is a memory budget
+// (TestPacketIsOneCacheLine pins it). A packet still waiting behind
+// the head is a delta-coded entry of a byte or two, not a Packet (see
+// fabric's srcqueue.go), and a generated packet's Packet is reused
+// once it is delivered or lost for good (see Pooled). The source LID
+// is not stored; AddressPlan.BaseLID(Src) gives it.
 type Packet struct {
 	ID uint64 // globally unique, for tracing and loss accounting
 
@@ -46,6 +48,13 @@ type Packet struct {
 	// Adaptive mirrors DLID's low bit for convenience; it is set by
 	// the traffic generator and must agree with the address plan.
 	Adaptive bool
+
+	// Pooled marks a packet the fabric built for generated traffic.
+	// The network reuses its memory once it is delivered or lost for
+	// good, so no observer may keep a pointer to it past a hook call.
+	// A packet built by NewPacket is never pooled and stays its
+	// caller's. The field fills the struct's last padding byte.
+	Pooled bool
 }
 
 // Credits returns the flow-control credits the packet consumes.

@@ -6,8 +6,8 @@ import (
 )
 
 // TestPacketIsOneCacheLine pins Packet to one 64-byte cache line. A
-// saturated run keeps every packet it generates alive until the run
-// ends, so the struct's size multiplies straight into peak memory.
+// saturated run holds one Packet per packet in flight, so the
+// struct's size multiplies straight into peak memory.
 // Adding a field means first freeing 8 bytes elsewhere in the struct
 // (narrowing a field or deriving a value instead of storing it), not
 // growing the struct to the next size class.

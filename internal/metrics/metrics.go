@@ -88,8 +88,9 @@ type Collector struct {
 
 	// highestSeq holds, in slot src*numHosts+dst, the flow's highest
 	// delivered SeqNo plus one (zero = flow unseen). Attach sizes it
-	// from the host count.
-	highestSeq []uint64
+	// from the host count. A flow carries at most 2^32-1 packets, so
+	// the count fits 32 bits; onDelivered panics past that.
+	highestSeq []uint32
 	numHosts   int
 
 	// Reorder, when set before Attach, simulates destination-side
@@ -106,7 +107,7 @@ func (c *Collector) Attach(net *fabric.Network) {
 	c.numSwitches = net.Topo.NumSwitches
 	c.engine = net.Engine
 	c.numHosts = net.Topo.NumHosts()
-	c.highestSeq = make([]uint64, c.numHosts*c.numHosts)
+	c.highestSeq = make([]uint32, c.numHosts*c.numHosts)
 	net.OnDelivered = c.onDelivered
 }
 
@@ -137,15 +138,18 @@ func (c *Collector) onDelivered(p *ib.Packet) {
 	}
 	// Order tracking covers every delivery (not only the window) so
 	// flows spanning the warm-up boundary are judged correctly.
+	if p.SeqNo >= math.MaxUint32 {
+		panic(fmt.Sprintf("metrics: %v: a flow carries at most 2^32-1 packets", p))
+	}
 	di := int(p.Src)*c.numHosts + int(p.Dst)
-	if last := c.highestSeq[di]; last != 0 && p.SeqNo < last-1 {
+	if last := c.highestSeq[di]; last != 0 && uint32(p.SeqNo) < last-1 {
 		c.OutOfOrder++
 	} else {
-		c.highestSeq[di] = p.SeqNo + 1
+		c.highestSeq[di] = uint32(p.SeqNo) + 1
 		c.OrderedDelivery++
 	}
 	if c.Reorder != nil {
-		c.Reorder.Deliver(p, now)
+		c.Reorder.Deliver(int(p.Src), int(p.Dst), p.SeqNo, now)
 	}
 }
 

@@ -141,3 +141,19 @@ func TestAcceptedZeroWithoutWindow(t *testing.T) {
 		t.Fatal("zero-width window produced traffic")
 	}
 }
+
+// TestSeqPast32BitsPanics: the collector's per-flow order counter is
+// 32 bits wide, so a SeqNo past 2^32-2 is refused rather than wrapped.
+func TestSeqPast32BitsPanics(t *testing.T) {
+	c := &Collector{numHosts: 2, highestSeq: make([]uint32, 4)}
+	c.onDelivered(&ib.Packet{Src: 0, Dst: 1, SeqNo: math.MaxUint32 - 1})
+	if c.highestSeq[1] != math.MaxUint32 || c.OrderedDelivery != 1 {
+		t.Fatalf("seq 2^32-2: highest %d, ordered %d; want 2^32-1 and 1", c.highestSeq[1], c.OrderedDelivery)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SeqNo 2^32-1 accepted")
+		}
+	}()
+	c.onDelivered(&ib.Packet{Src: 0, Dst: 1, SeqNo: math.MaxUint32})
+}

@@ -12,21 +12,29 @@
 package reorder
 
 import (
-	"ibasim/internal/ib"
+	"fmt"
+	"math"
+
 	"ibasim/internal/sim"
 )
 
-type flowKey struct{ src, dst int }
-
-// Buffer reassembles sequence order per flow.
+// Buffer reassembles sequence order per flow. It keeps no packet: a
+// parked packet is its flow's SeqNo and the time it arrived, which is
+// all the order and delay accounting needs.
 type Buffer struct {
 	// expected holds each flow's next expected SeqNo, one slot per
 	// (src, dst) pair, indexed src*numHosts+dst. It is read and written
-	// on every delivery, so it is dense; the held/arrival maps are only
-	// touched by the parked minority.
-	expected []uint64
+	// on every delivery, so it is dense; held is only touched by the
+	// parked minority.
+	expected []uint32
 	numHosts int
-	held     map[flowKey]map[uint64]*ib.Packet
+
+	// held maps the index of a flow with parked packets to their
+	// SeqNo -> arrival time. holding has the flow's bit set exactly
+	// while it has an entry there, so an in-order delivery of a flow
+	// that holds nothing never reads the map.
+	held    map[int]map[uint32]sim.Time
+	holding []uint64
 
 	// Stats.
 	Parked       uint64 // packets that had to wait
@@ -42,23 +50,18 @@ type Buffer struct {
 	// end-of-timestamp occupancy does not.
 	lastAt  sim.Time
 	hasLast bool
-
-	arrival map[uint64]sim.Time // packet ID -> arrival time, for delay accounting
-
-	// out is the release-run scratch returned by Deliver, reused
-	// across calls so an in-order delivery allocates nothing.
-	out []*ib.Packet
 }
 
 // NewBufferForHosts returns an empty reorder buffer for a subnet of
-// numHosts hosts. Src and Dst of every delivered packet must be below
-// numHosts.
+// numHosts hosts. The source and destination of every delivery must be
+// below numHosts.
 func NewBufferForHosts(numHosts int) *Buffer {
+	flows := numHosts * numHosts
 	return &Buffer{
-		expected: make([]uint64, numHosts*numHosts),
+		expected: make([]uint32, flows),
 		numHosts: numHosts,
-		held:     make(map[flowKey]map[uint64]*ib.Packet),
-		arrival:  make(map[uint64]sim.Time),
+		held:     make(map[int]map[uint32]sim.Time),
+		holding:  make([]uint64, (flows+63)/64),
 	}
 }
 
@@ -70,57 +73,65 @@ func (b *Buffer) closeStep() {
 	}
 }
 
-// Deliver accepts a packet arriving at the destination at time now and
-// returns the packets releasable in order (possibly none, possibly a
-// run ending with previously parked successors). Packets of a flow
-// must carry the per-flow SeqNo the fabric assigns at injection. The
-// returned slice is reused by the next Deliver call; callers that need
-// to keep it must copy. Call Finalize after the last delivery to close
-// the peak-occupancy accounting.
-func (b *Buffer) Deliver(p *ib.Packet, now sim.Time) []*ib.Packet {
+// Deliver accepts the packet with sequence number seq of flow src->dst
+// arriving at the destination at time now, and returns how many
+// packets it releases in order: 0 when the packet is early and parks,
+// otherwise n >= 1, the packet itself and the parked successors
+// seq+1 .. seq+n-1 of its flow. Sequence numbers are the per-flow
+// SeqNo the fabric assigns at injection; a flow carries at most
+// 2^32-1 packets (Deliver panics on a SeqNo past that). Call Finalize
+// after the last delivery to close the peak-occupancy accounting.
+func (b *Buffer) Deliver(src, dst int, seq uint64, now sim.Time) (n int) {
+	if seq >= math.MaxUint32 {
+		panic(fmt.Sprintf("reorder: flow %d->%d delivers seq %d; a flow carries at most 2^32-1 packets", src, dst, seq))
+	}
 	if b.hasLast && now != b.lastAt {
 		b.closeStep()
 	}
 	b.lastAt, b.hasLast = now, true
-	key := flowKey{src: int(p.Src), dst: int(p.Dst)}
-	di := int(p.Src)*b.numHosts + int(p.Dst)
-	next := b.expected[di]
-	if p.SeqNo != next {
-		// Early: park it. SeqNo > next always: the fabric does drop
+	di := src*b.numHosts + dst
+	word, bit := di>>6, uint64(1)<<(uint(di)&63)
+	if s := uint32(seq); s != b.expected[di] {
+		// Early: park it. seq > expected always: the fabric does drop
 		// packets, but a retry re-injects the dropped packet itself,
 		// never a copy, so each SeqNo of a flow arrives at most once
 		// and no late duplicate can follow a release. The flip side:
 		// a packet lost for good (retries off or exhausted) never
 		// arrives, so every later packet of its flow stays parked
 		// until the run ends, inflating CurrentHeld and PeakHeld.
-		if b.held[key] == nil {
-			b.held[key] = make(map[uint64]*ib.Packet)
+		flow := b.held[di]
+		if flow == nil {
+			flow = make(map[uint32]sim.Time)
+			b.held[di] = flow
+			b.holding[word] |= bit
 		}
-		b.held[key][p.SeqNo] = p
-		b.arrival[p.ID] = now
+		flow[s] = now
 		b.Parked++
 		b.CurrentHeld++
-		return nil
+		return 0
 	}
 	// In order: release it and any parked run behind it.
-	out := append(b.out[:0], p)
 	b.PassedThru++
-	next++
-	for {
-		q, ok := b.held[key][next]
-		if !ok {
-			break
+	next := uint32(seq) + 1
+	if b.holding[word]&bit != 0 {
+		flow := b.held[di]
+		for {
+			at, ok := flow[next]
+			if !ok {
+				break
+			}
+			delete(flow, next)
+			b.CurrentHeld--
+			b.ReorderDelay += now - at
+			next++
 		}
-		delete(b.held[key], next)
-		b.CurrentHeld--
-		b.ReorderDelay += now - b.arrival[q.ID]
-		delete(b.arrival, q.ID)
-		out = append(out, q)
-		next++
+		if len(flow) == 0 {
+			delete(b.held, di)
+			b.holding[word] &^= bit
+		}
 	}
 	b.expected[di] = next
-	b.out = out
-	return out
+	return int(next - uint32(seq))
 }
 
 // Finalize closes the last timestamp's occupancy sample. Idempotent;

@@ -43,8 +43,8 @@ go test -race -count=1 -run 'TestHarnessGoldensFacade' -v .
 echo "==> facade result (ibasim.Result is the experiments RunResult: a fault run reports Retry)"
 go test -count=1 -run 'TestSimulateReportsRetry' -v .
 
-echo "==> bytes per generated packet (a saturated run keeps every packet; bound its memory slope)"
-go test -count=1 -run 'TestHotSpotBytesPerGeneratedPacket' -v ./internal/experiments/
+echo "==> bytes per generated packet and packets carved (a saturated run keeps its backlog as coded entries and reuses delivered packets: bound its memory slope, and hold the packets carved to the ones in flight)"
+go test -count=1 -run 'TestHotSpotBytesPerGeneratedPacket|TestHotSpotCarvedPacketsStayInFlight' -v ./internal/experiments/
 
 echo "==> source queue (delta-coded entries of about 1.4 bytes replayed from the host's traffic stream, one FIFO for generated, injected and retried packets, no failing injection pass)"
 go test -count=1 -run 'TestSrcEntryLayout|TestPktFIFO|TestSourceQueueMixedOrder|TestGenerateSkipsOnlyFailingPasses' -v ./internal/fabric/
@@ -124,8 +124,8 @@ go test -race -run 'TestCampaignSmokeCI' -v ./internal/faults/
 echo "==> crash-tolerance suite (SIGKILL mid-job, torn-store audit, byte-identical resume)"
 go test -race -count=1 -run 'TestWorkerSIGKILL|TestCampaign|TestResume|TestCorrupt|TestHungWorker|TestStore|TestParentArtifact' -v ./internal/campaign/
 
-echo "==> ibcamp command (-retries N makes N retries after the first attempt; 0 retries, backoff or ceiling means none; exit codes)"
-go test -race -count=1 -run 'TestRunRetries|TestRunZeroMeansNone|TestUsage' -v ./cmd/ibcamp/
+echo "==> ibcamp command (-retries N makes N retries after the first attempt; 0 retries, backoff or ceiling means none; non-positive -workers, -timeout or -hung-after is a usage error; exit codes)"
+go test -race -count=1 -run 'TestRunRetries|TestRunZeroMeansNone|TestRunRejectsNonPositive|TestUsage' -v ./cmd/ibcamp/
 
 echo "==> crash loop (the coordinator is the store's only writer: no torn files under any kill timing)"
 go test -count=50 -run 'TestWorkerSIGKILL|TestHungWorker|TestInterruptedRun' ./internal/campaign/
