@@ -30,53 +30,30 @@ import (
 	"ibasim/internal/sim"
 )
 
-func parseInts(s string) ([]int, error) {
-	var out []int
+// parseList parses a comma-separated flag value item by item, skipping
+// empty items. A parse error names the whole list as a bad kind list;
+// with kind "" it passes through unchanged, for parsers whose errors
+// already name the item.
+func parseList[T any](s, kind string, parse func(string) (T, error)) ([]T, error) {
+	var out []T
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
 			continue
 		}
-		v, err := strconv.Atoi(part)
+		v, err := parse(part)
 		if err != nil {
-			return nil, fmt.Errorf("bad integer list %q: %w", s, err)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func parsePatterns(s string) ([]experiments.PatternSpec, error) {
-	var out []experiments.PatternSpec
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		ps, err := experiments.ParsePattern(part)
-		if err != nil {
+			if kind != "" {
+				err = fmt.Errorf("bad %s list %q: %w", kind, s, err)
+			}
 			return nil, err
 		}
-		out = append(out, ps)
-	}
-	return out, nil
-}
-
-func parseFloats(s string) ([]float64, error) {
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		v, err := strconv.ParseFloat(part, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad float list %q: %w", s, err)
-		}
 		out = append(out, v)
 	}
 	return out, nil
 }
+
+func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
 
 // patString renders a pattern back into the ParsePattern grammar
 // (PatternSpec.String is a display form and does not round-trip).
@@ -141,7 +118,7 @@ func main() {
 		fail(fmt.Errorf("unknown scale %q", *scaleName))
 	}
 	if *sizes != "" {
-		v, err := parseInts(*sizes)
+		v, err := parseList(*sizes, "integer", strconv.Atoi)
 		if err != nil {
 			fail(err)
 		}
@@ -167,7 +144,7 @@ func main() {
 		sc.LoadHi = *loadHi
 	}
 	if *pktSizes != "" {
-		v, err := parseInts(*pktSizes)
+		v, err := parseList(*pktSizes, "integer", strconv.Atoi)
 		if err != nil {
 			fail(err)
 		}
@@ -179,7 +156,7 @@ func main() {
 		pats = experiments.Table1Patterns
 	}
 	if *patterns != "" {
-		v, err := parsePatterns(*patterns)
+		v, err := parseList(*patterns, "", experiments.ParsePattern)
 		if err != nil {
 			fail(err)
 		}
@@ -191,7 +168,7 @@ func main() {
 		for i, p := range pats {
 			pstrs[i] = patString(p)
 		}
-		fracs, err := parseFloats(*fractions)
+		fracs, err := parseList(*fractions, "float", parseFloat)
 		if err != nil {
 			fail(err)
 		}

@@ -82,12 +82,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "ibtopo:", err)
 		return 1
 	}
-	det := eng.Deterministic()
+	det := eng.Deterministic
 	if err := eng.Verify(); err != nil {
 		fmt.Fprintln(stderr, "ibtopo: deadlock check FAILED:", err)
 		return 1
 	}
-	fa := eng.Adaptive()
+	fa := eng.Adaptive
 
 	if fam.Irregular() {
 		fmt.Fprintf(stdout, "topology:          %d switches, %d links/switch, %d hosts/switch (seed %d)\n",
@@ -103,10 +103,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "up*/down* root:    switch %d\n", det.UD.Root)
 	} else {
 		minimal := ""
-		if eng.MinimalEscape() {
+		if eng.MinimalEscape {
 			minimal = " (minimal)"
 		}
-		fmt.Fprintf(stdout, "routing engine:    %s escape%s\n", eng.Name(), minimal)
+		fmt.Fprintf(stdout, "routing engine:    %s escape%s\n", eng.Name, minimal)
 	}
 	table, shortest := det.AvgPathLength()
 	fmt.Fprintf(stdout, "avg path length:   %.3f table vs %.3f shortest (inflation %.1f%%)\n",

@@ -223,7 +223,7 @@ func (c Config) spec() (experiments.RunSpec, error) {
 
 func patternFor(c Config, numHosts int) (traffic.Pattern, error) {
 	ps := experiments.PatternSpec{Kind: c.Pattern, Fraction: c.HotSpotFraction}
-	return experiments.BuildPattern(ps, numHosts, c.Seed)
+	return ps.Build(numHosts, c.Seed)
 }
 
 // Simulate runs one simulation and returns its observables. Under a

@@ -125,8 +125,8 @@ func (t *AdaptiveTable) Lookup(dlid ib.LID) (escape ib.PortID, adaptive []ib.Por
 
 // decode rebuilds the cached option set of block bi from the linear
 // view. A fresh adaptive slice is allocated on every decode — never
-// reused — because bufEntry holders may still reference the previous
-// one across a reconfiguration.
+// reused — because a buffered packet's routing state may still
+// reference the previous one across a reconfiguration.
 func (t *AdaptiveTable) decode(bi int) {
 	block := 1 << t.lmc
 	base := ib.LID(bi << t.lmc)

@@ -200,7 +200,7 @@ func TestTable1SmokeAndFormat(t *testing.T) {
 
 func TestTable1PatternSpecs(t *testing.T) {
 	for _, ps := range Table1Patterns {
-		p, err := ps.build(64, 1)
+		p, err := ps.Build(64, 1)
 		if err != nil {
 			t.Fatalf("%v: %v", ps, err)
 		}
@@ -208,7 +208,7 @@ func TestTable1PatternSpecs(t *testing.T) {
 			t.Fatalf("%v: empty name", ps)
 		}
 	}
-	if _, err := (PatternSpec{Kind: "nonsense"}).build(64, 1); err == nil {
+	if _, err := (PatternSpec{Kind: "nonsense"}).Build(64, 1); err == nil {
 		t.Fatal("unknown pattern accepted")
 	}
 }

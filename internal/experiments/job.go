@@ -296,7 +296,7 @@ func (j JobSpec) RunSpec() (RunSpec, error) {
 	if err != nil {
 		return RunSpec{}, err
 	}
-	pattern, err := j.Pattern.build(topo.NumHosts(), j.Seed)
+	pattern, err := j.Pattern.Build(topo.NumHosts(), j.Seed)
 	if err != nil {
 		return RunSpec{}, err
 	}

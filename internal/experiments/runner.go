@@ -231,9 +231,8 @@ func RunObserved(spec RunSpec, observe func(*fabric.Network)) (RunResult, error)
 		return RunResult{}, err
 	}
 	end := spec.Warmup + spec.Measure
-	if err := runEngine(net, gen, end, end+spec.DrainGrace); err != nil {
-		return RunResult{}, err
-	}
+	gen.Start(end)
+	net.Run(end + spec.DrainGrace)
 	col.Finalize()
 	res := RunResult{
 		OfferedPerSwitch:   spec.Traffic.OfferedPerSwitchAvg(float64(spec.Topo.NumHosts()) / float64(spec.Topo.NumSwitches)),
@@ -291,24 +290,6 @@ func RunObserved(spec RunSpec, observe func(*fabric.Network)) (RunResult, error)
 		return res, err
 	}
 	return res, nil
-}
-
-// runEngine starts traffic and runs the engine to the horizon,
-// converting a fatal watchdog Violation (panic) into a returned error
-// so campaign runs fail loudly but cleanly.
-func runEngine(net *fabric.Network, gen *traffic.Generator, genEnd, horizon sim.Time) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if v, ok := r.(faults.Violation); ok {
-				err = v
-				return
-			}
-			panic(r)
-		}
-	}()
-	gen.Start(genEnd)
-	net.Run(horizon)
-	return nil
 }
 
 // SweepPoint is one load point of a latency/throughput curve.

@@ -41,9 +41,9 @@ func (ps PatternSpec) String() string {
 	return ps.Kind
 }
 
-// build instantiates the pattern for a host count. The hot host is
+// Build instantiates the pattern for a host count. The hot host is
 // drawn from the run seed, as the paper randomly selects it.
-func (ps PatternSpec) build(numHosts int, seed uint64) (traffic.Pattern, error) {
+func (ps PatternSpec) Build(numHosts int, seed uint64) (traffic.Pattern, error) {
 	switch ps.Kind {
 	case "uniform":
 		return traffic.Uniform{NumHosts: numHosts}, nil
@@ -54,12 +54,6 @@ func (ps PatternSpec) build(numHosts int, seed uint64) (traffic.Pattern, error) 
 	default:
 		return nil, fmt.Errorf("experiments: unknown pattern %q", ps.Kind)
 	}
-}
-
-// BuildPattern instantiates a PatternSpec for a host count; the public
-// facade uses it to translate pattern names.
-func BuildPattern(ps PatternSpec, numHosts int, seed uint64) (traffic.Pattern, error) {
-	return ps.build(numHosts, seed)
 }
 
 // Table1Patterns is the paper's pattern list for Table 1 (left).
@@ -111,7 +105,7 @@ func Table1(sc Scale, links, mr int, patterns []PatternSpec, pktSizes []int) ([]
 				})
 				for ti, topo := range topos {
 					seed := sc.FirstSeed + uint64(ti)
-					pattern, err := ps.build(topo.NumHosts(), seed)
+					pattern, err := ps.Build(topo.NumHosts(), seed)
 					if err != nil {
 						return nil, err
 					}

@@ -205,7 +205,7 @@ func TestSwitchHopZeroAllocsScanArb(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		hop()
 	}
-	if allocs := testing.AllocsPerRun(200, hop); allocs != 0 {
+	if allocs := mallocsPerRun(200, hop); allocs != 0 {
 		t.Fatalf("scan-arbiter steady-state forwarding allocates %v objects per traversal, want 0", allocs)
 	}
 }
@@ -232,7 +232,7 @@ func TestArbWakeZeroAllocsCongested(t *testing.T) {
 		burst()
 	}
 	before := net.ArbParks()
-	if allocs := testing.AllocsPerRun(200, burst); allocs != 0 {
+	if allocs := mallocsPerRun(200, burst); allocs != 0 {
 		t.Fatalf("congested wake-arbiter steady state allocates %v objects per burst, want 0", allocs)
 	}
 	if net.ArbParks() == before {

@@ -253,7 +253,7 @@ func TestGenerateZeroAllocsSteadyState(t *testing.T) {
 	for i := 0; i < 600; i++ { // warm pools and span a slab boundary
 		generate()
 	}
-	if allocs := testing.AllocsPerRun(2*pktSlabSize, generate); allocs > 2.5/pktSlabSize {
+	if allocs := mallocsPerRun(2*pktSlabSize, generate); allocs > 2.5/pktSlabSize {
 		t.Fatalf("steady-state generation allocates %v objects per packet, want at most the amortized slab refill (%v)", allocs, 2.5/pktSlabSize)
 	}
 }

@@ -129,9 +129,6 @@ const (
 	DropDeadPort
 	// DropTimeout: the source queue head waited past Retry.SendTimeout.
 	DropTimeout
-
-	// NumDropReasons sizes per-reason counter arrays.
-	NumDropReasons
 )
 
 func (r DropReason) String() string {
@@ -288,7 +285,7 @@ func NewNetwork(topo *topology.Topology, plan *ib.AddressPlan, cfg Config, seed 
 		sw := net.Switches[topo.HostSwitch(h)]
 		port := ib.PortID(topo.HostPortIndex(h))
 		host.out = &outPort{
-			owner:      host,
+			ownerHost:  host,
 			net:        net,
 			id:         0,
 			peerSwitch: sw,
@@ -301,7 +298,6 @@ func NewNetwork(topo *topology.Topology, plan *ib.AddressPlan, cfg Config, seed 
 			upstream: host.out,
 		}
 		sw.out[port] = &outPort{
-			owner:    sw,
 			net:      net,
 			ownerSw:  sw,
 			id:       port,
@@ -312,20 +308,8 @@ func NewNetwork(topo *topology.Topology, plan *ib.AddressPlan, cfg Config, seed 
 
 	// Wire inter-switch links: switch s uses the ports after its host
 	// ports, one per neighbour in ascending neighbour order.
-	portOf := func(s, neighbor int) (ib.PortID, error) {
-		for i, n := range topo.Neighbors(s) {
-			if n == neighbor {
-				return ib.PortID(topo.InterSwitchPortBase(s) + i), nil
-			}
-		}
-		return 0, fmt.Errorf("fabric: %d not adjacent to %d", neighbor, s)
-	}
 	for _, l := range topo.Links {
-		pa, err := portOf(l.A, l.B)
-		if err != nil {
-			return nil, err
-		}
-		pb, err := portOf(l.B, l.A)
+		pa, pb, err := net.linkPorts(l.A, l.B)
 		if err != nil {
 			return nil, err
 		}
@@ -351,7 +335,6 @@ func NewNetwork(topo *topology.Topology, plan *ib.AddressPlan, cfg Config, seed 
 // wire creates the directed channel from (a, pa) to (b, pb).
 func (n *Network) wire(a *Switch, pa ib.PortID, b *Switch, pb ib.PortID) {
 	o := &outPort{
-		owner:      a,
 		net:        n,
 		ownerSw:    a,
 		id:         pa,
@@ -423,6 +406,15 @@ func (n *Network) PortToNeighbor(s, neighbor int) (ib.PortID, error) {
 		}
 	}
 	return 0, fmt.Errorf("fabric: switch %d not adjacent to %d", neighbor, s)
+}
+
+// linkPorts returns the two ports of the cable between switches a and
+// b: a's port toward b and b's port toward a.
+func (n *Network) linkPorts(a, b int) (pa, pb ib.PortID, err error) {
+	if pa, err = n.PortToNeighbor(a, b); err == nil {
+		pb, err = n.PortToNeighbor(b, a)
+	}
+	return pa, pb, err
 }
 
 // HostPort returns the port of the host's switch that faces the host.

@@ -64,10 +64,14 @@ func (ev *fabricEvent) Do() {
 	case evCreditReturn:
 		out.returns--
 		out.credits += n
-		if net.wake && out.ownerSw != nil {
-			out.ownerSw.wakeCredits(out.id)
+		if sw := out.ownerSw; sw != nil {
+			if net.wake {
+				sw.wakeCredits(out.id)
+			}
+			sw.kick()
+		} else {
+			out.ownerHost.kick()
 		}
-		out.owner.kick()
 	case evRequeue:
 		host.requeue(pkt)
 	case evSwitchKick:

@@ -5,25 +5,18 @@ import (
 	"ibasim/internal/sim"
 )
 
-// node is anything that owns output ports and must be re-examined when
-// one of them frees up or receives credits back. kick schedules the
-// re-examination as a coalesced delay-0 event.
-type node interface {
-	kick()
-}
-
 // outPort is the transmitting side of one directed channel: it tracks
 // the link's busy time and the credit count of the peer's input buffer
 // (IBA's credit-based flow control, §5.1).
 type outPort struct {
-	owner node
-	net   *Network // the owner's network: credit-return events are pooled there
-	id    ib.PortID
+	net *Network // the owner's network: credit-return events are pooled there
+	id  ib.PortID
 
-	// ownerSw is the owning switch when the port belongs to one (nil
-	// for host CA ports): credit returns wake its credit-waiter list
-	// before the follow-up allocation pass (see wake.go).
-	ownerSw *Switch
+	// Exactly one of ownerSw/ownerHost is set: the node re-examined
+	// (kicked) when credits come back. A switch first wakes its
+	// credit-waiter list (see wake.go).
+	ownerSw   *Switch
+	ownerHost *Host
 
 	// Exactly one of peerSwitch/peerHost is set.
 	peerSwitch *Switch

@@ -21,11 +21,7 @@ func errSwitchRange(s, n int) error {
 //
 // Failing an already-failed link is an idempotent no-op.
 func (n *Network) SetLinkDown(a, b int) error {
-	pa, err := n.PortToNeighbor(a, b)
-	if err != nil {
-		return err
-	}
-	pb, err := n.PortToNeighbor(b, a)
+	pa, pb, err := n.linkPorts(a, b)
 	if err != nil {
 		return err
 	}
@@ -40,11 +36,7 @@ func (n *Network) SetLinkDown(a, b int) error {
 // manager reconfigures. Repairing a healthy link is an idempotent
 // no-op.
 func (n *Network) SetLinkUp(a, b int) error {
-	pa, err := n.PortToNeighbor(a, b)
-	if err != nil {
-		return err
-	}
-	pb, err := n.PortToNeighbor(b, a)
+	pa, pb, err := n.linkPorts(a, b)
 	if err != nil {
 		return err
 	}

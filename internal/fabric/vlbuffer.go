@@ -9,14 +9,12 @@ import (
 )
 
 // Buffered-packet state lives in a struct-of-arrays slab, one per
-// network, indexed by dense int32 entry IDs. The arbitration
-// scan, the escape-service walk and the credit-occupancy audit touch
-// one or two fields of many entries; with the old array-of-structs
-// freelist every touch dragged a whole cache line of unrelated fields
-// (and a pointer dereference) through the cache. The slab keeps each
-// hot field contiguous, and the hottest per-packet reads (credits and
-// the adaptive-service bit) are cached here at arrival so the scan
-// never chases the *ib.Packet at all.
+// network, indexed by dense int32 entry IDs, and the hottest
+// per-packet reads (credits and the adaptive-service bit) are cached
+// here at arrival so the scan never chases the *ib.Packet at all.
+// Per-buffer value entries in its place ran the 64-switch Figure 3
+// panel about 1.12x slower, mostly in garbage collection (DESIGN.md
+// §15).
 
 // Entry flag bits (entrySlab.flags).
 const (

@@ -1,8 +1,8 @@
 // Package faults is the deterministic fault-injection subsystem: it
 // schedules link and switch failures, repairs and staged
-// subnet-manager recoveries on the simulation clock, and runs two
-// runtime invariant watchdogs (credit conservation, forward progress)
-// that fail a wedged run loudly instead of letting it hang.
+// subnet-manager recoveries on the simulation clock, and runs a
+// runtime invariant watchdog (credit conservation, forward progress,
+// deadlock) that records each breach in the run's result.
 //
 // A Campaign is a parsed description of what goes wrong and when. It
 // comes from a compact spec string (CLI-friendly) or a JSON file, and
@@ -33,34 +33,28 @@ const (
 	Reconfig
 )
 
+// kindNames spells each Kind, indexed by its value; String and
+// parseKind both read it.
+var kindNames = [...]string{
+	LinkDown:   "link-down",
+	LinkUp:     "link-up",
+	SwitchDown: "switch-down",
+	SwitchUp:   "switch-up",
+	Reconfig:   "reconfig",
+}
+
 func (k Kind) String() string {
-	switch k {
-	case LinkDown:
-		return "link-down"
-	case LinkUp:
-		return "link-up"
-	case SwitchDown:
-		return "switch-down"
-	case SwitchUp:
-		return "switch-up"
-	case Reconfig:
-		return "reconfig"
+	if int(k) < len(kindNames) {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
 func parseKind(s string) (Kind, error) {
-	switch s {
-	case "link-down":
-		return LinkDown, nil
-	case "link-up":
-		return LinkUp, nil
-	case "switch-down":
-		return SwitchDown, nil
-	case "switch-up":
-		return SwitchUp, nil
-	case "reconfig":
-		return Reconfig, nil
+	for k, name := range kindNames {
+		if name == s {
+			return Kind(k), nil
+		}
 	}
 	return 0, fmt.Errorf("faults: unknown event kind %q", s)
 }
@@ -104,8 +98,7 @@ type Campaign struct {
 	PerSwitchDelay sim.Time
 
 	// Watchdog configures the runtime invariant checkers; zero fields
-	// take defaults. Watchdog.Fatal defaults to false here — runners
-	// that want a loud failure set it.
+	// take defaults.
 	Watchdog WatchdogConfig
 }
 

@@ -324,25 +324,6 @@ func TestDeadlockFailsLoudly(t *testing.T) {
 	}
 }
 
-// TestFatalWatchdogFailsRunLoudly: with Watchdog.Fatal set, an
-// unrecovered switch outage must turn into a returned error from the
-// runner (the recovered panic), not a hang or a silent result.
-func TestFatalWatchdogFailsRunLoudly(t *testing.T) {
-	topo := irregularTopo(t, 16, 4, 42)
-	camp, err := faults.Parse("swdown@40000:3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	camp.Watchdog.Fatal = true
-	_, err = experiments.Run(campaignSpec(t, topo, 2, camp, 1))
-	if err == nil {
-		t.Fatal("fatal watchdog produced no error")
-	}
-	if !strings.Contains(err.Error(), "faults: watchdog:") {
-		t.Fatalf("error = %v, want a watchdog violation", err)
-	}
-}
-
 // TestDisconnectingCampaignError golden-tests the message a campaign
 // reports when its reconfiguration finds the surviving topology
 // disconnected (ibsim prints it verbatim and exits nonzero).

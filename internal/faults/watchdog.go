@@ -17,10 +17,6 @@ type WatchdogConfig struct {
 	// Horizon is how long a non-empty buffer may keep the same head
 	// packet before the forward-progress checker flags it.
 	Horizon sim.Time
-	// Fatal makes the watchdog panic with the first Violation instead
-	// of recording it (the "fail loudly instead of hanging" mode;
-	// runners recover it into an error).
-	Fatal bool
 }
 
 func (c WatchdogConfig) withDefaults() WatchdogConfig {
@@ -34,8 +30,7 @@ func (c WatchdogConfig) withDefaults() WatchdogConfig {
 }
 
 // Violation is one invariant breach the watchdog observed. It
-// implements error so Fatal mode can panic with it and runners can
-// surface it directly.
+// implements error so runners can surface it directly.
 type Violation struct {
 	At     sim.Time
 	Kind   string // "credit-conservation", "forward-progress", "deadlock"
@@ -75,10 +70,11 @@ type bufSig struct {
 //     the in-flight credit bound, via Network.CheckCreditConservation.
 //   - forward progress: every non-empty buffer must change its head
 //     packet within Horizon, else the fabric is wedged (a routing or
-//     flow-control deadlock) and the run fails loudly instead of
-//     spinning to the time horizon with nothing delivered.
+//     flow-control deadlock).
 //   - deadlock: if the event queue drains while packets are still in
 //     flight, nothing can ever move them again.
+//
+// A breach is recorded, not raised: the run still stops at its horizon.
 type Watchdog struct {
 	net *fabric.Network
 	cfg WatchdogConfig
@@ -185,9 +181,6 @@ func (w *Watchdog) observe(now sim.Time, k bufKey, headID uint64, depth int, inj
 }
 
 func (w *Watchdog) report(v Violation) {
-	if w.cfg.Fatal {
-		panic(v)
-	}
 	if len(w.violations) < maxViolations {
 		w.violations = append(w.violations, v)
 	}

@@ -22,7 +22,7 @@ import (
 // pristine fabric; builder is the family's routing.Builder for it.
 type conformanceCase struct {
 	name    string
-	engine  string // Engine.Name() expected on the pristine fabric
+	engine  string // Engine.Name expected on the pristine fabric
 	build   func() (*topology.Topology, error)
 	builder func() routing.Builder
 }
@@ -82,15 +82,15 @@ func TestEngineConformance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if eng.Name() != tc.engine {
-				t.Fatalf("pristine fabric built engine %q, want %q", eng.Name(), tc.engine)
+			if eng.Name != tc.engine {
+				t.Fatalf("pristine fabric built engine %q, want %q", eng.Name, tc.engine)
 			}
 
 			// Contract 1: deadlock-free escape CDG (Duato's condition).
 			if err := eng.Verify(); err != nil {
 				t.Fatalf("escape CDG cyclic: %v", err)
 			}
-			det := eng.Deterministic()
+			det := eng.Deterministic
 			if err := routing.VerifyDeadlockFreeAll([]*routing.Deterministic{det}); err != nil {
 				t.Fatalf("VerifyDeadlockFreeAll: %v", err)
 			}
@@ -103,7 +103,7 @@ func TestEngineConformance(t *testing.T) {
 
 			// Contract 3: adaptive options are exactly the minimal next
 			// hops and every routed pair has an escape hop.
-			fa := eng.Adaptive()
+			fa := eng.Adaptive
 			if err := fa.Validate(); err != nil {
 				t.Fatalf("adaptive options invalid: %v", err)
 			}
@@ -132,7 +132,7 @@ func TestEngineConformance(t *testing.T) {
 					if det.PathLen[s][d] < dists[s][d] {
 						t.Fatalf("escape path %d->%d length %d beats shortest %d", s, d, det.PathLen[s][d], dists[s][d])
 					}
-					if !eng.MinimalEscape() {
+					if !eng.MinimalEscape {
 						continue
 					}
 					if det.PathLen[s][d] != dists[s][d] {
@@ -164,7 +164,7 @@ func TestTorusEscapeAvoidsWraps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		det := eng.Deterministic()
+		det := eng.Deterministic
 		for s := 0; s < topo.NumSwitches; s++ {
 			for d := 0; d < topo.NumSwitches; d++ {
 				hop := det.NextHop[s][d]
@@ -209,13 +209,13 @@ func TestStructuredBuildersDegradeToUpDown(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: degraded build failed: %v", tc.name, err)
 		}
-		if eng.Name() != "updown" {
-			t.Fatalf("%s: degraded fabric got engine %q, want updown fallback", tc.name, eng.Name())
+		if eng.Name != "updown" {
+			t.Fatalf("%s: degraded fabric got engine %q, want updown fallback", tc.name, eng.Name)
 		}
 		if err := eng.Verify(); err != nil {
 			t.Fatalf("%s: fallback escape CDG cyclic: %v", tc.name, err)
 		}
-		if err := eng.Adaptive().Validate(); err != nil {
+		if err := eng.Adaptive.Validate(); err != nil {
 			t.Fatalf("%s: fallback adaptive options invalid: %v", tc.name, err)
 		}
 	}

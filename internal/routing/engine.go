@@ -2,35 +2,35 @@ package routing
 
 import "ibasim/internal/topology"
 
-// Engine is the pluggable routing-function family contract: everything
-// the subnet manager needs to program forwarding tables and everything
-// the analysis/verification layers need to reason about the result.
-// One Engine instance is built per configured topology; all methods are
-// read-only after construction.
+// Engine is one routing-function family built for one topology:
+// everything the subnet manager needs to program forwarding tables and
+// everything the analysis/verification layers need to reason about the
+// result. Builders fill it once; nothing changes it afterwards.
 //
 // The contract (also documented in DESIGN.md):
 //
-//   - Deterministic() is the escape routing: destination-indexed next
+//   - Deterministic is the escape routing: destination-indexed next
 //     hops stored at the first LID of every destination's address
 //     range. Its escape CDG must be acyclic (Verify enforces it); by
 //     Duato's theory that alone makes the full adaptive function
 //     deadlock-free, no matter how cyclic the adaptive options are.
-//   - Adaptive() supplies the minimal adaptive option sets programmed
+//   - Adaptive supplies the minimal adaptive option sets programmed
 //     into the remaining LID slots.
-//   - MinimalEscape() reports whether the family guarantees its escape
+//   - MinimalEscape reports whether the family guarantees its escape
 //     paths are minimal (fat-tree D-mod-K: yes; up*/down* and
 //     mesh-restricted torus DOR: no). The conformance suite keys the
 //     minimality assertions off it.
-//   - Verify() runs the family's deadlock-freedom check — for every
-//     current family the mechanical escape-CDG acyclicity test.
-type Engine interface {
+type Engine struct {
 	// Name tags the family for reports ("updown", "fattree", "torus").
-	Name() string
-	Deterministic() *Deterministic
-	Adaptive() *FA
-	MinimalEscape() bool
-	Verify() error
+	Name          string
+	Deterministic *Deterministic
+	Adaptive      *FA
+	MinimalEscape bool
 }
+
+// Verify runs the family's deadlock-freedom check: for every current
+// family the mechanical escape-CDG acyclicity test.
+func (e *Engine) Verify() error { return VerifyDeadlockFree(e.Deterministic) }
 
 // Builder constructs a family's Engine for one discovered topology.
 // The subnet manager calls it at configuration time and again after
@@ -38,28 +38,26 @@ type Engine interface {
 // degraded fabric (failed links) and fall back to up*/down* on the
 // surviving graph, which is how fault campaigns run unchanged on every
 // family.
-type Builder func(t *topology.Topology) (Engine, error)
+type Builder func(t *topology.Topology) (*Engine, error)
 
-// engine is the shared Engine implementation: all current families are
-// fully described by their tables, option sets, and minimality flag.
-type engine struct {
-	name    string
-	det     *Deterministic
-	fa      *FA
-	minimal bool
+// unrouted returns n×n next-hop and path-length tables with every
+// entry -1, for a structured family to fill.
+func unrouted(n int) (next, dist [][]int) {
+	next, dist = make([][]int, n), make([][]int, n)
+	for s := range next {
+		next[s], dist[s] = make([]int, n), make([]int, n)
+		for d := range next[s] {
+			next[s][d], dist[s][d] = -1, -1
+		}
+	}
+	return next, dist
 }
-
-func (e *engine) Name() string                  { return e.name }
-func (e *engine) Deterministic() *Deterministic { return e.det }
-func (e *engine) Adaptive() *FA                 { return e.fa }
-func (e *engine) MinimalEscape() bool           { return e.minimal }
-func (e *engine) Verify() error                 { return VerifyDeadlockFree(e.det) }
 
 // UpDownBuilder returns the up*/down* family builder — the escape
 // routing of the paper's irregular-network evaluation. root >= 0 forces
 // the spanning-tree root; -1 selects the default highest-degree root.
 func UpDownBuilder(root int) Builder {
-	return func(t *topology.Topology) (Engine, error) {
+	return func(t *topology.Topology) (*Engine, error) {
 		var ud *UpDown
 		var err error
 		if root >= 0 {
@@ -71,6 +69,6 @@ func UpDownBuilder(root int) Builder {
 			return nil, err
 		}
 		det := ud.Tables()
-		return &engine{name: "updown", det: det, fa: NewFA(det)}, nil
+		return &Engine{Name: "updown", Deterministic: det, Adaptive: NewFA(det)}, nil
 	}
 }

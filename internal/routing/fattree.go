@@ -28,14 +28,14 @@ import (
 // path must climb to at least L, and ours climbs exactly to L. Path
 // length is therefore (L-l) + L, the graph distance — D-mod-K escape
 // paths are minimal, so the escape hop always appears among the minimal
-// adaptive options (MinimalEscape() == true; the conformance suite
+// adaptive options (MinimalEscape is true; the conformance suite
 // asserts both).
 //
 // Deadlock freedom: every table path is up moves then down moves on the
 // level orientation, so escape channel dependencies go up-up, up-down,
 // or down-down, never down-up; levels strictly increase along up
 // channels and strictly decrease along down channels, hence the escape
-// CDG is acyclic. Verify() re-checks this mechanically.
+// CDG is acyclic. Verify re-checks this mechanically.
 
 // NewFatTreeTables computes the D-mod-K destination-indexed tables for
 // a pristine k-ary n-tree. Destinations without hosts (levels >= 1)
@@ -46,16 +46,7 @@ func NewFatTreeTables(t *topology.Topology, spec topology.FatTreeSpec) (*Determi
 		return nil, fmt.Errorf("routing: topology is not the pristine fat-tree %s", spec)
 	}
 	n := t.NumSwitches
-	next := make([][]int, n)
-	dist := make([][]int, n)
-	for s := range next {
-		next[s] = make([]int, n)
-		dist[s] = make([]int, n)
-		for d := range next[s] {
-			next[s][d] = -1
-			dist[s][d] = -1
-		}
-	}
+	next, dist := unrouted(n)
 	for d := 0; d < n; d++ {
 		if spec.SwitchLevel(d) != 0 {
 			continue // host-less spine switch: no destination entries
@@ -99,7 +90,7 @@ func NewFatTreeTables(t *topology.Topology, spec topology.FatTreeSpec) (*Determi
 // structure D-mod-K depends on is gone, so the builder falls back to
 // up*/down* on the surviving graph, exactly like the irregular family.
 func FatTreeBuilder(spec topology.FatTreeSpec) Builder {
-	return func(t *topology.Topology) (Engine, error) {
+	return func(t *topology.Topology) (*Engine, error) {
 		if !topology.MatchesFatTree(t, spec) {
 			return UpDownBuilder(-1)(t)
 		}
@@ -107,6 +98,6 @@ func FatTreeBuilder(spec topology.FatTreeSpec) Builder {
 		if err != nil {
 			return nil, err
 		}
-		return &engine{name: "fattree", det: det, fa: NewFA(det), minimal: true}, nil
+		return &Engine{Name: "fattree", Deterministic: det, Adaptive: NewFA(det), MinimalEscape: true}, nil
 	}
 }

@@ -22,7 +22,7 @@ import (
 //
 // Adaptive options come from NewFA over the FULL wrapped graph, so they
 // use wrap links freely and can be shorter than the escape path
-// (MinimalEscape() == false: mesh DOR is minimal on the mesh, not on
+// (MinimalEscape is false: mesh DOR is minimal on the mesh, not on
 // the torus). Duato's theory does not care: packets blocked on cyclic
 // adaptive channels always have the acyclic escape path to drain into.
 
@@ -34,16 +34,7 @@ func NewTorusTables(t *topology.Topology, spec topology.TorusSpec) (*Determinist
 		return nil, fmt.Errorf("routing: topology is not the pristine torus %s", spec)
 	}
 	n := t.NumSwitches
-	next := make([][]int, n)
-	dist := make([][]int, n)
-	for s := range next {
-		next[s] = make([]int, n)
-		dist[s] = make([]int, n)
-		for d := range next[s] {
-			next[s][d] = -1
-			dist[s][d] = -1
-		}
-	}
+	next, dist := unrouted(n)
 	for d := 0; d < n; d++ {
 		cd := spec.Coord(d)
 		for s := 0; s < n; s++ {
@@ -86,7 +77,7 @@ func NewTorusTables(t *topology.Topology, spec topology.TorusSpec) (*Determinist
 // once faults break the regular structure. Only spec.Dims matter; host
 // attachment is taken from the topology being configured.
 func TorusBuilder(spec topology.TorusSpec) Builder {
-	return func(t *topology.Topology) (Engine, error) {
+	return func(t *topology.Topology) (*Engine, error) {
 		spec := spec
 		spec.HostsPerSwitch = t.HostsPerSwitch
 		if !topology.MatchesTorus(t, spec) {
@@ -96,6 +87,6 @@ func TorusBuilder(spec topology.TorusSpec) Builder {
 		if err != nil {
 			return nil, err
 		}
-		return &engine{name: "torus", det: det, fa: NewFA(det)}, nil
+		return &Engine{Name: "torus", Deterministic: det, Adaptive: NewFA(det)}, nil
 	}
 }

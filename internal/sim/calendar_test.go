@@ -102,7 +102,7 @@ func TestSortBucketZeroAllocsWarm(t *testing.T) {
 	if cap(q.scratch) == 0 {
 		t.Fatal("the warm-up cycle did not take the counting-sort path")
 	}
-	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+	if allocs := mallocsPerRun(1000, cycle); allocs != 0 {
 		t.Fatalf("warm counting sort allocates %v objects, want 0", allocs)
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -53,7 +54,7 @@ func TestSchedulePopZeroAllocsWarm(t *testing.T) {
 		e.ScheduleAction(Time(i), a)
 	}
 	e.RunUntilIdle()
-	allocs := testing.AllocsPerRun(1000, func() {
+	allocs := mallocsPerRun(1000, func() {
 		e.ScheduleAction(1, a)
 		e.Schedule(2, fn)
 		e.Step()
@@ -73,7 +74,7 @@ func TestEngineHeapSchedulerZeroAllocsWarm(t *testing.T) {
 		e.ScheduleAction(Time(i), a)
 	}
 	e.RunUntilIdle()
-	allocs := testing.AllocsPerRun(1000, func() {
+	allocs := mallocsPerRun(1000, func() {
 		e.ScheduleAction(1, a)
 		e.Step()
 	})
@@ -145,4 +146,21 @@ func BenchmarkEventQueueDepth(b *testing.B) {
 			})
 		}
 	}
+}
+
+// mallocsPerRun is testing.AllocsPerRun without its rounding down: it
+// runs f once to warm up, then runs times, and returns the mean number
+// of heap objects allocated per run as a float, so a bound below one
+// allocation per run is a real bound. Like AllocsPerRun it pins
+// GOMAXPROCS to 1 while it measures.
+func mallocsPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs)
 }

@@ -10,6 +10,7 @@ package subnet
 import (
 	"fmt"
 
+	"ibasim/internal/core"
 	"ibasim/internal/fabric"
 	"ibasim/internal/ib"
 	"ibasim/internal/routing"
@@ -111,16 +112,16 @@ func newLayout(net *fabric.Network, topo *topology.Topology, opts Options) (*lay
 	if err := eng.Verify(); err != nil {
 		return nil, err
 	}
-	l := &layout{fa: eng.Adaptive(), block: net.Plan.RangeSize()}
+	l := &layout{fa: eng.Adaptive, block: net.Plan.RangeSize()}
 
 	if k := opts.SourceMultipath; k > 1 {
 		// k alternative deterministic up*/down* routings (tie-break
 		// variants on one link orientation). All conform to the same
 		// up*/down* relation, so their mixture is deadlock-free;
 		// VerifyDeadlockFreeAll re-checks the union CDG mechanically.
-		ud := eng.Deterministic().UD
+		ud := eng.Deterministic.UD
 		if ud == nil {
-			return nil, fmt.Errorf("subnet: source multipath needs up*/down* variants, not the %s engine", eng.Name())
+			return nil, fmt.Errorf("subnet: source multipath needs up*/down* variants, not the %s engine", eng.Name)
 		}
 		if k > l.block {
 			return nil, fmt.Errorf("subnet: %d source paths exceed LID range size %d (raise LMC)", k, l.block)
@@ -229,9 +230,7 @@ func routeEntries(net *fabric.Network, fa *routing.FA, s, dst, mr int) (ib.PortI
 }
 
 // program writes one destination's block of table slots.
-func program(tab interface {
-	Set(ib.LID, ib.PortID) error
-}, base ib.LID, block int, escape ib.PortID, adaptive []ib.PortID, enhanced bool) error {
+func program(tab *core.AdaptiveTable, base ib.LID, block int, escape ib.PortID, adaptive []ib.PortID, enhanced bool) error {
 	if err := tab.Set(base, escape); err != nil {
 		return err
 	}

@@ -76,10 +76,10 @@ func checkFamily(t *testing.T, topo *topology.Topology, build routing.Builder, e
 	if err != nil {
 		t.Fatalf("engine build failed: %v", err)
 	}
-	if eng.Name() != engine {
-		t.Fatalf("pristine fabric built engine %q, want %q", eng.Name(), engine)
+	if eng.Name != engine {
+		t.Fatalf("pristine fabric built engine %q, want %q", eng.Name, engine)
 	}
-	det := eng.Deterministic()
+	det := eng.Deterministic
 	if cycle := routing.FindCycle(routing.EscapeCDG(det)); cycle != nil {
 		t.Fatalf("escape CDG cyclic:%s",
 			routing.FormatCycleNamed(cycle, topo.NumSwitches, topo.NodeName))
@@ -87,7 +87,7 @@ func checkFamily(t *testing.T, topo *topology.Topology, build routing.Builder, e
 	if err := det.Validate(); err != nil {
 		t.Fatalf("escape tables invalid: %v", err)
 	}
-	if err := eng.Adaptive().Validate(); err != nil {
+	if err := eng.Adaptive.Validate(); err != nil {
 		t.Fatalf("adaptive options invalid: %v", err)
 	}
 }

@@ -25,12 +25,16 @@ go test -race ./...
 echo "==> go test -count=2 -shuffle=on (order-independence of the suite, repeated in one process)"
 go test -count=2 -shuffle=on ./...
 
-echo "==> alloc-regression gates (hot path must not allocate; one selection pass in all four §4.3 modes)"
-# The always-on auditor's cheap hooks ride the same runs: this gate
-# also proves they keep the steady-state injection path allocation-free,
-# TestSwitchHopZeroAllocsSteadyState runs a hop under each selection
-# mode, and TestSwitchHopZeroAllocsPhaseLabels holds a hop with the
-# profiler's phase labels armed to the same bar.
+echo "==> alloc-regression gates (float mean of mallocs per run; hot path must not allocate; one selection pass in all four §4.3 modes)"
+# Each gate counts runtime.MemStats.Mallocs over its runs and divides
+# as a float, so a bound under one allocation per run (the injection
+# gates' amortized slab refill) is real: testing.AllocsPerRun rounds
+# the mean down to an integer. The always-on auditor's cheap hooks ride
+# the same runs: this gate also proves they keep the steady-state
+# injection path allocation-free, TestSwitchHopZeroAllocsSteadyState
+# runs a hop under each selection mode, and
+# TestSwitchHopZeroAllocsPhaseLabels holds a hop with the profiler's
+# phase labels armed to the same bar.
 go test -run 'ZeroAllocs' -v ./internal/core/ ./internal/sim/ ./internal/fabric/ ./internal/check/
 
 echo "==> profiler phase labels (a phase restores the label of the phase it runs inside)"
@@ -126,6 +130,9 @@ go test -race -count=1 -run 'TestWorkerSIGKILL|TestCampaign|TestResume|TestCorru
 
 echo "==> ibcamp command (-retries N makes N retries after the first attempt; 0 retries, backoff or ceiling means none; non-positive -workers, -timeout or -hung-after is a usage error; exit codes)"
 go test -race -count=1 -run 'TestRunRetries|TestRunZeroMeansNone|TestRunRejectsNonPositive|TestUsage' -v ./cmd/ibcamp/
+
+echo "==> ibbench list flags (one list parser: error texts pinned, empty items skipped)"
+go test -count=1 -run 'TestParseList' -v ./cmd/ibbench/
 
 echo "==> crash loop (the coordinator is the store's only writer: no torn files under any kill timing)"
 go test -count=50 -run 'TestWorkerSIGKILL|TestHungWorker|TestInterruptedRun' ./internal/campaign/
