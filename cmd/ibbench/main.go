@@ -81,7 +81,7 @@ func main() {
 	pktSizes := flag.String("bytes", "", "override: packet sizes, e.g. 32,256")
 	patterns := flag.String("patterns", "", "table1 patterns: uniform,bit-reversal,hot-spot:0.1,...")
 	check := flag.Bool("check", false, "enable heavy invariant audits on every run (results are bit-identical)")
-	faultSpec := flag.String("faults", "rand:4:15000@50000-150000; autoreconfig:10000", "faults: campaign spec string or @file.json")
+	faultSpec := flag.String("faults", "rand:4:15000@50000-150000; autoreconfig:10000", "faults: campaign spec string, or @file holding one")
 	faultSeed := flag.Uint64("fault-seed", 1, "faults: seed for the campaign's randomized elements")
 	emitCampaign := flag.String("emit-campaign", "", "write an ibcamp campaign spec built from the current flags to FILE and exit")
 	campaignFile := flag.String("campaign", "", "-exp campaign: spec file to run in-process (sequential differential oracle for ibcamp)")
@@ -108,14 +108,9 @@ func main() {
 	}
 	defer stopProf()
 
-	var sc experiments.Scale
-	switch *scaleName {
-	case "quick":
-		sc = experiments.QuickScale()
-	case "full":
-		sc = experiments.FullScale()
-	default:
-		fail(fmt.Errorf("unknown scale %q", *scaleName))
+	sc, pats, err := experiments.Preset(*scaleName)
+	if err != nil {
+		fail(err)
 	}
 	if *sizes != "" {
 		v, err := parseList(*sizes, "integer", strconv.Atoi)
@@ -151,10 +146,6 @@ func main() {
 		sc.PacketSizes = v
 	}
 	sc.Check = *check
-	pats := []experiments.PatternSpec{{Kind: "uniform"}}
-	if *scaleName == "full" {
-		pats = experiments.Table1Patterns
-	}
 	if *patterns != "" {
 		v, err := parseList(*patterns, "", experiments.ParsePattern)
 		if err != nil {

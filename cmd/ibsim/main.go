@@ -12,7 +12,7 @@
 //
 //	ibsim -faults 'flap@60000:0-1:20000; autoreconfig:10000'
 //	ibsim -faults 'rand:4:15000@50000-200000; autoreconfig:10000' -fault-seed 7
-//	ibsim -faults @campaign.json
+//	ibsim -faults @campaign.txt          # the same grammar, read from a file
 package main
 
 import (
@@ -42,7 +42,7 @@ func main() {
 	flag.Int64Var(&cfg.WarmupNs, "warmup", cfg.WarmupNs, "warm-up time, ns")
 	flag.Int64Var(&cfg.MeasureNs, "measure", cfg.MeasureNs, "measurement window, ns")
 	flag.Uint64Var(&cfg.Seed, "seed", cfg.Seed, "traffic/selection seed")
-	flag.StringVar(&cfg.Faults, "faults", "", "fault campaign: spec string (e.g. 'flap@60000:0-1:20000; autoreconfig:10000') or @file.json")
+	flag.StringVar(&cfg.Faults, "faults", "", "fault campaign: spec string (e.g. 'flap@60000:0-1:20000; autoreconfig:10000'), or @file holding one")
 	flag.Uint64Var(&cfg.FaultSeed, "fault-seed", 0, "seed for the campaign's randomized elements (rand: flaps)")
 	flag.BoolVar(&cfg.Check, "check", false, "enable heavy invariant audits (whole-fabric credit and escape-CDG scans; results are bit-identical)")
 	traceN := flag.Int("packet-trace", 0, "record and print the last N packet lifecycle events")

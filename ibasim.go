@@ -99,7 +99,7 @@ type Config struct {
 
 	// Faults, when non-empty, runs a fault-injection campaign during
 	// the simulation: either a spec string ("flap@60000:0-1:20000;
-	// autoreconfig:10000") or "@path" naming a JSON campaign file —
+	// autoreconfig:10000") or "@path" naming a file that holds one —
 	// see faults.Parse for the grammar. A campaign enables host-side
 	// send timeouts and bounded retry, staged SM reconfiguration, and
 	// the invariant watchdog; Result.Degraded reports the outcome.

@@ -2,6 +2,8 @@ package ibasim
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -210,8 +212,36 @@ func TestRunTable2Writers(t *testing.T) {
 
 func TestScaleValidation(t *testing.T) {
 	var buf bytes.Buffer
-	if err := RunTable2("bogus", 4, 3, &buf); err == nil {
-		t.Fatal("unknown scale accepted")
+	if err := RunTable2("bogus", 4, 3, &buf); err == nil || err.Error() != `ibasim: unknown scale "bogus"` {
+		t.Fatalf("RunTable2(bogus) = %v, want the unknown-scale error", err)
+	}
+}
+
+// TestFaultsFromFile: a campaign read from a file ("@path"), split over
+// several lines, runs exactly as the same campaign given inline.
+func TestFaultsFromFile(t *testing.T) {
+	cfg := tiny()
+	cfg.FaultSeed = 3
+	cfg.Faults = "rand:2:10000@25000-60000; reconfig@40000; autoreconfig:5000; sweep:2000:100; watchdog:5000:100000"
+	inline, err := Simulate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inline.Degraded.FaultsInjected == 0 || inline.Degraded.Reconfigs == 0 {
+		t.Fatalf("the campaign did nothing: %+v", inline.Degraded)
+	}
+	path := filepath.Join(t.TempDir(), "campaign.txt")
+	text := "rand:2:10000@25000-60000;\n  reconfig@40000;\nautoreconfig:5000;\n\tsweep:2000:100;\nwatchdog:5000:100000\n"
+	if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Faults = "@" + path
+	fromFile, err := Simulate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fromFile, inline) {
+		t.Fatalf("@file result differs from the inline campaign's:\n%+v\n%+v", fromFile, inline)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"math"
 
 	"ibasim/internal/experiments"
+	"ibasim/internal/faults"
 )
 
 // SpecSchemaVersion is the campaign spec format version (independent of
@@ -138,6 +139,11 @@ func (s *Spec) validate() error {
 	}
 	for _, p := range s.Patterns {
 		if _, err := experiments.ParsePattern(p); err != nil {
+			return fmt.Errorf("campaign: %v", err)
+		}
+	}
+	if s.Faults != "" {
+		if _, err := faults.Parse(s.Faults); err != nil {
 			return fmt.Errorf("campaign: %v", err)
 		}
 	}

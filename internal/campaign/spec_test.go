@@ -31,6 +31,9 @@ func TestParseSpecStrict(t *testing.T) {
 		{"bad-load", `{"name":"x","sizes":[8],"links":4,"mr":2,"packetSizes":[32],"loadLo":-1}`, "loadLo"},
 		{"load-hi-below-lo", `{"name":"x","sizes":[8],"links":4,"mr":2,"packetSizes":[32],"loadLo":0.1,"loadHi":0.01,"loadPoints":3}`, "loadHi"},
 		{"bad-pattern", `{"name":"x","sizes":[8],"links":4,"mr":2,"packetSizes":[32],"loadLo":0.01,"patterns":["zipf"]}`, "unknown pattern"},
+		// A bad fault clause fails at parse time, as emit's round trip
+		// does, not when the plan expands.
+		{"bad-faults", `{"name":"x","sizes":[8],"links":4,"mr":2,"packetSizes":[32],"loadLo":0.01,"faults":"bogus"}`, `campaign: faults: bad directive "bogus"`},
 		{"wrong-schema", `{"schema":9,"name":"x","sizes":[8],"links":4,"mr":2,"packetSizes":[32],"loadLo":0.01}`, "spec schema 9"},
 		// The sharded engine and its relaxed mode are gone; specs that
 		// ask for them must fail loudly, never run sequentially.

@@ -198,14 +198,25 @@ func TestTable1SmokeAndFormat(t *testing.T) {
 	}
 }
 
+// TestPreset: the scale names and the Table 1 patterns each runs.
+func TestPreset(t *testing.T) {
+	sc, pats, err := Preset("quick")
+	if err != nil || !reflect.DeepEqual(sc, QuickScale()) || !reflect.DeepEqual(pats, []PatternSpec{{Kind: "uniform"}}) {
+		t.Fatalf("Preset(quick) = %+v, %v, %v", sc, pats, err)
+	}
+	sc, pats, err = Preset("full")
+	if err != nil || !reflect.DeepEqual(sc, FullScale()) || !reflect.DeepEqual(pats, Table1Patterns) {
+		t.Fatalf("Preset(full) = %+v, %v, %v", sc, pats, err)
+	}
+	if _, _, err := Preset("bogus"); err == nil || err.Error() != `unknown scale "bogus"` {
+		t.Fatalf("Preset(bogus) = %v, want the unknown-scale error", err)
+	}
+}
+
 func TestTable1PatternSpecs(t *testing.T) {
 	for _, ps := range Table1Patterns {
-		p, err := ps.Build(64, 1)
-		if err != nil {
+		if _, err := ps.Build(64, 1); err != nil {
 			t.Fatalf("%v: %v", ps, err)
-		}
-		if p.Name() == "" {
-			t.Fatalf("%v: empty name", ps)
 		}
 	}
 	if _, err := (PatternSpec{Kind: "nonsense"}).Build(64, 1); err == nil {

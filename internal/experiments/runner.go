@@ -431,6 +431,19 @@ func FullScale() Scale {
 	}
 }
 
+// Preset returns the named scale, "quick" or "full", and the Table 1
+// patterns it runs: uniform traffic at quick scale, the paper's five
+// patterns at full scale.
+func Preset(name string) (Scale, []PatternSpec, error) {
+	switch name {
+	case "quick":
+		return QuickScale(), []PatternSpec{{Kind: "uniform"}}, nil
+	case "full":
+		return FullScale(), Table1Patterns, nil
+	}
+	return Scale{}, nil, fmt.Errorf("unknown scale %q", name)
+}
+
 // topoSet generates the scale's topology seed set for one size/degree.
 func (sc Scale) topoSet(size, links int) ([]*topology.Topology, error) {
 	return topology.GenerateSeedSet(topology.IrregularSpec{

@@ -5,14 +5,17 @@
 // deadlock) that records each breach in the run's result.
 //
 // A Campaign is a parsed description of what goes wrong and when. It
-// comes from a compact spec string (CLI-friendly) or a JSON file, and
-// every source of randomness (the rand: directive) is drawn from an
-// explicit seed, so a campaign replays byte-identically.
+// has one grammar, the compact spec Parse reads; Load takes it inline
+// or, as "@path", from a file. Each field of the JSON form older
+// builds read has its clause: events are down@, up@, swdown@, swup@
+// and reconfig@; randomFlaps is rand:N:DUR@T0-T1; autoReconfigNs is
+// autoreconfig:GAP; sweepDelayNs and perSwitchDelayNs are sweep:SD:PSD;
+// watchdog is watchdog:SE:HZ. Every source of randomness (the rand:
+// directive) is drawn from an explicit seed, so a campaign replays
+// byte-identically.
 package faults
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"sort"
@@ -33,8 +36,7 @@ const (
 	Reconfig
 )
 
-// kindNames spells each Kind, indexed by its value; String and
-// parseKind both read it.
+// kindNames spells each Kind, indexed by its value.
 var kindNames = [...]string{
 	LinkDown:   "link-down",
 	LinkUp:     "link-up",
@@ -48,15 +50,6 @@ func (k Kind) String() string {
 		return kindNames[k]
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
-}
-
-func parseKind(s string) (Kind, error) {
-	for k, name := range kindNames {
-		if name == s {
-			return Kind(k), nil
-		}
-	}
-	return 0, fmt.Errorf("faults: unknown event kind %q", s)
 }
 
 // Event is one scheduled campaign action. A and B name the link ends
@@ -272,160 +265,17 @@ func parseLink(s string) (int, int, error) {
 	return a, b, nil
 }
 
-// jsonCampaign is the JSON-file form of a Campaign; all durations are
-// simulated nanoseconds.
-type jsonCampaign struct {
-	Events []struct {
-		AtNs   int64  `json:"atNs"`
-		Kind   string `json:"kind"`
-		A      int    `json:"a"`
-		B      int    `json:"b"`
-		Switch int    `json:"switch"`
-	} `json:"events"`
-	RandomFlaps *struct {
-		N         int   `json:"n"`
-		DownForNs int64 `json:"downForNs"`
-		FromNs    int64 `json:"fromNs"`
-		ToNs      int64 `json:"toNs"`
-	} `json:"randomFlaps"`
-	AutoReconfigNs   int64 `json:"autoReconfigNs"`
-	SweepDelayNs     int64 `json:"sweepDelayNs"`
-	PerSwitchDelayNs int64 `json:"perSwitchDelayNs"`
-	Watchdog         *struct {
-		SampleEveryNs int64 `json:"sampleEveryNs"`
-		HorizonNs     int64 `json:"horizonNs"`
-	} `json:"watchdog"`
-}
-
-// validate checks the decoded values, first failure wins, so every
-// rejection carries one canonical message naming the offending JSON
-// path. The decoder already rejected malformed syntax, NaN/Infinity
-// (not JSON), fractional or overflowing times, and unknown fields —
-// each with the line:column where decoding stopped.
-func (jc *jsonCampaign) validate() error {
-	const pre = "faults: campaign JSON: "
-	for i, e := range jc.Events {
-		if _, err := parseKind(e.Kind); err != nil {
-			return fmt.Errorf(pre+"events[%d].kind: unknown event kind %q", i, e.Kind)
-		}
-	}
-	for i, e := range jc.Events {
-		if e.AtNs < 0 {
-			return fmt.Errorf(pre+"events[%d].atNs = %d is negative", i, e.AtNs)
-		}
-	}
-	if rf := jc.RandomFlaps; rf != nil {
-		switch {
-		case rf.N <= 0:
-			return fmt.Errorf(pre+"randomFlaps.n = %d must be positive", rf.N)
-		case rf.DownForNs <= 0:
-			return fmt.Errorf(pre+"randomFlaps.downForNs = %d must be positive", rf.DownForNs)
-		case rf.FromNs < 0 || rf.ToNs <= rf.FromNs:
-			return fmt.Errorf(pre+"randomFlaps window [fromNs=%d, toNs=%d) is empty or negative", rf.FromNs, rf.ToNs)
-		}
-	}
-	switch {
-	case jc.AutoReconfigNs < 0:
-		return fmt.Errorf(pre+"autoReconfigNs = %d is negative", jc.AutoReconfigNs)
-	case jc.SweepDelayNs < 0:
-		return fmt.Errorf(pre+"sweepDelayNs = %d is negative", jc.SweepDelayNs)
-	case jc.PerSwitchDelayNs < 0:
-		return fmt.Errorf(pre+"perSwitchDelayNs = %d is negative", jc.PerSwitchDelayNs)
-	}
-	if wd := jc.Watchdog; wd != nil && (wd.SampleEveryNs < 0 || wd.HorizonNs < 0) {
-		return fmt.Errorf(pre+"watchdog {sampleEveryNs=%d, horizonNs=%d} has a negative field", wd.SampleEveryNs, wd.HorizonNs)
-	}
-	if len(jc.Events) == 0 && jc.RandomFlaps == nil {
-		return fmt.Errorf("faults: campaign JSON schedules no events")
-	}
-	return nil
-}
-
-// lineCol converts a byte offset into 1-based line:column for decoder
-// error positions.
-func lineCol(data []byte, off int64) (line, col int) {
-	line, col = 1, 1
-	for i := int64(0); i < off && i < int64(len(data)); i++ {
-		if data[i] == '\n' {
-			line++
-			col = 1
-		} else {
-			col++
-		}
-	}
-	return line, col
-}
-
-// decodeErr wraps a decoder failure with the position where decoding
-// stopped. Syntax and type errors carry their own offset; everything
-// else (unknown fields, number overflow) uses the decoder's input
-// offset, which points just past the offending token.
-func decodeErr(data []byte, dec *json.Decoder, err error) error {
-	off := dec.InputOffset()
-	switch e := err.(type) {
-	case *json.SyntaxError:
-		off = e.Offset
-	case *json.UnmarshalTypeError:
-		off = e.Offset
-	}
-	line, col := lineCol(data, off)
-	return fmt.Errorf("faults: bad campaign JSON at line %d col %d: %w", line, col, err)
-}
-
-// ParseJSON decodes the JSON-file campaign format strictly: unknown
-// fields, non-JSON numbers (NaN/Infinity), fractional or overflowing
-// times and trailing garbage are rejected with the position where
-// decoding stopped; decoded values then pass validate, whose errors
-// name the offending JSON path. A
-// malformed campaign fails loudly here instead of silently zeroing
-// fields and simulating the wrong failure schedule.
-func ParseJSON(data []byte) (*Campaign, error) {
-	var jc jsonCampaign
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&jc); err != nil {
-		return nil, decodeErr(data, dec, err)
-	}
-	if dec.More() {
-		line, col := lineCol(data, dec.InputOffset())
-		return nil, fmt.Errorf("faults: bad campaign JSON at line %d col %d: trailing data after campaign object", line, col)
-	}
-	if err := jc.validate(); err != nil {
-		return nil, err
-	}
-	c := &Campaign{
-		AutoReconfig:   sim.Time(jc.AutoReconfigNs),
-		SweepDelay:     sim.Time(jc.SweepDelayNs),
-		PerSwitchDelay: sim.Time(jc.PerSwitchDelayNs),
-	}
-	for _, e := range jc.Events {
-		k, _ := parseKind(e.Kind) // kind checked by validate
-		c.Events = append(c.Events, Event{At: sim.Time(e.AtNs), Kind: k, A: e.A, B: e.B, Switch: e.Switch})
-	}
-	if jc.RandomFlaps != nil {
-		c.Random = RandomFlaps{
-			N:       jc.RandomFlaps.N,
-			DownFor: sim.Time(jc.RandomFlaps.DownForNs),
-			From:    sim.Time(jc.RandomFlaps.FromNs),
-			To:      sim.Time(jc.RandomFlaps.ToNs),
-		}
-	}
-	if jc.Watchdog != nil {
-		c.Watchdog.SampleEvery = sim.Time(jc.Watchdog.SampleEveryNs)
-		c.Watchdog.Horizon = sim.Time(jc.Watchdog.HorizonNs)
-	}
-	return c, nil
-}
-
-// Load resolves a -faults CLI argument: "@path" reads a JSON campaign
-// file, anything else is parsed as a spec string.
+// Load resolves a -faults CLI argument: "@path" reads a campaign file
+// written in Parse's grammar, anything else is parsed as a spec
+// string. Whitespace and newlines around directives are ignored, so a
+// file may put one directive on each line, each ended by ';'.
 func Load(arg string) (*Campaign, error) {
-	if strings.HasPrefix(arg, "@") {
-		data, err := os.ReadFile(strings.TrimPrefix(arg, "@"))
+	if path, ok := strings.CutPrefix(arg, "@"); ok {
+		data, err := os.ReadFile(path)
 		if err != nil {
 			return nil, fmt.Errorf("faults: %w", err)
 		}
-		return ParseJSON(data)
+		arg = string(data)
 	}
 	return Parse(arg)
 }

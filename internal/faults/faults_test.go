@@ -1,6 +1,8 @@
 package faults_test
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -96,110 +98,67 @@ func TestParseSpecErrors(t *testing.T) {
 	}
 }
 
-func TestParseJSON(t *testing.T) {
-	data := []byte(`{
-		"events": [
-			{"atNs": 20000, "kind": "link-down", "a": 0, "b": 3},
-			{"atNs": 50000, "kind": "switch-down", "switch": 2},
-			{"atNs": 90000, "kind": "reconfig"}
-		],
-		"randomFlaps": {"n": 3, "downForNs": 1500, "fromNs": 1000, "toNs": 8000},
-		"autoReconfigNs": 2500,
-		"sweepDelayNs": 4000,
-		"perSwitchDelayNs": 500,
-		"watchdog": {"sampleEveryNs": 2000, "horizonNs": 80000}
-	}`)
-	c, err := faults.ParseJSON(data)
+// TestLoadFile reads a campaign file split over several lines, one
+// clause for each field the JSON form older builds read, and gets the
+// campaign the same text parses to inline.
+func TestLoadFile(t *testing.T) {
+	text := `down@20000:0-3;
+		swdown@50000:2;
+		reconfig@90000;
+		rand:3:1500@1000-8000;
+		autoreconfig:2500;
+		sweep:4000:500;
+		watchdog:2000:80000
+	`
+	path := filepath.Join(t.TempDir(), "campaign.txt")
+	if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := faults.Load("@" + path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(c.Events) != 3 || c.Events[1].Kind != faults.SwitchDown || c.Events[1].Switch != 2 {
-		t.Fatalf("events = %+v", c.Events)
+	want := &faults.Campaign{
+		Events: []faults.Event{
+			{At: 20_000, Kind: faults.LinkDown, A: 0, B: 3},
+			{At: 50_000, Kind: faults.SwitchDown, Switch: 2},
+			{At: 90_000, Kind: faults.Reconfig},
+		},
+		Random:         faults.RandomFlaps{N: 3, DownFor: 1_500, From: 1_000, To: 8_000},
+		AutoReconfig:   2_500,
+		SweepDelay:     4_000,
+		PerSwitchDelay: 500,
+		Watchdog:       faults.WatchdogConfig{SampleEvery: 2_000, Horizon: 80_000},
 	}
-	if c.Random.N != 3 || c.AutoReconfig != 2_500 || c.Watchdog.Horizon != 80_000 {
-		t.Fatalf("campaign = %+v", c)
+	if !reflect.DeepEqual(c, want) {
+		t.Fatalf("Load(@file) = %+v, want %+v", c, want)
 	}
-	if _, err := faults.ParseJSON([]byte(`{"events":[{"atNs":1,"kind":"melt"}]}`)); err == nil {
-		t.Fatal("unknown kind accepted")
+	inline, err := faults.Load(strings.ReplaceAll(text, "\n", " "))
+	if err != nil || !reflect.DeepEqual(inline, c) {
+		t.Fatalf("inline = %+v, %v; want the file's campaign", inline, err)
 	}
-	if _, err := faults.ParseJSON([]byte(`{}`)); err == nil {
-		t.Fatal("empty campaign accepted")
+	if _, err := faults.Load("@" + filepath.Join(t.TempDir(), "missing")); err == nil {
+		t.Fatal("a missing campaign file was accepted")
 	}
 }
 
-// TestParseJSONStrict pins the hardened loader: unknown fields,
-// non-JSON numbers, fractional times and out-of-range values are
-// rejected with positional messages instead of being silently zeroed
-// or truncated, by an ordered first-match-wins rule table.
-func TestParseJSONStrict(t *testing.T) {
-	cases := []struct {
-		name string
-		data string
-		want string // required error substring
-	}{
-		{"unknown-top-level-field",
-			`{"events":[{"atNs":1,"kind":"reconfig"}],"autoReconfgNs":100}`,
-			`unknown field "autoReconfgNs"`},
-		{"unknown-event-field",
-			`{"events":[{"atNs":1,"kind":"reconfig","swich":2}]}`,
-			`unknown field "swich"`},
-		{"nan-time",
-			`{"events":[{"atNs":NaN,"kind":"reconfig"}]}`,
-			"line 1 col"},
-		{"fractional-time",
-			`{"events":[{"atNs":1.5,"kind":"reconfig"}]}`,
-			"line 1 col"},
-		{"overflow-time",
-			`{"events":[{"atNs":1e400,"kind":"reconfig"}]}`,
-			"line 1 col"},
-		{"trailing-garbage",
-			`{"events":[{"atNs":1,"kind":"reconfig"}]} true`,
-			"trailing data"},
-		{"negative-event-time",
-			`{"events":[{"atNs":5,"kind":"reconfig"},{"atNs":-3,"kind":"reconfig"}]}`,
-			"events[1].atNs = -3 is negative"},
-		{"unknown-kind-positional",
-			`{"events":[{"atNs":5,"kind":"reconfig"},{"atNs":6,"kind":"melt"}]}`,
-			`events[1].kind: unknown event kind "melt"`},
-		{"negative-auto-reconfig",
-			`{"events":[{"atNs":1,"kind":"reconfig"}],"autoReconfigNs":-1}`,
-			"autoReconfigNs = -1 is negative"},
-		{"negative-sweep-delay",
-			`{"events":[{"atNs":1,"kind":"reconfig"}],"sweepDelayNs":-7}`,
-			"sweepDelayNs = -7 is negative"},
-		{"negative-watchdog",
-			`{"events":[{"atNs":1,"kind":"reconfig"}],"watchdog":{"sampleEveryNs":-2,"horizonNs":10}}`,
-			"watchdog {sampleEveryNs=-2, horizonNs=10} has a negative field"},
-		{"zero-flap-count",
-			`{"randomFlaps":{"n":0,"downForNs":10,"fromNs":0,"toNs":100}}`,
-			"randomFlaps.n = 0 must be positive"},
-		{"zero-flap-duration",
-			`{"randomFlaps":{"n":2,"downForNs":0,"fromNs":0,"toNs":100}}`,
-			"randomFlaps.downForNs = 0 must be positive"},
-		{"empty-flap-window",
-			`{"randomFlaps":{"n":2,"downForNs":10,"fromNs":100,"toNs":100}}`,
-			"randomFlaps window [fromNs=100, toNs=100) is empty or negative"},
-		{"negative-flap-window",
-			`{"randomFlaps":{"n":2,"downForNs":10,"fromNs":-5,"toNs":100}}`,
-			"randomFlaps window [fromNs=-5, toNs=100) is empty or negative"},
+// TestLoadRefusesJSON: a campaign file in the JSON form older builds
+// read is refused as a bad directive, not misread.
+func TestLoadRefusesJSON(t *testing.T) {
+	data := `{
+		"events": [
+			{"atNs": 20000, "kind": "link-down", "a": 0, "b": 3},
+			{"atNs": 90000, "kind": "reconfig"}
+		],
+		"autoReconfigNs": 2500
+	}`
+	path := filepath.Join(t.TempDir(), "campaign.json")
+	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := faults.ParseJSON([]byte(tc.data))
-			if err == nil {
-				t.Fatalf("ParseJSON(%s) accepted", tc.data)
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("ParseJSON(%s) = %v, want error containing %q", tc.data, err, tc.want)
-			}
-		})
-	}
-
-	// Positional reporting: the error for a second-line defect names
-	// line 2.
-	multi := "{\n\"events\": [{\"atNs\": 1.5, \"kind\": \"reconfig\"}]\n}"
-	if _, err := faults.ParseJSON([]byte(multi)); err == nil || !strings.Contains(err.Error(), "line 2") {
-		t.Fatalf("multi-line positional error = %v, want line 2", err)
+	_, err := faults.Load("@" + path)
+	if err == nil || !strings.HasPrefix(err.Error(), "faults: bad directive") {
+		t.Fatalf("Load(JSON file) = %v, want a faults: bad directive error", err)
 	}
 }
 

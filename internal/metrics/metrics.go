@@ -14,11 +14,10 @@ import (
 	"ibasim/internal/sim"
 )
 
-// LatencyStats accumulates streaming latency moments.
+// LatencyStats accumulates streaming latency count, sum and extremes.
 type LatencyStats struct {
 	Count uint64
 	Sum   float64
-	SumSq float64
 	Min   sim.Time
 	Max   sim.Time
 }
@@ -32,9 +31,7 @@ func (s *LatencyStats) Add(l sim.Time) {
 		s.Max = l
 	}
 	s.Count++
-	f := float64(l)
-	s.Sum += f
-	s.SumSq += f * f
+	s.Sum += float64(l)
 }
 
 // Avg returns the mean latency in nanoseconds (0 with no samples).
@@ -43,19 +40,6 @@ func (s *LatencyStats) Avg() float64 {
 		return 0
 	}
 	return s.Sum / float64(s.Count)
-}
-
-// Std returns the sample standard deviation.
-func (s *LatencyStats) Std() float64 {
-	if s.Count < 2 {
-		return 0
-	}
-	n := float64(s.Count)
-	v := (s.SumSq - s.Sum*s.Sum/n) / (n - 1)
-	if v < 0 {
-		return 0
-	}
-	return math.Sqrt(v)
 }
 
 // Collector hooks a network's delivery callback and accumulates the
@@ -71,10 +55,6 @@ type Collector struct {
 
 	Latency        LatencyStats
 	DeliveredBytes int64
-
-	// Per-mode latency split, for analyzing mixed workloads.
-	LatencyAdaptive      LatencyStats
-	LatencyDeterministic LatencyStats
 
 	// Hist buckets every measured latency for quantile reporting.
 	Hist Histogram
@@ -130,11 +110,6 @@ func (c *Collector) onDelivered(p *ib.Packet) {
 		l := p.Latency()
 		c.Latency.Add(l)
 		c.Hist.Add(l)
-		if p.Adaptive {
-			c.LatencyAdaptive.Add(l)
-		} else {
-			c.LatencyDeterministic.Add(l)
-		}
 	}
 	// Order tracking covers every delivery (not only the window) so
 	// flows spanning the warm-up boundary are judged correctly.

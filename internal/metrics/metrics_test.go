@@ -26,15 +26,11 @@ func TestLatencyStatsMoments(t *testing.T) {
 	if s.Min != 10 || s.Max != 40 {
 		t.Fatalf("Min/Max = %v/%v", s.Min, s.Max)
 	}
-	want := math.Sqrt(500.0 / 3.0)
-	if math.Abs(s.Std()-want) > 1e-9 {
-		t.Fatalf("Std = %v, want %v", s.Std(), want)
-	}
 }
 
 func TestLatencyStatsEmpty(t *testing.T) {
 	var s LatencyStats
-	if s.Avg() != 0 || s.Std() != 0 {
+	if s.Avg() != 0 {
 		t.Fatal("empty stats not zero")
 	}
 }
@@ -42,7 +38,7 @@ func TestLatencyStatsEmpty(t *testing.T) {
 func TestLatencyStatsSingle(t *testing.T) {
 	var s LatencyStats
 	s.Add(7)
-	if s.Avg() != 7 || s.Std() != 0 || s.Min != 7 || s.Max != 7 {
+	if s.Avg() != 7 || s.Min != 7 || s.Max != 7 {
 		t.Fatalf("single-sample stats wrong: %+v", s)
 	}
 }
@@ -115,16 +111,6 @@ func TestCollectorLatencyPlausible(t *testing.T) {
 	}
 	if col.Latency.Min < 428 {
 		t.Fatalf("min latency %v below physical floor", col.Latency.Min)
-	}
-}
-
-func TestCollectorModeSplit(t *testing.T) {
-	col := measureNet(t, 100_000, 600_000, 0.005)
-	if col.LatencyAdaptive.Count == 0 || col.LatencyDeterministic.Count == 0 {
-		t.Fatal("mode-split stats empty with a 50% adaptive workload")
-	}
-	if col.LatencyAdaptive.Count+col.LatencyDeterministic.Count != col.Latency.Count {
-		t.Fatal("mode split does not partition samples")
 	}
 }
 

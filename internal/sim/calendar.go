@@ -33,9 +33,9 @@ const (
 // territory.
 //
 // Level 2 is a plain binary heap holding events beyond the window
-// (exponential inter-arrival tails, reconfiguration timers). pop and
-// peekTime always compare the wheel's next event against the overflow
-// minimum under the full (at, seq) order, so correctness never
+// (exponential inter-arrival tails, reconfiguration timers). popAtMost
+// always compares the wheel's next event against the overflow minimum
+// under the full (at, seq) order, so correctness never
 // depends on which level holds an event; when the wheel empties the
 // queue re-bases the window at the overflow minimum and migrates the
 // new window in, restoring O(1) service. The cursor never passes the
@@ -95,26 +95,8 @@ func (q *calendarQueue) push(e event) {
 	q.overflow.push(e)
 }
 
-func (q *calendarQueue) pop() event {
-	if !q.nextWheel() {
-		if q.count > 0 {
-			return q.overflow.pop() // it precedes every wheel event
-		}
-		q.migrate() // empty-queue pops panic here, same contract as the heap
-	}
-	s := q.slots[q.cur]
-	e := s[q.head]
-	if q.overflow.len() > 0 {
-		if o := q.overflow.peek(); eventLess(o, e) {
-			return q.overflow.pop()
-		}
-	}
-	q.dropHead(s)
-	return e
-}
-
 // popAtMost pops the earliest event if due at or before horizon, in
-// one cursor walk — the dispatch loop's peekTime and pop combined.
+// one cursor walk.
 func (q *calendarQueue) popAtMost(horizon Time) (event, bool) {
 	if !q.nextWheel() {
 		if q.overflow.len() == 0 || q.overflow.peekTime() > horizon {
@@ -142,37 +124,6 @@ func (q *calendarQueue) popAtMost(horizon Time) (event, bool) {
 	return e, true
 }
 
-// popBefore pops the earliest event if it orders strictly before bound
-// under the full dispatch order. The engine calls it only when
-// hasEventAt says something shares the current timestamp, so the
-// cursor work here is the same walk the following pop would do anyway.
-func (q *calendarQueue) popBefore(bound event) (event, bool) {
-	if !q.nextWheel() {
-		if q.overflow.len() == 0 || !eventLess(q.overflow.peek(), bound) {
-			return event{}, false
-		}
-		if q.count > 0 {
-			return q.overflow.pop(), true
-		}
-		q.migrate()
-	}
-	s := q.slots[q.cur]
-	e := s[q.head]
-	if q.overflow.len() > 0 {
-		if o := q.overflow.peek(); eventLess(o, e) {
-			if !eventLess(o, bound) {
-				return event{}, false
-			}
-			return q.overflow.pop(), true
-		}
-	}
-	if !eventLess(e, bound) {
-		return event{}, false
-	}
-	q.dropHead(s)
-	return e, true
-}
-
 // dropHead consumes the cursor bucket's head slot after its event has
 // been read out, recycling the bucket backing once drained.
 func (q *calendarQueue) dropHead(s []event) {
@@ -186,56 +137,23 @@ func (q *calendarQueue) dropHead(s []event) {
 	q.count--
 }
 
-func (q *calendarQueue) peekTime() Time {
-	if !q.nextWheel() {
-		if q.overflow.len() == 0 {
-			return Forever
-		}
-		if q.count > 0 {
-			return q.overflow.peekTime()
-		}
-		q.migrate()
-	}
-	t := q.slots[q.cur][q.head].at
-	if q.overflow.len() > 0 {
-		if o := q.overflow.peekTime(); o < t {
-			t = o
-		}
-	}
-	return t
-}
-
 // hasEventAt reports whether any pending event is scheduled at or
 // before t, WITHOUT advancing the cursor — the dispatch loop probes it
 // once per immediate event, and paying nextWheel's empty-bucket walk
-// there would double the scan work per event. Under the interface
-// precondition (no pending event predates t), an event at <= t can
-// only be the overflow minimum or live in the one wheel bucket whose
-// window contains t: buckets behind the cursor were drained before the
-// cursor passed them, pushes behind a parked cursor route to the
-// overflow, and ring-aliased occupants of slotIndex(t) carry at >= t +
-// span, which the explicit at <= t filter rejects. The cursor bucket's
-// undrained remainder is kept sorted, so there a head inspection
-// suffices; any other bucket is unsorted and scanned whole (a
-// saturated 64-switch run averages about 15 events per 8 ns bucket).
+// there would double the scan work per event. The engine passes its
+// clock, and no pending event predates it. The cursor sits on the
+// clock's bucket, or ahead of it once a Run horizon parked it there;
+// it is never behind, because every pop leaves it on or after the
+// popped event's bucket. Pushes behind a parked cursor go to the
+// overflow, and every other wheel bucket starts after the cursor's.
+// So a wheel event at or before t can only be the head of the cursor
+// bucket, whose undrained remainder is kept sorted.
 func (q *calendarQueue) hasEventAt(t Time) bool {
 	if q.overflow.len() > 0 && q.overflow.peekTime() <= t {
 		return true
 	}
-	if q.count == 0 {
-		return false
-	}
-	i := q.slotIndex(t)
-	s := q.slots[i]
-	if i == q.cur {
-		return q.head < len(s) && s[q.head].at <= t
-	}
-	for j := range s {
-		if s[j].at <= t {
-			return true
-		}
-	}
-	return false
+	s := q.slots[q.cur]
+	return q.head < len(s) && s[q.head].at <= t
 }
 
 // nextWheel parks the cursor on the bucket holding the earliest wheel

@@ -138,23 +138,18 @@ func (e *Engine) Run(horizon Time) {
 // appended while dispatching an event that passed the horizon check),
 // so the loop can never return while imm is nonempty — imm is provably
 // drained on exit.
+//
+// A queue event at the clock dispatches before every immediate: it was
+// scheduled before them (mid-dispatch delay-0 events all go to imm),
+// so it carries a smaller seq. The merge therefore needs no
+// comparison. hasEventAt is its guard, because unlike a pop it never
+// walks the calendar's cursor past a drained bucket; when it finds an
+// event, nothing pending predates the clock, so popAtMost(horizon)
+// pops that event at the clock.
 func (e *Engine) dispatchLoop(horizon Time) {
 	for {
-		if e.immHead < len(e.imm) {
+		if e.immHead < len(e.imm) && !e.queue.hasEventAt(e.now) {
 			ie := e.imm[e.immHead]
-			// A queue event sharing the timestamp dispatches first iff it
-			// orders before ie — which it does, since it was scheduled
-			// before ie (mid-dispatch delay-0s all land in imm).
-			// hasEventAt is the cheap guard; popBefore settles the
-			// comparison exactly.
-			if e.queue.hasEventAt(e.now) {
-				if ev, ok := e.queue.popBefore(ie); ok {
-					e.now = ev.at
-					e.processed++
-					ev.act.Do()
-					continue
-				}
-			}
 			e.imm[e.immHead] = event{} // release the action for GC
 			e.immHead++
 			if e.immHead == len(e.imm) {
@@ -185,10 +180,10 @@ func (e *Engine) RunUntilIdle() {
 // Step dispatches exactly one event if any is pending and reports
 // whether it did. It exists for fine-grained engine tests.
 func (e *Engine) Step() bool {
-	if e.queue.len() == 0 {
+	ev, ok := e.queue.popAtMost(Forever)
+	if !ok {
 		return false
 	}
-	ev := e.queue.pop()
 	e.now = ev.at
 	e.processed++
 	ev.act.Do()

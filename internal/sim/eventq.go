@@ -53,28 +53,20 @@ func eventLess(a, b event) bool {
 // amortized for the short-horizon event traffic of a saturated
 // subnet) and heapQueue (the O(log n) reference, also serving as the
 // calendar's far-future overflow level). The differential property
-// test and FuzzEventQueueOrdering drive both side by side.
+// test and FuzzEventQueueOrdering drive both side by side, through
+// these calls only.
 type eventQueue interface {
 	len() int
 	push(event)
-	pop() event
 	// popAtMost pops and returns the earliest event if its timestamp is
-	// at or before horizon; otherwise it leaves the queue untouched and
-	// reports false. It combines the peekTime+pop pair the dispatch loop
-	// would otherwise issue — for the calendar that is one cursor walk
-	// instead of two per dispatched event.
+	// at or before horizon; otherwise it reports false. The dispatch
+	// loop pops every queue event through it: with its Run horizon, and
+	// with Forever in Step.
 	popAtMost(horizon Time) (event, bool)
-	// popBefore pops and returns the earliest event if it orders
-	// strictly before bound under the full (at, seq) dispatch order.
-	// The engine uses it to merge its immediate-event FIFO (see
-	// Engine.imm) against the queue.
-	popBefore(bound event) (event, bool)
-	peekTime() Time
 	// hasEventAt reports whether any pending event is scheduled at or
-	// before t. Callers pass the engine clock mid-dispatch, so every
-	// pending event satisfies at >= t and the probe is really "does
-	// anything share the current timestamp" — which implementations can
-	// answer without the full earliest-event search peekTime performs.
+	// before t, without moving the queue. Callers pass the engine clock
+	// mid-dispatch, so every pending event satisfies at >= t and the
+	// probe is really "does anything share the current timestamp".
 	hasEventAt(t Time) bool
 }
 
@@ -142,14 +134,6 @@ func (q *heapQueue) peek() event { return q.ev[0] }
 // popAtMost pops the root if it is due at or before horizon.
 func (q *heapQueue) popAtMost(horizon Time) (event, bool) {
 	if len(q.ev) == 0 || q.ev[0].at > horizon {
-		return event{}, false
-	}
-	return q.pop(), true
-}
-
-// popBefore pops the root if it orders strictly before bound.
-func (q *heapQueue) popBefore(bound event) (event, bool) {
-	if len(q.ev) == 0 || !eventLess(q.ev[0], bound) {
 		return event{}, false
 	}
 	return q.pop(), true

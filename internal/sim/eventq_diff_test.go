@@ -11,17 +11,23 @@ type nopAction struct{}
 func (nopAction) Do() {}
 
 // driveQueues interprets program as a push/pop script and drives a
-// calendar queue and the reference heap side by side, failing at the
-// first divergence in length, peek time or popped (at, seq). Opcodes
-// are chosen to hit the calendar's edge geometry: equal-timestamp FIFO
-// runs, bucket-boundary times, horizon-exact and far-future pushes
-// (overflow), and drain/refill cycles. Pushes respect the engine
-// contract (never before the last popped timestamp).
+// calendar queue and the reference heap side by side through the two
+// calls the engine makes: before every pop it compares len and
+// hasEventAt(now), and it pops only through popAtMost, failing at the
+// first divergence. Opcodes (program[i]%10) are chosen to hit the
+// calendar's edge geometry: equal-timestamp FIFO runs, bucket-boundary
+// times, horizon-exact and far-future pushes (overflow), drain/refill
+// cycles, Run horizons that stop short of the next event, and the
+// engine's immediate merge. Pushes respect the engine contract (never
+// before the last popped timestamp).
 //
 // It also checks where each push lands: the cursor stays on the bucket
 // of the last popped timestamp, so a push lands on the wheel unless it
 // is at least one span past that bucket's start. A cursor that ran
 // ahead of the clock would send near pushes to the overflow instead.
+// A pop that pops nothing may park the cursor ahead of the clock, as a
+// Run horizon does; the check is suspended until a pop leaves the
+// cursor on the clock's bucket again.
 func driveQueues(program []byte, slotBits, widthBits uint) error {
 	wheel := newCalendarQueue(slotBits, widthBits)
 	heap := &heapQueue{}
@@ -29,6 +35,7 @@ func driveQueues(program []byte, slotBits, widthBits uint) error {
 	span := Time(1) << (widthBits + slotBits)
 	var now Time
 	var seq uint64
+	parked := false
 
 	push := func(at Time) error {
 		e := event{at: at, seq: seq, act: nopAction{}}
@@ -37,32 +44,43 @@ func driveQueues(program []byte, slotBits, widthBits uint) error {
 		wheel.push(e)
 		heap.push(e)
 		onWheel := wheel.count > before
-		if want := at < now&^(width-1)+span; onWheel != want {
+		if want := at < now&^(width-1)+span; !parked && onWheel != want {
 			return fmt.Errorf("push at %v with the clock at %v: on the wheel %v, want %v (cursor bucket starts at %v)",
 				at, now, onWheel, want, wheel.curStart)
 		}
 		return nil
 	}
-	pop := func() error {
+	hasEventAt := func() (bool, error) {
 		if wheel.len() != heap.len() {
-			return fmt.Errorf("len: wheel %d, heap %d", wheel.len(), heap.len())
+			return false, fmt.Errorf("len: wheel %d, heap %d", wheel.len(), heap.len())
 		}
-		if pw, ph := wheel.peekTime(), heap.peekTime(); pw != ph {
-			return fmt.Errorf("peekTime: wheel %v, heap %v", pw, ph)
+		hw, hh := wheel.hasEventAt(now), heap.hasEventAt(now)
+		if hw != hh {
+			return false, fmt.Errorf("hasEventAt(%v): wheel %v, heap %v", now, hw, hh)
 		}
-		if heap.len() == 0 {
-			return nil
+		return hw, nil
+	}
+	pop := func(horizon Time) error {
+		if _, err := hasEventAt(); err != nil {
+			return err
 		}
-		w, h := wheel.pop(), heap.pop()
-		if w.at != h.at || w.seq != h.seq {
-			return fmt.Errorf("pop: wheel (%v, %d), heap (%v, %d)", w.at, w.seq, h.at, h.seq)
+		w, okW := wheel.popAtMost(horizon)
+		h, okH := heap.popAtMost(horizon)
+		if okW != okH || w.at != h.at || w.seq != h.seq {
+			return fmt.Errorf("popAtMost(%v): wheel (%v, %d, %v), heap (%v, %d, %v)",
+				horizon, w.at, w.seq, okW, h.at, h.seq, okH)
 		}
-		now = w.at
+		if okW {
+			now = w.at
+		}
+		if !okW || parked {
+			parked = wheel.curStart != now&^(width-1)
+		}
 		return nil
 	}
 
 	for i := 0; i+1 < len(program); i += 2 {
-		op, arg := program[i]%8, Time(program[i+1])
+		op, arg := program[i]%10, Time(program[i+1])
 		var err error
 		switch op {
 		case 0: // near future, inside the window
@@ -78,10 +96,17 @@ func driveQueues(program []byte, slotBits, widthBits uint) error {
 		case 5: // medium spread, crosses several buckets
 			err = push(now + arg*arg)
 		case 6:
-			err = pop()
+			err = pop(Forever)
 		case 7: // drain burst
 			for j := 0; j < int(arg) && err == nil; j++ {
-				err = pop()
+				err = pop(Forever)
+			}
+		case 8: // a Run horizon, which may stop short of the next event
+			err = pop(now + arg)
+		case 9: // the immediate merge: pop at the clock when hasEventAt says so
+			var due bool
+			if due, err = hasEventAt(); due {
+				err = pop(now)
 			}
 		}
 		if err != nil {
@@ -89,7 +114,7 @@ func driveQueues(program []byte, slotBits, widthBits uint) error {
 		}
 	}
 	for heap.len() > 0 {
-		if err := pop(); err != nil {
+		if err := pop(Forever); err != nil {
 			return err
 		}
 	}

@@ -24,7 +24,6 @@ type Pattern interface {
 	// so any other input, or state that Dest changes, would replay a
 	// different destination than the one generated.
 	Dest(src int, rng *sim.RNG) int
-	Name() string
 }
 
 // Uniform sends each packet to a destination drawn uniformly among
@@ -42,9 +41,6 @@ func (u Uniform) Dest(src int, rng *sim.RNG) int {
 	}
 	return d
 }
-
-// Name implements Pattern.
-func (u Uniform) Name() string { return "uniform" }
 
 // BitReversal sends every packet from src to the host whose index is
 // the bit-reversal of src in log2(NumHosts) bits — the permutation
@@ -70,9 +66,6 @@ func (b BitReversal) Dest(src int, _ *sim.RNG) int {
 	}
 	return d
 }
-
-// Name implements Pattern.
-func (b BitReversal) Name() string { return "bit-reversal" }
 
 // HotSpot sends a fixed fraction of traffic to one randomly chosen
 // host and the rest uniformly, per §5.1 ("a node is randomly selected
@@ -106,9 +99,4 @@ func (h *HotSpot) Dest(src int, rng *sim.RNG) int {
 		return h.Host
 	}
 	return h.uniform.Dest(src, rng)
-}
-
-// Name implements Pattern.
-func (h *HotSpot) Name() string {
-	return fmt.Sprintf("hot-spot-%d%%", int(h.Fraction*100+0.5))
 }

@@ -112,17 +112,6 @@ func TestHotSpotValidation(t *testing.T) {
 	}
 }
 
-func TestHotSpotName(t *testing.T) {
-	rng := sim.NewRNG(2)
-	h, err := NewHotSpot(16, 0.05, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Name() != "hot-spot-5%" {
-		t.Fatalf("Name = %q", h.Name())
-	}
-}
-
 func TestConfigValidate(t *testing.T) {
 	good := Config{Pattern: Uniform{NumHosts: 4}, PacketSize: 32, AdaptiveFraction: 0.5, LoadBytesPerNsPerHost: 0.01}
 	if err := good.Validate(); err != nil {

@@ -19,22 +19,24 @@ const (
 	Full  ScaleName = "full"
 )
 
-func scaleFor(name ScaleName) (experiments.Scale, error) {
-	switch name {
-	case Quick, "":
-		return experiments.QuickScale(), nil
-	case Full:
-		return experiments.FullScale(), nil
-	default:
-		return experiments.Scale{}, fmt.Errorf("ibasim: unknown scale %q", name)
+// scaleFor resolves a ScaleName ("" is Quick) to its scale and Table 1
+// patterns.
+func scaleFor(name ScaleName) (experiments.Scale, []experiments.PatternSpec, error) {
+	if name == "" {
+		name = Quick
 	}
+	sc, patterns, err := experiments.Preset(string(name))
+	if err != nil {
+		return sc, nil, fmt.Errorf("ibasim: %w", err)
+	}
+	return sc, patterns, nil
 }
 
 // RunFigure3 regenerates one panel of the paper's Figure 3 (average
 // packet latency vs accepted traffic for 0-100% adaptive traffic) for
 // the given network size and writes the series to w.
 func RunFigure3(scale ScaleName, switches int, w io.Writer) error {
-	sc, err := scaleFor(scale)
+	sc, _, err := scaleFor(scale)
 	if err != nil {
 		return err
 	}
@@ -51,13 +53,9 @@ func RunFigure3(scale ScaleName, switches int, w io.Writer) error {
 // Patterns and packet sizes follow the scale (quick: uniform 32 B;
 // full: the paper's five patterns and both packet sizes).
 func RunTable1(scale ScaleName, links, mr int, w io.Writer) error {
-	sc, err := scaleFor(scale)
+	sc, patterns, err := scaleFor(scale)
 	if err != nil {
 		return err
-	}
-	patterns := []experiments.PatternSpec{{Kind: "uniform"}}
-	if scale == Full {
-		patterns = experiments.Table1Patterns
 	}
 	rows, err := experiments.Table1(sc, links, mr, patterns, sc.PacketSizes)
 	if err != nil {
@@ -70,7 +68,7 @@ func RunTable1(scale ScaleName, links, mr int, w io.Writer) error {
 // switch/destination pairs with k routing options) for the given
 // connectivity, MR = 2..maxMR, writing rows to w.
 func RunTable2(scale ScaleName, links, maxMR int, w io.Writer) error {
-	sc, err := scaleFor(scale)
+	sc, _, err := scaleFor(scale)
 	if err != nil {
 		return err
 	}

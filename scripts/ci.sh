@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # ci.sh — the repository's tier-1 gate plus the hot-path discipline
-# checks. Run locally before pushing; .github/workflows/ci.yml runs the
-# same steps.
+# checks. Run locally before pushing; .github/workflows/ci.yml runs
+# this script as its one job.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -113,7 +113,7 @@ echo "==> scheduler equivalence and one selection pass (calendar vs heap differe
 go test -run 'TestEventQueueDifferential|TestEngineSchedulersEquivalent|TestSortBucketMatchesFullKeySort|TestCalendarFarTimerFirst|TestCalendarHorizonParking' -v ./internal/sim/
 go test -race -count=1 -run 'TestSchedulerOrderMatrix|TestSelectionModeGoldens' -v ./internal/experiments/
 
-echo "==> event-queue fuzz smoke"
+echo "==> event-queue fuzz smoke (calendar vs heap through the engine's two calls, popAtMost and hasEventAt)"
 go test -run '^$' -fuzz 'FuzzEventQueueOrdering' -fuzztime 10s ./internal/sim/
 
 echo "==> source-queue fuzz smoke (delta-coded entries against a slice: gaps up to 2^56-1, every DLID offset, markers, bursts across chunks)"
