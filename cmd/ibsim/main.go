@@ -92,7 +92,7 @@ func main() {
 		}
 		res = traced.Result
 		fmt.Printf("adaptive hops:   %.1f%% of %d forwarding decisions\n",
-			traced.AdaptiveShare*100, traced.EventsRecorded)
+			traced.AdaptiveShare*100, traced.Audit.HopChecks)
 	} else {
 		r, err := ibasim.Simulate(cfg)
 		if err != nil {

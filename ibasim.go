@@ -64,7 +64,7 @@ type Config struct {
 
 	// Workload.
 	Pattern          string  // "uniform", "bit-reversal", "hot-spot"
-	HotSpotFraction  float64 // used when Pattern == "hot-spot"
+	HotSpotFraction  float64 // used when Pattern == "hot-spot"; in (0,1]
 	PacketSize       int     // bytes (paper: 32 or 256)
 	AdaptiveFraction float64 // share of packets requesting adaptive service
 	Load             float64 // offered load, bytes/ns/host
@@ -204,7 +204,7 @@ func (c Config) spec() (experiments.RunSpec, error) {
 	spec.Fabric.Selection.AtArbitration = !c.ImmediateSelection
 	spec.Fabric.Selection.StatusAware = !c.StaticSelection
 	if c.EscapeReserveCredits > 0 {
-		split, err := core.NewCreditSplit(spec.Fabric.BufferCredits, c.EscapeReserveCredits)
+		split, err := core.NewCreditSplit(spec.Fabric.Split.CMax, c.EscapeReserveCredits)
 		if err != nil {
 			return experiments.RunSpec{}, err
 		}

@@ -152,7 +152,6 @@ type Report struct {
 	Failed   int // jobs that exhausted their retry budget
 	Skipped  int // jobs not attempted (interrupt)
 	Retried  int // extra attempts beyond the first, summed
-	Swept    int // torn temp files removed at startup
 
 	Table *Table
 }
@@ -172,7 +171,7 @@ func Run(ctx context.Context, plan *Plan, store *Store, opts Options) (*Report, 
 	if err != nil {
 		return nil, err
 	}
-	rep := &Report{Outcomes: make([]Outcome, len(plan.Jobs)), Swept: len(swept)}
+	rep := &Report{Outcomes: make([]Outcome, len(plan.Jobs))}
 	if len(swept) > 0 {
 		fmt.Fprintf(o.Log, "ibcamp: swept %d torn temp file(s)\n", len(swept))
 	}

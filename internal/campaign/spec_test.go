@@ -31,6 +31,7 @@ func TestParseSpecStrict(t *testing.T) {
 		{"bad-load", `{"name":"x","sizes":[8],"links":4,"mr":2,"packetSizes":[32],"loadLo":-1}`, "loadLo"},
 		{"load-hi-below-lo", `{"name":"x","sizes":[8],"links":4,"mr":2,"packetSizes":[32],"loadLo":0.1,"loadHi":0.01,"loadPoints":3}`, "loadHi"},
 		{"bad-pattern", `{"name":"x","sizes":[8],"links":4,"mr":2,"packetSizes":[32],"loadLo":0.01,"patterns":["zipf"]}`, "unknown pattern"},
+		{"nan-hot-spot", `{"name":"x","sizes":[8],"links":4,"mr":2,"packetSizes":[32],"loadLo":0.01,"patterns":["hot-spot:NaN"]}`, "hot-spot fraction NaN out of (0,1]"},
 		// A bad fault clause fails at parse time, as emit's round trip
 		// does, not when the plan expands.
 		{"bad-faults", `{"name":"x","sizes":[8],"links":4,"mr":2,"packetSizes":[32],"loadLo":0.01,"faults":"bogus"}`, `campaign: faults: bad directive "bogus"`},

@@ -32,7 +32,7 @@ const (
 	InvCreditBound = fabric.AuditCreditBound
 	// InvCreditSplit: the §4.4 identities C_XYA = max(0, C_XY − C_0),
 	// C_XYE = min(C_0, C_XY), C_XYA + C_XYE = C_XY, and well-formedness
-	// of the configured split (0 < C_0 < CMax = BufferCredits).
+	// of the configured split (0 < C_0 < CMax).
 	InvCreditSplit = fabric.AuditCreditSplit
 	// InvCreditOccupancy: an input buffer's occupancy counter equals
 	// the sum of its entries' credits.
@@ -133,9 +133,6 @@ func (r Report) Has(invariant string) bool {
 	return false
 }
 
-// flowKey identifies one (source, destination) packet flow.
-type flowKey struct{ src, dst int }
-
 // findings is one capped violation list plus its uncapped count.
 type findings struct {
 	list  []Violation
@@ -158,10 +155,15 @@ type Auditor struct {
 	// Per-event hook state: totals, the in-order check's per-flow
 	// high-water marks, and the hook findings. created0 is the
 	// network's creation count at Attach (see fabric.Network.Created).
+	// lastDetSeq holds, in slot src*numHosts+dst, the SeqNo of the
+	// flow's last deterministic delivery plus one (zero = none yet); a
+	// SeqNo stays below 2^32-1 (see fabric.Host), so it fits 32 bits.
+	// It is nil when orderExempt.
 	created0   uint64
 	delivered  uint64
 	hopChecks  uint64
-	lastDetSeq map[flowKey]uint64
+	lastDetSeq []uint32
+	numHosts   int
 	hook       findings
 
 	// Heavy-tick and finalize findings.
@@ -186,8 +188,11 @@ func Attach(net *fabric.Network, cfg Config) *Auditor {
 	a := &Auditor{
 		net:         net,
 		created0:    net.Created(),
-		lastDetSeq:  make(map[flowKey]uint64),
+		numHosts:    net.Topo.NumHosts(),
 		orderExempt: net.Cfg.SourceMultipath > 1 || net.Cfg.Retry.Enabled(),
+	}
+	if !a.orderExempt {
+		a.lastDetSeq = make([]uint32, a.numHosts*a.numHosts)
 	}
 	prevDelivered, prevHop := net.OnDelivered, net.OnHop
 	net.OnDelivered = func(p *ib.Packet) {
@@ -218,18 +223,17 @@ func (a *Auditor) onDelivered(p *ib.Packet) {
 	if a.orderExempt || p.Adaptive {
 		return
 	}
-	k := flowKey{src: int(p.Src), dst: int(p.Dst)}
-	last, seen := a.lastDetSeq[k]
-	if seen && p.SeqNo < last {
+	fi := int(p.Src)*a.numHosts + int(p.Dst)
+	if last := a.lastDetSeq[fi]; last != 0 && p.SeqNo < uint64(last-1) {
 		a.hook.add(Violation{
 			At:        p.DeliveredAt,
 			Invariant: InvDeterministicOrder,
 			Detail: fmt.Sprintf("flow %d->%d: deterministic packet seq %d delivered after seq %d",
-				p.Src, p.Dst, p.SeqNo, last),
+				p.Src, p.Dst, p.SeqNo, last-1),
 		})
 		return
 	}
-	a.lastDetSeq[k] = p.SeqNo
+	a.lastDetSeq[fi] = uint32(p.SeqNo) + 1
 }
 
 // onHop re-checks the §4.4 admission rule for every forwarding

@@ -370,7 +370,7 @@ func TestArbWakeExactUnderTamper(t *testing.T) {
 	const mid = 30_000
 	honest := setTamper(fabric.Tamper{})
 	split := func(cEscape int) tamperAct {
-		return func(_ *testing.T, net *fabric.Network) { net.TamperSplit(net.Cfg.BufferCredits, cEscape) }
+		return func(_ *testing.T, net *fabric.Network) { net.TamperSplit(net.Cfg.Split.CMax, cEscape) }
 	}
 	reserve := fabric.DefaultConfig().Split.CEscape
 	cases := []struct {

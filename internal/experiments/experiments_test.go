@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -210,6 +211,25 @@ func TestPreset(t *testing.T) {
 	}
 	if _, _, err := Preset("bogus"); err == nil || err.Error() != `unknown scale "bogus"` {
 		t.Fatalf("Preset(bogus) = %v, want the unknown-scale error", err)
+	}
+}
+
+// TestParsePattern: a hot-spot fraction must lie in (0,1]; NaN, zero,
+// negative, above-one and infinite fractions are refused at parse time
+// with the rule JobSpec applies.
+func TestParsePattern(t *testing.T) {
+	for _, frac := range []string{"NaN", "0", "-0.1", "1.5", "+Inf"} {
+		s := "hot-spot:" + frac
+		if ps, err := ParsePattern(s); err == nil || !strings.Contains(err.Error(), "hot-spot fraction") {
+			t.Fatalf("ParsePattern(%q) = %+v, %v; want the fraction refused", s, ps, err)
+		}
+	}
+	ps, err := ParsePattern("hot-spot:1")
+	if err != nil || ps != (PatternSpec{Kind: "hot-spot", Fraction: 1}) {
+		t.Fatalf("ParsePattern(hot-spot:1) = %+v, %v", ps, err)
+	}
+	if _, err := (PatternSpec{Kind: "hot-spot", Fraction: math.NaN()}).Build(64, 1); err == nil {
+		t.Fatal("Build accepted a NaN hot-spot fraction")
 	}
 }
 

@@ -247,14 +247,8 @@ func (j JobSpec) parse() (*faults.Campaign, []sim.EngineOption, error) {
 	if j.PacketSize <= 0 {
 		return nil, nil, fmt.Errorf("experiments: job packet size %d must be positive", j.PacketSize)
 	}
-	switch j.Pattern.Kind {
-	case "uniform", "bit-reversal":
-	case "hot-spot":
-		if math.IsNaN(j.Pattern.Fraction) || j.Pattern.Fraction <= 0 || j.Pattern.Fraction > 1 {
-			return nil, nil, fmt.Errorf("experiments: job hot-spot fraction %v out of (0,1]", j.Pattern.Fraction)
-		}
-	default:
-		return nil, nil, fmt.Errorf("experiments: job pattern %q unknown", j.Pattern.Kind)
+	if err := j.Pattern.validate(); err != nil {
+		return nil, nil, fmt.Errorf("experiments: job %w", err)
 	}
 	if math.IsNaN(j.AdaptiveFraction) || j.AdaptiveFraction < 0 || j.AdaptiveFraction > 1 {
 		return nil, nil, fmt.Errorf("experiments: job adaptive fraction %v out of [0,1]", j.AdaptiveFraction)

@@ -51,3 +51,17 @@ func TestTracingDoesNotPerturbExecution(t *testing.T) {
 		})
 	}
 }
+
+// TestTracerCountsAuditedHops: the tracer's adaptive and escape hop
+// counts split exactly the forwarding decisions the auditor checks,
+// the denominator ibsim -packet-trace prints.
+func TestTracerCountsAuditedHops(t *testing.T) {
+	rec := trace.NewRecorder(16)
+	res, err := RunObserved(diffSpec(diffTopo(t)), rec.Attach)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hops := rec.AdaptiveHops + rec.EscapeHops; hops == 0 || hops != res.Audit.HopChecks {
+		t.Fatalf("tracer counted %d hops (%d events), auditor %d hop checks", hops, rec.Total(), res.Audit.HopChecks)
+	}
+}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -29,9 +30,29 @@ func ParsePattern(s string) (PatternSpec, error) {
 		if err != nil {
 			return PatternSpec{}, fmt.Errorf("experiments: bad hot-spot fraction in %q", s)
 		}
-		return PatternSpec{Kind: "hot-spot", Fraction: f}, nil
+		ps := PatternSpec{Kind: "hot-spot", Fraction: f}
+		if err := ps.validate(); err != nil {
+			return PatternSpec{}, fmt.Errorf("experiments: %w", err)
+		}
+		return ps, nil
 	}
 	return PatternSpec{}, fmt.Errorf("experiments: unknown pattern %q", s)
+}
+
+// validate is the one rule every way into a run applies to a pattern
+// (ParsePattern, Build, JobSpec): a known kind and, for a hot-spot, a
+// fraction in (0,1], NaN refused.
+func (ps PatternSpec) validate() error {
+	switch ps.Kind {
+	case "uniform", "bit-reversal":
+		return nil
+	case "hot-spot":
+		if math.IsNaN(ps.Fraction) || ps.Fraction <= 0 || ps.Fraction > 1 {
+			return fmt.Errorf("hot-spot fraction %v out of (0,1]", ps.Fraction)
+		}
+		return nil
+	}
+	return fmt.Errorf("pattern %q unknown", ps.Kind)
 }
 
 func (ps PatternSpec) String() string {
@@ -50,6 +71,9 @@ func (ps PatternSpec) Build(numHosts int, seed uint64) (traffic.Pattern, error) 
 	case "bit-reversal":
 		return traffic.NewBitReversal(numHosts)
 	case "hot-spot":
+		if err := ps.validate(); err != nil {
+			return nil, fmt.Errorf("experiments: %w", err)
+		}
 		return traffic.NewHotSpot(numHosts, ps.Fraction, sim.NewRNG(seed^0x484F54))
 	default:
 		return nil, fmt.Errorf("experiments: unknown pattern %q", ps.Kind)

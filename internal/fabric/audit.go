@@ -16,7 +16,7 @@ const (
 	AuditCreditBound = "credit-bound"
 	// AuditCreditSplit: the §4.4 identities C_XYA = max(0, c − C_0),
 	// C_XYE = min(C_0, c), C_XYA + C_XYE = c, plus well-formedness of
-	// the configured split (0 < C_0 < CMax = BufferCredits).
+	// the configured split (0 < C_0 < CMax).
 	AuditCreditSplit = "credit-split"
 	// AuditCreditOccupancy: a buffer's occupied counter equals the sum
 	// of its entries' credits.
@@ -46,8 +46,8 @@ const (
 // return buffer space), which would eventually masquerade as
 // congestion or deadlock.
 func (n *Network) AuditCredits(report func(class, detail string)) {
-	cmax := n.Cfg.BufferCredits
 	split := n.Cfg.Split
+	cmax := split.CMax
 	n.AuditSplit(report)
 	check := func(o *outPort, owner string) {
 		if o == nil {
@@ -94,14 +94,12 @@ func (n *Network) AuditCredits(report func(class, detail string)) {
 }
 
 // AuditSplit reports an ill-formed configured split: the §4.4 model
-// needs 0 < C_0 < CMax = BufferCredits.
+// needs 0 < C_0 < CMax.
 func (n *Network) AuditSplit(report func(class, detail string)) {
-	cmax := n.Cfg.BufferCredits
 	split := n.Cfg.Split
-	if split.CEscape <= 0 || split.CEscape >= split.CMax || split.CMax != cmax {
+	if split.CEscape <= 0 || split.CEscape >= split.CMax {
 		report(AuditCreditSplit, fmt.Sprintf(
-			"split ill-formed: CMax=%d CEscape=%d BufferCredits=%d (want 0 < C_0 < CMax = BufferCredits)",
-			split.CMax, split.CEscape, cmax))
+			"split ill-formed: CMax=%d CEscape=%d (want 0 < C_0 < CMax)", split.CMax, split.CEscape))
 	}
 }
 

@@ -21,16 +21,10 @@ import (
 // Config gathers the switch and link parameters of a simulation. The
 // zero value is not valid; start from DefaultConfig.
 type Config struct {
-	// BufferCredits is C_max: the capacity, in 64-byte credits, of
-	// each input port's buffer. It must hold at least two MTU
-	// packets so each logical queue can store a whole packet (§4.4).
-	BufferCredits int
-
-	// MTU is the maximum packet size in bytes.
-	MTU int
-
-	// Split divides each input buffer into the adaptive and escape
-	// logical queues. Ignored by plain deterministic switches.
+	// Split.CMax is C_max: the capacity, in 64-byte credits, of each
+	// input port's buffer. Split divides it into the adaptive and
+	// escape logical queues, each of which must hold an MTU packet
+	// (§4.4); plain deterministic switches use only CMax.
 	Split core.CreditSplit
 
 	// Selection configures when/how the output port is chosen (§4.3).
@@ -64,10 +58,8 @@ type Config struct {
 	Retry RetryConfig
 
 	// EngineOpts configures the simulation engine's event scheduler
-	// (implementation, wheel geometry). NewNetwork
-	// prepends a span hint derived from the link timing so the default
-	// calendar geometry covers the per-hop event horizon; options set
-	// here are applied afterwards and win.
+	// (implementation, wheel geometry); NewNetwork passes them to
+	// sim.NewEngine.
 	EngineOpts []sim.EngineOption
 
 	// Arb selects the crossbar arbiter: ArbWake (the default; "" means
@@ -78,7 +70,7 @@ type Config struct {
 	// wake.go for the equivalence argument.
 	Arb string
 
-	// RoutingDelay, PropagationDelay and link rate come from
+	// The MTU, RoutingDelay, PropagationDelay and link rate come from
 	// internal/ib's constants; they are fixed by the paper's model.
 }
 
@@ -157,15 +149,12 @@ func DefaultRetry() RetryConfig {
 }
 
 // DefaultConfig returns the paper's evaluation parameters: buffers
-// of two MTUs (so each logical queue holds one full packet),
-// MTU 256 B, equal adaptive/escape split, arbitration-time
-// status-aware selection, enhanced switches.
+// of four MTUs split equally between the adaptive and escape queues
+// (two 256 B packets each), arbitration-time status-aware selection,
+// enhanced switches.
 func DefaultConfig() Config {
-	credits := 2 * ib.Credits(ib.DefaultMTU) * 2 // 2 MTU per logical queue
 	return Config{
-		BufferCredits:    credits,
-		MTU:              ib.DefaultMTU,
-		Split:            core.SplitHalf(credits),
+		Split:            core.SplitHalf(4 * ib.Credits(ib.MTU)),
 		Selection:        core.DefaultSelection(),
 		AdaptiveSwitches: true,
 		Arb:              ArbWake,
@@ -174,17 +163,7 @@ func DefaultConfig() Config {
 
 // Validate checks internal consistency.
 func (c Config) Validate() error {
-	if c.MTU <= 0 {
-		return fmt.Errorf("fabric: MTU %d", c.MTU)
-	}
-	if c.BufferCredits < 2*ib.Credits(c.MTU) {
-		return fmt.Errorf("fabric: %d credits cannot hold two %d-byte packets (§4.4 requires one per logical queue)",
-			c.BufferCredits, c.MTU)
-	}
-	if c.Split.CMax != c.BufferCredits {
-		return fmt.Errorf("fabric: split CMax %d != BufferCredits %d", c.Split.CMax, c.BufferCredits)
-	}
-	if c.Split.CEscape < ib.Credits(c.MTU) || c.Split.CAdaptiveCap() < ib.Credits(c.MTU) {
+	if c.Split.CEscape < ib.Credits(ib.MTU) || c.Split.CAdaptiveCap() < ib.Credits(ib.MTU) {
 		return fmt.Errorf("fabric: split %+v cannot hold an MTU packet per logical queue", c.Split)
 	}
 	if c.Retry.MaxRetries < 0 || c.Retry.BackoffBase < 0 || c.Retry.BackoffMax < 0 || c.Retry.SendTimeout < 0 {

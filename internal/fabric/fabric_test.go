@@ -3,6 +3,7 @@ package fabric_test
 import (
 	"testing"
 
+	"ibasim/internal/core"
 	"ibasim/internal/fabric"
 	"ibasim/internal/ib"
 	"ibasim/internal/sim"
@@ -333,14 +334,9 @@ func TestImmediateSelectionModesDrain(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	cfg := fabric.DefaultConfig()
-	cfg.BufferCredits = 4 // cannot hold two MTU packets
+	cfg.Split = core.SplitHalf(4) // cannot hold two MTU packets
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("tiny buffer accepted")
-	}
-	cfg = fabric.DefaultConfig()
-	cfg.MTU = 0
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("MTU 0 accepted")
 	}
 	// No host owns more than 2^MaxLMC LIDs, so no more source paths.
 	cfg = fabric.DefaultConfig()

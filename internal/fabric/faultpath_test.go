@@ -63,7 +63,7 @@ func TestSwitchDownDropsArrivalsAndConservesCredits(t *testing.T) {
 	})
 	net.Engine.RunUntilIdle()
 
-	fs := net.Faults
+	fs := net.FaultTotals()
 	if fs.DroppedOnDeadPort == 0 {
 		t.Fatalf("no dead-port drops despite in-flight traffic: %+v", fs)
 	}
@@ -76,12 +76,12 @@ func TestSwitchDownDropsArrivalsAndConservesCredits(t *testing.T) {
 		t.Fatalf("credit conservation after drops: %v", err)
 	}
 	// Killing a dead switch again is an idempotent no-op.
-	before := net.Faults
+	before := net.FaultTotals()
 	if err := net.SetSwitchDown(1); err != nil {
 		t.Fatal(err)
 	}
-	if net.Faults != before {
-		t.Fatalf("repeated SetSwitchDown changed counters: %+v -> %+v", before, net.Faults)
+	if net.FaultTotals() != before {
+		t.Fatalf("repeated SetSwitchDown changed counters: %+v -> %+v", before, net.FaultTotals())
 	}
 
 	// Revival kicks the neighbors: every parked and retried packet
@@ -122,7 +122,7 @@ func TestSendTimeoutRetriesThenLoses(t *testing.T) {
 	net.Hosts[0].Inject(net.NewPacket(0, 4, 32, true))
 	net.Engine.RunUntilIdle()
 
-	fs := net.Faults
+	fs := net.FaultTotals()
 	if fs.DroppedTimeout != 3 || fs.Retries != 2 || fs.Lost != 1 {
 		t.Fatalf("timeout/retry accounting = %+v, want 3 timeouts, 2 retries, 1 lost", fs)
 	}
@@ -158,8 +158,8 @@ func TestUnroutableLookupDropsInsteadOfPanic(t *testing.T) {
 	// No subnet.Configure: every forwarding table is unprogrammed.
 	net.Hosts[0].Inject(net.NewPacket(0, 4, 32, false))
 	net.Engine.RunUntilIdle()
-	if net.Faults.DroppedUnroutable != 1 {
-		t.Fatalf("unroutable drops = %d, want 1", net.Faults.DroppedUnroutable)
+	if net.FaultTotals().DroppedUnroutable != 1 {
+		t.Fatalf("unroutable drops = %d, want 1", net.FaultTotals().DroppedUnroutable)
 	}
 	if err := net.CheckCreditConservation(); err != nil {
 		t.Fatal(err)
@@ -271,7 +271,7 @@ func TestSendTimeoutDrainsMultiChunkBacklogInOrder(t *testing.T) {
 				i, drops[i].id, drops[i].attempts, want[i].id, want[i].attempts)
 		}
 	}
-	if fs := net.Faults; fs.Retries != nA+nB || fs.Lost != nA+nB {
+	if fs := net.FaultTotals(); fs.Retries != nA+nB || fs.Lost != nA+nB {
 		t.Fatalf("retries %d, lost %d; want %d each", fs.Retries, fs.Lost, nA+nB)
 	}
 	if net.InFlight() != 0 {

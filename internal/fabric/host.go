@@ -116,8 +116,8 @@ func (h *Host) SetStream(s Stream) { h.stream = s }
 // injectionBlocked), and a failed pass changes nothing.
 func (h *Host) Generate(dst, size int, adaptive bool) {
 	n := h.net
-	if uint(dst) >= uint(len(n.Hosts)) || size <= 0 || size > n.Cfg.MTU {
-		panic(fmt.Sprintf("fabric: host %d generates %d B to host %d (MTU %d, %d hosts)", h.id, size, dst, n.Cfg.MTU, len(n.Hosts)))
+	if uint(dst) >= uint(len(n.Hosts)) || size <= 0 || size > ib.MTU {
+		panic(fmt.Sprintf("fabric: host %d generates %d B to host %d (MTU %d, %d hosts)", h.id, size, dst, ib.MTU, len(n.Hosts)))
 	}
 	if h.stream == nil {
 		panic(fmt.Sprintf("fabric: host %d generates with no stream attached", h.id))

@@ -302,8 +302,8 @@ func TestPacketRecycling(t *testing.T) {
 	h.out.down = true
 	tp.gen(7, 32, false)
 	net.Engine.RunUntilIdle()
-	if len(dropped) != 2 || dropped[0] != dropped[1] || net.Faults.Lost != 1 {
-		t.Fatalf("%d drops (same packet %v), %d lost; want 2, true, 1", len(dropped), len(dropped) == 2 && dropped[0] == dropped[1], net.Faults.Lost)
+	if len(dropped) != 2 || dropped[0] != dropped[1] || net.FaultTotals().Lost != 1 {
+		t.Fatalf("%d drops (same packet %v), %d lost; want 2, true, 1", len(dropped), len(dropped) == 2 && dropped[0] == dropped[1], net.FaultTotals().Lost)
 	}
 	if len(freeAfterDrop) != 2 || freeAfterDrop[0] != 0 || freeAfterDrop[1] != 1 || net.pktFree[0] != dropped[1] {
 		t.Fatalf("freelist length after each drop = %v, want [0 1] holding the lost packet", freeAfterDrop)

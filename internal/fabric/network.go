@@ -79,9 +79,8 @@ type Network struct {
 	// fires once per drop, not once per loss.
 	OnDropped func(p *ib.Packet, reason DropReason)
 
-	// Faults accumulates the degraded-mode counters. All zero on a
-	// fault-free run.
-	Faults FaultStats
+	// faults accumulates the degraded-mode counters (see FaultTotals).
+	faults FaultStats
 
 	// tamper holds the mutation-suite fault model (see tamper.go). Zero
 	// in every real run; the forwarding path reads it with plain bool
@@ -167,9 +166,9 @@ func (f FaultStats) Dropped() uint64 {
 	return f.DroppedUnroutable + f.DroppedOnDeadPort + f.DroppedTimeout
 }
 
-// FaultTotals returns the degraded-mode counters; the same values as
-// the exported Faults field.
-func (n *Network) FaultTotals() FaultStats { return n.Faults }
+// FaultTotals returns the degraded-mode counters. All zero on a
+// fault-free run.
+func (n *Network) FaultTotals() FaultStats { return n.faults }
 
 // dropPacket accounts one discarded packet and, when the retry policy
 // allows, schedules its re-injection at the source with exponential
@@ -178,11 +177,11 @@ func (n *Network) FaultTotals() FaultStats { return n.Faults }
 func (n *Network) dropPacket(pkt *ib.Packet, reason DropReason) {
 	switch reason {
 	case DropUnroutable:
-		n.Faults.DroppedUnroutable++
+		n.faults.DroppedUnroutable++
 	case DropDeadPort:
-		n.Faults.DroppedOnDeadPort++
+		n.faults.DroppedOnDeadPort++
 	case DropTimeout:
-		n.Faults.DroppedTimeout++
+		n.faults.DroppedTimeout++
 	}
 	if n.OnDropped != nil {
 		n.OnDropped(pkt, reason)
@@ -191,14 +190,14 @@ func (n *Network) dropPacket(pkt *ib.Packet, reason DropReason) {
 	if rp.MaxRetries > 0 && int(pkt.Attempts) < rp.MaxRetries {
 		pkt.Attempts++
 		attempts := int(pkt.Attempts)
-		n.Faults.Retries++
-		if attempts > n.Faults.MaxAttempts {
-			n.Faults.MaxAttempts = attempts
+		n.faults.Retries++
+		if attempts > n.faults.MaxAttempts {
+			n.faults.MaxAttempts = attempts
 		}
 		n.scheduleRequeue(rp.backoff(attempts), n.Hosts[pkt.Src], pkt)
 		return
 	}
-	n.Faults.Lost++
+	n.faults.Lost++
 	n.putPacket(pkt)
 }
 
@@ -215,31 +214,12 @@ func NewNetwork(topo *topology.Topology, plan *ib.AddressPlan, cfg Config, seed 
 	if plan.NumHosts != topo.NumHosts() {
 		return nil, fmt.Errorf("fabric: plan has %d hosts, topology %d", plan.NumHosts, topo.NumHosts())
 	}
-	// IBA's field widths bound the subnet: a LID is 16 bits, so no
-	// plan addresses more hosts, and no IBA MTU needs more than a
-	// 16-bit byte count.
+	// A LID is 16 bits, so no plan addresses more hosts.
 	if topo.NumHosts() > math.MaxUint16+1 {
 		return nil, fmt.Errorf("fabric: %d hosts exceed the %d a 16-bit LID space addresses", topo.NumHosts(), math.MaxUint16+1)
 	}
-	if cfg.MTU > math.MaxUint16 {
-		return nil, fmt.Errorf("fabric: MTU %d exceeds %d bytes", cfg.MTU, math.MaxUint16)
-	}
-	// Hop events land at most routing + propagation + MTU
-	// serialization time ahead; sizing the scheduler's wheel to a
-	// generous multiple of that horizon keeps steady-state forwarding
-	// traffic out of the overflow heap, leaving it the exponential
-	// inter-arrival tail. Explicit cfg.EngineOpts apply after the hint
-	// and override it. At the default MTU the hint gives 4096 buckets
-	// of 8 ns. With buckets sorted in O(n + width), the 64-switch
-	// Figure 3 panel ran within noise of that at 2048 × 16 ns,
-	// 1024 × 32 ns, 4096 × 16 ns and 8192 × 4 ns (EXPERIMENTS.md,
-	// "Counting-sort calendar buckets"), so the hint stays.
-	hopHorizon := ib.RoutingDelay + ib.PropagationDelay + ib.SerializationTime(cfg.MTU)
-	engineOpts := make([]sim.EngineOption, 0, len(cfg.EngineOpts)+1)
-	engineOpts = append(engineOpts, sim.WithSpanHint(16*hopHorizon))
-	engineOpts = append(engineOpts, cfg.EngineOpts...)
 	net := &Network{
-		Engine: sim.NewEngine(engineOpts...),
+		Engine: sim.NewEngine(cfg.EngineOpts...),
 		Topo:   topo,
 		Plan:   plan,
 		Cfg:    cfg,
@@ -290,7 +270,7 @@ func NewNetwork(topo *topology.Topology, plan *ib.AddressPlan, cfg Config, seed 
 			id:         0,
 			peerSwitch: sw,
 			peerPort:   port,
-			credits:    cfg.BufferCredits,
+			credits:    cfg.Split.CMax,
 		}
 		sw.in[port] = &inPort{
 			id:       port,
@@ -302,7 +282,7 @@ func NewNetwork(topo *topology.Topology, plan *ib.AddressPlan, cfg Config, seed 
 			ownerSw:  sw,
 			id:       port,
 			peerHost: host,
-			credits:  cfg.BufferCredits,
+			credits:  cfg.Split.CMax,
 		}
 	}
 
@@ -340,7 +320,7 @@ func (n *Network) wire(a *Switch, pa ib.PortID, b *Switch, pb ib.PortID) {
 		id:         pa,
 		peerSwitch: b,
 		peerPort:   pb,
-		credits:    n.Cfg.BufferCredits,
+		credits:    n.Cfg.Split.CMax,
 	}
 	a.out[pa] = o
 	b.in[pb] = &inPort{
@@ -440,11 +420,11 @@ func (n *Network) InFlight() int {
 // peer buffer. A mismatch means credits were lost or duplicated.
 func (n *Network) CreditsIntact() error {
 	check := func(o *outPort, owner string) error {
-		if o == nil || o.credits == n.Cfg.BufferCredits {
+		if o == nil || o.credits == n.Cfg.Split.CMax {
 			return nil
 		}
 		return fmt.Errorf("fabric: %s port %d has %d credits, want %d",
-			owner, o.id, o.credits, n.Cfg.BufferCredits)
+			owner, o.id, o.credits, n.Cfg.Split.CMax)
 	}
 	for _, sw := range n.Switches {
 		for _, o := range sw.out {

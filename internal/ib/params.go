@@ -13,9 +13,9 @@ const (
 	// scheme: buffer space is accounted in 64-byte units.
 	CreditBytes = 64
 
-	// DefaultMTU is the Maximum Transfer Unit used in the evaluation
-	// (IBA allows 256..4096 bytes; the paper uses 256).
-	DefaultMTU = 256
+	// MTU is the Maximum Transfer Unit of the evaluation (IBA allows
+	// 256..4096 bytes; the paper uses 256). No packet is larger.
+	MTU = 256
 
 	// RoutingDelay is the switch routing time: forwarding-table
 	// access + crossbar arbitration + crossbar setup.

@@ -51,7 +51,6 @@ type Collector struct {
 	MeasureEnd sim.Time
 
 	numSwitches int
-	engine      *sim.Engine
 
 	Latency        LatencyStats
 	DeliveredBytes int64
@@ -81,14 +80,21 @@ type Collector struct {
 }
 
 // Attach registers the collector on the network. It must be called
-// before traffic starts; it replaces any previous OnDelivered
-// callback.
+// before traffic starts; it chains after any OnDelivered callback
+// already present.
 func (c *Collector) Attach(net *fabric.Network) {
 	c.numSwitches = net.Topo.NumSwitches
-	c.engine = net.Engine
 	c.numHosts = net.Topo.NumHosts()
 	c.highestSeq = make([]uint32, c.numHosts*c.numHosts)
-	net.OnDelivered = c.onDelivered
+	prev := net.OnDelivered
+	if prev == nil {
+		net.OnDelivered = c.onDelivered
+		return
+	}
+	net.OnDelivered = func(p *ib.Packet) {
+		prev(p)
+		c.onDelivered(p)
+	}
 }
 
 // Finalize closes the reorder buffer's peak-occupancy accounting.

@@ -44,8 +44,9 @@ func TestLatencyStatsSingle(t *testing.T) {
 }
 
 // measureNet runs a uniform workload on a small ring and returns the
-// collector, for end-to-end metric checks.
-func measureNet(t *testing.T, warmup, end sim.Time, load float64) *Collector {
+// collector, for end-to-end metric checks. before, when set, hooks the
+// network ahead of the collector's Attach.
+func measureNet(t *testing.T, warmup, end sim.Time, load float64, before func(*fabric.Network)) *Collector {
 	t.Helper()
 	topo, err := topology.Ring(4, 4)
 	if err != nil {
@@ -61,6 +62,9 @@ func measureNet(t *testing.T, warmup, end sim.Time, load float64) *Collector {
 	}
 	if _, err := subnet.Configure(net, subnet.DefaultOptions()); err != nil {
 		t.Fatal(err)
+	}
+	if before != nil {
+		before(net)
 	}
 	col := &Collector{WarmupEnd: warmup, MeasureEnd: end}
 	col.Attach(net)
@@ -84,7 +88,7 @@ func measureNet(t *testing.T, warmup, end sim.Time, load float64) *Collector {
 func TestCollectorAcceptedMatchesOfferedAtLowLoad(t *testing.T) {
 	// Far below saturation, accepted traffic must track offered load.
 	const load = 0.005 // B/ns/host; offered/switch = 0.02
-	col := measureNet(t, 200_000, 1_200_000, load)
+	col := measureNet(t, 200_000, 1_200_000, load, nil)
 	offered := load * 4
 	got := col.AcceptedPerSwitch()
 	if math.Abs(got-offered)/offered > 0.10 {
@@ -93,8 +97,8 @@ func TestCollectorAcceptedMatchesOfferedAtLowLoad(t *testing.T) {
 }
 
 func TestCollectorWarmupExcluded(t *testing.T) {
-	col := measureNet(t, 500_000, 1_000_000, 0.005)
-	all := measureNet(t, 0, 1_000_000, 0.005)
+	col := measureNet(t, 500_000, 1_000_000, 0.005, nil)
+	all := measureNet(t, 0, 1_000_000, 0.005, nil)
 	if col.Latency.Count >= all.Latency.Count {
 		t.Fatalf("warmup window did not reduce sample count: %d vs %d",
 			col.Latency.Count, all.Latency.Count)
@@ -102,7 +106,7 @@ func TestCollectorWarmupExcluded(t *testing.T) {
 }
 
 func TestCollectorLatencyPlausible(t *testing.T) {
-	col := measureNet(t, 100_000, 600_000, 0.005)
+	col := measureNet(t, 100_000, 600_000, 0.005, nil)
 	// A 32 B packet needs at least ~428 ns (one switch) and the ring
 	// diameter is 2 switches; queueing should keep the average under a
 	// few microseconds at this load.
@@ -115,9 +119,21 @@ func TestCollectorLatencyPlausible(t *testing.T) {
 }
 
 func TestCollectorStringFormatting(t *testing.T) {
-	col := measureNet(t, 100_000, 300_000, 0.005)
+	col := measureNet(t, 100_000, 300_000, 0.005, nil)
 	if col.String() == "" {
 		t.Fatal("empty String()")
+	}
+}
+
+// TestAttachChainsEarlierHook: a delivery hook installed before the
+// collector attaches keeps seeing every delivery.
+func TestAttachChainsEarlierHook(t *testing.T) {
+	var seen uint64
+	col := measureNet(t, 0, 300_000, 0.005, func(net *fabric.Network) {
+		net.OnDelivered = func(*ib.Packet) { seen++ }
+	})
+	if total := col.OutOfOrder + col.OrderedDelivery; seen == 0 || seen != total {
+		t.Fatalf("the earlier hook saw %d deliveries, the collector %d", seen, total)
 	}
 }
 

@@ -2,17 +2,17 @@ package sim
 
 // Calendar-queue geometry defaults. Network DES event traffic is
 // short-horizon and bounded-increment — a hop schedules events at most
-// routing + propagation + serialization time ahead — so a wheel
-// covering a few dozen hop-times catches essentially every push.
-// NewNetwork widens the buckets via WithSpanHint to match its link
-// timing; these defaults stand alone for bare engines in tests.
+// routing + propagation + serialization time ahead, 1,224 ns for a
+// 256 B packet — so a wheel covering a few dozen hop-times catches
+// essentially every push. The default wheel spans 32,768 ns, about 27
+// hop-times; no other geometry measured ran the fabric faster
+// (EXPERIMENTS.md, "Wheel geometry").
 const (
 	defaultSlotBits  = 12 // 4096 buckets
-	defaultWidthBits = 2  // 4 ns per bucket
+	defaultWidthBits = 3  // 8 ns per bucket
 
 	// maxWidthBits caps a bucket at 64 ns, the size of the counting
-	// sort's per-offset table (see sortBucket). Wider horizons take
-	// more slots instead.
+	// sort's per-offset table (see sortBucket).
 	maxWidthBits = 6
 )
 

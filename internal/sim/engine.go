@@ -43,16 +43,6 @@ func NewEngine(opts ...EngineOption) *Engine {
 	if cfg.kind == SchedulerHeap {
 		return &Engine{queue: &heapQueue{}}
 	}
-	// Widen buckets until the wheel spans the hinted horizon (capped
-	// well short of Time overflow); past the 64 ns bucket cap, add
-	// slots instead.
-	for cfg.spanHint > Time(1)<<(cfg.widthBits+cfg.slotBits) && cfg.widthBits+cfg.slotBits < 40 {
-		if cfg.widthBits < maxWidthBits {
-			cfg.widthBits++
-		} else {
-			cfg.slotBits++
-		}
-	}
 	return &Engine{queue: newCalendarQueue(cfg.slotBits, cfg.widthBits)}
 }
 

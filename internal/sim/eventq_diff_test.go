@@ -126,10 +126,11 @@ func driveQueues(program []byte, slotBits, widthBits uint) error {
 
 // TestEventQueueDifferential is the scheduler equivalence property
 // test: randomized adversarial programs through every geometry from a
-// tiny 8-bucket wheel (constant wrapping and overflow) to the default.
+// tiny 8-bucket wheel (constant wrapping and overflow) to 4096 × 4 ns
+// and the default 4096 × 8 ns.
 func TestEventQueueDifferential(t *testing.T) {
 	geometries := []struct{ slotBits, widthBits uint }{
-		{3, 0}, {3, 2}, {4, 1}, {6, 3}, {defaultSlotBits, defaultWidthBits},
+		{3, 0}, {3, 2}, {4, 1}, {6, 3}, {12, 2}, {defaultSlotBits, defaultWidthBits},
 	}
 	r := NewRNG(42)
 	for _, g := range geometries {

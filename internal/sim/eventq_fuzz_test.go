@@ -35,7 +35,7 @@ func FuzzEventQueueOrdering(f *testing.F) {
 	for _, seed := range [][]byte{equalFIFO, boundaries, horizonExact, farFuture, drainRefill, parkedMerge, mergeFIFO, overflowAtHorizon} {
 		f.Add(seed, uint8(3), uint8(1))
 		f.Add(seed, uint8(6), uint8(0))
-		f.Add(seed, uint8(defaultSlotBits), uint8(defaultWidthBits))
+		f.Add(seed, uint8(12), uint8(2))
 	}
 	// Out-of-order fills of the bucket after the cursor's, which gets
 	// the counting sort when the cursor enters it. At width 8 ns,

@@ -42,7 +42,6 @@ type engineConfig struct {
 	kind      SchedulerKind
 	slotBits  uint
 	widthBits uint
-	spanHint  Time
 }
 
 // EngineOption configures NewEngine. The zero-option engine uses the
@@ -54,32 +53,14 @@ func WithScheduler(k SchedulerKind) EngineOption {
 	return func(c *engineConfig) { c.kind = k }
 }
 
-// WithSpanHint widens the calendar buckets until one wheel rotation
-// covers at least d nanoseconds. Callers that know how far ahead
-// their events land (for the fabric: routing + propagation + MTU
-// serialization time) pass a multiple of that horizon so steady-state
-// traffic never touches the overflow heap. Ignored by the heap
-// scheduler; the largest hint wins.
-func WithSpanHint(d Time) EngineOption {
-	return func(c *engineConfig) {
-		if d > c.spanHint {
-			c.spanHint = d
-		}
-	}
-}
-
 // WithWheelGeometry pins the calendar wheel to 1<<slotBits buckets of
-// 1<<widthBits ns each, clearing any span hint accumulated so far.
-// Tiny wheels wrap and overflow constantly — exactly what the
-// scheduler differential tests want to stress; production
-// callers should prefer WithSpanHint. Buckets are at most 64 ns wide:
-// widthBits above 6 panics.
+// 1<<widthBits ns each. Tiny wheels wrap and overflow constantly —
+// exactly what the scheduler differential tests want to stress;
+// production callers keep the default geometry. Buckets are at most
+// 64 ns wide: widthBits above 6 panics.
 func WithWheelGeometry(slotBits, widthBits uint) EngineOption {
 	if widthBits > maxWidthBits {
 		panic(fmt.Sprintf("sim: wheel bucket width 2^%d ns exceeds the 2^%d ns cap", widthBits, maxWidthBits))
 	}
-	return func(c *engineConfig) {
-		c.slotBits, c.widthBits = slotBits, widthBits
-		c.spanHint = 0
-	}
+	return func(c *engineConfig) { c.slotBits, c.widthBits = slotBits, widthBits }
 }

@@ -142,7 +142,7 @@ func TestMixedReconfigurationKeepsFence(t *testing.T) {
 		if _, err := Configure(net, DefaultOptions()); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := reconfigure(t, net, DefaultOptions(), net.Topo.Links[0]); err != nil {
+		if err := reconfigure(t, net, DefaultOptions(), net.Topo.Links[0]); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		breaches := 0

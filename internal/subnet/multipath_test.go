@@ -152,7 +152,7 @@ func TestMultipathSurvivesReconfiguration(t *testing.T) {
 	if got := multiPort(); got != 160 {
 		t.Fatalf("%d multi-port blocks after Configure, want 160", got)
 	}
-	if _, err := reconfigure(t, net, opts, net.Topo.Links[0]); err != nil {
+	if err := reconfigure(t, net, opts, net.Topo.Links[0]); err != nil {
 		t.Fatal(err)
 	}
 	if got := multiPort(); got != 160 {

@@ -12,14 +12,14 @@ import (
 // reconfigure runs a planned reconfiguration: ReconfigureStaged with
 // zero delays, then the engine up to the instant the last switch is
 // reprogrammed.
-func reconfigure(t *testing.T, net *fabric.Network, opts Options, failed ...topology.Link) (*Staged, error) {
+func reconfigure(t *testing.T, net *fabric.Network, opts Options, failed ...topology.Link) error {
 	t.Helper()
-	st, err := ReconfigureStaged(net, opts, StagedOptions{}, failed...)
+	doneAt, err := ReconfigureStaged(net, opts, StagedOptions{}, failed...)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	net.Engine.Run(st.DoneAt)
-	return st, nil
+	net.Engine.Run(doneAt)
+	return nil
 }
 
 func TestReconfigureAvoidsFailedLink(t *testing.T) {
@@ -28,7 +28,7 @@ func TestReconfigureAvoidsFailedLink(t *testing.T) {
 		t.Fatal(err)
 	}
 	failed := net.Topo.Links[0]
-	if _, err := reconfigure(t, net, DefaultOptions(), failed); err != nil {
+	if err := reconfigure(t, net, DefaultOptions(), failed); err != nil {
 		t.Fatal(err)
 	}
 	if !net.LinkIsDown(failed.A, failed.B) {
@@ -66,7 +66,7 @@ func TestReconfigureRejectsDisconnection(t *testing.T) {
 	if _, err := Configure(net, DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reconfigure(t, net, DefaultOptions(), topo.Links[1]); err == nil {
+	if err := reconfigure(t, net, DefaultOptions(), topo.Links[1]); err == nil {
 		t.Fatal("disconnecting failure accepted")
 	}
 }
@@ -97,7 +97,7 @@ func TestTrafficSurvivesReconfiguration(t *testing.T) {
 
 	// Fail one link and reconfigure immediately.
 	failed := net.Topo.Links[2]
-	if _, err := reconfigure(t, net, DefaultOptions(), failed); err != nil {
+	if err := reconfigure(t, net, DefaultOptions(), failed); err != nil {
 		t.Fatal(err)
 	}
 
@@ -122,7 +122,7 @@ func TestReconfigureMultipleFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 	fails := []topology.Link{net.Topo.Links[0], net.Topo.Links[10], net.Topo.Links[20]}
-	if _, err := reconfigure(t, net, DefaultOptions(), fails...); err != nil {
+	if err := reconfigure(t, net, DefaultOptions(), fails...); err != nil {
 		t.Fatal(err)
 	}
 	rng := sim.NewRNG(13)
@@ -169,7 +169,7 @@ func TestReconfigureInvalidatesLookupCache(t *testing.T) {
 	warm()
 
 	failed := net.Topo.Links[0]
-	if _, err := reconfigure(t, net, DefaultOptions(), failed); err != nil {
+	if err := reconfigure(t, net, DefaultOptions(), failed); err != nil {
 		t.Fatal(err)
 	}
 	deadPort := func(s int) (ib.PortID, bool) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ibasim/internal/fabric"
-	"ibasim/internal/routing"
 	"ibasim/internal/sim"
 	"ibasim/internal/topology"
 )
@@ -37,17 +36,6 @@ func DefaultStagedOptions() StagedOptions {
 	return StagedOptions{SweepDelay: 5_000, PerSwitchDelay: 1_000}
 }
 
-// Staged describes a scheduled staged reconfiguration.
-type Staged struct {
-	// FA is the adaptive routing function computed on the surviving
-	// topology (what the tables will hold once the sweep completes).
-	FA *routing.FA
-
-	// StartAt is when table programming begins (sweep end); DoneAt is
-	// when the last switch's table is in place.
-	StartAt, DoneAt sim.Time
-}
-
 // ReconfigureStaged reacts to failed cables the way an IBA subnet
 // manager does after a sweep discovers a topology change: it routes
 // around the failure set (the given links plus every link already
@@ -70,16 +58,16 @@ type Staged struct {
 // instant, before any packet moves.
 //
 // The call itself only validates, computes routes and schedules the
-// sweep; the returned Staged reports when programming starts and
-// completes. Duplicate links in failed are tolerated, and re-failing a
-// dead link is a no-op.
-func ReconfigureStaged(net *fabric.Network, opts Options, st StagedOptions, failed ...topology.Link) (*Staged, error) {
+// sweep; it returns doneAt, the instant the last switch's table is in
+// place: now + SweepDelay + n·PerSwitchDelay for n switches. Duplicate
+// links in failed are tolerated, and re-failing a dead link is a no-op.
+func ReconfigureStaged(net *fabric.Network, opts Options, st StagedOptions, failed ...topology.Link) (doneAt sim.Time, err error) {
 	if st.SweepDelay < 0 || st.PerSwitchDelay < 0 {
-		return nil, fmt.Errorf("subnet: negative staged-reconfig delay %+v", st)
+		return 0, fmt.Errorf("subnet: negative staged-reconfig delay %+v", st)
 	}
 	for _, l := range failed {
 		if err := net.SetLinkDown(l.A, l.B); err != nil {
-			return nil, err
+			return 0, err
 		}
 	}
 	// A sweep discovers every dead cable, not only the ones this call
@@ -87,18 +75,11 @@ func ReconfigureStaged(net *fabric.Network, opts Options, st StagedOptions, fail
 	// failures.
 	surviving := net.Topo.Without(net.DownLinks()...)
 	if !surviving.Connected() {
-		return nil, fmt.Errorf("subnet: failures disconnect the network")
+		return 0, fmt.Errorf("subnet: failures disconnect the network")
 	}
 	l, err := newLayout(net, surviving, opts)
 	if err != nil {
-		return nil, err
-	}
-
-	now := net.Engine.Now()
-	staged := &Staged{
-		FA:      l.fa,
-		StartAt: now + st.SweepDelay,
-		DoneAt:  now + st.SweepDelay + sim.Time(len(net.Switches))*st.PerSwitchDelay,
+		return 0, err
 	}
 
 	// Sweep end: every switch's table is now known-stale; restrict all
@@ -125,5 +106,5 @@ func ReconfigureStaged(net *fabric.Network, opts Options, st StagedOptions, fail
 			}
 		})
 	}
-	return staged, nil
+	return net.Engine.Now() + st.SweepDelay + sim.Time(len(net.Switches))*st.PerSwitchDelay, nil
 }

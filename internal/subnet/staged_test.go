@@ -16,12 +16,12 @@ func TestStagedEscapeOnlyTransientAndCompletion(t *testing.T) {
 	failed := net.Topo.Links[0]
 	done := -1
 	st := StagedOptions{SweepDelay: 2_000, PerSwitchDelay: 500, OnDone: func(dropped int) { done = dropped }}
-	staged, err := ReconfigureStaged(net, DefaultOptions(), st, failed)
+	doneAt, err := ReconfigureStaged(net, DefaultOptions(), st, failed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := net.Engine.Now() + 2_000 + 8*500; staged.DoneAt != want {
-		t.Fatalf("DoneAt = %d, want %d", staged.DoneAt, want)
+	if want := net.Engine.Now() + 2_000 + 8*500; doneAt != want {
+		t.Fatalf("doneAt = %d, want %d", doneAt, want)
 	}
 
 	// Before the sweep completes nothing has changed.
@@ -38,8 +38,8 @@ func TestStagedEscapeOnlyTransientAndCompletion(t *testing.T) {
 			t.Fatalf("switch %d not escape-only during the transient", sw.ID())
 		}
 	}
-	// After DoneAt the fabric is fully reprogrammed and adaptive again.
-	net.Engine.Run(staged.DoneAt + 1)
+	// After doneAt the fabric is fully reprogrammed and adaptive again.
+	net.Engine.Run(doneAt + 1)
 	for _, sw := range net.Switches {
 		if sw.EscapeOnly() {
 			t.Fatalf("switch %d still escape-only after recovery", sw.ID())
@@ -90,7 +90,7 @@ func TestReconfigureDuplicateFailedLinks(t *testing.T) {
 		t.Fatal(err)
 	}
 	first, second := net.Topo.Links[0], net.Topo.Links[5]
-	if _, err := reconfigure(t, net, DefaultOptions(), first, first, first); err != nil {
+	if err := reconfigure(t, net, DefaultOptions(), first, first, first); err != nil {
 		t.Fatalf("duplicate failed links rejected: %v", err)
 	}
 	if !net.LinkIsDown(first.A, first.B) {
@@ -98,10 +98,10 @@ func TestReconfigureDuplicateFailedLinks(t *testing.T) {
 	}
 	// Reconfiguring again with the same (already applied) failure set
 	// must also succeed.
-	if _, err := reconfigure(t, net, DefaultOptions(), first); err != nil {
+	if err := reconfigure(t, net, DefaultOptions(), first); err != nil {
 		t.Fatalf("re-reconfigure of a known failure rejected: %v", err)
 	}
-	if _, err := reconfigure(t, net, DefaultOptions(), second); err != nil {
+	if err := reconfigure(t, net, DefaultOptions(), second); err != nil {
 		t.Fatalf("second failure rejected: %v", err)
 	}
 	for _, l := range []topology.Link{first, second} {
@@ -142,7 +142,7 @@ func TestReconfigureRejectsMROverRange(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.MaxRoutingOptions = net.Plan.RangeSize() + 1
-	_, err := reconfigure(t, net, opts, net.Topo.Links[0])
+	err := reconfigure(t, net, opts, net.Topo.Links[0])
 	if err == nil {
 		t.Fatal("MR over LID range accepted")
 	}

@@ -71,9 +71,6 @@ type Recorder struct {
 	full  bool
 	total uint64
 
-	// Filter, when set, drops events for which it returns false.
-	Filter func(Event) bool
-
 	// AdaptiveHops and EscapeHops count forwarding decisions by kind,
 	// a cheap aggregate view of how often the adaptive options win.
 	AdaptiveHops uint64
@@ -125,9 +122,6 @@ func (r *Recorder) Attach(net *fabric.Network) {
 }
 
 func (r *Recorder) record(e Event) {
-	if r.Filter != nil && !r.Filter(e) {
-		return
-	}
 	r.ring[r.next] = e
 	r.next++
 	if r.next == len(r.ring) {

@@ -94,20 +94,6 @@ func TestRecorderRingEviction(t *testing.T) {
 	}
 }
 
-func TestRecorderFilter(t *testing.T) {
-	net, rec := tracedNet(t, 1024)
-	rec.Filter = func(e Event) bool { return e.Kind == Delivered }
-	net.Hosts[0].Inject(net.NewPacket(0, 31, 32, false))
-	if err := net.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range rec.Events() {
-		if e.Kind != Delivered {
-			t.Fatalf("filter leaked %v", e.Kind)
-		}
-	}
-}
-
 func TestRecorderChainsExistingCallbacks(t *testing.T) {
 	net, _ := tracedNet(t, 16)
 	// tracedNet attached a recorder; attach a second observer BEFORE

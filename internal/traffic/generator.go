@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ibasim/internal/fabric"
+	"ibasim/internal/ib"
 	"ibasim/internal/sim"
 )
 
@@ -69,8 +70,8 @@ func NewGenerator(net *fabric.Network, cfg Config) (*Generator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.PacketSize > net.Cfg.MTU {
-		return nil, fmt.Errorf("traffic: packet size %d exceeds MTU %d", cfg.PacketSize, net.Cfg.MTU)
+	if cfg.PacketSize > ib.MTU {
+		return nil, fmt.Errorf("traffic: packet size %d exceeds MTU %d", cfg.PacketSize, ib.MTU)
 	}
 	return &Generator{cfg: cfg, net: net}, nil
 }

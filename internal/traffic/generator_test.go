@@ -138,7 +138,7 @@ func TestGeneratorRejectsOversizedPackets(t *testing.T) {
 	net := testNet(t, 3)
 	cfg := Config{
 		Pattern:               Uniform{NumHosts: 12},
-		PacketSize:            net.Cfg.MTU + 1,
+		PacketSize:            ib.MTU + 1,
 		LoadBytesPerNsPerHost: 0.01,
 	}
 	if _, err := NewGenerator(net, cfg); err == nil {

@@ -7,6 +7,7 @@ package traffic
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"ibasim/internal/sim"
@@ -71,7 +72,6 @@ func (b BitReversal) Dest(src int, _ *sim.RNG) int {
 // host and the rest uniformly, per §5.1 ("a node is randomly selected
 // and a percentage of traffic is sent to this host").
 type HotSpot struct {
-	NumHosts int
 	Host     int     // the hot destination
 	Fraction float64 // e.g. 0.05, 0.10, 0.20
 	uniform  Uniform
@@ -82,11 +82,10 @@ func NewHotSpot(numHosts int, fraction float64, rng *sim.RNG) (*HotSpot, error) 
 	if numHosts < 2 {
 		return nil, fmt.Errorf("traffic: hot-spot needs >= 2 hosts")
 	}
-	if fraction < 0 || fraction > 1 {
+	if math.IsNaN(fraction) || fraction < 0 || fraction > 1 {
 		return nil, fmt.Errorf("traffic: hot-spot fraction %v out of [0,1]", fraction)
 	}
 	return &HotSpot{
-		NumHosts: numHosts,
 		Host:     rng.Intn(numHosts),
 		Fraction: fraction,
 		uniform:  Uniform{NumHosts: numHosts},

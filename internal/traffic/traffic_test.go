@@ -110,6 +110,9 @@ func TestHotSpotValidation(t *testing.T) {
 	if _, err := NewHotSpot(8, 1.5, rng); err == nil {
 		t.Fatal("fraction 1.5 accepted")
 	}
+	if _, err := NewHotSpot(8, math.NaN(), rng); err == nil {
+		t.Fatal("fraction NaN accepted")
+	}
 }
 
 func TestConfigValidate(t *testing.T) {

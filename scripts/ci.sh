@@ -83,12 +83,15 @@ go test -count=1 -run 'TestArbWakeExactUnderTamper' -v ./internal/check/
 echo "==> mutation smoke (every seeded model break trips its named invariant under both arbiters)"
 go test -count=1 -run 'TestMutation' -v ./internal/check/
 
+# Every fuzz smoke runs with -fuzzminimizetime 0: minimizing each new
+# input would take most of a smoke this short. A failing input still
+# fails the step.
 echo "==> topology fuzz corpus (Figure 3 geometries route deadlock-free)"
-go test -run '^$' -fuzz 'FuzzIrregularTopology' -fuzztime 5s ./internal/topology/
+go test -run '^$' -fuzz 'FuzzIrregularTopology' -fuzztime 5s -fuzzminimizetime 0 ./internal/topology/
 
 echo "==> cross-family fuzz smoke (fat-tree and torus escape CDGs stay acyclic)"
-go test -run '^$' -fuzz 'FuzzFatTreeTopology' -fuzztime 5s ./internal/topology/
-go test -run '^$' -fuzz 'FuzzTorusTopology' -fuzztime 5s ./internal/topology/
+go test -run '^$' -fuzz 'FuzzFatTreeTopology' -fuzztime 5s -fuzzminimizetime 0 ./internal/topology/
+go test -run '^$' -fuzz 'FuzzTorusTopology' -fuzztime 5s -fuzzminimizetime 0 ./internal/topology/
 
 echo "==> cross-family differential (fat-tree + torus goldens: plain vs -check vs scan arbiter)"
 # Engine conformance pins each family's routing contract; the sweep
@@ -114,10 +117,10 @@ go test -run 'TestEventQueueDifferential|TestEngineSchedulersEquivalent|TestSort
 go test -race -count=1 -run 'TestSchedulerOrderMatrix|TestSelectionModeGoldens' -v ./internal/experiments/
 
 echo "==> event-queue fuzz smoke (calendar vs heap through the engine's two calls, popAtMost and hasEventAt)"
-go test -run '^$' -fuzz 'FuzzEventQueueOrdering' -fuzztime 10s ./internal/sim/
+go test -run '^$' -fuzz 'FuzzEventQueueOrdering' -fuzztime 10s -fuzzminimizetime 0 ./internal/sim/
 
 echo "==> source-queue fuzz smoke (delta-coded entries against a slice: gaps up to 2^56-1, every DLID offset, markers, bursts across chunks)"
-go test -run '^$' -fuzz 'FuzzPktFIFO' -fuzztime 5s ./internal/fabric/
+go test -run '^$' -fuzz 'FuzzPktFIFO' -fuzztime 5s -fuzzminimizetime 0 ./internal/fabric/
 
 echo "==> subnet manager (one table writer: reconfiguration keeps the §4.2 fence and source multipath)"
 go test -race -count=1 -run 'TestStaged|TestReconfigure|TestTrafficSurvives|TestMixed|TestMultipath' -v ./internal/subnet/
