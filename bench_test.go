@@ -289,3 +289,15 @@ func BenchmarkSimulationEngine(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFabricBuild measures fabric construction: generating a
+// 64-switch irregular topology, wiring the network and programming
+// its forwarding tables, the set-up every simulated point pays.
+func BenchmarkFabricBuild(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := buildFabric(uint64(i%3) + 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

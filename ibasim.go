@@ -244,9 +244,6 @@ type TraceResult struct {
 	// AdaptiveShare is the fraction of switch forwarding decisions
 	// that used an adaptive routing option (vs the escape option).
 	AdaptiveShare float64
-	// EventsRecorded counts lifecycle events seen (created, per-hop,
-	// delivered), including those evicted from the bounded ring.
-	EventsRecorded uint64
 }
 
 // SimulateTraced runs one simulation with a packet tracer attached,
@@ -267,11 +264,7 @@ func SimulateTraced(c Config, capacity int, w io.Writer) (TraceResult, error) {
 			return TraceResult{}, err
 		}
 	}
-	return TraceResult{
-		Result:         res,
-		AdaptiveShare:  rec.AdaptiveShare(),
-		EventsRecorded: rec.Total(),
-	}, nil
+	return TraceResult{Result: res, AdaptiveShare: rec.AdaptiveShare()}, nil
 }
 
 // Sweep runs the configuration at each per-host load (bytes/ns) and

@@ -149,11 +149,13 @@ func TestSimulateTraced(t *testing.T) {
 	if res.PacketsMeasured == 0 {
 		t.Fatal("no packets measured")
 	}
-	if res.EventsRecorded == 0 {
-		t.Fatal("tracer recorded nothing")
-	}
 	if res.AdaptiveShare <= 0 || res.AdaptiveShare > 1 {
 		t.Fatalf("AdaptiveShare = %v with 100%% adaptive traffic", res.AdaptiveShare)
+	}
+	// The run records far more events than the ring keeps, so the dump
+	// holds a full ring: one line per retained event.
+	if lines := strings.Count(buf.String(), "\n"); lines != 256 {
+		t.Fatalf("trace dump has %d lines, want the ring's 256", lines)
 	}
 	for _, want := range []string{"created", "hop", "delivered"} {
 		if !strings.Contains(buf.String(), want) {

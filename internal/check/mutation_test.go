@@ -292,7 +292,7 @@ func TestMutationAdaptiveDeterministic(t *testing.T) {
 func TestMutationIllFormedSplit(t *testing.T) {
 	forEachArb(t, func(t *testing.T, arb string) {
 		net := irregularNet(t, arb, 8, 1, 2)
-		net.TamperSplit(16, 16)
+		net.TamperSplit(net.Cfg.Split.CMax)
 		aud := check.Attach(net, check.Config{})
 		net.Run(100)
 		expect(t, aud.Finalize(), check.InvCreditSplit)
@@ -370,7 +370,7 @@ func TestArbWakeExactUnderTamper(t *testing.T) {
 	const mid = 30_000
 	honest := setTamper(fabric.Tamper{})
 	split := func(cEscape int) tamperAct {
-		return func(_ *testing.T, net *fabric.Network) { net.TamperSplit(net.Cfg.Split.CMax, cEscape) }
+		return func(_ *testing.T, net *fabric.Network) { net.TamperSplit(cEscape) }
 	}
 	reserve := fabric.DefaultConfig().Split.CEscape
 	cases := []struct {

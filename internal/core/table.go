@@ -24,18 +24,21 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"ibasim/internal/ib"
 )
 
 // blockOptions is the decoded option set of one 2^LMC-aligned LID
-// block: the single table access the enhanced switch performs, cached.
-// The adaptive slice is allocated once per decode and handed out to
-// every Lookup of the block; callers must treat it as read-only.
+// block: the single table access the enhanced switch performs, cached
+// in eight bytes. The block's adaptive options are
+// arena[off:off+n] of its table; escape is the base entry's port
+// (ib.InvalidPort when unprogrammed).
 type blockOptions struct {
-	escape   ib.PortID
-	adaptive []ib.PortID
-	valid    bool
+	off    uint32
+	escape int16
+	n      uint8
+	valid  bool
 }
 
 // AdaptiveTable is the interleaved multi-option forwarding table. It
@@ -49,10 +52,14 @@ type blockOptions struct {
 // millions of lookups) performs no heap allocation after the first
 // access to each block — mirroring the hardware, where the decode is
 // a wiring pattern of the interleaved memory, not per-packet work.
+// Decoded options live in one arena per table. A decode appends a new
+// region and never writes an old one, so an option slice handed out
+// before a re-programming keeps its contents.
 type AdaptiveTable struct {
 	linear *ib.LinearForwardingTable
 	lmc    uint
 	blocks []blockOptions // one per 2^lmc-aligned block, decoded lazily
+	arena  []ib.PortID
 }
 
 // NewAdaptiveTable builds a table for LIDs [0, maxLID] organized as
@@ -75,7 +82,8 @@ func (t *AdaptiveTable) LMC() uint { return t.lmc }
 
 // Set programs one linear entry (subnet-manager view) and invalidates
 // the cached decode of the entry's block, so re-programming during
-// subnet reconfiguration is visible to the very next Lookup.
+// subnet reconfiguration is visible to the very next Lookup. A port
+// that does not fit a one-byte entry is refused (ib.MaxPorts).
 func (t *AdaptiveTable) Set(lid ib.LID, port ib.PortID) error {
 	if err := t.linear.Set(lid, port); err != nil {
 		return err
@@ -101,10 +109,11 @@ func (t *AdaptiveTable) Get(lid ib.LID) ib.PortID { return t.linear.Get(lid) }
 //
 // The interleaved-memory organization means hardware obtains all of
 // this in one table access; the simulator returns it from one cached
-// decode. The adaptive slice is shared across lookups of the same
-// block and must not be mutated by the caller; it stays stable until
-// the subnet manager re-programs the block (Set), after which in-flight
-// holders keep the superseded slice and fresh lookups see the new one.
+// decode. The adaptive slice is a capacity-capped view of the table's
+// arena, shared across lookups of the same block; the caller must not
+// mutate it. It stays stable until the subnet manager re-programs the
+// block (Set), after which in-flight holders keep the superseded
+// options and fresh lookups see the new ones.
 func (t *AdaptiveTable) Lookup(dlid ib.LID) (escape ib.PortID, adaptive []ib.PortID, err error) {
 	bi := int(dlid) >> t.lmc
 	if bi >= len(t.blocks) {
@@ -114,34 +123,39 @@ func (t *AdaptiveTable) Lookup(dlid ib.LID) (escape ib.PortID, adaptive []ib.Por
 	if !b.valid {
 		t.decode(bi)
 	}
-	if b.escape == ib.InvalidPort {
+	escape = ib.PortID(b.escape)
+	if escape == ib.InvalidPort {
 		return ib.InvalidPort, nil, fmt.Errorf("core: DLID %d unprogrammed", dlid)
 	}
-	if t.lmc == 0 || dlid&1 == 0 {
-		return b.escape, nil, nil // deterministic service: one option
+	if t.lmc == 0 || dlid&1 == 0 || b.n == 0 {
+		return escape, nil, nil // deterministic service: one option
 	}
-	return b.escape, b.adaptive, nil
+	end := b.off + uint32(b.n)
+	return escape, t.arena[b.off:end:end], nil
 }
 
 // decode rebuilds the cached option set of block bi from the linear
-// view. A fresh adaptive slice is allocated on every decode — never
-// reused — because a buffered packet's routing state may still
-// reference the previous one across a reconfiguration.
+// view. New options are appended to the arena as a new region, never
+// written over an old one, because a buffered packet's routing state
+// may still reference the previous options across a reconfiguration.
+// A block whose options did not change keeps its region.
 func (t *AdaptiveTable) decode(bi int) {
 	block := 1 << t.lmc
 	base := ib.LID(bi << t.lmc)
 	b := &t.blocks[bi]
-	b.escape = t.linear.Get(base)
-	b.adaptive = nil
+	b.escape = int16(t.linear.Get(base))
+	var buf [1<<ib.MaxLMC - 1]ib.PortID
+	fresh := buf[:0]
 	for off := 1; off < block; off++ {
 		p := t.linear.Get(base + ib.LID(off))
-		if p == ib.InvalidPort || containsPort(b.adaptive, p) {
+		if p == ib.InvalidPort || containsPort(fresh, p) {
 			continue
 		}
-		if b.adaptive == nil {
-			b.adaptive = make([]ib.PortID, 0, block-1)
-		}
-		b.adaptive = append(b.adaptive, p)
+		fresh = append(fresh, p)
+	}
+	if !slices.Equal(t.arena[b.off:b.off+uint32(b.n)], fresh) {
+		b.off, b.n = uint32(len(t.arena)), uint8(len(fresh))
+		t.arena = append(t.arena, fresh...)
 	}
 	b.valid = true
 }

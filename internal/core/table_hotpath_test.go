@@ -58,6 +58,36 @@ func TestSetInvalidatesCachedBlock(t *testing.T) {
 	}
 }
 
+// TestRedecodeKeepsUnchangedRegion: re-programming a block with the
+// options it already holds (every table write of a reconfiguration
+// that leaves a destination's routes alone) re-decodes to the same
+// arena region, so the arena grows only for blocks whose options moved.
+func TestRedecodeKeepsUnchangedRegion(t *testing.T) {
+	plan, tab := plan2(t)
+	base := plan.BaseLID(5)
+	programBlock(t, tab, base, []ib.PortID{7, 2, 3, 4})
+	dlid := plan.DLIDFor(5, true)
+	_, first, err := tab.Lookup(dlid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grown := len(tab.arena)
+	programBlock(t, tab, base, []ib.PortID{6, 2, 3, 4}) // new escape, same options
+	esc, again, err := tab.Lookup(dlid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if esc != 6 || &again[0] != &first[0] || len(again) != 3 {
+		t.Fatalf("re-decode = (%d, %v at %p), want (6, the region at %p)", esc, again, &again[0], &first[0])
+	}
+	if len(tab.arena) != grown {
+		t.Fatalf("arena grew from %d to %d on an unchanged block", grown, len(tab.arena))
+	}
+	if cap(again) != len(again) {
+		t.Fatalf("option slice has capacity %d past its %d options", cap(again), len(again))
+	}
+}
+
 func TestSetInvalidatesOnlyItsBlock(t *testing.T) {
 	plan, tab := plan2(t)
 	programBlock(t, tab, plan.BaseLID(3), []ib.PortID{1, 2, 2, 2})

@@ -364,3 +364,25 @@ func TestNewNetworkRejectsMismatchedPlan(t *testing.T) {
 		t.Fatal("mismatched plan accepted")
 	}
 }
+
+// TestNewNetworkRejectsUnaddressablePorts: forwarding-table entries
+// are one byte with 255 reserved, so a switch may have at most 255
+// ports (0..254).
+func TestNewNetworkRejectsUnaddressablePorts(t *testing.T) {
+	for _, c := range []struct {
+		ports int
+		ok    bool
+	}{{ib.MaxPorts, true}, {ib.MaxPorts + 1, false}} {
+		topo := topology.New(2, 1, c.ports)
+		if err := topo.AddLink(0, 1); err != nil {
+			t.Fatal(err)
+		}
+		plan, err := ib.NewAddressPlan(topo.NumHosts(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fabric.NewNetwork(topo, plan, fabric.DefaultConfig(), 1); (err == nil) != c.ok {
+			t.Fatalf("%d ports per switch: err %v, want accepted %v", c.ports, err, c.ok)
+		}
+	}
+}

@@ -25,6 +25,12 @@ type Network struct {
 
 	rng *sim.RNG
 
+	// portTo[s*NumSwitches+m] is switch s's output port toward the
+	// adjacent switch m, noPort when they are not adjacent: the wiring
+	// rule (host ports first, then one port per neighbour in ascending
+	// neighbour order) resolved once, for PortToNeighbor.
+	portTo []uint8
+
 	// Hot-path state every switch and host shares: the pooled event
 	// freelist (see pool.go) and the struct-of-arrays store for
 	// buffered-packet state (see vlbuffer.go). The engine dispatches
@@ -218,6 +224,11 @@ func NewNetwork(topo *topology.Topology, plan *ib.AddressPlan, cfg Config, seed 
 	if topo.NumHosts() > math.MaxUint16+1 {
 		return nil, fmt.Errorf("fabric: %d hosts exceed the %d a 16-bit LID space addresses", topo.NumHosts(), math.MaxUint16+1)
 	}
+	// IBA port numbers are 8 bits and the forwarding tables store them
+	// in a byte, with 255 reserved (ib.InvalidPort).
+	if topo.SwitchPorts > ib.MaxPorts {
+		return nil, fmt.Errorf("fabric: %d ports per switch exceed the %d an 8-bit port number addresses", topo.SwitchPorts, ib.MaxPorts)
+	}
 	net := &Network{
 		Engine: sim.NewEngine(cfg.EngineOpts...),
 		Topo:   topo,
@@ -225,6 +236,16 @@ func NewNetwork(topo *topology.Topology, plan *ib.AddressPlan, cfg Config, seed 
 		Cfg:    cfg,
 		rng:    sim.NewRNG(seed ^ 0x4641425249435F), // package tag
 		wake:   cfg.Arb != ArbScan,
+	}
+	k := topo.NumSwitches
+	net.portTo = make([]uint8, k*k)
+	for i := range net.portTo {
+		net.portTo[i] = noPort
+	}
+	for s, ns := range topo.Adjacency() {
+		for i, m := range ns {
+			net.portTo[s*k+m] = uint8(topo.InterSwitchPortBase(s) + i)
+		}
 	}
 
 	detOnly := make(map[int]bool, len(cfg.DeterministicOnly))
@@ -376,13 +397,16 @@ func (n *Network) dlid(dst int, adaptive bool, path int) (ib.LID, bool) {
 	return n.Plan.DLIDFor(dst, adaptive), adaptive && n.Plan.LMC > 0
 }
 
+// noPort marks a portTo entry of two switches that are not adjacent.
+const noPort = 0xFF
+
 // PortToNeighbor returns switch s's output port wired to the adjacent
 // switch n (ports follow ascending neighbour order after the host
 // ports).
 func (n *Network) PortToNeighbor(s, neighbor int) (ib.PortID, error) {
-	for i, m := range n.Topo.Neighbors(s) {
-		if m == neighbor {
-			return ib.PortID(n.Topo.InterSwitchPortBase(s) + i), nil
+	if k := n.Topo.NumSwitches; s >= 0 && s < k && neighbor >= 0 && neighbor < k {
+		if p := n.portTo[s*k+neighbor]; p != noPort {
+			return ib.PortID(p), nil
 		}
 	}
 	return 0, fmt.Errorf("fabric: switch %d not adjacent to %d", neighbor, s)

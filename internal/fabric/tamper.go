@@ -80,13 +80,12 @@ func (n *Network) TamperOccupancy(s, neighbor, delta int) error {
 	return nil
 }
 
-// TamperSplit overwrites the configured credit split with an
-// ill-formed one, bypassing Config.Validate — the mutation-suite
-// stand-in for a misconfigured C_0. The forwarding arithmetic keeps
-// using the corrupted split; the credit-split well-formedness check
-// must flag it.
-func (n *Network) TamperSplit(cMax, cEscape int) {
-	n.Cfg.Split.CMax = cMax
+// TamperSplit overwrites the configured escape reserve C_0 with
+// cEscape, bypassing Config.Validate — the mutation-suite stand-in for
+// a misconfigured C_0. The buffer capacity C_max stays the configured
+// one. The forwarding arithmetic keeps using the corrupted split; the
+// credit-split well-formedness check must flag it.
+func (n *Network) TamperSplit(cEscape int) {
 	n.Cfg.Split.CEscape = cEscape
 	n.wakeAll()
 }

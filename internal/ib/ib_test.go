@@ -1,6 +1,7 @@
 package ib
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -54,6 +55,31 @@ func TestAddressPlanRejectsBadShapes(t *testing.T) {
 	}
 	if _, err := NewAddressPlan(40000, 1); err == nil {
 		t.Fatal("LID space overflow accepted")
+	}
+}
+
+// TestAddressPlanStaysUnicast: LIDs 0xC000–0xFFFE are multicast, so a
+// plan may reach 0xBFFF and no further.
+func TestAddressPlanStaysUnicast(t *testing.T) {
+	p, err := NewAddressPlan(24575, 1)
+	if err != nil {
+		t.Fatalf("24,575 hosts at LMC 1 refused: %v", err)
+	}
+	if p.MaxLID() != 0xBFFF {
+		t.Fatalf("MaxLID = %#x, want 0xbfff", p.MaxLID())
+	}
+	for _, c := range []struct {
+		hosts int
+		lmc   uint
+	}{{24576, 1}, {32766, 1}, {49152, 0}, {1 << 14, 2}} {
+		if p, err := NewAddressPlan(c.hosts, c.lmc); err == nil {
+			t.Fatalf("%d hosts at LMC %d accepted with MaxLID %#x", c.hosts, c.lmc, p.MaxLID())
+		} else if !strings.Contains(err.Error(), "unicast range") {
+			t.Fatalf("%d hosts at LMC %d: error %q does not name the unicast range", c.hosts, c.lmc, err)
+		}
+	}
+	if p, err := NewAddressPlan(49151, 0); err != nil || p.MaxLID() != 0xBFFF {
+		t.Fatalf("49,151 hosts at LMC 0: plan %+v, err %v; want MaxLID 0xbfff", p, err)
 	}
 }
 
@@ -168,6 +194,30 @@ func TestLinearForwardingTable(t *testing.T) {
 	}
 	if tab.Get(200) != InvalidPort {
 		t.Fatal("out-of-range Get not invalid")
+	}
+}
+
+// TestLinearForwardingTableByteEntries: an entry is one byte, so ports
+// 0..254 store and read back, 255 and negative ports other than
+// InvalidPort are refused without touching the entry, and InvalidPort
+// clears it.
+func TestLinearForwardingTableByteEntries(t *testing.T) {
+	tab := NewLinearForwardingTable(10)
+	for _, p := range []PortID{0, 1, MaxPorts - 1} {
+		if err := tab.Set(3, p); err != nil || tab.Get(3) != p {
+			t.Fatalf("Set(3, %d): err %v, Get = %d", p, err, tab.Get(3))
+		}
+	}
+	for _, p := range []PortID{MaxPorts, 256, 1 << 20, -2} {
+		if err := tab.Set(3, p); err == nil {
+			t.Fatalf("port %d accepted", p)
+		}
+		if tab.Get(3) != MaxPorts-1 {
+			t.Fatalf("refused port %d changed the entry to %d", p, tab.Get(3))
+		}
+	}
+	if err := tab.Set(3, InvalidPort); err != nil || tab.Get(3) != InvalidPort {
+		t.Fatalf("Set(3, InvalidPort): err %v, Get = %d", err, tab.Get(3))
 	}
 }
 

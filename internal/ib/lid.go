@@ -4,8 +4,14 @@ import "fmt"
 
 // LID is an InfiniBand local identifier: the subnet-unique address of
 // a channel adapter port, assigned by the subnet manager. IBA encodes
-// LIDs in 16 bits; LID 0 is reserved and 0xFFFF is the permissive LID.
+// LIDs in 16 bits and splits them into three ranges: 0x0001–0xBFFF
+// are unicast, 0xC000–0xFFFE multicast, and 0xFFFF is the permissive
+// LID; LID 0 is reserved.
 type LID uint16
+
+// MaxUnicastLID is the highest unicast LID: an address plan hands out
+// LIDs up to it and no further.
+const MaxUnicastLID LID = 0xBFFF
 
 // MaxLMC is the largest LID Mask Control value the spec allows: a port
 // may be assigned up to 2^7 = 128 consecutive LIDs (§4.1 of the paper
@@ -22,8 +28,9 @@ type AddressPlan struct {
 	NumHosts int
 }
 
-// NewAddressPlan validates the shape and returns the plan. The
-// 16-bit LID space bounds NumHosts << LMC.
+// NewAddressPlan validates the shape and returns the plan. Every LID
+// it assigns must be unicast, so MaxLID, ((NumHosts+1) << LMC) - 1,
+// may not pass MaxUnicastLID.
 func NewAddressPlan(numHosts int, lmc uint) (*AddressPlan, error) {
 	if lmc > MaxLMC {
 		return nil, fmt.Errorf("ib: LMC %d exceeds spec maximum %d", lmc, MaxLMC)
@@ -31,9 +38,9 @@ func NewAddressPlan(numHosts int, lmc uint) (*AddressPlan, error) {
 	if numHosts <= 0 {
 		return nil, fmt.Errorf("ib: address plan needs at least one host")
 	}
-	top := (uint64(numHosts) + 1) << lmc
-	if top >= 0xFFFF {
-		return nil, fmt.Errorf("ib: %d hosts with LMC %d overflow the 16-bit LID space", numHosts, lmc)
+	if top := (uint64(numHosts)+1)<<lmc - 1; top > uint64(MaxUnicastLID) {
+		return nil, fmt.Errorf("ib: %d hosts with LMC %d need LIDs up to %#x, past the unicast range 0x0001-0xbfff",
+			numHosts, lmc, top)
 	}
 	return &AddressPlan{LMC: lmc, NumHosts: numHosts}, nil
 }

@@ -25,25 +25,50 @@ type FA struct {
 // escape routing (up*/down*, D-mod-K, dimension-order, ...). Adaptive
 // options are the minimal next hops of the full topology regardless of
 // family; only host-bearing destinations get option sets, matching the
-// escape tables.
+// escape tables. Every option list is a subslice of one backing array,
+// capped at its own length; a pair with no options keeps a nil list.
 func NewFA(det *Deterministic) *FA {
 	t := det.Topo
 	n := t.NumSwitches
+	// Links are undirected, so m's distance to d is row d's entry m:
+	// one row serves every switch's test toward d.
 	dists := t.AllDistances()
+	adj := t.Adjacency()
+	// Count the options first, so one array holds them all.
+	total := 0
+	for d, toD := range dists {
+		if !det.Routes(d) {
+			continue
+		}
+		for s := 0; s < n; s++ {
+			if s == d {
+				continue
+			}
+			for _, m := range adj[s] {
+				if toD[m] == toD[s]-1 {
+					total++
+				}
+			}
+		}
+	}
+	flat := make([]int, 0, total)
+	lists := make([][]int, n*n)
 	adaptive := make([][][]int, n)
 	for s := 0; s < n; s++ {
-		adaptive[s] = make([][]int, n)
-		for d := 0; d < n; d++ {
+		adaptive[s] = lists[s*n : (s+1)*n : (s+1)*n]
+		for d, toD := range dists {
 			if s == d || !det.Routes(d) {
 				continue
 			}
-			var opts []int
-			for _, m := range t.Neighbors(s) { // sorted, so opts sorted
-				if dists[m][d] == dists[s][d]-1 {
-					opts = append(opts, m)
+			start := len(flat)
+			for _, m := range adj[s] { // sorted, so options come sorted
+				if toD[m] == toD[s]-1 {
+					flat = append(flat, m)
 				}
 			}
-			adaptive[s][d] = opts
+			if end := len(flat); end > start {
+				adaptive[s][d] = flat[start:end:end]
+			}
 		}
 	}
 	return &FA{Det: det, Adaptive: adaptive}

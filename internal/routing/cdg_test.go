@@ -1,9 +1,12 @@
 package routing
 
 import (
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
+	"ibasim/internal/sim"
 	"ibasim/internal/topology"
 )
 
@@ -19,9 +22,97 @@ func TestEscapeCDGAcyclicPaperSizes(t *testing.T) {
 	}
 }
 
+// cdgOf builds a CDG over channels 0..channels-1 from successor lists,
+// keeping each list's order.
+func cdgOf(channels int, dep map[int][]int) CDG {
+	g := CDG{off: make([]int32, channels+1)}
+	for c := 0; c < channels; c++ {
+		g.off[c] = int32(len(g.succ))
+		for _, x := range dep[c] {
+			g.succ = append(g.succ, int32(x))
+		}
+	}
+	g.off[channels] = int32(len(g.succ))
+	return g
+}
+
+// findCycleRecursive is the map-based recursive search FindCycle
+// replaced, kept as its oracle: starts in ascending channel order,
+// successors in list order.
+func findCycleRecursive(dep map[int][]int) []int {
+	color := map[int]int{}
+	parent := map[int]int{}
+	start, end := -1, -1
+	var dfs func(c int) bool
+	dfs = func(c int) bool {
+		color[c] = 1
+		for _, nxt := range dep[c] {
+			switch color[nxt] {
+			case 0:
+				parent[nxt] = c
+				if dfs(nxt) {
+					return true
+				}
+			case 1:
+				start, end = nxt, c
+				return true
+			}
+		}
+		color[c] = 2
+		return false
+	}
+	starts := make([]int, 0, len(dep))
+	for c := range dep {
+		starts = append(starts, c)
+	}
+	sort.Ints(starts)
+	for _, c := range starts {
+		if color[c] == 0 && dfs(c) {
+			cycle := []int{start}
+			for v := end; v != start; v = parent[v] {
+				cycle = append(cycle, v)
+			}
+			cycle = append(cycle, start)
+			for i, j := 0, len(cycle)-1; i < j; i, j = i+1, j-1 {
+				cycle[i], cycle[j] = cycle[j], cycle[i]
+			}
+			return cycle
+		}
+	}
+	return nil
+}
+
+// TestFindCycleMatchesRecursiveReference: the iterative search over the
+// compressed graph reports exactly the cycle the recursive map-based
+// search reports, on random graphs with unsorted, repeating successor
+// lists (the shape of a multipath union) and on acyclic ones.
+func TestFindCycleMatchesRecursiveReference(t *testing.T) {
+	f := func(seed uint64, channelsRaw, edgesRaw uint8, dag bool) bool {
+		rng := sim.NewRNG(seed)
+		channels := 2 + int(channelsRaw)%40
+		dep := map[int][]int{}
+		for e := 0; e < int(edgesRaw)%120; e++ {
+			a, b := rng.Intn(channels), rng.Intn(channels)
+			if dag && a >= b {
+				continue
+			}
+			dep[a] = append(dep[a], b)
+		}
+		got, want := FindCycle(cdgOf(channels, dep)), findCycleRecursive(dep)
+		if !slices.Equal(got, want) {
+			t.Logf("seed %d: got %v, want %v", seed, got, want)
+			return false
+		}
+		return !dag || got == nil
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestFindCycleDetectsKnownCycle(t *testing.T) {
 	dep := map[int][]int{1: {2}, 2: {3}, 3: {1}}
-	cycle := FindCycle(dep)
+	cycle := FindCycle(cdgOf(4, dep))
 	if cycle == nil {
 		t.Fatal("missed a 3-cycle")
 	}
@@ -47,14 +138,14 @@ func TestFindCycleDetectsKnownCycle(t *testing.T) {
 
 func TestFindCycleAcyclicGraph(t *testing.T) {
 	dep := map[int][]int{1: {2, 3}, 2: {4}, 3: {4}, 4: nil}
-	if c := FindCycle(dep); c != nil {
+	if c := FindCycle(cdgOf(5, dep)); c != nil {
 		t.Fatalf("false cycle %v in a DAG", c)
 	}
 }
 
 func TestFindCycleSelfLoop(t *testing.T) {
 	dep := map[int][]int{7: {7}}
-	if c := FindCycle(dep); c == nil {
+	if c := FindCycle(cdgOf(8, dep)); c == nil {
 		t.Fatal("missed self-loop")
 	}
 }
@@ -89,7 +180,10 @@ func TestFindCycleDeterministic(t *testing.T) {
 }
 
 func TestFindCycleEmpty(t *testing.T) {
-	if c := FindCycle(map[int][]int{}); c != nil {
+	if c := FindCycle(CDG{}); c != nil {
+		t.Fatalf("cycle %v in empty graph", c)
+	}
+	if c := FindCycle(cdgOf(4, nil)); c != nil {
 		t.Fatalf("cycle %v in empty graph", c)
 	}
 }
@@ -112,8 +206,8 @@ func TestEscapeCDGCoversUsedChannels(t *testing.T) {
 			c1 := ChannelID(s, m, n)
 			c2 := ChannelID(m, det.NextHop[m][d], n)
 			found := false
-			for _, c := range dep[c1] {
-				if c == c2 {
+			for _, c := range dep.Successors(c1) {
+				if int(c) == c2 {
 					found = true
 				}
 			}

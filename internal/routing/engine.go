@@ -41,14 +41,17 @@ func (e *Engine) Verify() error { return VerifyDeadlockFree(e.Deterministic) }
 type Builder func(t *topology.Topology) (*Engine, error)
 
 // unrouted returns n×n next-hop and path-length tables with every
-// entry -1, for a structured family to fill.
+// entry -1, for a family to fill. Both tables' rows are carved from one
+// backing array.
 func unrouted(n int) (next, dist [][]int) {
+	flat := make([]int, 2*n*n)
+	for i := range flat {
+		flat[i] = -1
+	}
 	next, dist = make([][]int, n), make([][]int, n)
 	for s := range next {
-		next[s], dist[s] = make([]int, n), make([]int, n)
-		for d := range next[s] {
-			next[s][d], dist[s][d] = -1, -1
-		}
+		next[s] = flat[s*n : (s+1)*n : (s+1)*n]
+		dist[s] = flat[(n+s)*n : (n+s+1)*n : (n+s+1)*n]
 	}
 	return next, dist
 }

@@ -8,7 +8,9 @@
 package routing
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"ibasim/internal/topology"
 )
@@ -21,6 +23,11 @@ type UpDown struct {
 	Topo  *topology.Topology
 	Root  int
 	Level []int // BFS level of each switch (root = 0)
+
+	// order lists every switch by ascending (level, id), the order in
+	// which the tables' climb phase resolves switches; sorted once, by
+	// NewUpDownRooted.
+	order []int
 }
 
 // NewUpDown builds the up*/down* structure rooted at the switch with
@@ -49,7 +56,14 @@ func NewUpDownRooted(t *topology.Topology, root int) (*UpDown, error) {
 		return nil, fmt.Errorf("routing: up*/down* requires a connected topology")
 	}
 	level := t.Distances(root)
-	return &UpDown{Topo: t, Root: root, Level: level}, nil
+	order := make([]int, t.NumSwitches)
+	for s := range order {
+		order[s] = s
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		return cmp.Or(cmp.Compare(level[a], level[b]), cmp.Compare(a, b))
+	})
+	return &UpDown{Topo: t, Root: root, Level: level, order: order}, nil
 }
 
 // IsUp reports whether traversing from switch `from` to adjacent
@@ -95,14 +109,15 @@ func (u *UpDown) Tables() *Deterministic { return u.TablesVariant(0) }
 // mechanically).
 func (u *UpDown) TablesVariant(variant int) *Deterministic {
 	n := u.Topo.NumSwitches
-	next := make([][]int, n)
-	dist := make([][]int, n) // table-path length from s to d
-	for s := range next {
-		next[s] = make([]int, n)
-		dist[s] = make([]int, n)
-	}
+	next, dist := unrouted(n) // dist is the table-path length from s to d
+	// One destination's column is computed into row buffers, then
+	// transposed into the tables; the buffers and the BFS queue are
+	// reused across destinations.
+	nbrs := u.rotated(variant)
+	nd, dd := make([]int, n), make([]int, n)
+	queue := make([]int, 0, n)
 	for d := 0; d < n; d++ {
-		nd, dd := u.tablesFor(d, variant)
+		queue = u.tablesFor(d, nbrs, nd, dd, queue)
 		for s := 0; s < n; s++ {
 			next[s][d] = nd[s]
 			dist[s][d] = dd[s]
@@ -111,27 +126,35 @@ func (u *UpDown) TablesVariant(variant int) *Deterministic {
 	return &Deterministic{Topo: u.Topo, UD: u, NextHop: next, PathLen: dist}
 }
 
-// rotated returns s's neighbours rotated by the variant, the
-// tie-breaking knob of TablesVariant. Rotating by the switch ID as
-// well decorrelates choices across switches.
-func (u *UpDown) rotated(s, variant int) []int {
-	ns := u.Topo.Neighbors(s)
-	if variant == 0 || len(ns) < 2 {
-		return ns
+// rotated returns every switch's neighbours in the order variant v
+// explores them, the tie-breaking knob of TablesVariant: switch s's k
+// sorted neighbours rotated to start at position (v+s) mod k. Rotating
+// by the switch ID as well decorrelates choices across switches.
+// Variant 0 is the sorted adjacency itself.
+func (u *UpDown) rotated(variant int) [][]int {
+	adj := u.Topo.Adjacency()
+	if variant == 0 {
+		return adj
 	}
-	k := (variant + s) % len(ns)
-	out := make([]int, 0, len(ns))
-	out = append(out, ns[k:]...)
-	out = append(out, ns[:k]...)
+	out := make([][]int, len(adj))
+	flat := make([]int, 0, 2*len(u.Topo.Links))
+	for s, ns := range adj {
+		start := len(flat)
+		k := 0
+		if len(ns) >= 2 {
+			k = (variant + s) % len(ns)
+		}
+		flat = append(append(flat, ns[k:]...), ns[:k]...)
+		out[s] = flat[start:len(flat):len(flat)]
+	}
 	return out
 }
 
 // tablesFor computes next hops and table-path lengths toward a single
-// destination switch d.
-func (u *UpDown) tablesFor(d, variant int) (next, dist []int) {
-	n := u.Topo.NumSwitches
-	next = make([]int, n)
-	dist = make([]int, n)
+// destination switch d into next and dist, exploring neighbours in
+// nbrs order and using queue's storage for the BFS, and returns the
+// queue for reuse.
+func (u *UpDown) tablesFor(d int, nbrs [][]int, next, dist, queue []int) []int {
 	for i := range next {
 		next[i] = -1
 		dist[i] = -1
@@ -143,11 +166,10 @@ func (u *UpDown) tablesFor(d, variant int) (next, dist []int) {
 	// from d along edges (x -> y) where y sees x as a down neighbour,
 	// i.e. x is up of y... concretely: y can take a down step to x iff
 	// IsUp(x, y) (y is the up end means x->y is up, so y->x is down).
-	queue := []int{d}
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
-		for _, y := range u.rotated(x, variant) {
+	queue = append(queue[:0], d)
+	for head := 0; head < len(queue); head++ {
+		x := queue[head]
+		for _, y := range nbrs[x] {
 			// y -> x is a down move iff x is NOT up of... a move y->x
 			// is down iff IsUp(y, x) is false for direction from y to
 			// x: IsUp(y, x) true means x is toward root. Down means
@@ -166,26 +188,11 @@ func (u *UpDown) tablesFor(d, variant int) (next, dist []int) {
 	// each climber after all its up-neighbours; every climb chain ends
 	// in the descend set because the root always belongs to it (the
 	// root reaches every switch by reversing BFS-parent up-paths).
-	order := make([]int, 0, n)
-	for s := 0; s < n; s++ {
-		order = append(order, s)
-	}
-	// Sort by (level, id) ascending; insertion sort keeps this
-	// dependency-free and n is small (<= 64 in the paper's configs).
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0; j-- {
-			a, b := order[j-1], order[j]
-			if u.Level[a] < u.Level[b] || (u.Level[a] == u.Level[b] && a < b) {
-				break
-			}
-			order[j-1], order[j] = order[j], order[j-1]
-		}
-	}
-	for _, s := range order {
+	for _, s := range u.order {
 		if dist[s] != -1 || s == d {
 			continue // descend-set assignments are final
 		}
-		for _, m := range u.rotated(s, variant) {
+		for _, m := range nbrs[s] {
 			if !u.IsUp(s, m) || dist[m] == -1 {
 				continue
 			}
@@ -195,5 +202,5 @@ func (u *UpDown) tablesFor(d, variant int) (next, dist []int) {
 			}
 		}
 	}
-	return next, dist
+	return queue
 }

@@ -10,7 +10,6 @@ package subnet
 import (
 	"fmt"
 
-	"ibasim/internal/core"
 	"ibasim/internal/fabric"
 	"ibasim/internal/ib"
 	"ibasim/internal/routing"
@@ -154,43 +153,55 @@ func newLayout(net *fabric.Network, topo *topology.Topology, opts Options) (*lay
 }
 
 // write programs switch s's forwarding table from the layout, one LID
-// block per destination host. Hops are resolved to ports through the
-// network's wiring, which a reconfiguration never renumbers.
+// block per destination host. Every host of a destination switch gets
+// the same block, so each (switch, destination switch) pair is
+// resolved once; only local delivery differs per host. Hops are
+// resolved to ports through the network's wiring, which a
+// reconfiguration never renumbers.
 func (l *layout) write(net *fabric.Network, s int) error {
 	sw := net.Switches[s]
 	tab := sw.Table()
-	for dst := 0; dst < net.Topo.NumHosts(); dst++ {
-		base := net.Plan.BaseLID(dst)
-		if l.paths != nil {
-			d := net.Topo.HostSwitch(dst)
-			for off := 0; off < l.block; off++ {
-				port := net.HostPort(dst)
-				if d != s {
-					p, err := net.PortToNeighbor(s, l.paths[off%len(l.paths)].NextHop[s][d])
-					if err != nil {
-						return err
-					}
-					port = p
+	var buf [1 << ib.MaxLMC]ib.PortID
+	slots := buf[:l.block]
+	// Host IDs are dense and grouped by switch in ascending order, so
+	// walking every switch's hosts in turn visits dst = 0, 1, ...
+	dst := 0
+	for d := range net.Switches {
+		hosts := net.Topo.HostCount(d)
+		if hosts > 0 && d != s {
+			if err := l.resolve(net, s, d, sw.Enhanced(), slots); err != nil {
+				return err
+			}
+		}
+		for ; hosts > 0; hosts-- {
+			if d == s {
+				// Local delivery: the host-facing port is the only
+				// option.
+				for off := range slots {
+					slots[off] = net.HostPort(dst)
 				}
-				if err := tab.Set(base+ib.LID(off), port); err != nil {
+			}
+			base := net.Plan.BaseLID(dst)
+			for off, p := range slots {
+				if err := tab.Set(base+ib.LID(off), p); err != nil {
 					return err
 				}
 			}
-			continue
-		}
-		escape, adaptive, err := routeEntries(net, l.fa, s, dst, l.mr)
-		if err != nil {
-			return err
-		}
-		if err := program(tab, base, l.block, escape, adaptive, sw.Enhanced()); err != nil {
-			return err
+			dst++
 		}
 	}
 	return nil
 }
 
-// routeEntries resolves the escape port and up to mr-1 adaptive ports
-// for destination host dst as seen from switch s.
+// resolve fills slots, one port per address of a LID block, with what
+// switch s programs for a host on destination switch d != s.
+//
+// Source multipath stores variant off%len(paths)'s next hop at slot
+// off. The FA layout stores the escape option (the up*/down* next hop)
+// at slot 0 and up to mr-1 adaptive options (minimal next hops) after
+// it, cycle-filled so every address of the block routes; a stock
+// switch stores the escape port in every slot, as §4.2 prescribes for
+// deterministic-only switches.
 //
 // In mixed subnets (§4.2) adaptive options leading to a
 // deterministic-only switch are NOT programmed. A stock switch's VL
@@ -203,44 +214,44 @@ func (l *layout) write(net *fabric.Network, s int) error {
 // TestMixedPopulationTrafficDrains pins it). Restricting adaptivity to
 // enhanced-to-enhanced hops keeps every packet in a stock switch on a
 // pure table path.
-func routeEntries(net *fabric.Network, fa *routing.FA, s, dst, mr int) (ib.PortID, []ib.PortID, error) {
-	d := net.Topo.HostSwitch(dst)
-	if d == s {
-		// Local delivery: the host-facing port is the only option.
-		p := net.HostPort(dst)
-		return p, []ib.PortID{p}, nil
+func (l *layout) resolve(net *fabric.Network, s, d int, enhanced bool, slots []ib.PortID) error {
+	if l.paths != nil {
+		for off := range slots {
+			p, err := net.PortToNeighbor(s, l.paths[off%len(l.paths)].NextHop[s][d])
+			if err != nil {
+				return err
+			}
+			slots[off] = p
+		}
+		return nil
 	}
-	escapeHop := fa.Escape(s, d)
-	escape, err := net.PortToNeighbor(s, escapeHop)
+	escape, err := net.PortToNeighbor(s, l.fa.Escape(s, d))
 	if err != nil {
-		return 0, nil, err
+		return err
 	}
-	var adaptive []ib.PortID
-	for _, hop := range fa.Options(s, d, mr-1) {
+	slots[0] = escape
+	// The adaptive ports go to slots[1:1+k]; the cycle fill only ever
+	// reads the first len(slots)-1 of them.
+	k := 0
+	for _, hop := range l.fa.Options(s, d, l.mr-1) {
+		if 1+k == len(slots) {
+			break
+		}
 		if !net.Switches[hop].Enhanced() && d != hop {
 			continue
 		}
 		p, err := net.PortToNeighbor(s, hop)
 		if err != nil {
-			return 0, nil, err
-		}
-		adaptive = append(adaptive, p)
-	}
-	return escape, adaptive, nil
-}
-
-// program writes one destination's block of table slots.
-func program(tab *core.AdaptiveTable, base ib.LID, block int, escape ib.PortID, adaptive []ib.PortID, enhanced bool) error {
-	if err := tab.Set(base, escape); err != nil {
-		return err
-	}
-	for off := 1; off < block; off++ {
-		p := escape
-		if enhanced && len(adaptive) > 0 {
-			p = adaptive[(off-1)%len(adaptive)]
-		}
-		if err := tab.Set(base+ib.LID(off), p); err != nil {
 			return err
+		}
+		slots[1+k] = p
+		k++
+	}
+	for off := 1; off < len(slots); off++ {
+		if !enhanced || k == 0 {
+			slots[off] = escape
+		} else {
+			slots[off] = slots[1+(off-1)%k]
 		}
 	}
 	return nil

@@ -49,6 +49,15 @@ type Topology struct {
 
 	adj      [][]int // adjacency lists, built lazily by Adjacency
 	hostBase []int   // prefix sums over HostsAt, built lazily
+
+	// linkSet and deg index Links for HasLink and Degree: bit
+	// a*NumSwitches+b is set for every link (a, b), and deg[s] counts
+	// switch s's links. Built from Links on first use and kept in step
+	// by AddLink and the generator's swaps. Like the adjacency cache,
+	// they assume Links changes only through those once a topology has
+	// been queried.
+	linkSet []uint64
+	deg     []int
 }
 
 // New returns a topology with the given shape and no links.
@@ -172,8 +181,40 @@ func (t *Topology) AddLink(a, b int) error {
 			a, b, t.SwitchPorts-t.HostCount(a), t.SwitchPorts-t.HostCount(b))
 	}
 	t.Links = append(t.Links, Link{A: a, B: b})
+	t.flipLink(Link{A: a, B: b})
+	t.deg[a]++
+	t.deg[b]++
 	t.adj = nil
 	return nil
+}
+
+// indexLinks builds linkSet and deg from Links if they are not built
+// yet. A link out of range or not in canonical A < B order is left out
+// of linkSet, as HasLink never matched one; Validate reports it.
+func (t *Topology) indexLinks() {
+	if t.linkSet != nil {
+		return
+	}
+	n := t.NumSwitches
+	t.linkSet = make([]uint64, (n*n+63)/64)
+	t.deg = make([]int, n)
+	for _, l := range t.Links {
+		if l.A >= 0 && l.A < l.B && l.B < n {
+			t.flipLink(l)
+		}
+		for _, s := range [2]int{l.A, l.B} {
+			if s >= 0 && s < n {
+				t.deg[s]++
+			}
+		}
+	}
+}
+
+// flipLink toggles link l's bit in linkSet: a swap clears the two
+// links it removes and sets the two it adds.
+func (t *Topology) flipLink(l Link) {
+	bit := l.A*t.NumSwitches + l.B
+	t.linkSet[bit/64] ^= 1 << (bit % 64)
 }
 
 // HasLink reports whether switches a and b are directly connected.
@@ -181,33 +222,41 @@ func (t *Topology) HasLink(a, b int) bool {
 	if a > b {
 		a, b = b, a
 	}
-	for _, l := range t.Links {
-		if l.A == a && l.B == b {
-			return true
-		}
+	if a < 0 || b >= t.NumSwitches || a == b {
+		return false
 	}
-	return false
+	t.indexLinks()
+	bit := a*t.NumSwitches + b
+	return t.linkSet[bit/64]&(1<<(bit%64)) != 0
 }
 
 // Degree returns the inter-switch degree of switch s.
 func (t *Topology) Degree(s int) int {
-	n := 0
-	for _, l := range t.Links {
-		if l.A == s || l.B == s {
-			n++
-		}
+	if s < 0 || s >= t.NumSwitches {
+		return 0
 	}
-	return n
+	t.indexLinks()
+	return t.deg[s]
 }
 
 // Adjacency returns the neighbour list of every switch, sorted
-// ascending for determinism. The result is cached; callers must not
+// ascending for determinism. The lists share one backing array, each
+// capped at its own length. The result is cached; callers must not
 // mutate it.
 func (t *Topology) Adjacency() [][]int {
 	if t.adj != nil {
 		return t.adj
 	}
+	t.indexLinks()
 	adj := make([][]int, t.NumSwitches)
+	flat := make([]int, 2*len(t.Links))
+	off := 0
+	for s, d := range t.deg {
+		if d > 0 {
+			adj[s] = flat[off : off : off+d]
+			off += d
+		}
+	}
 	for _, l := range t.Links {
 		adj[l.A] = append(adj[l.A], l.B)
 		adj[l.B] = append(adj[l.B], l.A)
@@ -269,18 +318,27 @@ func (t *Topology) Validate() error {
 				s, t.SwitchPorts, h)
 		}
 	}
-	seen := map[Link]bool{}
+	// Index Links afresh, without the cached index: this check must not
+	// trust one built before Links was edited, and it must not write
+	// one, since networks built concurrently validate one shared
+	// topology.
+	n := t.NumSwitches
+	seen := make([]uint64, (n*n+63)/64)
+	deg := make([]int, n)
 	for _, l := range t.Links {
-		if l.A >= l.B || l.B >= t.NumSwitches || l.A < 0 {
+		if l.A >= l.B || l.B >= n || l.A < 0 {
 			return fmt.Errorf("topology: malformed link %+v", l)
 		}
-		if seen[l] {
+		bit := l.A*n + l.B
+		if seen[bit/64]&(1<<(bit%64)) != 0 {
 			return fmt.Errorf("topology: duplicate link %+v", l)
 		}
-		seen[l] = true
+		seen[bit/64] |= 1 << (bit % 64)
+		deg[l.A]++
+		deg[l.B]++
 	}
-	for s := 0; s < t.NumSwitches; s++ {
-		if d, budget := t.Degree(s), t.SwitchPorts-t.HostCount(s); d > budget {
+	for s := 0; s < n; s++ {
+		if d, budget := deg[s], t.SwitchPorts-t.HostCount(s); d > budget {
 			return fmt.Errorf("topology: switch %d degree %d exceeds budget %d", s, d, budget)
 		}
 	}
@@ -318,15 +376,21 @@ func (t *Topology) Without(failed ...Link) *Topology {
 // the switch graph). Unreachable switches get -1.
 func (t *Topology) Distances(src int) []int {
 	dist := make([]int, t.NumSwitches)
+	t.bfs(src, dist, make([]int, 0, t.NumSwitches))
+	return dist
+}
+
+// bfs fills dist with the hop distance from src, using queue's
+// storage for the BFS frontier.
+func (t *Topology) bfs(src int, dist, queue []int) {
 	for i := range dist {
 		dist[i] = -1
 	}
 	dist[src] = 0
-	queue := []int{src}
+	queue = append(queue[:0], src)
 	adj := t.Adjacency()
-	for len(queue) > 0 {
-		s := queue[0]
-		queue = queue[1:]
+	for head := 0; head < len(queue); head++ {
+		s := queue[head]
 		for _, n := range adj[s] {
 			if dist[n] == -1 {
 				dist[n] = dist[s] + 1
@@ -334,14 +398,18 @@ func (t *Topology) Distances(src int) []int {
 			}
 		}
 	}
-	return dist
 }
 
-// AllDistances returns the full switch-to-switch hop distance matrix.
+// AllDistances returns the full switch-to-switch hop distance matrix,
+// its rows carved from one backing array.
 func (t *Topology) AllDistances() [][]int {
-	out := make([][]int, t.NumSwitches)
+	n := t.NumSwitches
+	out := make([][]int, n)
+	flat := make([]int, n*n)
+	queue := make([]int, 0, n)
 	for s := range out {
-		out[s] = t.Distances(s)
+		out[s] = flat[s*n : (s+1)*n : (s+1)*n]
+		t.bfs(s, out[s], queue)
 	}
 	return out
 }

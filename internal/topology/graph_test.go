@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -164,6 +165,63 @@ func TestValidateRejectsDisconnected(t *testing.T) {
 	_ = disc.AddLink(2, 3)
 	if err := disc.Validate(); err == nil {
 		t.Fatal("Validate accepted disconnected topology")
+	}
+}
+
+// TestValidateRejectsHandBuiltFaults: Validate indexes Links afresh,
+// so a topology assembled by hand — past AddLink's checks — still has
+// its malformed, duplicate and over-budget links reported, each with
+// its own message.
+func TestValidateRejectsHandBuiltFaults(t *testing.T) {
+	for _, c := range []struct {
+		links []Link
+		want  string
+	}{
+		{[]Link{{0, 1}, {1, 2}, {0, 1}}, "duplicate link"},
+		{[]Link{{1, 0}, {1, 2}}, "malformed link"},
+		{[]Link{{0, 3}, {1, 2}}, "malformed link"},
+		{[]Link{{0, 1}, {0, 2}, {1, 2}}, "exceeds budget"},
+	} {
+		top := New(3, 1, 2) // one host port, one link port per switch
+		top.Links = c.links
+		if err := top.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("links %v: Validate = %v, want %q", c.links, err, c.want)
+		}
+	}
+}
+
+// TestLinkIndexMatchesLinks: HasLink and Degree answer from an index
+// that AddLink and the generator's double-edge swaps keep in step with
+// Links; after generation it must agree with a scan of Links on every
+// pair.
+func TestLinkIndexMatchesLinks(t *testing.T) {
+	for _, spec := range []IrregularSpec{
+		{NumSwitches: 8, HostsPerSwitch: 4, InterSwitch: 6, Seed: 1},
+		{NumSwitches: 16, HostsPerSwitch: 4, InterSwitch: 4, Seed: 2},
+		{NumSwitches: 64, HostsPerSwitch: 4, InterSwitch: 4, Seed: 3},
+	} {
+		top, err := GenerateIrregular(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for a := 0; a < top.NumSwitches; a++ {
+			deg := 0
+			for b := 0; b < top.NumSwitches; b++ {
+				scan := false
+				for _, l := range top.Links {
+					scan = scan || l == Link{A: min(a, b), B: max(a, b)}
+				}
+				if top.HasLink(a, b) != scan {
+					t.Fatalf("%+v: HasLink(%d,%d) = %v, Links say %v", spec, a, b, !scan, scan)
+				}
+				if scan {
+					deg++
+				}
+			}
+			if top.Degree(a) != deg {
+				t.Fatalf("%+v: Degree(%d) = %d, Links say %d", spec, a, top.Degree(a), deg)
+			}
+		}
 	}
 }
 

@@ -99,6 +99,7 @@ func doubleEdgeSwaps(t *Topology, rng *sim.RNG, attempts int) {
 	if m < 2 {
 		return
 	}
+	t.indexLinks()
 	for s := 0; s < attempts; s++ {
 		i := rng.Intn(m)
 		j := rng.Intn(m)
@@ -123,6 +124,10 @@ func doubleEdgeSwaps(t *Topology, rng *sim.RNG, attempts int) {
 		}
 		t.Links[i] = n1
 		t.Links[j] = n2
+		// A swap keeps every degree; only the link set changes.
+		for _, l := range [4]Link{l1, l2, n1, n2} {
+			t.flipLink(l)
+		}
 		t.adj = nil
 	}
 }

@@ -37,6 +37,10 @@ echo "==> alloc-regression gates (float mean of mallocs per run; hot path must n
 # phase labels armed to the same bar.
 go test -run 'ZeroAllocs' -v ./internal/core/ ./internal/sim/ ./internal/fabric/ ./internal/check/
 
+echo "==> fabric construction (every forwarding table, escape routing and FA option set byte-identical to pinned digests, escape-CDG cycle reports pinned; a 64-switch build makes at most 8,000 mallocs)"
+go test -count=1 -run 'TestConstructionGolden|TestConstructionCycleGolden' -v ./internal/subnet/
+go test -count=1 -run 'TestFabricBuildAllocs' -v .
+
 echo "==> profiler phase labels (a phase restores the label of the phase it runs inside)"
 go test -count=1 -run 'TestPhaseRestoresEnclosingLabel' -v ./internal/prof/
 
